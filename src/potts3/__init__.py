@@ -69,10 +69,8 @@ from .peierls import (
     shift_coloring,
 )
 from .dynamics import (
-    ChainKind,
     ChainSpec,
     CounterRng,
-    ScanMode,
     Trajectory,
     crossing_blocked_check,
     hamming,

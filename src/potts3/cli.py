@@ -28,7 +28,7 @@ from .coloring import (
 )
 from .cutset import build_box_cutset, select_family, verify_properties
 from .dynamics import ChainSpec, run_chain
-from .errors import CapExceeded, PropertyViolation
+from .errors import CapExceeded, ColoringError, LatticeError, PropertyViolation
 from .lattice import LatticeKind, LatticeSpec, build_lattice, shift_order
 from .oracle import (
     ENUM_CAP,
@@ -58,10 +58,12 @@ EXIT_VIOLATION = 4
 
 
 def build_id() -> str:
+    """Version plus the git state of the package's own checkout, not the cwd's."""
     try:
         desc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5,
+            cwd=Path(__file__).resolve().parent,
         )
         git = desc.stdout.strip() if desc.returncode == 0 else ""
     except Exception:
@@ -106,6 +108,12 @@ def _config_of(args, fields) -> dict:
     return {k: getattr(args, k) for k in fields if hasattr(args, k)}
 
 
+def _require_q3(args):
+    """Cutsets, flows and the influence ratio are the q = 3 theory."""
+    if args.q != 3:
+        raise ColoringError(f"{args.command} is defined for q = 3, got --q {args.q}")
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -126,8 +134,7 @@ def cmd_enumerate(args) -> int:
 def cmd_mixing(args) -> int:
     lat = _lattice_from_args(args)
     if lat.kind is not LatticeKind.TORUS:
-        print("error: mixing analysis runs on tori", file=sys.stderr)
-        return EXIT_CONFIG
+        raise LatticeError("mixing analysis runs on tori")
     states = list(enumerate_colorings(lat, args.q, cap=args.enum_cap))
     P = transition_matrix(states, lat, args.q, cap=args.state_cap)
     checks = {
@@ -136,16 +143,18 @@ def cmd_mixing(args) -> int:
         "uniform_stationary": P.uniform_is_stationary(),
         "connected": P.is_connected(),
     }
-    mix = tv_mixing_time(P, starts=args.starts)
-    cond = conductance_bound(states, args.rho, tau=mix.tau)
+    # a disconnected chain never mixes: no TV crossing to look for
+    mix = tv_mixing_time(P, starts=args.starts) if checks["connected"] else None
+    tau = mix.tau if mix else None
+    cond = conductance_bound(states, args.rho, tau=tau)
     payload = {
         "command": "mixing",
         "config": _config_of(args, ("kind", "d", "n", "q", "starts")) | {"rho": str(args.rho)},
         "n_states": len(states),
         "checks": checks,
-        "tau_exact": mix.tau,
-        "t_star": mix.t_star,
-        "worst_start": mix.worst_start,
+        "tau_exact": tau,
+        "t_star": mix.t_star if mix else None,
+        "worst_start": mix.worst_start if mix else None,
         "classes": {
             "even_heavy": cond.n_even_heavy,
             "balanced": cond.n_balanced,
@@ -159,15 +168,14 @@ def cmd_mixing(args) -> int:
     }
     write_report(Path(args.out), payload)
     ok = all(checks.values()) and (cond.bound_holds in (True, None))
-    print(json.dumps({"tau": mix.tau, "bound": payload["bound"], "ok": ok}))
+    print(json.dumps({"tau": tau, "bound": payload["bound"], "ok": ok}))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_conductance(args) -> int:
     lat = _lattice_from_args(args)
     if lat.kind is not LatticeKind.TORUS:
-        print("error: conductance classes live on tori", file=sys.stderr)
-        return EXIT_CONFIG
+        raise LatticeError("conductance classes live on tori")
     states = list(enumerate_colorings(lat, args.q, cap=args.enum_cap))
     cond = conductance_bound(states, args.rho)
     payload = {
@@ -186,6 +194,7 @@ def cmd_conductance(args) -> int:
 
 
 def cmd_influence(args) -> int:
+    _require_q3(args)
     rep = influence_ratio(args.d, args.n, cap=args.enum_cap)
     payload = {
         "command": "influence",
@@ -204,43 +213,19 @@ def cmd_influence(args) -> int:
 
 
 def cmd_cutsets(args) -> int:
+    _require_q3(args)
     lat = _lattice_from_args(args)
+    if lat.kind is LatticeKind.TORUS:
+        anchor, bc = None, None
+    else:
+        origin = (0,) * lat.d
+        anchor, bc = lat.index(origin), odd_boundary_pinned(origin)
     lines = []
     violation = False
-    if lat.kind is LatticeKind.TORUS:
-        chis = enumerate_colorings(lat, 3, cap=args.enum_cap)
-        for chi_id, chi in enumerate(chis):
-            fam = select_family(chi)
-            for cut in fam.cutsets:
-                repo = verify_properties(cut, chi)
-                w_even, w_odd = cut.region_parts()
-                props = {
-                    "p1": repo.p1_anchored,
-                    "p2": repo.p2_boundary_parity,
-                    "p3": repo.p3_zero_free_moat,
-                    "p4": repo.p4_interior_zero_support,
-                    "p5": repo.p5_region_closure,
-                    "identity": repo.size_identity,
-                    "p8a": repo.p8a_isoperimetry,
-                }
-                violation |= not repo.all_hold()
-                lines.append(json.dumps({
-                    "chi_id": chi_id,
-                    "size": cut.size,
-                    "W": cut.region.bit_count(),
-                    "W_E": w_even.bit_count(),
-                    "W_O": w_odd.bit_count(),
-                    "parity": cut.seed_parity.value,
-                    "interior_size": cut.interior.bit_count(),
-                    "properties": props,
-                }, sort_keys=True))
-    else:
-        v0 = lat.index((0,) * lat.d)
-        for chi_id, chi in enumerate(
-            enumerate_colorings(lat, 3, odd_boundary_pinned((0,) * lat.d), cap=args.enum_cap)
-        ):
-            cut = build_box_cutset(chi, v0)
-            repo = verify_properties(cut, chi, v0)
+    for chi_id, chi in enumerate(enumerate_colorings(lat, 3, bc, cap=args.enum_cap)):
+        cuts = select_family(chi).cutsets if anchor is None else [build_box_cutset(chi, anchor)]
+        for cut in cuts:
+            repo = verify_properties(cut, chi, anchor)
             w_even, w_odd = cut.region_parts()
             props = {
                 "p1": repo.p1_anchored,
@@ -277,10 +262,10 @@ def cmd_cutsets(args) -> int:
 
 
 def cmd_flow_check(args) -> int:
+    _require_q3(args)
     lat = _lattice_from_args(args)
     if lat.kind is not LatticeKind.BOX:
-        print("error: flow-check runs on boxes", file=sys.stderr)
-        return EXIT_CONFIG
+        raise LatticeError("flow-check runs on boxes")
     v0 = lat.index((0,) * lat.d)
     lines = []
     bound_rows = ["chi_id,s,nu,bound,ratio,nu_le_bound"]
@@ -368,8 +353,7 @@ def _torpid_chain(task):
 def cmd_torpid_demo(args) -> int:
     lat = _lattice_from_args(args)
     if lat.kind is not LatticeKind.TORUS:
-        print("error: torpid-demo runs on tori", file=sys.stderr)
-        return EXIT_CONFIG
+        raise LatticeError("torpid-demo runs on tori")
     chi0 = phase_coloring(lat, Parity.EVEN, 1, 3)
     tasks = [
         (args.d, args.n, args.seed, chain, args.sweeps, args.rho)

@@ -104,14 +104,7 @@ def zero_set(chi: Coloring) -> int:
 
 def imbalance(chi: Coloring) -> int:
     """|I∩E| − |I∩O| (signed)."""
-    lat = chi.lattice
-    even = odd = 0
-    for v, c in enumerate(chi.colors):
-        if c == 0:
-            if lat.parities[v] == 0:
-                even += 1
-            else:
-                odd += 1
+    even, odd = zero_counts(chi)
     return even - odd
 
 
@@ -128,6 +121,19 @@ def zero_counts(chi: Coloring) -> tuple[int, int]:
     return even, odd
 
 
+def imbalance_class(imb: int, nv: int, rho: Fraction) -> ImbalanceClass:
+    """Class of imbalance ``imb`` on ``nv`` vertices at threshold ρ·nv/2, in
+    exact rationals.  No range check on ρ: ρ = 1 chains share the rule."""
+    # imb > rho*nv/2  <=>  2*imb*den > num*nv
+    lhs = 2 * imb * rho.denominator
+    rhs = rho.numerator * nv
+    if lhs > rhs:
+        return ImbalanceClass.EVEN_HEAVY
+    if -lhs > rhs:
+        return ImbalanceClass.ODD_HEAVY
+    return ImbalanceClass.BALANCED
+
+
 def classify(chi: Coloring, rho: Fraction = DEFAULT_RHO) -> ImbalanceClass:
     """Class of χ at threshold ρ·n^d/2, decided in exact rationals."""
     if chi.lattice.kind is not LatticeKind.TORUS:
@@ -135,15 +141,7 @@ def classify(chi: Coloring, rho: Fraction = DEFAULT_RHO) -> ImbalanceClass:
     rho = Fraction(rho)
     if not 0 < rho < 1:
         raise ColoringError(f"rho must lie in (0,1), got {rho}")
-    imb = imbalance(chi)
-    # imb > rho*nv/2  <=>  2*imb*den > num*nv
-    lhs = 2 * imb * rho.denominator
-    rhs = rho.numerator * chi.lattice.nv
-    if lhs > rhs:
-        return ImbalanceClass.EVEN_HEAVY
-    if -lhs > rhs:
-        return ImbalanceClass.ODD_HEAVY
-    return ImbalanceClass.BALANCED
+    return imbalance_class(imbalance(chi), chi.lattice.nv, rho)
 
 
 # -- boundary conditions -----------------------------------------------------

@@ -83,6 +83,8 @@ def build_box_cutset(chi: Coloring, v0: int) -> Cutset:
     _check_q3(chi)
     if lat.kind is not LatticeKind.BOX or lat.spec.extended:
         raise ColoringError("box cutsets are built on plain boxes")
+    if lat.d < 2:
+        raise ColoringError(f"box cutsets need d >= 2, got d={lat.d}")
     if not (lat.even_mask >> v0) & 1 or (lat.boundary_mask >> v0) & 1:
         raise ColoringError("v0 must be an interior even vertex")
     if not is_proper(chi):

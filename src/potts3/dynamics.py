@@ -1,16 +1,20 @@
 """Single-site Metropolis dynamics and ρ-local move checks.
 
-One *proposal* draws (v, j) uniformly and recolors v with j when the result
-stays proper, matching the chain's transition law exactly: mass 1/(q|V|)
-per legal recoloring, remainder on the self-loop.  A *sweep* is |V|
-proposals.  Trajectories are deterministic functions of (seed, stream, χ₀).
+One *proposal* draws (v, j) and recolors v with j when the result stays
+proper: the chain's transition law puts mass 1/(q|V|) on each legal
+recoloring and the remainder on the self-loop.  A *sweep* is |V| proposals.
+Trajectories are deterministic functions of (seed, stream, χ₀).
+
+The draw v = (z >> 32) mod |V|, j = (z mod 2³²) mod q from one 64-bit z
+carries modulo bias: each site's probability is within a relative |V|/2³²
+of 1/|V|, each color's within q/2³² of 1/q, and both are exact for powers
+of two.  Frozen trajectories replay this draw, so it stays.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +24,7 @@ from .coloring import (
     Coloring,
     ImbalanceClass,
     imbalance,
+    imbalance_class,
     is_proper,
     zero_counts,
 )
@@ -75,30 +80,11 @@ class CounterRng:
         return self.next_u64() >> (64 - k)
 
 
-class ChainKind(Enum):
-    METROPOLIS = "metropolis"
-    CUSTOM_LOCAL = "custom-local"
-
-
-class ScanMode(Enum):
-    RANDOM_SITE = "random-site"          # the reference dynamics
-    SYSTEMATIC_SWEEP = "systematic"      # engineering aid; not the reference dynamics
-
-
 @dataclass(frozen=True)
 class ChainSpec:
-    kind: ChainKind = ChainKind.METROPOLIS
     q: int = 3
     seed: int = 0
     stream: int = 0
-    scan: ScanMode = ScanMode.RANDOM_SITE
-    rho: Fraction | None = None   # None = 1/|V| (single-site)
-
-    def locality(self, lat: Lattice) -> Fraction:
-        rho = Fraction(1, lat.nv) if self.rho is None else Fraction(self.rho)
-        if not 0 < rho <= 1:
-            raise ColoringError(f"rho must lie in (0,1], got {rho}")
-        return rho
 
 
 @dataclass(frozen=True)
@@ -144,13 +130,7 @@ def metropolis_step(chi: Coloring, rng: CounterRng) -> Coloring:
 def _class_tag(lat: Lattice, imb: int, rho: Fraction) -> str:
     if lat.kind is not LatticeKind.TORUS:
         return "na"
-    lhs = 2 * imb * rho.denominator
-    rhs = rho.numerator * lat.nv
-    if lhs > rhs:
-        return ImbalanceClass.EVEN_HEAVY.value
-    if -lhs > rhs:
-        return ImbalanceClass.ODD_HEAVY.value
-    return ImbalanceClass.BALANCED.value
+    return imbalance_class(imb, lat.nv, rho).value
 
 
 def run_chain(
@@ -163,7 +143,8 @@ def run_chain(
 ) -> tuple[Coloring, Trajectory]:
     """Run ``steps`` proposals from χ₀, recording observables every ``thin``
     proposals (default: one sweep).  Deterministic in (spec.seed,
-    spec.stream, χ₀, steps)."""
+    spec.stream, χ₀, steps).  A ``stepper(colors, rng)`` callback replaces the
+    Metropolis proposal; each record then checks properness and ρ-locality."""
     lat, q = chi0.lattice, chi0.q
     if q != spec.q:
         raise ColoringError(f"chain expects q={spec.q}, coloring has q={q}")
@@ -171,8 +152,6 @@ def run_chain(
         raise ColoringError("step count must be nonnegative")
     if not is_proper(chi0):
         raise ColoringError("initial coloring must be proper")
-    if spec.kind is ChainKind.CUSTOM_LOCAL and stepper is None:
-        raise ColoringError("custom-local chains require a stepper callback")
 
     thin = lat.nv if thin is None else max(1, thin)
     rho = Fraction(rho)
@@ -196,7 +175,7 @@ def run_chain(
         )
 
     record(0)
-    if spec.kind is ChainKind.CUSTOM_LOCAL:
+    if stepper is not None:
         prev = bytes(colors)
         for t in range(1, steps + 1):
             stepper(colors, rng)
@@ -213,20 +192,13 @@ def run_chain(
 
     nv = lat.nv
     done = 0
-    sweep_pos = 0
     block_size = 1 << 14
     while done < steps:
         todo = min(block_size, steps - done)
         zs = rng.block_u64(todo)
         vs = ((zs >> np.uint64(32)) % np.uint64(nv)).tolist()
         js = ((zs & np.uint64(0xFFFFFFFF)) % np.uint64(q)).tolist()
-        for i in range(todo):
-            if spec.scan is ScanMode.SYSTEMATIC_SWEEP:
-                v = sweep_pos
-                sweep_pos = (sweep_pos + 1) % nv
-            else:
-                v = vs[i]
-            j = js[i]
+        for v, j in zip(vs, js):
             old = colors[v]
             if j != old:
                 ok = True
@@ -249,8 +221,7 @@ def run_chain(
             done += 1
             if done % thin == 0 or done == steps:
                 record(done)
-    final = Coloring(lat, colors, q)
-    return final, traj
+    return Coloring(lat, colors, q), traj
 
 
 def hamming(chi1: Coloring, chi2: Coloring) -> int:
@@ -278,11 +249,12 @@ def crossing_blocked_check(chi1: Coloring, chi2: Coloring, rho: Fraction = DEFAU
     if not 0 < rho <= 1:
         raise ColoringError(f"rho must lie in (0,1], got {rho}")
     dist = hamming(chi1, chi2)
-    delta = abs(imbalance(chi1) - imbalance(chi2))
-    if delta > dist:
+    imb1, imb2 = imbalance(chi1), imbalance(chi2)
+    if abs(imb1 - imb2) > dist:
         raise ColoringError("imbalance moved faster than one per changed vertex")
     nv = chi1.lattice.nv
-    # inline class thresholds so the degenerate rho = 1 chain is admissible
-    heavy = lambda imb: 2 * imb * rho.denominator > rho.numerator * nv
-    crosses = heavy(imbalance(chi1)) and heavy(-imbalance(chi2))
-    return crosses and dist * rho.denominator > rho.numerator * nv
+    crosses = (
+        imbalance_class(imb1, nv, rho) is ImbalanceClass.EVEN_HEAVY
+        and imbalance_class(imb2, nv, rho) is ImbalanceClass.ODD_HEAVY
+    )
+    return crosses and not rho_locality_check(chi1, chi2, rho)

@@ -19,7 +19,13 @@ import numpy as np
 from .coloring import Coloring
 from .errors import CapExceeded, ColoringError, LatticeError
 from .lattice import box
-from .oracle import count_colorings, count_grid_region_colorings, enumerate_colorings
+from .oracle import (
+    _assignments,
+    _slab_transfer,
+    count_colorings,
+    count_grid_region_colorings,
+    enumerate_colorings,
+)
 
 
 @dataclass
@@ -84,21 +90,11 @@ def _aitken_pass(seq: list[float]) -> list[float]:
 
 def _strip_per_site(width: int) -> float:
     """ln λ_max of the width-w column transfer matrix, per site."""
-    states = []
-    stack = [()]
-    while stack:
-        s = stack.pop()
-        if len(s) == width:
-            states.append(s)
-            continue
-        for c in range(3):
-            if not s or s[-1] != c:
-                stack.append(s + (c,))
+    path = [[u for u in (v - 1, v + 1) if 0 <= u < width] for v in range(width)]
+    states, compat = _slab_transfer(width, path)
     T = np.zeros((len(states), len(states)))
-    for i, a in enumerate(states):
-        for j, b in enumerate(states):
-            if all(x != y for x, y in zip(a, b)):
-                T[i, j] = 1.0
+    for i, row in enumerate(compat):
+        T[i, row] = 1.0
     lam = float(max(abs(np.linalg.eigvals(T))))
     return math.log(lam) / width
 
@@ -148,29 +144,7 @@ def _extends_to_larger_box(tau: Coloring, depth: int = 2) -> bool:
         big.index(c): tau.colors[i]
         for i, c in enumerate(lat.coords)
     }
-    colors = bytearray(big.nv)
-    assigned = [False] * big.nv
-
-    def rec(v):
-        if v == big.nv:
-            return True
-        choices = (pins[v],) if v in pins else range(3)
-        for c in choices:
-            ok = True
-            for u in big.neighbors[v]:
-                if assigned[u] and colors[u] == c:
-                    ok = False
-                    break
-            if ok:
-                colors[v] = c
-                assigned[v] = True
-                if rec(v + 1):
-                    assigned[v] = False
-                    return True
-                assigned[v] = False
-        return False
-
-    return rec(0)
+    return next(_assignments(big.nv, big.neighbors, 3, pins), None) is not None
 
 
 @dataclass

@@ -101,6 +101,17 @@ def _layer_pins(lat: Lattice, pins: dict[int, int], layer: int, slab_coords) -> 
     return out
 
 
+def _slab_transfer(nv, neighbors, q=3, cap=None) -> tuple[list[bytes], list[list[int]]]:
+    """Proper colorings of one slab, lexicographic, and for each the indices
+    of the states that may sit next to it (different at every site)."""
+    states = list(_assignments(nv, neighbors, q, {}, cap=cap))
+    compat = [
+        [i for i, b in enumerate(states) if all(x != y for x, y in zip(a, b))]
+        for a in states
+    ]
+    return states, compat
+
+
 def count_by_transfer(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
     """Exact count, layer-by-layer over hyperplanes x₀ = const.
 
@@ -119,17 +130,7 @@ def count_by_transfer(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
         slab = build_lattice(LatticeSpec(lat.kind, lat.d - 1, lat.n))
         slab_nv, slab_neighbors = slab.nv, slab.neighbors
         slab_coords = list(slab.coords)
-
-    states: list[bytes] = []
-    for sb in _assignments(slab_nv, slab_neighbors, q, {}, cap=state_cap):
-        states.append(sb)
-
-    compat: list[list[int]] = []
-    compat_sets: list[set[int]] = []
-    for a in states:
-        row = [i for i, b in enumerate(states) if all(x != y for x, y in zip(a, b))]
-        compat.append(row)
-        compat_sets.append(set(row))
+    states, compat = _slab_transfer(slab_nv, slab_neighbors, q, cap=state_cap)
 
     layers = range(lat.n) if lat.kind is LatticeKind.TORUS else range(-lat.n, lat.n + 1)
     layer_allowed: list[set[int]] = []
@@ -139,34 +140,24 @@ def count_by_transfer(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
             {i for i, sb in enumerate(states) if all(sb[j] == c for j, c in lp.items())}
         )
 
-    nlayers = len(layer_allowed)
-    if lat.kind is LatticeKind.BOX:
-        vec = {i: 1 for i in layer_allowed[0]}
-        for ell in range(1, nlayers):
-            ok = layer_allowed[ell]
+    def through_layers(vec: dict[int, int]) -> dict[int, int]:
+        for ok in layer_allowed[1:]:
             new: dict[int, int] = {}
             for i, w in vec.items():
                 for j in compat[i]:
                     if j in ok:
                         new[j] = new.get(j, 0) + w
             vec = new
-        return sum(vec.values())
+        return vec
+
+    if lat.kind is LatticeKind.BOX:
+        return sum(through_layers({i: 1 for i in layer_allowed[0]}).values())
 
     # torus: close the trace over the layer cycle
     total = 0
     for start in layer_allowed[0]:
-        vec = {start: 1}
-        for ell in range(1, nlayers):
-            ok = layer_allowed[ell]
-            new = {}
-            for i, w in vec.items():
-                for j in compat[i]:
-                    if j in ok:
-                        new[j] = new.get(j, 0) + w
-            vec = new
-        for i, w in vec.items():
-            if start in compat_sets[i]:
-                total += w
+        closing = set(compat[start])
+        total += sum(w for i, w in through_layers({start: 1}).items() if i in closing)
     return total
 
 

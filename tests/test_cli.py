@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from potts3.cli import main
+import pytest
+
+import potts3
+from potts3.cli import build_id, main
 
 
 def run(args):
@@ -29,6 +32,38 @@ def test_mixing_small_ring(tmp_path):
     assert report["tau_exact"] >= 0
     assert report["bound_holds"] in (True, None)
     assert "build" in report
+
+
+def test_mixing_disconnected_chain_is_a_violation(tmp_path):
+    # two states on the 4-ring with q = 2 and no legal move between them
+    rc = run(["mixing", "--kind", "torus", "--d", "1", "--n", "4", "--q", "2",
+              "--out", str(tmp_path)])
+    assert rc == 4
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["checks"]["connected"] is False
+    assert report["tau_exact"] is None
+    assert report["t_star"] is None
+    assert report["worst_start"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["cutsets", "--kind", "box", "--d", "1"],
+    ["flow-check", "--d", "1"],
+    ["influence", "--d", "1"],
+    ["cutsets", "--q", "4"],
+    ["cutsets", "--kind", "torus", "--d", "1", "--n", "4", "--q", "4"],
+    ["flow-check", "--q", "4"],
+    ["influence", "--q", "4"],
+])
+def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_build_id_ignores_callers_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(Path(potts3.__file__).resolve().parent)
+    stamp = build_id()
+    monkeypatch.chdir(tmp_path)
+    assert build_id() == stamp
 
 
 def test_flow_check_box(tmp_path):

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from potts3 import (
-    ChainKind,
     ChainSpec,
     Coloring,
     CounterRng,
+    ImbalanceClass,
     Parity,
     box,
+    classify,
     crossing_blocked_check,
     hamming,
     imbalance,
@@ -21,7 +22,6 @@ from potts3 import (
     run_chain,
     torus,
 )
-from potts3.dynamics import ScanMode
 from potts3.errors import ColoringError
 
 RHO = Fraction(11, 50)
@@ -86,25 +86,14 @@ def test_run_chain_rejects_improper_start():
         run_chain(ChainSpec(), Coloring(t, bytes(16), 3), 10)
 
 
-def test_systematic_scan_runs_and_is_flagged_distinct():
-    t = torus(2, 4)
-    chi0 = phase_coloring(t)
-    spec = ChainSpec(seed=3, scan=ScanMode.SYSTEMATIC_SWEEP)
-    final, traj = run_chain(spec, chi0, 400)
-    assert is_proper(final)
-    assert traj.spec.scan is ScanMode.SYSTEMATIC_SWEEP
-
-
 def test_custom_local_chain_needs_stepper():
     t = torus(2, 4)
-    with pytest.raises(ColoringError):
-        run_chain(ChainSpec(kind=ChainKind.CUSTOM_LOCAL), phase_coloring(t), 10)
 
     def swap_nothing(colors, rng):
         pass
 
     final, traj = run_chain(
-        ChainSpec(kind=ChainKind.CUSTOM_LOCAL, rho=Fraction(1, 16)),
+        ChainSpec(),
         phase_coloring(t),
         5,
         stepper=swap_nothing,
@@ -139,6 +128,41 @@ def test_crossing_blocked_needs_actual_crossing():
     balanced = Coloring(t, bytes((1 if p == 0 else 2) for p in t.parities), 3)
     heavy = phase_coloring(t)
     assert not crossing_blocked_check(heavy, balanced, RHO)
+
+
+def _zeros_on(t, parity, k):
+    """Proper coloring with exactly k zeros, all on one parity class."""
+    colors = bytearray()
+    for p in t.parities:
+        if p == parity:
+            colors.append(0 if colors.count(0) < k else 2)
+        else:
+            colors.append(1)
+    return Coloring(t, colors, 3)
+
+
+def test_class_boundary_is_shared_by_all_callers():
+    # Z^2_4 at rho = 1/4: the threshold rho*nv/2 = 2 is met exactly at imb = 2
+    t = torus(2, 4)
+    rho = Fraction(1, 4)
+    even2, even3, odd3 = _zeros_on(t, 0, 2), _zeros_on(t, 0, 3), _zeros_on(t, 1, 3)
+    cases = [
+        (even2, 2, ImbalanceClass.BALANCED),
+        (even3, 3, ImbalanceClass.EVEN_HEAVY),
+        (odd3, -3, ImbalanceClass.ODD_HEAVY),
+    ]
+    for chi, imb, cls in cases:
+        assert imbalance(chi) == imb
+        assert classify(chi, rho) is cls
+        _, traj = run_chain(ChainSpec(), chi, 0, rho=rho)
+        assert traj.points[0].cls == cls.value
+    assert hamming(even3, odd3) == 16
+    assert crossing_blocked_check(even3, odd3, rho)
+    assert not crossing_blocked_check(even2, odd3, rho)
+    # rho = 1 is outside classify's range but admissible here
+    with pytest.raises(ColoringError):
+        classify(even3, Fraction(1))
+    assert not crossing_blocked_check(even3, odd3, Fraction(1))
 
 
 def test_single_move_changes_imbalance_by_at_most_one():
