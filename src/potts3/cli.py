@@ -28,7 +28,7 @@ from .coloring import (
 )
 from .cutset import build_box_cutset, select_family, verify_properties
 from .dynamics import ChainSpec, run_chain
-from .errors import CapExceeded, ColoringError, LatticeError, PropertyViolation
+from .errors import CapExceeded, ColoringError, PropertyViolation
 from .lattice import LatticeKind, LatticeSpec, build_lattice, shift_order
 from .oracle import (
     ENUM_CAP,
@@ -86,26 +86,40 @@ def parse_rho(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"rho must be a rational like 11/50: {exc}")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _lattice_from_args(args):
     kind = LatticeKind.TORUS if args.kind == "torus" else LatticeKind.BOX
     return build_lattice(LatticeSpec(kind, args.d, args.n))
 
 
-def write_report(outdir: Path, payload: dict, csvs: dict[str, str] | None = None):
+def write_report(outdir: Path, payload: dict, files: dict[str, str] | None = None):
+    """Write ``files`` (name -> text), then report.json and meta.json.  Each
+    goes to a temporary sibling first and is moved into place, so a failed
+    write leaves the previous file whole."""
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"build": build_id(), **payload}
-    (outdir / "report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
-    (outdir / "meta.json").write_text(
-        json.dumps({"written_at": time.time()}) + "\n"
-    )
-    for name, text in (csvs or {}).items():
-        (outdir / name).write_text(text)
+    texts = {
+        **(files or {}),
+        "report.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        "meta.json": json.dumps({"written_at": time.time()}) + "\n",
+    }
+    for name, text in texts.items():
+        tmp = outdir / f".{name}.tmp"
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, outdir / name)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _config_of(args, fields) -> dict:
-    return {k: getattr(args, k) for k in fields if hasattr(args, k)}
+    return {k: getattr(args, k) for k in fields}
 
 
 def _require_q3(args):
@@ -133,8 +147,6 @@ def cmd_enumerate(args) -> int:
 
 def cmd_mixing(args) -> int:
     lat = _lattice_from_args(args)
-    if lat.kind is not LatticeKind.TORUS:
-        raise LatticeError("mixing analysis runs on tori")
     states = list(enumerate_colorings(lat, args.q, cap=args.enum_cap))
     P = transition_matrix(states, lat, args.q, cap=args.state_cap)
     checks = {
@@ -174,8 +186,6 @@ def cmd_mixing(args) -> int:
 
 def cmd_conductance(args) -> int:
     lat = _lattice_from_args(args)
-    if lat.kind is not LatticeKind.TORUS:
-        raise LatticeError("conductance classes live on tori")
     states = list(enumerate_colorings(lat, args.q, cap=args.enum_cap))
     cond = conductance_bound(states, args.rho)
     payload = {
@@ -247,16 +257,13 @@ def cmd_cutsets(args) -> int:
                 "interior_size": cut.interior.bit_count(),
                 "properties": props,
             }, sort_keys=True))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "cutsets.jsonl").write_text("\n".join(lines) + "\n")
-    write_report(out, {
+    write_report(Path(args.out), {
         "command": "cutsets",
         "config": _config_of(args, ("kind", "d", "n")),
         "cutsets": len(lines),
         "all_properties_hold": not violation,
         "provenance": "exact",
-    })
+    }, files={"cutsets.jsonl": "\n".join(lines) + "\n"})
     print(len(lines))
     return EXIT_VIOLATION if violation else EXIT_OK
 
@@ -264,8 +271,6 @@ def cmd_cutsets(args) -> int:
 def cmd_flow_check(args) -> int:
     _require_q3(args)
     lat = _lattice_from_args(args)
-    if lat.kind is not LatticeKind.BOX:
-        raise LatticeError("flow-check runs on boxes")
     v0 = lat.index((0,) * lat.d)
     lines = []
     bound_rows = ["chi_id,s,nu,bound,ratio,nu_le_bound"]
@@ -306,16 +311,15 @@ def cmd_flow_check(args) -> int:
                         f"{chi_id},{s},{float(rep.nu):.6g},{rep.b_value:.6g},"
                         f"{rep.ratio:.6g},{rep.nu_le_b}"
                     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "flow.jsonl").write_text("\n".join(lines) + "\n")
-    (out / "bounds.csv").write_text("\n".join(bound_rows) + "\n")
-    write_report(out, {
+    write_report(Path(args.out), {
         "command": "flow-check",
         "config": _config_of(args, ("kind", "d", "n")),
         "pairs": len(lines),
         "all_ok": all_ok,
         "provenance": "exact",
+    }, files={
+        "flow.jsonl": "\n".join(lines) + "\n",
+        "bounds.csv": "\n".join(bound_rows) + "\n",
     })
     print(len(lines))
     return EXIT_OK if all_ok else EXIT_VIOLATION
@@ -333,7 +337,7 @@ def cmd_sample(args) -> int:
         "final_imbalance": imbalance(final),
         "records": len(traj.points),
         "provenance": "simulated",
-    }, csvs={name: traj.to_csv()})
+    }, files={name: traj.to_csv()})
     print(name)
     return EXIT_OK
 
@@ -352,8 +356,6 @@ def _torpid_chain(task):
 
 def cmd_torpid_demo(args) -> int:
     lat = _lattice_from_args(args)
-    if lat.kind is not LatticeKind.TORUS:
-        raise LatticeError("torpid-demo runs on tori")
     chi0 = phase_coloring(lat, Parity.EVEN, 1, 3)
     tasks = [
         (args.d, args.n, args.seed, chain, args.sweeps, args.rho)
@@ -391,7 +393,7 @@ def cmd_torpid_demo(args) -> int:
         "start_imbalance": imbalance(chi0),
         "provenance": "simulated",
     }
-    write_report(Path(args.out), payload, csvs=csvs)
+    write_report(Path(args.out), payload, files=csvs)
     print(json.dumps({"sign_flip_fraction": payload["sign_flip_fraction"]}))
     return EXIT_OK
 
@@ -434,113 +436,99 @@ def cmd_entropy(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _add_common(p, torus_default=False):
-    p.add_argument("--kind", choices=("box", "torus"),
-                   default="torus" if torus_default else "box")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=4 if torus_default else 2)
-    p.add_argument("--q", type=int, default=3)
-    p.add_argument("--rho", type=parse_rho, default=DEFAULT_RHO)
-    p.add_argument("--seed", type=int, default=0)
+def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "torus")):
+    """Declare a command with exactly the flags its ``cmd_*`` reads, plus
+    --out and --config.  ``torus`` picks the torus defaults of --kind and
+    --n; ``kinds`` are the lattice kinds the command runs on."""
+    declared = {
+        "kind": dict(choices=kinds, default="torus" if torus else "box"),
+        "d": dict(type=int, default=2),
+        "n": dict(type=int, default=4 if torus else 2),
+        "q": dict(type=int, default=3),
+        "rho": dict(type=parse_rho, default=DEFAULT_RHO),
+        "seed": dict(type=int, default=0),
+        "enum-cap": dict(type=int, default=ENUM_CAP),
+        "state-cap": dict(type=int, default=STATE_CAP),
+        "workers": dict(type=int, default=os.cpu_count() or 1,
+                        help="worker pool size for parallel sweeps"),
+        "odd-boundary-zero": dict(action="store_true"),
+        "starts": dict(choices=("orbits", "all"), default="orbits"),
+        "explicit-cap": dict(type=int, default=20),
+        "steps": dict(type=int, default=10000),
+        "thin": dict(type=int, default=None),
+        "chains": dict(type=positive_int, default=32),
+        "sweeps": dict(type=int, default=4000),
+        "sizes": dict(default="2,3,4,5,6,7,8"),
+        "m": dict(type=int, default=None),
+        "n-window": dict(type=int, default=1),
+    }
+    # no abbreviations: a flag or config key is read only under its full name
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for flag in flags:
+        p.add_argument(f"--{flag}", **declared[flag])
     p.add_argument("--out", default="runs/latest")
-    p.add_argument("--enum-cap", type=int, default=ENUM_CAP, dest="enum_cap")
-    p.add_argument("--state-cap", type=int, default=STATE_CAP, dest="state_cap")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="worker pool size for parallel sweeps")
-    p.add_argument("--config", default=None, help="key=value defaults file; flags win")
+    p.add_argument("--config", default=None, help="key=value lines read as flags; flags win")
+    p.set_defaults(func=func)
 
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="potts3", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="count colorings under a boundary condition")
-    _add_common(p)
-    p.add_argument("--odd-boundary-zero", action="store_true", dest="odd_boundary_zero")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("mixing", help="exact mixing time + conductance on a torus")
-    _add_common(p, torus_default=True)
-    p.add_argument("--starts", default="orbits", help='"orbits" or "all"')
-    p.set_defaults(func=cmd_mixing)
-
-    p = sub.add_parser("conductance", help="imbalance classes and the bottleneck bound")
-    _add_common(p, torus_default=True)
-    p.set_defaults(func=cmd_conductance)
-
-    p = sub.add_parser("influence", help="|C_3^O(v0)| / |C_3^O| with size histogram")
-    _add_common(p)
-    p.set_defaults(func=cmd_influence)
-
-    p = sub.add_parser("cutsets", help="dump cutsets with verified properties")
-    _add_common(p)
-    p.set_defaults(func=cmd_cutsets)
-
-    p = sub.add_parser("flow-check", help="flow conservation + reconstruction sweep")
-    _add_common(p)
-    p.add_argument("--explicit-cap", type=int, default=20, dest="explicit_cap")
-    p.set_defaults(func=cmd_flow_check)
-
-    p = sub.add_parser("sample", help="run one Metropolis chain, emit trajectory CSV")
-    _add_common(p, torus_default=True)
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--thin", type=int, default=None)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("torpid-demo", help="many chains from the even phase; summary")
-    _add_common(p, torus_default=True)
-    p.add_argument("--chains", type=int, default=32)
-    p.add_argument("--sweeps", type=int, default=4000)
-    p.set_defaults(func=cmd_torpid_demo)
-
-    p = sub.add_parser("entropy", help="per-site log-count sequence and gap checks")
-    _add_common(p)
-    p.add_argument("--sizes", default="2,3,4,5,6,7,8")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n-window", type=int, default=1, dest="n_window")
-    p.set_defaults(func=cmd_entropy)
-
+    _add_command(sub, "enumerate", cmd_enumerate, "count colorings under a boundary condition",
+                 "kind", "d", "n", "q", "enum-cap", "state-cap", "odd-boundary-zero")
+    _add_command(sub, "mixing", cmd_mixing, "exact mixing time + conductance on a torus",
+                 "kind", "d", "n", "q", "rho", "enum-cap", "state-cap", "starts",
+                 torus=True, kinds=("torus",))
+    _add_command(sub, "conductance", cmd_conductance,
+                 "imbalance classes and the bottleneck bound",
+                 "kind", "d", "n", "q", "rho", "enum-cap", torus=True, kinds=("torus",))
+    _add_command(sub, "influence", cmd_influence,
+                 "|C_3^O(v0)| / |C_3^O| with size histogram", "d", "n", "q", "enum-cap")
+    _add_command(sub, "cutsets", cmd_cutsets, "dump cutsets with verified properties",
+                 "kind", "d", "n", "q", "enum-cap")
+    _add_command(sub, "flow-check", cmd_flow_check, "flow conservation + reconstruction sweep",
+                 "kind", "d", "n", "q", "enum-cap", "explicit-cap", kinds=("box",))
+    _add_command(sub, "sample", cmd_sample, "run one Metropolis chain, emit trajectory CSV",
+                 "kind", "d", "n", "q", "rho", "seed", "steps", "thin", torus=True)
+    _add_command(sub, "torpid-demo", cmd_torpid_demo, "many chains from the even phase; summary",
+                 "kind", "d", "n", "rho", "seed", "workers", "chains", "sweeps",
+                 torus=True, kinds=("torus",))
+    _add_command(sub, "entropy", cmd_entropy, "per-site log-count sequence and gap checks",
+                 "d", "sizes", "m", "n-window")
     return ap
 
 
-def _apply_config_file(ap, argv):
-    # first pass: find --config; load key=value pairs as defaults (flags win)
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
-    path = Path(known.config)
-    if not path.exists():
-        raise FileNotFoundError(f"config file {path} not found")
-    defaults = {}
-    for line in path.read_text().splitlines():
+def _with_config(ap, args, argv: list[str]) -> list[str]:
+    """``argv`` with each ``key=value`` line of ``args.config`` inserted as
+    ``--key=value`` right after the command name, so the flags given on the
+    command line come later and win.  A switch takes true/1/yes or
+    false/0/no."""
+    defaults = vars(ap.parse_args([args.command]))
+    tokens = []
+    for line in Path(args.config).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    for action in ap._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        coerced = {}
-        for key, value in defaults.items():
-            for act in action._actions:  # noqa: SLF001
-                if act.dest == key:
-                    if act.type is not None:
-                        coerced[key] = act.type(value)
-                    elif isinstance(act.const, bool) or isinstance(act.default, bool):
-                        coerced[key] = value.lower() in ("1", "true", "yes")
-                    else:
-                        coerced[key] = value
-        action.set_defaults(**coerced)
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(defaults.get(key.replace("-", "_")), bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+        elif value.lower() not in ("0", "false", "no"):
+            raise ValueError(f"{key} is a switch: true or false, got {value!r}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = list(sys.argv[1:] if argv is None else argv)
     ap = make_parser()
     try:
-        _apply_config_file(ap, argv)
         try:
             args = ap.parse_args(argv)
+            if args.config:
+                args = ap.parse_args(_with_config(ap, args, argv))
         except SystemExit as exc:  # argparse exits 2 on bad flags
             return int(exc.code or 0)
         return args.func(args)

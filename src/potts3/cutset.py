@@ -77,6 +77,22 @@ def _seed_mask(lat: Lattice, parity: SeedParity) -> int:
     return lat.even_mask if parity is SeedParity.EVEN_SEEDED else lat.odd_mask
 
 
+def _cutset(lat: Lattice, comp_c: int, region_r: int, parity: SeedParity) -> Cutset:
+    """γ = ∇(C) with W = complement(C).  int γ is W on boxes; on the torus
+    it is the smaller side, ties to W (so W for every family member)."""
+    region_w = lat.full_mask & ~comp_c
+    w_inside = lat.kind is LatticeKind.BOX or region_w.bit_count() <= comp_c.bit_count()
+    return Cutset(
+        lattice=lat,
+        region=region_w,
+        complement=comp_c,
+        edges=tuple(edge_boundary(lat, comp_c)),
+        witness=region_r,
+        seed_parity=parity,
+        interior=region_w if w_inside else comp_c,
+    )
+
+
 def build_box_cutset(chi: Coloring, v0: int) -> Cutset:
     """γ(χ) for χ ∈ C_3^O(v₀): depends only on I(χ)."""
     lat = chi.lattice
@@ -103,40 +119,16 @@ def build_box_cutset(chi: Coloring, v0: int) -> Cutset:
         raise PropertyViolation(
             "box boundary not contained in a single component of the complement"
         )
-    comp_c = boundary_comps[0]
-    region_w = lat.full_mask & ~comp_c
-    return Cutset(
-        lattice=lat,
-        region=region_w,
-        complement=comp_c,
-        edges=tuple(edge_boundary(lat, comp_c)),
-        witness=region_r,
-        seed_parity=SeedParity.EVEN_SEEDED,
-        interior=region_w,
-    )
+    return _cutset(lat, boundary_comps[0], region_r, SeedParity.EVEN_SEEDED)
 
 
 def _torus_cutsets_for_parity(lat, zeros, parity: SeedParity) -> list[Cutset]:
-    out = []
     seed_plus = closure(lat, zeros & _seed_mask(lat, parity))
-    for region_r in connected_components(lat, seed_plus):
-        comp_mask = lat.full_mask & ~region_r
-        for comp_c in connected_components(lat, comp_mask):
-            region_w = lat.full_mask & ~comp_c
-            wc = region_w.bit_count()
-            cc = comp_c.bit_count()
-            out.append(
-                Cutset(
-                    lattice=lat,
-                    region=region_w,
-                    complement=comp_c,
-                    edges=tuple(edge_boundary(lat, comp_c)),
-                    witness=region_r,
-                    seed_parity=parity,
-                    interior=region_w if wc <= cc else comp_c,
-                )
-            )
-    return out
+    return [
+        _cutset(lat, comp_c, region_r, parity)
+        for region_r in connected_components(lat, seed_plus)
+        for comp_c in connected_components(lat, lat.full_mask & ~region_r)
+    ]
 
 
 def build_torus_cutsets(chi: Coloring) -> list[Cutset]:
@@ -181,17 +173,7 @@ def _greedy_family(lat, zeros, parity: SeedParity):
         if covered & region_w:
             return None  # interiors must be pairwise disjoint
         covered |= region_w
-        family.append(
-            Cutset(
-                lattice=lat,
-                region=region_w,
-                complement=comp_c,
-                edges=tuple(edge_boundary(lat, comp_c)),
-                witness=region_r,
-                seed_parity=parity,
-                interior=region_w,
-            )
-        )
+        family.append(_cutset(lat, comp_c, region_r, parity))
     if seed_zeros & ~covered:
         return None  # family must cover I^P
     return tuple(family)

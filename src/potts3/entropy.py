@@ -175,13 +175,7 @@ def extendable_colorings(d: int, n: int, depth: int = 2, cap: int = 2_000_000) -
 
 
 def _padded_box_cells(d: int, m: int) -> set[tuple[int, ...]]:
-    import itertools
-
-    cells = set(itertools.product(range(-m, m + 1), repeat=d))
-    for c in itertools.product(range(-m - 1, m + 2), repeat=d):
-        if sum(c) % 2 != 0:
-            cells.add(c)
-    return cells
+    return set(box(d, m, extended=True).coords)
 
 
 @dataclass

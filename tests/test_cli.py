@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import potts3
-from potts3.cli import build_id, main
+from potts3.cli import build_id, main, make_parser, write_report
 
 
 def run(args):
@@ -54,9 +54,72 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["cutsets", "--kind", "torus", "--d", "1", "--n", "4", "--q", "4"],
     ["flow-check", "--q", "4"],
     ["influence", "--q", "4"],
+    ["torpid-demo", "--chains", "0", "--sweeps", "1", "--workers", "1"],
+    ["torpid-demo", "--q", "4"],
+    ["influence", "--kind", "torus"],
+    ["entropy", "--n", "5"],
+    ["mixing", "--kind", "box"],
+    ["flow-check", "--kind", "torus"],
+    ["mixing", "--starts", "some"],
 ])
 def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
+
+
+# the flags each command reads, besides --out and --config
+FLAGS = {
+    "enumerate": {"kind", "d", "n", "q", "enum_cap", "state_cap", "odd_boundary_zero"},
+    "mixing": {"kind", "d", "n", "q", "rho", "enum_cap", "state_cap", "starts"},
+    "conductance": {"kind", "d", "n", "q", "rho", "enum_cap"},
+    "influence": {"d", "n", "q", "enum_cap"},
+    "cutsets": {"kind", "d", "n", "q", "enum_cap"},
+    "flow-check": {"kind", "d", "n", "q", "enum_cap", "explicit_cap"},
+    "sample": {"kind", "d", "n", "q", "rho", "seed", "steps", "thin"},
+    "torpid-demo": {"kind", "d", "n", "rho", "seed", "workers", "chains", "sweeps"},
+    "entropy": {"d", "sizes", "m", "n_window"},
+}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    ap = make_parser()
+    for cmd, flags in FLAGS.items():
+        got = set(vars(ap.parse_args([cmd]))) - {"command", "func"}
+        assert got == flags | {"out", "config"}, cmd
+
+
+@pytest.mark.parametrize("command,lines", [
+    ("conductance", "rho=abc\n"),
+    ("enumerate", "kind=cube\n"),
+    ("enumerate", "seed=3\n"),
+    ("enumerate", "odd-boundary-zero=maybe\n"),
+])
+def test_bad_config_lines_are_config_errors(tmp_path, command, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_missing_config_file_is_a_config_error(tmp_path):
+    rc = run(["enumerate", "--config", str(tmp_path / "absent.cfg"),
+              "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
+def test_failed_write_keeps_previous_report(tmp_path, monkeypatch):
+    write_report(tmp_path, {"run": 1})
+    before = (tmp_path / "report.json").read_bytes()
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError):
+        write_report(tmp_path, {"run": 2})
+    monkeypatch.undo()
+    assert (tmp_path / "report.json").read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["meta.json", "report.json"]
 
 
 def test_build_id_ignores_callers_cwd(tmp_path, monkeypatch):
@@ -147,9 +210,9 @@ def test_config_file_defaults_flags_win(tmp_path):
 
     # explicit flag beats the config file
     out2 = tmp_path / "cfg-out2"
-    rc = run(["enumerate", "--config", str(cfg), "--n", "1", "--kind", "box",
-              "--out", str(out2)])
+    rc = run(["enumerate", "--config", str(cfg), "--n", "2", "--out", str(out2)])
     assert rc == 0
+    assert json.loads((out2 / "report.json").read_text())["count"] == 13888
 
 
 def test_mixing_z24_full(tmp_path):
