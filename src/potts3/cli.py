@@ -1,9 +1,10 @@
 """Batch front door: deterministic experiment commands with JSON reports.
 
 Every command writes ``report.json`` (stable byte-for-byte under replay)
-plus a ``meta.json`` sidecar holding the timestamp; trajectory commands add
-one CSV per chain.  Exit codes: 0 ok, 2 invalid config, 3 cap refusal,
-4 property violation detected.
+plus a ``meta.json`` sidecar holding the timestamp (and, for ``mixing``, each
+start's crossing time and the starts decided by the exact fallback);
+trajectory commands add one CSV per chain.  Exit codes: 0 ok, 2 invalid
+config, 3 cap refusal, 4 property violation detected.
 """
 
 from __future__ import annotations
@@ -98,16 +99,17 @@ def _lattice_from_args(args):
     return build_lattice(LatticeSpec(kind, args.d, args.n))
 
 
-def write_report(outdir: Path, payload: dict, files: dict[str, str] | None = None):
-    """Write ``files`` (name -> text), then report.json and meta.json.  Each
-    goes to a temporary sibling first and is moved into place, so a failed
-    write leaves the previous file whole."""
+def write_report(outdir: Path, payload: dict, files: dict[str, str] | None = None,
+                 meta: dict | None = None):
+    """Write ``files`` (name -> text), then report.json and meta.json (the
+    timestamp plus ``meta``).  Each goes to a temporary sibling first and is
+    moved into place, so a failed write leaves the previous file whole."""
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"build": build_id(), **payload}
     texts = {
         **(files or {}),
         "report.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        "meta.json": json.dumps({"written_at": time.time()}) + "\n",
+        "meta.json": json.dumps({"written_at": time.time(), **(meta or {})}) + "\n",
     }
     for name, text in texts.items():
         tmp = outdir / f".{name}.tmp"
@@ -178,7 +180,11 @@ def cmd_mixing(args) -> int:
         "bound_holds": cond.bound_holds,
         "provenance": "exact",
     }
-    write_report(Path(args.out), payload)
+    meta = {
+        "per_start_t_star": mix.per_start_t_star,
+        "exact_fallbacks": mix.exact_fallbacks,
+    } if mix else None
+    write_report(Path(args.out), payload, meta=meta)
     ok = all(checks.values()) and (cond.bound_holds in (True, None))
     print(json.dumps({"tau": tau, "bound": payload["bound"], "ok": ok}))
     return EXIT_OK if ok else EXIT_VIOLATION
@@ -455,7 +461,7 @@ def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "toru
         "starts": dict(choices=("orbits", "all"), default="orbits"),
         "explicit-cap": dict(type=int, default=20),
         "steps": dict(type=int, default=10000),
-        "thin": dict(type=int, default=None),
+        "thin": dict(type=positive_int, default=None),
         "chains": dict(type=positive_int, default=32),
         "sweeps": dict(type=int, default=4000),
         "sizes": dict(default="2,3,4,5,6,7,8"),

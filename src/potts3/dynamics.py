@@ -152,8 +152,10 @@ def run_chain(
         raise ColoringError("step count must be nonnegative")
     if not is_proper(chi0):
         raise ColoringError("initial coloring must be proper")
+    if thin is not None and thin < 1:
+        raise ValueError(f"thin must be at least 1, got {thin}")
 
-    thin = lat.nv if thin is None else max(1, thin)
+    thin = lat.nv if thin is None else thin
     rho = Fraction(rho)
     rng = CounterRng(spec.seed, spec.stream)
     colors = bytearray(chi0.colors)

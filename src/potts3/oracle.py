@@ -2,15 +2,22 @@
 matrices, mixing times, conductance bounds, and the conditional-probability
 check behind the entropy argument.
 
-Everything here is exact: counts are big ints, probabilities are Fractions,
-and the mixing threshold 1/e is compared through a rational interval
-enclosure of e rather than floats.
+Everything here is exact: counts are big ints and probabilities are
+Fractions.  Mixing times iterate in float64, but every crossing decision is
+exact: a float decision is taken only when it clears an a-priori rounding
+bound, and anything closer goes to the big-integer iteration, which compares
+against 1/e through a rational interval enclosure of e.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .coloring import (
     BoundaryCondition,
@@ -298,6 +305,7 @@ class MixingResult:
     t_star: int                      # first t with worst-start TV ≤ threshold
     starts_used: list[int]
     per_start_t_star: dict[int, int]
+    exact_fallbacks: list[int]       # starts the float engine left to the exact path
 
 
 def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -> int:
@@ -329,6 +337,102 @@ def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -
         mt *= denom
 
 
+_U = 2.0 ** -53        # unit roundoff of binary64
+_TINY = 2.0 ** -1000   # least positive entry the relative-error model admits
+
+
+class _FloatOperator(NamedTuple):
+    """A of P = A/denom as coordinate arrays: entry k adds x[cols[k]] to row
+    rows[k]; the diagonal is separate."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    diag: np.ndarray
+    denom: float
+    m: int             # longest off-diagonal row
+
+
+def _float_operator(P: ExactTransitionMatrix) -> _FloatOperator | None:
+    """The float form of P, or None when the rounding bound does not cover
+    it: A must be nonnegative with column sums equal to the denominator (so
+    the true iterate keeps mass 1), and the denominator below 2^53 (so A's
+    entries are exact floats)."""
+    n = P.n
+    if P.denom >= 2 ** 53 or any(not 0 <= d <= P.denom for d in P.diag):
+        return None
+    lens = np.fromiter((len(row) for row in P.adj), dtype=np.int64, count=n)
+    cols = np.fromiter(itertools.chain.from_iterable(P.adj), dtype=np.int64,
+                       count=int(lens.sum()))
+    diag = np.asarray(P.diag, dtype=np.int64)
+    if (np.bincount(cols, minlength=n) + diag != P.denom).any():
+        return None
+    return _FloatOperator(
+        rows=np.repeat(np.arange(n), lens), cols=cols, diag=diag.astype(np.float64),
+        denom=float(P.denom), m=int(lens.max(initial=0)),
+    )
+
+
+def _threshold_enclosure(threshold) -> tuple[float, float]:
+    """Floats lo ≤ threshold ≤ hi.  For 1/e they come from the rational
+    enclosure of e that ``le_inv_e`` uses, so no libm accuracy is assumed;
+    Fraction → float rounds correctly, within a factor 1 ± u."""
+    if threshold is None:
+        e_lo, e_hi = _e_enclosure(20)
+        return float(1 / e_hi) * (1 - 2 * _U), float(1 / e_lo) * (1 + 2 * _U)
+    return float(threshold) * (1 - 2 * _U), float(threshold) * (1 + 2 * _U)
+
+
+def _float_tv(op: _FloatOperator, start: int):
+    """Yield (tv̂_t, ε_t) for t = 0, 1, …: the float64 TV of P^t(start,·) to
+    uniform and a bound ε_t ≥ |tv̂_t − tv_t|.  Stops where the bound lapses.
+
+    Step: x ← (A·x)/denom.  Every term of A·x is nonnegative, so each
+    computed entry carries at most m + 2 roundings (one product, ≤ m sums,
+    one division), each a factor (1 + δ) with |δ| ≤ u = 2⁻⁵³, in any
+    summation order (Higham, *Accuracy and Stability*, §3.1).  By induction
+    the computed iterate x̂_t satisfies |x̂_t − x_t| ≤ e_t·x_t componentwise,
+    with e_t = (1+u)^{t(m+2)} − 1.  That needs every positive entry to stay
+    normal: an entry below 2⁻¹⁰⁰⁰ stops the generator (the division cannot
+    flush a larger entry to zero, since denom < 2⁵³).
+
+    TV: tv̂ = ½·fl(Σ|x̂_i − fl(1/N)|).  Since Σx_i = 1 (column sums of A are
+    denom), Σ|x̂_i − x_i| ≤ e_t, and the rounded 1/N moves the sum by at
+    most u.  The subtractions and the N − 1 additions then cost at most
+    γ_N·(2 + e_t + u), so |tv̂ − tv| ≤ ½(e_t + u) + ½γ_N·(2 + e_t + u).
+    ε_t = e_t + 2γ_{N+2} exceeds that by at least γ_{N+2} ≥ 3u, which
+    covers the roundings in forming ε_t and tv̂ ± ε_t themselves.
+    """
+    n = len(op.diag)
+    spare = 2 * (n + 2) * _U / (1 - (n + 2) * _U)     # 2γ_{N+2}
+    per_step = (op.m + 2) * math.log1p(_U)
+    uniform = 1.0 / n
+    x = np.zeros(n)
+    x[start] = 1.0
+    t = 0
+    while True:
+        yield 0.5 * float(np.abs(x - uniform).sum()), math.expm1(t * per_step) + spare
+        t += 1
+        x = (np.bincount(op.rows, weights=x[op.cols], minlength=n) + op.diag * x) / op.denom
+        if np.min(x, where=x > 0, initial=1.0) < _TINY:
+            return
+
+
+def _float_crossing(op: _FloatOperator, start: int, threshold, iter_cap) -> int | None:
+    """``_first_crossing`` decided in float64, or None where a step is too
+    close to call.  Against lo ≤ threshold ≤ hi, tv̂_t + ε_t < lo is a
+    crossing and tv̂_t − ε_t > hi means not yet (the iteration cap then
+    refuses exactly as the exact path does); anything else is undecided."""
+    lo, hi = _threshold_enclosure(threshold)
+    for t, (tv, eps) in enumerate(_float_tv(op, start)):
+        if tv + eps < lo:
+            return t
+        if tv - eps <= hi:
+            return None
+        if t >= iter_cap:
+            raise CapExceeded(f"no TV crossing within iteration cap {iter_cap}")
+    return None
+
+
 def tv_mixing_time(
     P: ExactTransitionMatrix,
     threshold: Fraction | None = None,
@@ -342,6 +446,11 @@ def tv_mixing_time(
     τ = max over starts of (first crossing) − 1, floored at 0.  ``starts``
     may be "all", "orbits" (one representative per automorphism orbit;
     exact by symmetry of P), or an explicit list.
+
+    Each start runs in float64 (``_float_crossing``); a start whose float
+    run cannot decide a step, or every start when P is outside the float
+    bound's hypotheses, runs the exact ``_first_crossing`` instead and is
+    listed in ``exact_fallbacks``.  Either way every decision is exact.
     """
     if isinstance(starts, str):
         if starts == "all":
@@ -352,10 +461,15 @@ def tv_mixing_time(
             raise ValueError(f"unknown starts mode {starts!r}")
     else:
         use = list(starts)
+    op = _float_operator(P)
     per = {}
+    fallbacks = []
     worst, worst_t = use[0], -1
     for st in use:
-        tcross = _first_crossing(P, st, threshold, iter_cap)
+        tcross = None if op is None else _float_crossing(op, st, threshold, iter_cap)
+        if tcross is None:
+            fallbacks.append(st)
+            tcross = _first_crossing(P, st, threshold, iter_cap)
         per[st] = tcross
         if tcross > worst_t:
             worst, worst_t = st, tcross
@@ -365,35 +479,36 @@ def tv_mixing_time(
         t_star=worst_t,
         starts_used=use,
         per_start_t_star=per,
+        exact_fallbacks=fallbacks,
     )
 
 
 def orbit_representatives(states: list[bytes], lat: Lattice, q: int) -> list[int]:
     """One state index per orbit under lattice automorphisms × color
-    relabelings; these commute with the Metropolis matrix."""
-    perms = lat.vertex_automorphisms()
-    seen: dict[bytes, int] = {}
-    reps = []
-    for i, s in enumerate(states):
-        best = None
-        for p in perms:
-            relabeled = bytes(s[p[k]] for k in range(lat.nv))
-            # canonicalize colors by first appearance
-            table = {}
-            out = bytearray(lat.nv)
-            nxt = 0
-            for k, c in enumerate(relabeled):
-                if c not in table:
-                    table[c] = nxt
-                    nxt += 1
-                out[k] = table[c]
-            bb = bytes(out)
-            if best is None or bb < best:
-                best = bb
-        if best not in seen:
-            seen[best] = i
-            reps.append(i)
-    return reps
+    relabelings (these commute with the Metropolis matrix): the first index,
+    in state order, of each orbit.
+
+    Under each automorphism a state's colors are relabeled by first
+    appearance, which is its lexicographically least relabeling, and packed
+    as a base-q int64 key, most significant site first; the orbit key is the
+    least over automorphisms.  Keys stay below q^|V|, which must be below
+    2^63."""
+    nv = lat.nv
+    if q ** nv >= 2 ** 63:
+        raise ValueError(f"orbit keys need q^|V| < 2^63, got {q}^{nv}")
+    S = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), nv)
+    powers = q ** np.arange(nv - 1, -1, -1, dtype=np.int64)
+    colors = np.arange(q, dtype=np.uint8)[:, None, None]
+    best = np.full(len(states), np.iinfo(np.int64).max)
+    for p in lat.vertex_automorphisms():
+        moved = S[:, p]
+        hit = moved == colors                              # (color, state, site)
+        first = np.where(hit.any(axis=2), hit.argmax(axis=2), nv)
+        label = first.argsort(axis=0).argsort(axis=0)      # rank of first appearance
+        canon = np.take_along_axis(label.T, moved.astype(np.intp), axis=1)
+        np.minimum(best, canon @ powers, out=best)
+    _, first_index = np.unique(best, return_index=True)
+    return sorted(first_index.tolist())
 
 
 # -- conductance ---------------------------------------------------------------

@@ -32,6 +32,9 @@ def test_mixing_small_ring(tmp_path):
     assert report["tau_exact"] >= 0
     assert report["bound_holds"] in (True, None)
     assert "build" in report
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["exact_fallbacks"] == []
+    assert max(meta["per_start_t_star"].values()) == report["t_star"]
 
 
 def test_mixing_disconnected_chain_is_a_violation(tmp_path):
@@ -44,6 +47,7 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     assert report["tau_exact"] is None
     assert report["t_star"] is None
     assert report["worst_start"] is None
+    assert "per_start_t_star" not in json.loads((tmp_path / "meta.json").read_text())
 
 
 @pytest.mark.parametrize("argv", [
@@ -61,6 +65,7 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["mixing", "--kind", "box"],
     ["flow-check", "--kind", "torus"],
     ["mixing", "--starts", "some"],
+    ["sample", "--thin", "0", "--steps", "10"],
 ])
 def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2

@@ -86,6 +86,13 @@ def test_run_chain_rejects_improper_start():
         run_chain(ChainSpec(), Coloring(t, bytes(16), 3), 10)
 
 
+def test_run_chain_rejects_thin_below_one():
+    t = torus(2, 4)
+    for thin in (0, -3):
+        with pytest.raises(ValueError, match="thin"):
+            run_chain(ChainSpec(), phase_coloring(t), 10, thin=thin)
+
+
 def test_custom_local_chain_needs_stepper():
     t = torus(2, 4)
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potts3 import (
     BipartiteGraph,
@@ -22,6 +25,11 @@ from potts3 import (
 )
 from potts3.errors import CapExceeded, ColoringError
 from potts3.oracle import (
+    ITER_CAP,
+    ExactTransitionMatrix,
+    _first_crossing,
+    _float_operator,
+    _float_tv,
     count_by_enumeration,
     count_by_transfer,
     count_grid_region_colorings,
@@ -198,6 +206,47 @@ def test_orbit_representatives_on_ring():
     assert 1 <= len(reps) <= 4
 
 
+def _first_appearance_representatives(states, lat):
+    """Reference: canonicalise colors by first appearance under each
+    automorphism, keep the least, and take the first state of each class."""
+    seen, reps = set(), []
+    for i, s in enumerate(states):
+        best = None
+        for p in lat.vertex_automorphisms():
+            table = {}
+            out = bytes(table.setdefault(s[p[k]], len(table)) for k in range(lat.nv))
+            if best is None or out < best:
+                best = out
+        if best not in seen:
+            seen.add(best)
+            reps.append(i)
+    return reps
+
+
+@pytest.mark.parametrize("lat,q", [
+    (torus(1, 4), 3), (torus(1, 6), 3), (torus(2, 2), 3),
+    (torus(1, 4), 4), (torus(2, 2), 4), (torus(1, 4), 6), (box(2, 1), 3),
+], ids=repr)
+def test_orbit_representatives_match_first_appearance_reference(lat, q):
+    states = [c.colors for c in enumerate_colorings(lat, q)]
+    assert orbit_representatives(states, lat, q) == _first_appearance_representatives(states, lat)
+
+
+def test_orbit_representatives_z24_match_reference(z24, z24_states):
+    states = [c.colors for c in z24_states]
+    reps = orbit_representatives(states, z24, 3)
+    assert len(reps) == 22
+    assert reps == _first_appearance_representatives(states, z24)
+
+
+def test_orbit_keys_must_fit_int64():
+    assert orbit_representatives([], torus(1, 62), 2) == []   # 2^62 < 2^63
+    with pytest.raises(ValueError, match="2\\^63"):
+        orbit_representatives([], torus(1, 64), 2)
+    with pytest.raises(ValueError):
+        orbit_representatives([], torus(1, 40), 3)           # 3^40 > 2^63
+
+
 def test_transition_matrix_cap():
     lat = torus(1, 4)
     states = list(enumerate_colorings(lat, 3))
@@ -211,6 +260,141 @@ def test_tv_mixing_iteration_cap_refusal():
     P = transition_matrix(states, lat, 3)
     with pytest.raises(CapExceeded):
         tv_mixing_time(P, starts="all", iter_cap=1)
+
+
+# -- float engine against the exact path ---------------------------------------
+
+# (lattice, q) of every connected chain these tests build
+SMALL_CHAINS = [
+    (torus(1, 2), 3),
+    (torus(1, 4), 3),
+    (torus(2, 2), 3),
+    (torus(1, 4), 4),
+    (torus(2, 2), 4),
+    (box(2, 1), 3),
+]
+
+
+def _chain(lat, q):
+    return transition_matrix(list(enumerate_colorings(lat, q)), lat, q)
+
+
+class _Sites:
+    """Lattice stand-in for a hand-built chain: P.denom is q·nv."""
+
+    def __init__(self, nv):
+        self.nv = nv
+
+
+def _lattice_free_chain(adj, diag, denom):
+    return ExactTransitionMatrix(
+        states=[bytes([i]) for i in range(len(adj))], lattice=_Sites(1), q=denom,
+        adj=adj, diag=diag,
+    )
+
+
+@pytest.mark.parametrize("lat,q", SMALL_CHAINS, ids=repr)
+def test_float_and_exact_crossings_agree_per_start(lat, q):
+    P = _chain(lat, q)
+    res = tv_mixing_time(P, starts="all")
+    assert res.exact_fallbacks == []
+    # every start on the rings and tori; on box(2,1) (246 starts, ~9 s
+    # exact) the orbit representatives, which hold every crossing time
+    exact_starts = range(P.n) if P.n < 100 else orbit_representatives(P.states, lat, q)
+    for s in exact_starts:
+        assert res.per_start_t_star[s] == _first_crossing(P, s, None, ITER_CAP), s
+    crossings = set(res.per_start_t_star.values())
+    assert crossings == {res.per_start_t_star[s] for s in exact_starts}
+    assert res.t_star == max(crossings)
+
+
+def _exact_tv(P, start, t):
+    """TV(P^t(start,·), uniform) as a Fraction, by the integer iteration."""
+    u = [0] * P.n
+    u[start] = 1
+    for _ in range(t):
+        u = [P.diag[y] * u[y] + sum(u[x] for x in P.adj[y]) for y in range(P.n)]
+    mt = P.denom ** t
+    return Fraction(sum(abs(P.n * w - mt) for w in u), 2 * P.n * mt)
+
+
+def test_float_tv_stays_within_its_rounding_budget():
+    # box(2,1) from its worst start, every step to the crossing: the float
+    # TV is within ε_t of the exact TV, and ε_t stays far below 1/e's scale
+    P = _chain(box(2, 1), 3)
+    start = tv_mixing_time(P).worst_start
+    u = [0] * P.n
+    u[start] = 1
+    mt = 1
+    for t, (tv, eps) in zip(range(138), _float_tv(_float_operator(P), start)):
+        exact = Fraction(sum(abs(P.n * w - mt) for w in u), 2 * P.n * mt)
+        assert abs(Fraction(tv) - exact) <= Fraction(eps)
+        assert eps < 1e-12
+        u = [P.diag[y] * u[y] + sum(u[x] for x in P.adj[y]) for y in range(P.n)]
+        mt *= P.denom
+
+
+def test_threshold_at_an_exact_tv_value_forces_the_exact_path():
+    P = _chain(torus(1, 4), 3)
+    threshold = _exact_tv(P, 0, 3)
+    res = tv_mixing_time(P, threshold=threshold, starts=[0, 1])
+    assert 0 in res.exact_fallbacks
+    for s in (0, 1):
+        assert res.per_start_t_star[s] == _first_crossing(P, s, threshold, ITER_CAP)
+    assert res.per_start_t_star[0] <= 3
+
+
+def test_chain_outside_the_float_bound_runs_exact():
+    # column sums 2, 4, 3 against the denominator 3: mass is not conserved,
+    # so the float bound does not apply and every start runs exact
+    P = _lattice_free_chain([[1, 1], [0, 2], [1]], [1, 1, 2], 3)
+    res = tv_mixing_time(P, threshold=Fraction(9, 10), starts="all")
+    assert res.exact_fallbacks == [0, 1, 2]
+    assert res.per_start_t_star == {
+        s: _first_crossing(P, s, Fraction(9, 10), ITER_CAP) for s in range(3)
+    }
+
+
+@st.composite
+def _symmetric_chains(draw):
+    """A connected symmetric chain on 2..8 states with laziness ≥ 1."""
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(n)))
+    edges = {tuple(sorted(e)) for e in zip(order, order[1:])}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    denom = max(len(row) for row in adj) + draw(st.integers(1, 3))
+    return _lattice_free_chain(
+        [sorted(row) for row in adj], [denom - len(row) for row in adj], denom
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=_symmetric_chains(),
+       threshold=st.one_of(st.none(), st.fractions(Fraction(1, 50), Fraction(9, 10))))
+def test_float_engine_matches_exact_on_random_chains(P, threshold):
+    res = tv_mixing_time(P, threshold=threshold, starts="all")
+    for s in range(P.n):
+        assert res.per_start_t_star[s] == _first_crossing(P, s, threshold, ITER_CAP)
+
+
+@pytest.mark.parametrize("lat,q", SMALL_CHAINS, ids=repr)
+def test_spectral_gap_brackets_the_mixing_time(lat, q):
+    # Levin–Peres–Wilmer Thm 12.4/12.5 for a reversible chain, ε = 1/e:
+    # (t_rel − 1)·ln(e/2) ≤ t_mix ≤ t_rel·ln(e·N), t_rel = 1/(1 − λ*)
+    P = _chain(lat, q)
+    dense = np.diag(np.asarray(P.diag, dtype=float))
+    for i, row in enumerate(P.adj):
+        for j in row:
+            dense[i, j] += 1
+    lam = np.linalg.eigvalsh(dense / P.denom)
+    t_rel = 1 / (1 - max(lam[-2], abs(lam[0])))
+    t_star = tv_mixing_time(P).t_star
+    assert (t_rel - 1) * math.log(math.e / 2) <= t_star <= t_rel * (1 + math.log(P.n))
 
 
 def test_box_transition_graph_connected():
