@@ -21,7 +21,6 @@ from .coloring import (
     Coloring,
     Composite,
     DEFAULT_RHO,
-    EvenBoundaryZero,
     ImbalanceClass,
     OddBoundaryZero,
     PinnedVertex,

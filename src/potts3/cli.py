@@ -1,8 +1,9 @@
 """Batch front door: deterministic experiment commands with JSON reports.
 
 Every command writes ``report.json`` (stable byte-for-byte under replay)
-plus a ``meta.json`` sidecar holding the timestamp (and, for ``mixing``, each
-start's crossing time and the starts decided by the exact fallback);
+plus a ``meta.json`` sidecar holding the timestamp and the build stamp (and,
+for ``mixing``, each start's crossing time and the starts decided by the
+exact fallback);
 trajectory commands add one CSV per chain.  Exit codes: 0 ok, 2 invalid
 config, 3 cap refusal, 4 property violation detected.
 """
@@ -102,14 +103,16 @@ def _lattice_from_args(args):
 def write_report(outdir: Path, payload: dict, files: dict[str, str] | None = None,
                  meta: dict | None = None):
     """Write ``files`` (name -> text), then report.json and meta.json (the
-    timestamp plus ``meta``).  Each goes to a temporary sibling first and is
-    moved into place, so a failed write leaves the previous file whole."""
+    timestamp and build stamp plus ``meta``).  Each goes to a temporary
+    sibling first and is moved into place, so a failed write leaves the
+    previous file whole."""
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = {"build": build_id(), **payload}
     texts = {
         **(files or {}),
         "report.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        "meta.json": json.dumps({"written_at": time.time(), **(meta or {})}) + "\n",
+        "meta.json": json.dumps(
+            {"written_at": time.time(), "build": build_id(), **(meta or {})}
+        ) + "\n",
     }
     for name, text in texts.items():
         tmp = outdir / f".{name}.tmp"
@@ -147,9 +150,17 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def cmd_mixing(args) -> int:
+def _torus_states(args):
+    """The torus and its proper colorings; having none is a config error."""
     lat = _lattice_from_args(args)
     states = list(enumerate_colorings(lat, args.q, cap=args.enum_cap))
+    if not states:
+        raise ColoringError(f"{lat} has no proper {args.q}-coloring")
+    return lat, states
+
+
+def cmd_mixing(args) -> int:
+    lat, states = _torus_states(args)
     P = transition_matrix(states, lat, args.q, cap=args.state_cap)
     checks = {
         "stochastic": P.row_sums_ok(),
@@ -191,8 +202,7 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_conductance(args) -> int:
-    lat = _lattice_from_args(args)
-    states = list(enumerate_colorings(lat, args.q, cap=args.enum_cap))
+    _, states = _torus_states(args)
     cond = conductance_bound(states, args.rho)
     payload = {
         "command": "conductance",
@@ -450,7 +460,7 @@ def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "toru
         "kind": dict(choices=kinds, default="torus" if torus else "box"),
         "d": dict(type=int, default=2),
         "n": dict(type=int, default=4 if torus else 2),
-        "q": dict(type=int, default=3),
+        "q": dict(type=positive_int, default=3),
         "rho": dict(type=parse_rho, default=DEFAULT_RHO),
         "seed": dict(type=int, default=0),
         "enum-cap": dict(type=int, default=ENUM_CAP),

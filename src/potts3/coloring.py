@@ -165,16 +165,6 @@ class OddBoundaryZero(BoundaryCondition):
 
 
 @dataclass(frozen=True)
-class EvenBoundaryZero(BoundaryCondition):
-    """χ ≡ 0 on ∂_int Λ ∩ E; box lattices only."""
-
-    def pins(self, lat):
-        if lat.kind is not LatticeKind.BOX:
-            raise BoundaryConditionError("EvenBoundaryZero references ∂_int Λ of a box")
-        return {v: 0 for v in iter_bits(lat.boundary_mask & lat.even_mask)}
-
-
-@dataclass(frozen=True)
 class PinnedVertex(BoundaryCondition):
     vertex: tuple[int, ...]
     color: int = 0

@@ -21,7 +21,6 @@ from .errors import CapExceeded, ColoringError, LatticeError
 from .lattice import box
 from .oracle import (
     _assignments,
-    _slab_transfer,
     count_colorings,
     count_grid_region_colorings,
     enumerate_colorings,
@@ -91,10 +90,9 @@ def _aitken_pass(seq: list[float]) -> list[float]:
 def _strip_per_site(width: int) -> float:
     """ln λ_max of the width-w column transfer matrix, per site."""
     path = [[u for u in (v - 1, v + 1) if 0 <= u < width] for v in range(width)]
-    states, compat = _slab_transfer(width, path)
-    T = np.zeros((len(states), len(states)))
-    for i, row in enumerate(compat):
-        T[i, row] = 1.0
+    S = np.frombuffer(b"".join(_assignments(width, path, 3, {})), dtype=np.uint8)
+    S = S.reshape(-1, width)
+    T = (S[:, None, :] != S[None, :, :]).all(axis=2).astype(float)
     lam = float(max(abs(np.linalg.eigvals(T))))
     return math.log(lam) / width
 
@@ -199,7 +197,7 @@ def restriction_distribution(
 ) -> RestrictionResult:
     """Exact law of the window restriction via extension counts N(τ) over
     the annulus between the window and the padded box.  d = 2 only (the
-    skyline counter is two-dimensional)."""
+    region counter takes Z² cells)."""
     if d != 2:
         raise CapExceeded(f"restriction distribution is implemented for d=2, not d={d}")
     if m <= n:

@@ -28,7 +28,7 @@ from .coloring import (
 )
 from .cutset import build_box_cutset
 from .errors import CapExceeded, ColoringError, LatticeError
-from .lattice import Lattice, LatticeKind, LatticeSpec, build_lattice, box
+from .lattice import Lattice, LatticeKind, box
 
 ENUM_CAP = 10_000_000
 STATE_CAP = 20_000
@@ -96,85 +96,102 @@ def count_by_enumeration(lat, q=3, bc=None, cap=ENUM_CAP) -> int:
     return count
 
 
-# -- transfer-matrix counting -------------------------------------------------
+# -- frontier counting -----------------------------------------------------------
 
 
-def _layer_pins(lat: Lattice, pins: dict[int, int], layer: int, slab_coords) -> dict[int, int]:
-    out = {}
-    for j, tail in enumerate(slab_coords):
-        v = lat.index_of.get((layer,) + tail)
-        if v is not None and v in pins:
-            out[j] = pins[v]
-    return out
+def _frontier_count(nv, neighbors, q, pins, forbidden, cap) -> int:
+    """Exact count of proper q-colorings of a graph, with per-vertex pins and
+    forbidden color sets, placing vertices in index order (the "broken"
+    transfer-matrix method).
 
-
-def _slab_transfer(nv, neighbors, q=3, cap=None) -> tuple[list[bytes], list[list[int]]]:
-    """Proper colorings of one slab, lexicographic, and for each the indices
-    of the states that may sit next to it (different at every site)."""
-    states = list(_assignments(nv, neighbors, q, {}, cap=cap))
-    compat = [
-        [i for i, b in enumerate(states) if all(x != y for x, y in zip(a, b))]
-        for a in states
-    ]
-    return states, compat
+    The frontier is the placed vertices that still have an unplaced
+    neighbour; a state packs their colors base q into an int64 key (digit i
+    for the i-th frontier vertex, in placement order) and carries the number
+    of partial colorings behind it.  Each site filters the states by its
+    earlier neighbours' digits and merges equal keys (sort + reduceat).
+    Weights are int64 while the exact total stays below 2^63/q, so no step
+    can overflow, and Python ints after.  Refuses (CapExceeded) past ``cap``
+    states (None: no cap) or when a key of q^(frontier+1) could pass 2^63.
+    """
+    last = [max(nbrs, default=-1) for nbrs in neighbors]
+    frontier: list[int] = []
+    keys = np.zeros(1, dtype=np.int64)
+    weights = np.ones(1, dtype=np.int64)
+    for v in range(nv):
+        if q ** (len(frontier) + 1) >= 2 ** 63:
+            raise CapExceeded(f"a frontier of {len(frontier) + 1} sites needs keys past 2^63")
+        if weights.dtype != object and int(weights.sum()) >= 2 ** 63 // q:
+            weights = weights.astype(object)
+        adjacent = set(neighbors[v])
+        seen = [keys // q ** i % q for i, u in enumerate(frontier) if u in adjacent]
+        base = keys
+        for i in reversed(range(len(frontier))):
+            if last[frontier[i]] == v:                     # v was its last neighbour
+                base = base // q ** (i + 1) * q ** i + base % q ** i
+        frontier = [u for u in frontier if last[u] > v]
+        top = 0
+        if last[v] > v:                                    # v joins as the top digit
+            top = q ** len(frontier)
+            frontier.append(v)
+        choices = (pins[v],) if v in pins else range(q)
+        new_keys, new_weights = [], []
+        for c in choices:
+            if not 0 <= c < q or c in forbidden.get(v, ()):
+                continue
+            ok = np.ones(len(keys), dtype=bool)
+            for digit in seen:
+                ok &= digit != c
+            new_keys.append(base[ok] + c * top)
+            new_weights.append(weights[ok])
+        keys = np.concatenate([keys[:0], *new_keys])
+        if not len(keys):
+            return 0
+        order = np.argsort(keys)
+        keys = keys[order]
+        runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys = keys[runs]
+        weights = np.add.reduceat(np.concatenate(new_weights)[order], runs)
+        if cap is not None and len(keys) > cap:
+            raise CapExceeded(f"frontier of {len(keys)} states exceeds cap {cap}")
+    return int(weights.sum())
 
 
 def count_by_transfer(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
-    """Exact count, layer-by-layer over hyperplanes x₀ = const.
+    """Exact count by the frontier counter, refusing (CapExceeded) past
+    ``state_cap`` frontier states.
 
-    Slab states are proper colorings of one (d−1)-dimensional slice; layers
-    interact cellwise.  Boundary-condition pins filter states per layer.
-    Refuses (CapExceeded) rather than approximating when the slab state
-    space is too large.
+    A box is one run.  A torus pins its first slab x₀ = 0 to each of that
+    slab's proper colorings in turn (at most ``state_cap`` of them), which
+    keeps the frontier small; with no other pins only the colorings whose
+    colors appear in order 0, 1, … run, each standing for the
+    q·(q−1)·… relabelings of its colors.
     """
-    if lat.spec.extended:
-        raise LatticeError("transfer counting applies to plain boxes and tori")
     pins = bc.pins(lat) if bc is not None else {}
-    if lat.d == 1:
-        slab_nv, slab_neighbors = 1, [[]]
-        slab_coords = [()]
-    else:
-        slab = build_lattice(LatticeSpec(lat.kind, lat.d - 1, lat.n))
-        slab_nv, slab_neighbors = slab.nv, slab.neighbors
-        slab_coords = list(slab.coords)
-    states, compat = _slab_transfer(slab_nv, slab_neighbors, q, cap=state_cap)
-
-    layers = range(lat.n) if lat.kind is LatticeKind.TORUS else range(-lat.n, lat.n + 1)
-    layer_allowed: list[set[int]] = []
-    for layer in layers:
-        lp = _layer_pins(lat, pins, layer, slab_coords)
-        layer_allowed.append(
-            {i for i, sb in enumerate(states) if all(sb[j] == c for j, c in lp.items())}
-        )
-
-    def through_layers(vec: dict[int, int]) -> dict[int, int]:
-        for ok in layer_allowed[1:]:
-            new: dict[int, int] = {}
-            for i, w in vec.items():
-                for j in compat[i]:
-                    if j in ok:
-                        new[j] = new.get(j, 0) + w
-            vec = new
-        return vec
-
     if lat.kind is LatticeKind.BOX:
-        return sum(through_layers({i: 1 for i in layer_allowed[0]}).values())
-
-    # torus: close the trace over the layer cycle
+        return _frontier_count(lat.nv, lat.neighbors, q, pins, {}, state_cap)
+    m = lat.nv // lat.n
+    slab = [[u for u in lat.neighbors[v] if u < m] for v in range(m)]
     total = 0
-    for start in layer_allowed[0]:
-        closing = set(compat[start])
-        total += sum(w for i, w in through_layers({start: 1}).items() if i in closing)
+    for start in _assignments(m, slab, q, {v: c for v, c in pins.items() if v < m},
+                              cap=state_cap):
+        weight = 1
+        if not pins:
+            used = list(dict.fromkeys(start))              # colors by first appearance
+            if used != list(range(len(used))):
+                continue
+            weight = math.perm(q, len(used))
+        total += weight * _frontier_count(
+            lat.nv, lat.neighbors, q, {**pins, **dict(enumerate(start))}, {}, state_cap
+        )
     return total
 
 
 def count_colorings(lat: Lattice, q=3, bc=None, cap=ENUM_CAP, state_cap=STATE_CAP) -> int:
-    """Exact |C_q(lat, bc)|; transfer matrix when available, else enumeration."""
-    if not lat.spec.extended:
-        try:
-            return count_by_transfer(lat, q, bc, state_cap=state_cap)
-        except CapExceeded:
-            pass
+    """Exact |C_q(lat, bc)|: the frontier counter, else enumeration."""
+    try:
+        return count_by_transfer(lat, q, bc, state_cap=state_cap)
+    except CapExceeded:
+        pass
     return count_by_enumeration(lat, q, bc, cap=cap)
 
 
@@ -663,7 +680,7 @@ def lcol_check(graph: BipartiteGraph, e1, o1, e2, o2, cap: int = ENUM_CAP) -> Lc
     )
 
 
-# -- pinned-region counting on Z^2 (skyline DP) -----------------------------------
+# -- pinned-region counting on Z^2 ----------------------------------------------
 
 
 def count_grid_region_colorings(
@@ -673,51 +690,17 @@ def count_grid_region_colorings(
     forbidden: dict[tuple[int, int], set[int]] | None = None,
 ) -> int:
     """Exact count of proper q-colorings of an arbitrary finite cell subset
-    of Z², with optional per-cell pins and forbidden color sets.
-
-    Raster DP with a per-column frontier; memory is O(q^width) worst case
-    but sparse in practice.
-    """
-    pins = pins or {}
-    forbidden = forbidden or {}
-    if not cells:
-        return 1
-    xs = sorted({c[0] for c in cells})
-    ys = sorted({c[1] for c in cells})
-    y0, y1 = ys[0], ys[-1]
-    width = y1 - y0 + 1
-    none = q  # sentinel: no vertical constraint
-    frontier = {(none,) * width: 1}
-    for x in range(xs[0], xs[-1] + 1):
-        for y in range(y0, y1 + 1):
-            col = y - y0
-            if (x, y) not in cells:
-                new = {}
-                for state, w in frontier.items():
-                    if state[col] == none:
-                        new[state] = new.get(state, 0) + w
-                    else:
-                        t = list(state)
-                        t[col] = none
-                        t = tuple(t)
-                        new[t] = new.get(t, 0) + w
-                frontier = new
-                continue
-            pin = pins.get((x, y))
-            bad = forbidden.get((x, y), ())
-            left_in = (x, y - 1) in cells
-            new = {}
-            for state, w in frontier.items():
-                up = state[col]
-                left = state[col - 1] if left_in else none
-                for c in ((pin,) if pin is not None else range(q)):
-                    if c in bad or c == up or (left_in and c == left):
-                        continue
-                    t = list(state)
-                    t[col] = c
-                    t = tuple(t)
-                    new[t] = new.get(t, 0) + w
-            frontier = new
-            if not frontier:
-                return 0
-    return sum(frontier.values())
+    of Z², with optional per-cell pins and forbidden color sets: the
+    frontier counter over the cells in raster order."""
+    order = sorted(cells)
+    index = {c: i for i, c in enumerate(order)}
+    neighbors = [
+        sorted(index[n] for n in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)) if n in index)
+        for x, y in order
+    ]
+    return _frontier_count(
+        len(order), neighbors, q,
+        {index[c]: k for c, k in (pins or {}).items() if c in index},
+        {index[c]: s for c, s in (forbidden or {}).items() if c in index},
+        None,
+    )

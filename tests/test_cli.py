@@ -31,8 +31,9 @@ def test_mixing_small_ring(tmp_path):
     assert report["n_states"] == 18
     assert report["tau_exact"] >= 0
     assert report["bound_holds"] in (True, None)
-    assert "build" in report
+    assert "build" not in report
     meta = json.loads((out / "meta.json").read_text())
+    assert "build" in meta
     assert meta["exact_fallbacks"] == []
     assert max(meta["per_start_t_star"].values()) == report["t_star"]
 
@@ -66,6 +67,10 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["flow-check", "--kind", "torus"],
     ["mixing", "--starts", "some"],
     ["sample", "--thin", "0", "--steps", "10"],
+    ["mixing", "--kind", "torus", "--d", "1", "--n", "4", "--q", "1"],
+    ["mixing", "--kind", "torus", "--d", "1", "--n", "4", "--q", "0"],
+    ["conductance", "--d", "1", "--n", "4", "--q", "1"],
+    ["enumerate", "--q", "-1"],
 ])
 def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2

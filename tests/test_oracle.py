@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from potts3 import (
     BipartiteGraph,
+    Composite,
     OddBoundaryZero,
+    PinnedVertex,
     box,
     conductance_bound,
     count_colorings,
@@ -27,8 +29,11 @@ from potts3.errors import CapExceeded, ColoringError
 from potts3.oracle import (
     ITER_CAP,
     ExactTransitionMatrix,
+    STATE_CAP,
+    _assignments,
     _first_crossing,
     _float_operator,
+    _frontier_count,
     _float_tv,
     count_by_enumeration,
     count_by_transfer,
@@ -138,6 +143,104 @@ def test_region_counter_matches_enumeration():
                 nxt[cell] = col
                 stack.append((i + 1, nxt))
         assert count_grid_region_colorings(cells, 3, forbidden=forb) == total
+
+
+# -- the frontier counter --------------------------------------------------------
+
+
+def _brute_count(nv, neighbors, q, pins, forbidden):
+    return sum(
+        all(colors[v] not in forbidden.get(v, ()) for v in range(nv))
+        for colors in _assignments(nv, neighbors, q, pins)
+    )
+
+
+@st.composite
+def _pinned_graphs(draw):
+    """A graph on 0..7 vertices with some pins and forbidden color sets."""
+    nv = draw(st.integers(0, 7))
+    q = draw(st.integers(1, 4))
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    neighbors = [sorted({v for e in edges for v in e if u in e} - {u}) for u in range(nv)]
+    sites = st.integers(0, max(nv - 1, 0))
+    pins = draw(st.dictionaries(sites, st.integers(0, q - 1), max_size=min(nv, 3)))
+    forbidden = draw(st.dictionaries(sites, st.sets(st.integers(0, q - 1)), max_size=min(nv, 3)))
+    return nv, neighbors, q, pins, forbidden
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_pinned_graphs())
+def test_frontier_count_matches_brute_force_on_random_graphs(graph):
+    assert _frontier_count(*graph, cap=None) == _brute_count(*graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=9),
+       data=st.data())
+def test_region_counter_matches_brute_force_with_pins(cells, data):
+    order = sorted(cells)
+    some = st.sampled_from(order or [(0, 0)])
+    pins = data.draw(st.dictionaries(some, st.integers(0, 2), max_size=min(len(order), 2)))
+    forbidden = data.draw(
+        st.dictionaries(some, st.sets(st.integers(0, 2)), max_size=min(len(order), 3))
+    )
+    neighbors = [
+        [j for j, (a, b) in enumerate(order) if abs(a - x) + abs(b - y) == 1]
+        for x, y in order
+    ]
+    want = _brute_count(
+        len(order), neighbors, 3,
+        {order.index(c): k for c, k in pins.items()},
+        {order.index(c): f for c, f in forbidden.items()},
+    )
+    assert count_grid_region_colorings(cells, 3, pins=pins, forbidden=forbidden) == want
+
+
+def test_ladder_counts_cross_into_python_ints():
+    # a 2 x k ladder has 6·3^(k−1) proper 3-colorings; past k = 39 the
+    # weights no longer fit int64
+    for k in range(1, 61):
+        ladder = {(x, y) for x in range(k) for y in range(2)}
+        assert count_grid_region_colorings(ladder, 3) == 6 * 3 ** (k - 1), k
+
+
+def test_padded_boxes_count_exactly():
+    assert count_colorings(box(2, 1, extended=True)) == 62976
+    for lat, bc in [
+        (box(1, 1, extended=True), None),
+        (box(1, 3, extended=True), None),
+        (box(2, 1, extended=True), OddBoundaryZero()),
+        (box(1, 2, extended=True), OddBoundaryZero()),
+    ]:
+        assert count_colorings(lat, 3, bc) == count_by_enumeration(lat, 3, bc)
+
+
+@pytest.mark.parametrize("lat,q,bc", [
+    (torus(2, 4), 3, PinnedVertex((0, 1), 2)),
+    (torus(2, 4), 3, PinnedVertex((2, 3), 0)),
+    (torus(2, 4), 3, Composite((PinnedVertex((0, 0), 1), PinnedVertex((1, 0), 1)))),
+    (torus(1, 4), 4, None),
+    (torus(1, 6), 4, PinnedVertex((3,), 3)),
+    (torus(2, 2), 4, None),
+    (torus(1, 6), 5, None),
+], ids=repr)
+def test_torus_counts_match_enumeration(lat, q, bc):
+    assert count_by_transfer(lat, q, bc) == count_by_enumeration(lat, q, bc)
+
+
+def test_frontier_keys_never_overflow():
+    # a star whose centre comes last: its 40 pinned leaves form one frontier
+    # state of 40 base-3 digits, past 2^63
+    leaves = 40
+    neighbors = [[leaves]] * leaves + [list(range(leaves))]
+    with pytest.raises(CapExceeded, match="2\\^63"):
+        _frontier_count(leaves + 1, neighbors, 3, dict.fromkeys(range(leaves), 0), {}, STATE_CAP)
+
+
+def test_frontier_state_cap_refuses():
+    with pytest.raises(CapExceeded):
+        count_by_transfer(box(2, 2), 3, state_cap=10)
 
 
 def test_transition_matrix_single_edge():
