@@ -9,7 +9,6 @@ from .lattice import (
     LatticeKind,
     LatticeSpec,
     Parity,
-    boundary_operators,
     box,
     build_lattice,
     connected_components,
@@ -25,14 +24,12 @@ from .coloring import (
     OddBoundaryZero,
     PinnedVertex,
     classify,
-    deserialize,
     imbalance,
     is_proper,
     mod3_coloring,
     odd_boundary_pinned,
     phase_coloring,
     satisfies_bc,
-    serialize,
     zero_set,
 )
 from .cutset import (
@@ -49,13 +46,11 @@ from .cutset import (
 )
 from .peierls import (
     Approximation,
-    FlowCertificate,
     GoodTriple,
     boundary_layer,
     bound_report,
     canonical_good_triple,
     exact_approximation,
-    flow_certificate,
     flow_out_total,
     flow_weight,
     is_approximation,
@@ -73,7 +68,6 @@ from .dynamics import (
     Trajectory,
     crossing_blocked_check,
     hamming,
-    metropolis_step,
     rho_locality_check,
     run_chain,
 )

@@ -139,7 +139,7 @@ def _require_q3(args):
 def cmd_enumerate(args) -> int:
     lat = _lattice_from_args(args)
     bc = OddBoundaryZero() if args.odd_boundary_zero else None
-    count = count_colorings(lat, args.q, bc, cap=args.enum_cap, state_cap=args.state_cap)
+    count = count_colorings(lat, args.q, bc, state_cap=args.state_cap)
     write_report(Path(args.out), {
         "command": "enumerate",
         "config": _config_of(args, ("kind", "d", "n", "q", "odd_boundary_zero")),
@@ -463,8 +463,8 @@ def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "toru
         "q": dict(type=positive_int, default=3),
         "rho": dict(type=parse_rho, default=DEFAULT_RHO),
         "seed": dict(type=int, default=0),
-        "enum-cap": dict(type=int, default=ENUM_CAP),
-        "state-cap": dict(type=int, default=STATE_CAP),
+        "enum-cap": dict(type=positive_int, default=ENUM_CAP),
+        "state-cap": dict(type=positive_int, default=STATE_CAP),
         "workers": dict(type=int, default=os.cpu_count() or 1,
                         help="worker pool size for parallel sweeps"),
         "odd-boundary-zero": dict(action="store_true"),
@@ -491,7 +491,7 @@ def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="potts3", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     _add_command(sub, "enumerate", cmd_enumerate, "count colorings under a boundary condition",
-                 "kind", "d", "n", "q", "enum-cap", "state-cap", "odd-boundary-zero")
+                 "kind", "d", "n", "q", "state-cap", "odd-boundary-zero")
     _add_command(sub, "mixing", cmd_mixing, "exact mixing time + conductance on a torus",
                  "kind", "d", "n", "q", "rho", "enum-cap", "state-cap", "starts",
                  torus=True, kinds=("torus",))

@@ -7,28 +7,12 @@ split classifies colorings into Balanced / EvenHeavy / OddHeavy at threshold
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import (
-    BoundaryConditionError,
-    ColoringError,
-    ColorRangeError,
-    HeaderFormatError,
-    PayloadLengthError,
-    SerializationError,
-)
-from .lattice import (
-    Lattice,
-    LatticeKind,
-    LatticeSpec,
-    Parity,
-    build_lattice,
-    iter_bits,
-)
+from .errors import BoundaryConditionError, ColoringError
+from .lattice import Lattice, LatticeKind, Parity, iter_bits
 
 DEFAULT_RHO = Fraction(11, 50)
 
@@ -215,79 +199,3 @@ def phase_coloring(lat: Lattice, zero_on: Parity = Parity.EVEN, other: int = 1, 
 def mod3_coloring(lat: Lattice) -> Coloring:
     """χ(x) = Σx_i mod 3 (proper on boxes; on tori only when 3 | n)."""
     return Coloring(lat, bytes(sum(c) % 3 for c in lat.coords), 3)
-
-
-# -- file format -------------------------------------------------------------
-
-_KIND_TAGS = {LatticeKind.BOX: "box", LatticeKind.TORUS: "torus"}
-
-
-def _bits_per_color(q: int) -> int:
-    return max(1, (q - 1).bit_length())
-
-
-def serialize(chi: Coloring) -> bytes:
-    """One-line JSON header + newline + base64 of bit-packed colors.
-
-    Colors are packed ceil(log2 q) bits each, vertex-index order, LSB-first
-    within each byte.  Round-trips bit-exactly.
-    """
-    if chi.lattice.spec.extended:
-        raise SerializationError("odd-padded regions have no file representation")
-    header = {
-        "kind": _KIND_TAGS[chi.lattice.kind],
-        "d": chi.lattice.d,
-        "n": chi.lattice.n,
-        "q": chi.q,
-    }
-    bits = _bits_per_color(chi.q)
-    acc = 0
-    for i, c in enumerate(chi.colors):
-        acc |= c << (i * bits)
-    nbytes = (chi.lattice.nv * bits + 7) // 8
-    payload = acc.to_bytes(nbytes, "little") if nbytes else b""
-    return json.dumps(header, sort_keys=True).encode() + b"\n" + base64.b64encode(payload)
-
-
-def deserialize(data: bytes) -> Coloring:
-    """Inverse of :func:`serialize`, with distinct diagnostics per failure."""
-    head, sep, body = data.partition(b"\n")
-    if not sep:
-        raise HeaderFormatError("missing newline after header")
-    try:
-        header = json.loads(head.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HeaderFormatError(f"unparseable header: {exc}") from None
-    if not isinstance(header, dict) or set(header) != {"kind", "d", "n", "q"}:
-        raise HeaderFormatError(f"header must have exactly kind/d/n/q, got {header!r}")
-    kinds = {tag: kind for kind, tag in _KIND_TAGS.items()}
-    if header["kind"] not in kinds:
-        raise HeaderFormatError(f"unknown lattice kind {header['kind']!r}")
-    try:
-        lat = build_lattice(LatticeSpec(kinds[header["kind"]], int(header["d"]), int(header["n"])))
-        q = int(header["q"])
-    except (TypeError, ValueError) as exc:
-        raise HeaderFormatError(f"bad header field: {exc}") from None
-    if q < 2:
-        raise HeaderFormatError(f"q must be at least 2, got {q}")
-    try:
-        payload = base64.b64decode(body, validate=True)
-    except Exception as exc:
-        raise PayloadLengthError(f"payload is not valid base64: {exc}") from None
-    bits = _bits_per_color(q)
-    expect = (lat.nv * bits + 7) // 8
-    if len(payload) != expect:
-        raise PayloadLengthError(
-            f"payload holds {len(payload)} bytes, {lat.nv} vertices need {expect}"
-        )
-    acc = int.from_bytes(payload, "little")
-    mask = (1 << bits) - 1
-    colors = bytearray(lat.nv)
-    for i in range(lat.nv):
-        c = (acc >> (i * bits)) & mask
-        if c >= q:
-            raise ColorRangeError(f"vertex {i} decodes to color {c}, but q={q}")
-        colors[i] = c
-    if acc >> (lat.nv * bits):
-        raise ColorRangeError("nonzero padding bits beyond the last vertex")
-    return Coloring(lat, colors, q)

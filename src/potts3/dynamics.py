@@ -112,21 +112,6 @@ class Trajectory:
         return buf.getvalue()
 
 
-def metropolis_step(chi: Coloring, rng: CounterRng) -> Coloring:
-    """One proposal of the Metropolis chain; returns the (possibly equal)
-    next coloring."""
-    lat, q = chi.lattice, chi.q
-    z = rng.next_u64()
-    v = (z >> 32) % lat.nv
-    j = (z & 0xFFFFFFFF) % q
-    if j == chi.colors[v]:
-        return chi
-    for u in lat.neighbors[v]:
-        if chi.colors[u] == j:
-            return chi
-    return chi.with_color(v, j)
-
-
 def _class_tag(lat: Lattice, imb: int, rho: Fraction) -> str:
     if lat.kind is not LatticeKind.TORUS:
         return "na"

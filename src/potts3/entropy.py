@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coloring import Coloring
-from .errors import CapExceeded, ColoringError, LatticeError
+from .errors import ColoringError, LatticeError
 from .lattice import box
 from .oracle import (
     _assignments,
@@ -102,21 +102,20 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
 
     d=1: exact path counts per half-width n.  d=2: infinite strips of the
     given widths (transfer-matrix top eigenvalue).  d=3: exact counts of
-    tiny boxes per half-width.  Infeasible requests refuse via the counting
-    caps.
+    tiny boxes per half-width.  Other d have no route (ColoringError); a box
+    too large to count refuses via the counter's state cap.
     """
+    if d not in (1, 2, 3):
+        raise ColoringError(f"no counting route for d={d}; d must be 1, 2 or 3")
     if len(sizes) < 3:
         raise ColoringError("need at least 3 sizes to extrapolate")
     per_site: list[float] = []
     for size in sizes:
         if d == 2:
             per_site.append(_strip_per_site(size))
-        elif d in (1, 3):
-            lat = box(d, size)
-            cnt = count_colorings(lat, 3)
-            per_site.append(math.log(cnt) / lat.nv)
         else:
-            raise CapExceeded(f"no feasible counting route for d={d}")
+            lat = box(d, size)
+            per_site.append(math.log(count_colorings(lat, 3)) / lat.nv)
     passes = [per_site]
     while len(passes[-1]) >= 3:
         passes.append(_aitken_pass(passes[-1]))
@@ -199,7 +198,7 @@ def restriction_distribution(
     the annulus between the window and the padded box.  d = 2 only (the
     region counter takes Z² cells)."""
     if d != 2:
-        raise CapExceeded(f"restriction distribution is implemented for d=2, not d={d}")
+        raise ColoringError(f"restriction distribution is implemented for d=2, not d={d}")
     if m <= n:
         raise ColoringError("need m > n")
     if boundary_color not in (1, 2):

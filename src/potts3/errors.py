@@ -13,31 +13,8 @@ class BoundaryConditionError(ValueError):
     """A boundary condition is inapplicable to the given lattice."""
 
 
-class SerializationError(ValueError):
-    """Base class for coloring-file format errors."""
-
-
-class HeaderFormatError(SerializationError):
-    """Malformed or inconsistent file header."""
-
-
-class PayloadLengthError(SerializationError):
-    """Payload length does not match the header's vertex count."""
-
-
-class ColorRangeError(SerializationError):
-    """Decoded color value outside [0, q)."""
-
-
 class CapExceeded(RuntimeError):
-    """A configured enumeration/state/iteration cap was hit.
-
-    ``partial`` carries the best lower bound established before refusal.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A configured enumeration/state/iteration cap was hit."""
 
 
 class PropertyViolation(AssertionError):

@@ -272,31 +272,6 @@ def edge_boundary(lat: Lattice, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class BoundaryOps:
-    edge_boundary: tuple[tuple[int, int], ...]
-    internal: int
-    external: int
-    closure: int
-    even_part: int
-    odd_part: int
-
-
-def boundary_operators(lat: Lattice, mask: int) -> BoundaryOps:
-    """All boundary operators of a vertex set in one record."""
-    if mask & ~lat.full_mask:
-        raise LatticeError("vertex set has bits outside this lattice")
-    ext = external_boundary(lat, mask)
-    return BoundaryOps(
-        edge_boundary=tuple(edge_boundary(lat, mask)),
-        internal=internal_boundary(lat, mask),
-        external=ext,
-        closure=mask | ext,
-        even_part=mask & lat.even_mask,
-        odd_part=mask & lat.odd_mask,
-    )
-
-
 def connected_components(lat: Lattice, mask: int) -> list[int]:
     """Maximal connected pieces of the induced subgraph, as masks ordered by
     smallest contained vertex."""

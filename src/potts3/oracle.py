@@ -50,10 +50,7 @@ def _assignments(nv, neighbors, q, pins, cap=None):
         if v == nv:
             produced += 1
             if cap is not None and produced > cap:
-                raise CapExceeded(
-                    f"enumeration exceeded cap {cap}; at least {cap + 1} exist",
-                    partial=cap,
-                )
+                raise CapExceeded(f"enumeration exceeded cap {cap}; at least {cap + 1} exist")
             yield bytes(colors)
             return
         choices = (pins[v],) if v in pins else range(q)
@@ -72,6 +69,16 @@ def _assignments(nv, neighbors, q, pins, cap=None):
     yield from rec(0)
 
 
+def _pins(lat: Lattice, q: int, bc: BoundaryCondition | None) -> dict[int, int]:
+    """The pin map of ``bc`` on ``lat``; a pin color outside [0, q) is a
+    ColoringError."""
+    pins = bc.pins(lat) if bc is not None else {}
+    for c in pins.values():
+        if not 0 <= c < q:
+            raise ColoringError(f"pin color {c} out of range for q={q}")
+    return pins
+
+
 def enumerate_colorings(
     lat: Lattice,
     q: int = 3,
@@ -80,20 +87,8 @@ def enumerate_colorings(
 ):
     """Stream exactly the proper colorings satisfying ``bc``, each once, in
     deterministic (lexicographic) order."""
-    pins = bc.pins(lat) if bc is not None else {}
-    for c in pins.values():
-        if not 0 <= c < q:
-            raise ColoringError(f"pin color {c} out of range for q={q}")
-    for colors in _assignments(lat.nv, lat.neighbors, q, pins, cap=cap):
+    for colors in _assignments(lat.nv, lat.neighbors, q, _pins(lat, q, bc), cap=cap):
         yield Coloring(lat, colors, q)
-
-
-def count_by_enumeration(lat, q=3, bc=None, cap=ENUM_CAP) -> int:
-    pins = bc.pins(lat) if bc is not None else {}
-    count = 0
-    for _ in _assignments(lat.nv, lat.neighbors, q, pins, cap=cap):
-        count += 1
-    return count
 
 
 # -- frontier counting -----------------------------------------------------------
@@ -156,24 +151,26 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap) -> int:
     return int(weights.sum())
 
 
-def count_by_transfer(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
-    """Exact count by the frontier counter, refusing (CapExceeded) past
-    ``state_cap`` frontier states.
+def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
+    """Exact |C_q(lat, bc)| by the frontier counter, refusing (CapExceeded)
+    past ``state_cap`` frontier states.
 
     A box is one run.  A torus pins its first slab x₀ = 0 to each of that
-    slab's proper colorings in turn (at most ``state_cap`` of them), which
-    keeps the frontier small; with no other pins only the colorings whose
-    colors appear in order 0, 1, … run, each standing for the
-    q·(q−1)·… relabelings of its colors.
+    slab's proper colorings in turn, which keeps the frontier small.  It
+    lists them all (at most ``state_cap``) before it counts any, so a slab
+    past the cap refuses without counting.  With no other pins only the
+    colorings whose colors appear in order 0, 1, … run, each standing for
+    the q·(q−1)·… relabelings of its colors.
     """
-    pins = bc.pins(lat) if bc is not None else {}
+    pins = _pins(lat, q, bc)
     if lat.kind is LatticeKind.BOX:
         return _frontier_count(lat.nv, lat.neighbors, q, pins, {}, state_cap)
     m = lat.nv // lat.n
     slab = [[u for u in lat.neighbors[v] if u < m] for v in range(m)]
+    starts = list(_assignments(m, slab, q, {v: c for v, c in pins.items() if v < m},
+                               cap=state_cap))
     total = 0
-    for start in _assignments(m, slab, q, {v: c for v, c in pins.items() if v < m},
-                              cap=state_cap):
+    for start in starts:
         weight = 1
         if not pins:
             used = list(dict.fromkeys(start))              # colors by first appearance
@@ -184,15 +181,6 @@ def count_by_transfer(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
             lat.nv, lat.neighbors, q, {**pins, **dict(enumerate(start))}, {}, state_cap
         )
     return total
-
-
-def count_colorings(lat: Lattice, q=3, bc=None, cap=ENUM_CAP, state_cap=STATE_CAP) -> int:
-    """Exact |C_q(lat, bc)|: the frontier counter, else enumeration."""
-    try:
-        return count_by_transfer(lat, q, bc, state_cap=state_cap)
-    except CapExceeded:
-        pass
-    return count_by_enumeration(lat, q, bc, cap=cap)
 
 
 # -- exact transition matrix ---------------------------------------------------
@@ -598,7 +586,7 @@ def influence_ratio(d: int, n: int, v0=None, cap: int = ENUM_CAP) -> InfluenceRe
     lat = box(d, n)
     v0 = tuple([0] * d) if v0 is None else tuple(v0)
     v0_idx = lat.index(v0)
-    total = count_colorings(lat, 3, OddBoundaryZero(), cap=cap)
+    total = count_colorings(lat, 3, OddBoundaryZero())
     hist: dict[int, int] = {}
     pinned = 0
     for chi in enumerate_colorings(lat, 3, odd_boundary_pinned(v0), cap=cap):

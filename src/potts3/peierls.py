@@ -207,21 +207,6 @@ def select_direction(cut: Cutset, approx: Approximation) -> DirectionChoice:
 # -- the flow ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowCertificate:
-    """(s, W^s, C, D) with the exact total out-flow (1 in closed form)."""
-
-    s: int
-    layer: int        # W^s
-    c_set: int
-    d_set: int
-    nu_total: Fraction
-
-    def __post_init__(self):
-        if self.c_set & self.d_set or (self.c_set | self.d_set) != self.layer:
-            raise PropertyViolation("C and D must partition W^s")
-
-
 def flow_sets(cut: Cutset, approx: Approximation, s: int) -> tuple[int, int, int]:
     """(W^s, C, D) with C = W^s ∩ A^O ∩ σ_s(Q^E) and D = W^s ∖ C."""
     lat = cut.lattice
@@ -229,12 +214,6 @@ def flow_sets(cut: Cutset, approx: Approximation, s: int) -> tuple[int, int, int
     q_even, _ = _q_masks(approx)
     c_set = layer & approx.odd_part & lat.shift_set(q_even, s)
     return layer, c_set, layer & ~c_set
-
-
-def flow_certificate(cut: Cutset, approx: Approximation, s: int) -> FlowCertificate:
-    """Package (s, W^s, C, D) with the closed-form unit out-flow."""
-    layer, c_set, d_set = flow_sets(cut, approx, s)
-    return FlowCertificate(s=s, layer=layer, c_set=c_set, d_set=d_set, nu_total=Fraction(1))
 
 
 def membership_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,10 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["mixing", "--kind", "torus", "--d", "1", "--n", "4", "--q", "0"],
     ["conductance", "--d", "1", "--n", "4", "--q", "1"],
     ["enumerate", "--q", "-1"],
+    ["entropy", "--d", "4", "--sizes", "1,1,1"],
+    ["entropy", "--d", "3", "--sizes", "1,1,1", "--m", "2"],
+    ["enumerate", "--d", "1", "--n", "1", "--state-cap", "0"],
+    ["mixing", "--d", "1", "--n", "4", "--enum-cap", "0"],
 ])
 def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -78,7 +83,7 @@ def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
 
 # the flags each command reads, besides --out and --config
 FLAGS = {
-    "enumerate": {"kind", "d", "n", "q", "enum_cap", "state_cap", "odd_boundary_zero"},
+    "enumerate": {"kind", "d", "n", "q", "state_cap", "odd_boundary_zero"},
     "mixing": {"kind", "d", "n", "q", "rho", "enum_cap", "state_cap", "starts"},
     "conductance": {"kind", "d", "n", "q", "rho", "enum_cap"},
     "influence": {"d", "n", "q", "enum_cap"},
@@ -181,11 +186,17 @@ def test_enumerate_and_influence(tmp_path):
 
 
 def test_cap_refusal_exit_code(tmp_path):
-    # choke both routes: slab states over the state cap, enumeration over
-    # the enumeration cap
+    # slab colorings over the state cap
     rc = run(["enumerate", "--kind", "torus", "--d", "2", "--n", "4",
-              "--enum-cap", "10", "--state-cap", "1", "--out", str(tmp_path / "x")])
+              "--state-cap", "1", "--out", str(tmp_path / "x")])
     assert rc == 3
+    # 22,784 frontier states over the default state cap: refused at once,
+    # with no enumeration of its ~1.5e19 colorings
+    start = time.perf_counter()
+    rc = run(["enumerate", "--kind", "box", "--d", "3", "--n", "2",
+              "--odd-boundary-zero", "--out", str(tmp_path / "y")])
+    assert rc == 3
+    assert time.perf_counter() - start < 1.0
 
 
 def test_replay_byte_identical(tmp_path):

@@ -3,7 +3,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from potts3 import (
     Coloring,
@@ -13,25 +12,17 @@ from potts3 import (
     PinnedVertex,
     box,
     classify,
-    deserialize,
     enumerate_colorings,
     imbalance,
     is_proper,
     mod3_coloring,
     phase_coloring,
     satisfies_bc,
-    serialize,
     torus,
     zero_set,
 )
 from potts3.coloring import zero_counts
-from potts3.errors import (
-    BoundaryConditionError,
-    ColoringError,
-    ColorRangeError,
-    HeaderFormatError,
-    PayloadLengthError,
-)
+from potts3.errors import BoundaryConditionError, ColoringError
 from potts3.lattice import iter_bits
 
 
@@ -127,43 +118,6 @@ def test_satisfies_bc_examples():
     assert not satisfies_bc(m3, OddBoundaryZero())
     with pytest.raises(BoundaryConditionError):
         satisfies_bc(phase_coloring(torus(2, 4)), OddBoundaryZero())
-
-
-def test_serialize_roundtrip(z24_states):
-    for chi in z24_states[::211]:
-        assert deserialize(serialize(chi)) == chi
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=3**9 - 1))
-def test_serialize_roundtrip_box_random(code):
-    b = box(2, 1)
-    colors = bytearray(9)
-    for i in range(9):
-        colors[i] = code % 3
-        code //= 3
-    chi = Coloring(b, colors, 3)
-    assert deserialize(serialize(chi)) == chi
-
-
-def test_deserialize_diagnostics():
-    import base64
-
-    t = torus(2, 4)
-    blob = serialize(phase_coloring(t))
-    head, payload = blob.split(b"\n")
-
-    with pytest.raises(HeaderFormatError):
-        deserialize(b'{"kind": "torus"}\n' + payload)
-    with pytest.raises(HeaderFormatError):
-        deserialize(b"not json\n" + payload)
-    with pytest.raises(PayloadLengthError):
-        deserialize(head + b"\n")
-    # a packed color value of 3 is out of range for q=3
-    bad = bytearray(4)
-    bad[0] = 0b00000011
-    with pytest.raises(ColorRangeError):
-        deserialize(head + b"\n" + base64.b64encode(bytes(bad)))
 
 
 def test_zero_counts_consistency(z24_states):

@@ -16,7 +16,6 @@ from potts3 import (
     hamming,
     imbalance,
     is_proper,
-    metropolis_step,
     phase_coloring,
     rho_locality_check,
     run_chain,
@@ -40,13 +39,14 @@ def test_counter_rng_streams_differ():
     assert CounterRng(42, 0).next_u64() == CounterRng(42, 0).next_u64()
 
 
+def _finals(seed, steps):
+    """The chain's coloring after each of 0..steps proposals from one seed."""
+    chi0 = phase_coloring(torus(2, 4))
+    return [run_chain(ChainSpec(seed=seed), chi0, t)[0] for t in range(steps + 1)]
+
+
 def test_metropolis_step_stays_proper():
-    t = torus(2, 4)
-    chi = phase_coloring(t)
-    rng = CounterRng(1, 0)
-    for _ in range(300):
-        chi = metropolis_step(chi, rng)
-        assert is_proper(chi)
+    assert all(is_proper(chi) for chi in _finals(1, 300))
 
 
 def test_run_chain_zero_steps():
@@ -173,15 +173,11 @@ def test_class_boundary_is_shared_by_all_callers():
 
 
 def test_single_move_changes_imbalance_by_at_most_one():
-    t = torus(2, 4)
-    chi = phase_coloring(t)
-    rng = CounterRng(77, 0)
-    prev = chi
-    for _ in range(500):
-        nxt = metropolis_step(prev, rng)
+    finals = _finals(77, 500)
+    for prev, nxt in zip(finals, finals[1:]):
+        assert is_proper(nxt)
         assert abs(imbalance(nxt) - imbalance(prev)) <= 1
         assert hamming(nxt, prev) <= 1
-        prev = nxt
 
 
 def test_trajectory_csv_format():

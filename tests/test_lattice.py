@@ -7,7 +7,6 @@ from potts3 import (
     LatticeKind,
     LatticeSpec,
     Parity,
-    boundary_operators,
     box,
     build_lattice,
     connected_components,
@@ -15,7 +14,14 @@ from potts3 import (
     torus,
 )
 from potts3.errors import LatticeError
-from potts3.lattice import closure, external_boundary, internal_boundary, iter_bits, mask_of
+from potts3.lattice import (
+    closure,
+    edge_boundary,
+    external_boundary,
+    internal_boundary,
+    iter_bits,
+    mask_of,
+)
 
 
 def test_torus_regularity():
@@ -72,27 +78,24 @@ def test_shift_bijection_on_torus():
 
 def test_boundary_operators_star():
     t = torus(2, 4)
-    v = t.index((1, 1))
-    ops = boundary_operators(t, 1 << v)
-    assert len(ops.edge_boundary) == 4
-    assert ops.internal == 1 << v
-    assert ops.external.bit_count() == 4
-    assert ops.closure.bit_count() == 5
+    v = 1 << t.index((1, 1))
+    assert len(edge_boundary(t, v)) == 4
+    assert internal_boundary(t, v) == v
+    assert external_boundary(t, v).bit_count() == 4
+    assert closure(t, v).bit_count() == 5
 
 
 def test_boundary_operators_full_set():
     t = torus(2, 4)
-    ops = boundary_operators(t, t.full_mask)
-    assert ops.edge_boundary == ()
-    assert ops.internal == 0
-    assert ops.external == 0
+    assert edge_boundary(t, t.full_mask) == []
+    assert internal_boundary(t, t.full_mask) == 0
+    assert external_boundary(t, t.full_mask) == 0
 
 
 def test_boundary_two_by_two_block():
     t = torus(2, 4)
     block = mask_of(t.index(c) for c in [(0, 0), (0, 1), (1, 0), (1, 1)])
-    ops = boundary_operators(t, block)
-    assert len(ops.edge_boundary) == 8
+    assert len(edge_boundary(t, block)) == 8
 
 
 def test_component_of_closed_star():
@@ -116,7 +119,7 @@ def test_components_empty_and_separated():
 def test_boundary_identities(bits):
     t = torus(2, 4)
     x = bits & t.full_mask
-    nabla = boundary_operators(t, x).edge_boundary
+    nabla = edge_boundary(t, x)
     intb = internal_boundary(t, x)
     # |∇(X)| = Σ_{v∈∂_int X} |∂v ∖ X|
     assert len(nabla) == sum((t.nbr_mask[v] & ~x).bit_count() for v in iter_bits(intb))

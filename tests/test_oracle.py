@@ -25,6 +25,7 @@ from potts3 import (
     transition_matrix,
     tv_mixing_time,
 )
+from potts3 import oracle
 from potts3.errors import CapExceeded, ColoringError
 from potts3.oracle import (
     ITER_CAP,
@@ -35,8 +36,6 @@ from potts3.oracle import (
     _float_operator,
     _frontier_count,
     _float_tv,
-    count_by_enumeration,
-    count_by_transfer,
     count_grid_region_colorings,
     le_inv_e,
 )
@@ -68,6 +67,10 @@ def test_enumeration_cap_refusal():
     assert "at least 101" in str(err.value)
 
 
+def _enumerated(lat, q, bc):
+    return sum(1 for _ in enumerate_colorings(lat, q, bc))
+
+
 def test_transfer_and_enumeration_agree():
     cases = [
         (box(2, 1), None),
@@ -78,7 +81,7 @@ def test_transfer_and_enumeration_agree():
         (box(2, 2), odd_boundary_pinned((0, 0))),
     ]
     for lat, bc in cases:
-        assert count_by_transfer(lat, 3, bc) == count_by_enumeration(lat, 3, bc)
+        assert count_colorings(lat, 3, bc) == _enumerated(lat, 3, bc)
 
 
 def test_known_counts_frozen():
@@ -213,7 +216,7 @@ def test_padded_boxes_count_exactly():
         (box(2, 1, extended=True), OddBoundaryZero()),
         (box(1, 2, extended=True), OddBoundaryZero()),
     ]:
-        assert count_colorings(lat, 3, bc) == count_by_enumeration(lat, 3, bc)
+        assert count_colorings(lat, 3, bc) == _enumerated(lat, 3, bc)
 
 
 @pytest.mark.parametrize("lat,q,bc", [
@@ -226,7 +229,7 @@ def test_padded_boxes_count_exactly():
     (torus(1, 6), 5, None),
 ], ids=repr)
 def test_torus_counts_match_enumeration(lat, q, bc):
-    assert count_by_transfer(lat, q, bc) == count_by_enumeration(lat, q, bc)
+    assert count_colorings(lat, q, bc) == _enumerated(lat, q, bc)
 
 
 def test_frontier_keys_never_overflow():
@@ -240,7 +243,25 @@ def test_frontier_keys_never_overflow():
 
 def test_frontier_state_cap_refuses():
     with pytest.raises(CapExceeded):
-        count_by_transfer(box(2, 2), 3, state_cap=10)
+        count_colorings(box(2, 2), 3, state_cap=10)
+
+
+def test_torus_refuses_before_it_counts(monkeypatch):
+    # the 4-cycle slab of torus(2, 4) has 18 colorings, past a cap of 5
+    def no_counting(*args):
+        raise AssertionError("counted before refusing")
+
+    monkeypatch.setattr(oracle, "_frontier_count", no_counting)
+    with pytest.raises(CapExceeded):
+        count_colorings(torus(2, 4), 3, state_cap=5)
+
+
+def test_pin_outside_color_range_is_rejected():
+    for lat in (box(1, 1), torus(1, 4)):
+        with pytest.raises(ColoringError):
+            count_colorings(lat, 3, PinnedVertex((0,), 5))
+        with pytest.raises(ColoringError):
+            list(enumerate_colorings(lat, 3, PinnedVertex((0,), -1)))
 
 
 def test_transition_matrix_single_edge():
