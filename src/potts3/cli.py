@@ -150,17 +150,18 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _torus_states(args):
-    """The torus and its proper colorings; having none is a config error."""
+def _torus_states(args, cap):
+    """The torus and its proper colorings, refused past ``cap``; having none
+    is a config error."""
     lat = _lattice_from_args(args)
-    states = list(enumerate_colorings(lat, args.q, cap=args.enum_cap))
+    states = list(enumerate_colorings(lat, args.q, cap=cap))
     if not states:
         raise ColoringError(f"{lat} has no proper {args.q}-coloring")
     return lat, states
 
 
 def cmd_mixing(args) -> int:
-    lat, states = _torus_states(args)
+    lat, states = _torus_states(args, args.state_cap)
     P = transition_matrix(states, lat, args.q, cap=args.state_cap)
     checks = {
         "stochastic": P.row_sums_ok(),
@@ -202,7 +203,7 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_conductance(args) -> int:
-    _, states = _torus_states(args)
+    _, states = _torus_states(args, args.enum_cap)
     cond = conductance_bound(states, args.rho)
     payload = {
         "command": "conductance",
@@ -297,7 +298,7 @@ def cmd_flow_check(args) -> int:
         cut = build_box_cutset(chi, v0)
         approx = exact_approximation(cut)
         for s in shift_order(lat.d):
-            total = flow_out_total(chi, cut, approx, s, explicit_cap=args.explicit_cap)
+            total = flow_out_total(chi, cut, approx, s)
             layer, c_set, d_set = flow_sets(cut, approx, s)
             roundtrip = True
             last_image = None
@@ -427,7 +428,9 @@ def cmd_entropy(args) -> int:
         "provenance": "exact counts, float extrapolation",
     }
     if args.m is not None:
-        gap = max_entropy_gap_check(args.m, args.n_window, d=args.d)
+        if args.d != 2:
+            raise ColoringError(f"restriction distribution is implemented for d=2, not d={args.d}")
+        gap = max_entropy_gap_check(args.m, args.n_window)
         payload["gap_check"] = {
             "m": gap.m,
             "n": gap.n,
@@ -465,11 +468,10 @@ def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "toru
         "seed": dict(type=int, default=0),
         "enum-cap": dict(type=positive_int, default=ENUM_CAP),
         "state-cap": dict(type=positive_int, default=STATE_CAP),
-        "workers": dict(type=int, default=os.cpu_count() or 1,
+        "workers": dict(type=positive_int, default=os.cpu_count() or 1,
                         help="worker pool size for parallel sweeps"),
         "odd-boundary-zero": dict(action="store_true"),
         "starts": dict(choices=("orbits", "all"), default="orbits"),
-        "explicit-cap": dict(type=int, default=20),
         "steps": dict(type=int, default=10000),
         "thin": dict(type=positive_int, default=None),
         "chains": dict(type=positive_int, default=32),
@@ -493,7 +495,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_command(sub, "enumerate", cmd_enumerate, "count colorings under a boundary condition",
                  "kind", "d", "n", "q", "state-cap", "odd-boundary-zero")
     _add_command(sub, "mixing", cmd_mixing, "exact mixing time + conductance on a torus",
-                 "kind", "d", "n", "q", "rho", "enum-cap", "state-cap", "starts",
+                 "kind", "d", "n", "q", "rho", "state-cap", "starts",
                  torus=True, kinds=("torus",))
     _add_command(sub, "conductance", cmd_conductance,
                  "imbalance classes and the bottleneck bound",
@@ -503,7 +505,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_command(sub, "cutsets", cmd_cutsets, "dump cutsets with verified properties",
                  "kind", "d", "n", "q", "enum-cap")
     _add_command(sub, "flow-check", cmd_flow_check, "flow conservation + reconstruction sweep",
-                 "kind", "d", "n", "q", "enum-cap", "explicit-cap", kinds=("box",))
+                 "kind", "d", "n", "q", "enum-cap", kinds=("box",))
     _add_command(sub, "sample", cmd_sample, "run one Metropolis chain, emit trajectory CSV",
                  "kind", "d", "n", "q", "rho", "seed", "steps", "thin", torus=True)
     _add_command(sub, "torpid-demo", cmd_torpid_demo, "many chains from the even phase; summary",

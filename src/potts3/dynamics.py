@@ -124,12 +124,10 @@ def run_chain(
     steps: int,
     thin: int | None = None,
     rho: Fraction = DEFAULT_RHO,
-    stepper=None,
 ) -> tuple[Coloring, Trajectory]:
     """Run ``steps`` proposals from χ₀, recording observables every ``thin``
     proposals (default: one sweep).  Deterministic in (spec.seed,
-    spec.stream, χ₀, steps).  A ``stepper(colors, rng)`` callback replaces the
-    Metropolis proposal; each record then checks properness and ρ-locality."""
+    spec.stream, χ₀, steps)."""
     lat, q = chi0.lattice, chi0.q
     if q != spec.q:
         raise ColoringError(f"chain expects q={spec.q}, coloring has q={q}")
@@ -162,21 +160,6 @@ def run_chain(
         )
 
     record(0)
-    if stepper is not None:
-        prev = bytes(colors)
-        for t in range(1, steps + 1):
-            stepper(colors, rng)
-            if t % thin == 0 or t == steps:
-                snap = Coloring(lat, colors, q)
-                if not is_proper(snap):
-                    raise ColoringError(f"custom stepper broke properness at step {t}")
-                if not rho_locality_check(Coloring(lat, prev, q), snap, rho):
-                    raise ColoringError(f"custom stepper exceeded rho-locality at step {t}")
-                prev = bytes(colors)
-                zero_even, zero_odd = zero_counts(snap)
-                record(t)
-        return Coloring(lat, colors, q), traj
-
     nv = lat.nv
     done = 0
     block_size = 1 << 14

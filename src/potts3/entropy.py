@@ -26,6 +26,9 @@ from .oracle import (
     enumerate_colorings,
 )
 
+WINDOW_CAP = 2_000_000   # colorings of the window Λ_n listed before refusing
+BOUNDARY_COLOR = 1       # the frozen even exterior; 1 and 2 agree under the color swap
+
 
 @dataclass
 class Distribution:
@@ -133,10 +136,10 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
 # -- extendable colorings ------------------------------------------------------
 
 
-def _extends_to_larger_box(tau: Coloring, depth: int = 2) -> bool:
-    """Can τ on Λ_n be completed to a proper coloring of Λ_{n+depth}?"""
+def _extends_to_larger_box(tau: Coloring) -> bool:
+    """Can τ on Λ_n be completed to a proper coloring of Λ_{n+2}?"""
     lat = tau.lattice
-    big = box(lat.d, lat.n + depth)
+    big = box(lat.d, lat.n + 2)
     pins = {
         big.index(c): tau.colors[i]
         for i, c in enumerate(lat.coords)
@@ -155,15 +158,15 @@ class ExtendableReport:
         return Fraction(self.extendable, self.total)
 
 
-def extendable_colorings(d: int, n: int, depth: int = 2, cap: int = 2_000_000) -> ExtendableReport:
-    """C'_3(Λ_n) under the operative surrogate: extendable to Λ_{n+depth}
+def extendable_colorings(d: int, n: int) -> ExtendableReport:
+    """C'_3(Λ_n) under the operative surrogate: extendable to Λ_{n+2}
     with free boundary."""
     lat = box(d, n)
     keep = []
     total = 0
-    for tau in enumerate_colorings(lat, 3, cap=cap):
+    for tau in enumerate_colorings(lat, 3, cap=WINDOW_CAP):
         total += 1
-        if _extends_to_larger_box(tau, depth):
+        if _extends_to_larger_box(tau):
             keep.append(tau)
     return ExtendableReport(total=total, extendable=len(keep), colorings=keep)
 
@@ -171,15 +174,10 @@ def extendable_colorings(d: int, n: int, depth: int = 2, cap: int = 2_000_000) -
 # -- the restricted-window distribution ----------------------------------------
 
 
-def _padded_box_cells(d: int, m: int) -> set[tuple[int, ...]]:
-    return set(box(d, m, extended=True).coords)
-
-
 @dataclass
 class RestrictionResult:
     m: int
     n: int
-    boundary_color: int
     distribution: Distribution       # over support colorings τ of Λ_n
     counts: dict[bytes, int]         # τ colors -> N(τ)
     ring_counts: dict[bytes, int]    # ring pattern -> annulus extension count
@@ -187,24 +185,14 @@ class RestrictionResult:
     dropped: int                     # τ ∈ C_3(Λ_n) with N(τ) = 0
 
 
-def restriction_distribution(
-    m: int,
-    n: int,
-    d: int = 2,
-    boundary_color: int = 1,
-    cap: int = 2_000_000,
-) -> RestrictionResult:
+def restriction_distribution(m: int, n: int) -> RestrictionResult:
     """Exact law of the window restriction via extension counts N(τ) over
-    the annulus between the window and the padded box.  d = 2 only (the
+    the annulus between the window and the padded box, in d = 2 (the
     region counter takes Z² cells)."""
-    if d != 2:
-        raise ColoringError(f"restriction distribution is implemented for d=2, not d={d}")
     if m <= n:
         raise ColoringError("need m > n")
-    if boundary_color not in (1, 2):
-        raise ColoringError("boundary phase colors even vertices 1 or 2")
 
-    region = _padded_box_cells(2, m)
+    region = set(box(2, m, extended=True).coords)
     inner = box(2, n)
     inner_cells = set(inner.coords)
     ring_cells = sorted(c for c in inner.coords if max(abs(x) for x in c) == n)
@@ -219,7 +207,7 @@ def restriction_distribution(
             if out not in region:
                 if sum(out) % 2 != 0:
                     raise LatticeError("exterior of W_m must be even")
-                base_forbidden.setdefault((x, y), set()).add(boundary_color)
+                base_forbidden.setdefault((x, y), set()).add(BOUNDARY_COLOR)
 
     ring_nbrs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (x, y) in annulus:
@@ -236,7 +224,7 @@ def restriction_distribution(
     def ring_pattern(tau: Coloring) -> bytes:
         return bytes(tau.colors[inner.index(c)] for c in ring_cells)
 
-    taus = list(enumerate_colorings(inner, 3, cap=cap))
+    taus = list(enumerate_colorings(inner, 3, cap=WINDOW_CAP))
     ring_counts: dict[bytes, int] = {}
     for tau in taus:
         rp = ring_pattern(tau)
@@ -264,7 +252,6 @@ def restriction_distribution(
     return RestrictionResult(
         m=m,
         n=n,
-        boundary_color=boundary_color,
         distribution=Distribution(outcomes, probs),
         counts=counts,
         ring_counts=ring_counts,
@@ -292,24 +279,19 @@ class GapReport:
     n_depends_on_ring_only: bool
 
 
-def max_entropy_gap_check(
-    m: int,
-    n: int,
-    d: int = 2,
-    boundary_color: int = 1,
-) -> GapReport:
-    """Verify the finite maximal-entropy inequalities exactly.
+def max_entropy_gap_check(m: int, n: int) -> GapReport:
+    """Verify the finite maximal-entropy inequalities exactly, in d = 2.
 
     The entropy floor follows from the exact max-probability bound via
     H ≥ −log max p; that bound and the pinned-ring mass bound are checked
     in exact rational arithmetic.
     """
-    res = restriction_distribution(m, n, d=d, boundary_color=boundary_color)
-    ext = extendable_colorings(d, n)
+    res = restriction_distribution(m, n)
+    ext = extendable_colorings(2, n)
     ext_set = {t.colors for t in ext.colorings}
     c3p = ext.extendable
 
-    inner = box(d, n)
+    inner = box(2, n)
     ring_cells = [c for c in inner.coords if max(abs(x) for x in c) == n]
     bsize = len(ring_cells)
 
@@ -318,7 +300,7 @@ def max_entropy_gap_check(
     # N(τ) can depend only on τ's ring: the annulus must touch no deeper
     # cell of Λ_n, and counts must be constant on ring groups
     ring_set = {tuple(c) for c in ring_cells}
-    region = _padded_box_cells(2, m)
+    region = set(box(2, m, extended=True).coords)
     annulus = region - set(inner.coords)
     grouped_ok = True
     for (x, y) in annulus:

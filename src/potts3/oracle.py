@@ -86,8 +86,13 @@ def enumerate_colorings(
     cap: int = ENUM_CAP,
 ):
     """Stream exactly the proper colorings satisfying ``bc``, each once, in
-    deterministic (lexicographic) order."""
-    for colors in _assignments(lat.nv, lat.neighbors, q, _pins(lat, q, bc), cap=cap):
+    deterministic (lexicographic) order.  Before the first one the exact
+    count (``count_colorings``) is compared with ``cap``, so a listing past
+    the cap is refused before any of it is made."""
+    count = count_colorings(lat, q, bc)
+    if count > cap:
+        raise CapExceeded(f"{count} colorings exceed the cap {cap}")
+    for colors in _assignments(lat.nv, lat.neighbors, q, _pins(lat, q, bc)):
         yield Coloring(lat, colors, q)
 
 
@@ -147,7 +152,7 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap) -> int:
         keys = keys[runs]
         weights = np.add.reduceat(np.concatenate(new_weights)[order], runs)
         if cap is not None and len(keys) > cap:
-            raise CapExceeded(f"frontier of {len(keys)} states exceeds cap {cap}")
+            raise CapExceeded(f"frontier of {len(keys)} states exceeds the state cap {cap}")
     return int(weights.sum())
 
 
@@ -167,8 +172,11 @@ def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
         return _frontier_count(lat.nv, lat.neighbors, q, pins, {}, state_cap)
     m = lat.nv // lat.n
     slab = [[u for u in lat.neighbors[v] if u < m] for v in range(m)]
-    starts = list(_assignments(m, slab, q, {v: c for v, c in pins.items() if v < m},
-                               cap=state_cap))
+    try:
+        starts = list(_assignments(m, slab, q, {v: c for v, c in pins.items() if v < m},
+                                   cap=state_cap))
+    except CapExceeded:
+        raise CapExceeded(f"first-slab colorings exceed the state cap {state_cap}") from None
     total = 0
     for start in starts:
         weight = 1
@@ -578,13 +586,16 @@ class InfluenceReport:
     per_size_ratio: dict[int, Fraction]
 
 
-def influence_ratio(d: int, n: int, v0=None, cap: int = ENUM_CAP) -> InfluenceReport:
-    """|C_3^O(v₀)| / |C_3^O| with the size-resolved cutset histogram, all
-    exact."""
+def influence_ratio(d: int, n: int, cap: int = ENUM_CAP) -> InfluenceReport:
+    """|C_3^O(v₀)| / |C_3^O| at the centre v₀ with the size-resolved cutset
+    histogram, all exact.  Box cutsets need d ≥ 2; a smaller d is a
+    ColoringError."""
     from .coloring import OddBoundaryZero, odd_boundary_pinned
 
+    if d < 2:
+        raise ColoringError(f"box cutsets need d >= 2, got d={d}")
     lat = box(d, n)
-    v0 = tuple([0] * d) if v0 is None else tuple(v0)
+    v0 = (0,) * d
     v0_idx = lat.index(v0)
     total = count_colorings(lat, 3, OddBoundaryZero())
     hist: dict[int, int] = {}

@@ -105,12 +105,11 @@ class Approximation:
     lattice: Lattice
     even_part: int
     odd_part: int
-    source: str = "external"   # "exact-w" when A = W itself
 
 
 def exact_approximation(cut: Cutset) -> Approximation:
     w_even, w_odd = cut.region & cut.lattice.even_mask, cut.region & cut.lattice.odd_mask
-    return Approximation(cut.lattice, w_even, w_odd, source="exact-w")
+    return Approximation(cut.lattice, w_even, w_odd)
 
 
 def degree_threshold(d: int) -> int:
@@ -139,11 +138,27 @@ def is_approximation(approx: Approximation, cut: Cutset) -> bool:
 
 @dataclass(frozen=True)
 class QSets:
-    """The uncertain region of an approximation, plus the χ′-resolved part U."""
+    """The uncertain region of an approximation, plus the χ′-resolved part
+    U, and the bipartite graph B of lattice edges between Q^E and Q^O."""
 
+    lattice: Lattice
     q_even: int
     q_odd: int
     u: int
+
+    def b_boundary(self, even_subset: int) -> int:
+        """∂_ext taken inside B: the Q^O-neighbors of an even subset."""
+        out = 0
+        for x in iter_bits(even_subset):
+            out |= self.lattice.nbr_mask[x]
+        return out & self.q_odd
+
+    def b_edges(self) -> list[tuple[int, int]]:
+        out = []
+        for x in iter_bits(self.q_even):
+            for y in iter_bits(self.lattice.nbr_mask[x] & self.q_odd):
+                out.append((x, y))
+        return out
 
 
 def _q_masks(approx: Approximation) -> tuple[int, int]:
@@ -164,7 +179,7 @@ def q_sets(approx: Approximation, s: int, chi_prime: Coloring) -> QSets:
         fwd = lat.shift(x, s)
         if fwd is not None and chi_prime.colors[fwd] == 0:
             u |= 1 << x
-    return QSets(q_even=q_even, q_odd=q_odd, u=u)
+    return QSets(lattice=lat, q_even=q_even, q_odd=q_odd, u=u)
 
 
 @dataclass(frozen=True)
@@ -286,46 +301,17 @@ def flow_out_total(
 
 
 @dataclass(frozen=True)
-class TripleContext:
-    """Q-sets plus the bipartite graph B of lattice edges between them."""
-
-    lattice: Lattice
-    q_even: int
-    q_odd: int
-    u: int
-
-    def b_boundary(self, even_subset: int) -> int:
-        """∂_ext taken inside B: the Q^O-neighbors of an even subset."""
-        out = 0
-        for x in iter_bits(even_subset):
-            out |= self.lattice.nbr_mask[x]
-        return out & self.q_odd
-
-    def b_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for x in iter_bits(self.q_even):
-            for y in iter_bits(self.lattice.nbr_mask[x] & self.q_odd):
-                out.append((x, y))
-        return out
-
-
-@dataclass(frozen=True)
 class GoodTriple:
     k: int
     l: int
     m: int
 
 
-def triple_context(approx: Approximation, s: int, chi_prime: Coloring) -> TripleContext:
-    qq = q_sets(approx, s, chi_prime)
-    return TripleContext(approx.lattice, qq.q_even, qq.q_odd, qq.u)
-
-
-def _is_cover(ctx: TripleContext, cover: int) -> bool:
+def _is_cover(ctx: QSets, cover: int) -> bool:
     return all(((cover >> x) & 1) or ((cover >> y) & 1) for x, y in ctx.b_edges())
 
 
-def _is_minimal_cover(ctx: TripleContext, cover: int) -> bool:
+def _is_minimal_cover(ctx: QSets, cover: int) -> bool:
     if not _is_cover(ctx, cover):
         return False
     for v in iter_bits(cover):
@@ -334,7 +320,7 @@ def _is_minimal_cover(ctx: TripleContext, cover: int) -> bool:
     return True
 
 
-def is_good_triple(triple: GoodTriple, ctx: TripleContext) -> bool:
+def is_good_triple(triple: GoodTriple, ctx: QSets) -> bool:
     """K ⊆ Q^O, L ⊆ U, M ⊆ Q^E∖U; K∪L∪M a minimal vertex cover of B;
     K = ∂_B(U∖L)."""
     k, l, m = triple.k, triple.l, triple.m
@@ -355,7 +341,7 @@ def canonical_good_triple(
     chi_prime: Coloring,
 ) -> GoodTriple:
     """(W∩Q^O, U∖W, (Q^E∖U)∖W); asserts goodness."""
-    ctx = triple_context(approx, s, chi_prime)
+    ctx = q_sets(approx, s, chi_prime)
     w = cut.region
     triple = GoodTriple(
         k=w & ctx.q_odd,
@@ -381,7 +367,7 @@ class BoundReport:
     l_prime_size: int | None = None
 
 
-def _good_triples(ctx: TripleContext):
+def _good_triples(ctx: QSets):
     """All good triples, enumerated by the resolved subset L ⊆ U.
 
     K is forced (K = ∂_B(U∖L)) and M is forced up to cover minimality, so
@@ -426,7 +412,7 @@ def bound_report(
     report is marked skipped.  The comparison ν ≤ B is computed exactly on
     squares and reported, never asserted.
     """
-    ctx = triple_context(approx, s, chi_prime)
+    ctx = q_sets(approx, s, chi_prime)
     if (ctx.q_even | ctx.q_odd).bit_count() > cap:
         return BoundReport(status="skipped")
     hat = canonical_good_triple(chi, cut, approx, s, chi_prime)

@@ -75,7 +75,10 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["entropy", "--d", "4", "--sizes", "1,1,1"],
     ["entropy", "--d", "3", "--sizes", "1,1,1", "--m", "2"],
     ["enumerate", "--d", "1", "--n", "1", "--state-cap", "0"],
-    ["mixing", "--d", "1", "--n", "4", "--enum-cap", "0"],
+    ["conductance", "--d", "1", "--n", "4", "--enum-cap", "0"],
+    ["influence", "--d", "1", "--n", "1"],
+    ["torpid-demo", "--workers", "0"],
+    ["torpid-demo", "--workers", "-2"],
 ])
 def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -84,11 +87,11 @@ def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
 # the flags each command reads, besides --out and --config
 FLAGS = {
     "enumerate": {"kind", "d", "n", "q", "state_cap", "odd_boundary_zero"},
-    "mixing": {"kind", "d", "n", "q", "rho", "enum_cap", "state_cap", "starts"},
+    "mixing": {"kind", "d", "n", "q", "rho", "state_cap", "starts"},
     "conductance": {"kind", "d", "n", "q", "rho", "enum_cap"},
     "influence": {"d", "n", "q", "enum_cap"},
     "cutsets": {"kind", "d", "n", "q", "enum_cap"},
-    "flow-check": {"kind", "d", "n", "q", "enum_cap", "explicit_cap"},
+    "flow-check": {"kind", "d", "n", "q", "enum_cap"},
     "sample": {"kind", "d", "n", "q", "rho", "seed", "steps", "thin"},
     "torpid-demo": {"kind", "d", "n", "rho", "seed", "workers", "chains", "sweeps"},
     "entropy": {"d", "sizes", "m", "n_window"},
@@ -185,11 +188,12 @@ def test_enumerate_and_influence(tmp_path):
     assert rep["ratio"]["rational"] == "0/1"
 
 
-def test_cap_refusal_exit_code(tmp_path):
-    # slab colorings over the state cap
+def test_cap_refusal_exit_code(tmp_path, capsys):
+    # slab colorings over the state cap, which the refusal names
     rc = run(["enumerate", "--kind", "torus", "--d", "2", "--n", "4",
               "--state-cap", "1", "--out", str(tmp_path / "x")])
     assert rc == 3
+    assert "state cap 1" in capsys.readouterr().err
     # 22,784 frontier states over the default state cap: refused at once,
     # with no enumeration of its ~1.5e19 colorings
     start = time.perf_counter()
@@ -197,6 +201,20 @@ def test_cap_refusal_exit_code(tmp_path):
               "--odd-boundary-zero", "--out", str(tmp_path / "y")])
     assert rc == 3
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["mixing", "--d", "2", "--n", "6"],
+    ["conductance", "--d", "2", "--n", "6"],
+    ["cutsets", "--kind", "torus", "--d", "2", "--n", "6"],
+    ["influence", "--d", "2", "--n", "4"],
+])
+def test_listing_past_its_cap_is_refused_before_it_starts(tmp_path, argv):
+    # each has more colorings than its cap (16,448,400 on Z^2_6); the exact
+    # count refuses before the first coloring is listed
+    start = time.perf_counter()
+    assert run(argv + ["--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 2.0
 
 
 def test_replay_byte_identical(tmp_path):

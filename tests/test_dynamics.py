@@ -93,21 +93,6 @@ def test_run_chain_rejects_thin_below_one():
             run_chain(ChainSpec(), phase_coloring(t), 10, thin=thin)
 
 
-def test_custom_local_chain_needs_stepper():
-    t = torus(2, 4)
-
-    def swap_nothing(colors, rng):
-        pass
-
-    final, traj = run_chain(
-        ChainSpec(),
-        phase_coloring(t),
-        5,
-        stepper=swap_nothing,
-    )
-    assert final == phase_coloring(t)
-
-
 def test_rho_locality_examples():
     t = torus(2, 4)
     a = phase_coloring(t, Parity.EVEN, 1)

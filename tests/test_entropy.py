@@ -99,13 +99,11 @@ def test_restriction_distribution_m2():
 
 def test_restriction_counts_depend_on_ring_only_dual_route():
     """Recount a few N(ring) values by plain backtracking, independent of
-    the skyline DP used in restriction_distribution."""
-    from potts3.entropy import _padded_box_cells
-
+    the frontier counter used in restriction_distribution."""
     res = restriction_distribution(2, 1)
     inner = box(2, 1)
     ring_cells = [c for c in inner.coords if max(abs(x) for x in c) == 1]
-    region = _padded_box_cells(2, 2)
+    region = set(box(2, 2, extended=True).coords)
     annulus = sorted(region - set(inner.coords))
     index = {c: i for i, c in enumerate(annulus)}
     neighbors = [[] for _ in annulus]

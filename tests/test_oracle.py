@@ -64,7 +64,21 @@ def test_enumeration_is_deterministic_and_exact():
 def test_enumeration_cap_refusal():
     with pytest.raises(CapExceeded) as err:
         list(enumerate_colorings(torus(2, 4), 3, cap=100))
-    assert "at least 101" in str(err.value)
+    assert "2970" in str(err.value)
+
+
+def test_enumeration_refuses_before_it_lists(monkeypatch):
+    # the count alone decides: listing torus(2, 4) itself must not start
+    lat = torus(2, 4)
+    real = oracle._assignments
+
+    def slab_only(nv, *args, **kwargs):
+        assert nv < lat.nv, "listed before refusing"
+        return real(nv, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_assignments", slab_only)
+    with pytest.raises(CapExceeded):
+        list(enumerate_colorings(lat, 3, cap=100))
 
 
 def _enumerated(lat, q, bc):

@@ -35,7 +35,7 @@ from potts3.cutset import SeedParity
 from potts3.dynamics import CounterRng
 from potts3.errors import ColoringError
 from potts3.lattice import iter_bits, shift_order
-from potts3.peierls import degree_threshold, flow_sets, membership_subset, triple_context
+from potts3.peierls import degree_threshold, flow_sets, membership_subset
 
 
 def _torus_zero_coloring(lat, zero_cells):
@@ -76,7 +76,6 @@ def domino_setup():
         t,
         (cut.region & t.even_mask) | (1 << extra),
         cut.region & t.odd_mask,
-        source="external",
     )
     assert is_approximation(approx, cut)
     return t, chi, cut, approx, extra
@@ -272,7 +271,7 @@ def test_vacuous_good_triple(star_setup):
     _, chi_p = next(phi_family(chi, cut.region, 1))
     triple = canonical_good_triple(chi, cut, approx, 1, chi_p)
     assert triple == GoodTriple(0, 0, 0)
-    ctx = triple_context(approx, 1, chi_p)
+    ctx = q_sets(approx, 1, chi_p)
     assert is_good_triple(triple, ctx)
 
 
@@ -281,7 +280,7 @@ def test_canonical_triple_nontrivial(domino_setup):
     s = -2
     seen_u = set()
     for subset, chi_p in phi_family(chi, cut.region, s):
-        ctx = triple_context(approx, s, chi_p)
+        ctx = q_sets(approx, s, chi_p)
         seen_u.add(ctx.u)
         triple = canonical_good_triple(chi, cut, approx, s, chi_p)
         assert is_good_triple(triple, ctx)
@@ -294,7 +293,7 @@ def test_is_good_triple_rejects_wrong_k(domino_setup):
     t, chi, cut, approx, extra = domino_setup
     s = -2
     _, chi_p = next(phi_family(chi, cut.region, s))
-    ctx = triple_context(approx, s, chi_p)
+    ctx = q_sets(approx, s, chi_p)
     bad = GoodTriple(k=ctx.q_odd, l=ctx.u, m=(ctx.q_even & ~ctx.u))
     assert not is_good_triple(bad, ctx)
 
