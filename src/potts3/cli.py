@@ -162,7 +162,7 @@ def _torus_states(args, cap):
 
 def cmd_mixing(args) -> int:
     lat, states = _torus_states(args, args.state_cap)
-    P = transition_matrix(states, lat, args.q, cap=args.state_cap)
+    P = transition_matrix(states, lat, args.q)
     checks = {
         "stochastic": P.row_sums_ok(),
         "symmetric": P.is_symmetric(),

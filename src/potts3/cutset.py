@@ -151,10 +151,6 @@ class FamilyResult:
     branch: SeedParity | None
     cutsets: tuple[Cutset, ...]
 
-    @property
-    def is_even_class(self) -> bool:
-        return self.branch is SeedParity.EVEN_SEEDED
-
 
 def _greedy_family(lat, zeros, parity: SeedParity):
     seed_zeros = zeros & _seed_mask(lat, parity)

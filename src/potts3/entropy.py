@@ -5,7 +5,8 @@ its maximal-entropy inequality checks.
 The window restriction law: restrict to Λ_n a uniform proper coloring of
 the odd-padded box (Λ_m plus the odd vertices of Λ_{m+1}) whose exterior is
 frozen to the odd-phase boundary coloring.  The law is computed exactly
-through extension counts N(τ), which depend only on τ's boundary ring.
+through extension counts N(τ), which depend only on τ's boundary ring: one
+frontier count with the ring kept gives N for every ring pattern at once.
 """
 
 from __future__ import annotations
@@ -18,15 +19,10 @@ import numpy as np
 
 from .coloring import Coloring
 from .errors import ColoringError, LatticeError
-from .lattice import box
-from .oracle import (
-    _assignments,
-    count_colorings,
-    count_grid_region_colorings,
-    enumerate_colorings,
-)
+from .lattice import Lattice, box
+from .oracle import _assignments, count_colorings, enumerate_colorings, grid_region_counts
 
-WINDOW_CAP = 2_000_000   # colorings of the window Λ_n listed before refusing
+WINDOW_CAP = 2_000_000   # window colorings listed, or ring-count frontier states, before refusing
 BOUNDARY_COLOR = 1       # the frozen even exterior; 1 and 2 agree under the color swap
 
 
@@ -133,18 +129,19 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
     )
 
 
+# -- the window's boundary ring -----------------------------------------------
+
+
+def _ring_cells(inner: Lattice) -> list[tuple[int, ...]]:
+    """The boundary ring of the window Λ_n, in raster order."""
+    return [c for c in inner.coords if max(abs(x) for x in c) == inner.n]
+
+
+def _ring_pattern(tau: Coloring, ring: list[tuple[int, ...]]) -> bytes:
+    return bytes(tau.colors[tau.lattice.index(c)] for c in ring)
+
+
 # -- extendable colorings ------------------------------------------------------
-
-
-def _extends_to_larger_box(tau: Coloring) -> bool:
-    """Can τ on Λ_n be completed to a proper coloring of Λ_{n+2}?"""
-    lat = tau.lattice
-    big = box(lat.d, lat.n + 2)
-    pins = {
-        big.index(c): tau.colors[i]
-        for i, c in enumerate(lat.coords)
-    }
-    return next(_assignments(big.nv, big.neighbors, 3, pins), None) is not None
 
 
 @dataclass
@@ -158,17 +155,20 @@ class ExtendableReport:
         return Fraction(self.extendable, self.total)
 
 
-def extendable_colorings(d: int, n: int) -> ExtendableReport:
-    """C'_3(Λ_n) under the operative surrogate: extendable to Λ_{n+2}
-    with free boundary."""
-    lat = box(d, n)
-    keep = []
-    total = 0
-    for tau in enumerate_colorings(lat, 3, cap=WINDOW_CAP):
-        total += 1
-        if _extends_to_larger_box(tau):
-            keep.append(tau)
-    return ExtendableReport(total=total, extendable=len(keep), colorings=keep)
+def extendable_colorings(n: int) -> ExtendableReport:
+    """C'_3(Λ_n) in d = 2 under the operative surrogate: extendable to
+    Λ_{n+2} with free boundary.  τ extends exactly when its ring does, so
+    one count over Λ_{n+2} minus Λ_n's interior, with the ring kept, decides
+    every τ; it runs (and refuses past ``WINDOW_CAP`` states) before the
+    window is listed."""
+    inner = box(2, n)
+    ring = _ring_cells(inner)
+    interior = set(inner.coords) - set(ring)
+    ring_counts = grid_region_counts(set(box(2, n + 2).coords) - interior, 3, keep=ring,
+                                     cap=WINDOW_CAP)
+    taus = list(enumerate_colorings(inner, 3, cap=WINDOW_CAP))
+    keep = [tau for tau in taus if _ring_pattern(tau, ring) in ring_counts]
+    return ExtendableReport(total=len(taus), extendable=len(keep), colorings=keep)
 
 
 # -- the restricted-window distribution ----------------------------------------
@@ -188,66 +188,40 @@ class RestrictionResult:
 def restriction_distribution(m: int, n: int) -> RestrictionResult:
     """Exact law of the window restriction via extension counts N(τ) over
     the annulus between the window and the padded box, in d = 2 (the
-    region counter takes Z² cells)."""
+    region counter takes Z² cells): one count over the annulus plus the
+    ring, with the ring kept, then N(τ) is read off at τ's ring."""
     if m <= n:
         raise ColoringError("need m > n")
 
     region = set(box(2, m, extended=True).coords)
     inner = box(2, n)
-    inner_cells = set(inner.coords)
-    ring_cells = sorted(c for c in inner.coords if max(abs(x) for x in c) == n)
-    annulus = region - inner_cells
+    ring = _ring_cells(inner)
+    annulus = region - set(inner.coords)
 
     # exterior constraint: every region cell with a Z^2 neighbour outside the
     # region sees a frozen even vertex of the boundary color
-    base_forbidden: dict[tuple[int, int], set[int]] = {}
+    forbidden: dict[tuple[int, int], set[int]] = {}
     for (x, y) in annulus:
         for (dx, dy) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             out = (x + dx, y + dy)
             if out not in region:
                 if sum(out) % 2 != 0:
                     raise LatticeError("exterior of W_m must be even")
-                base_forbidden.setdefault((x, y), set()).add(BOUNDARY_COLOR)
+                forbidden.setdefault((x, y), set()).add(BOUNDARY_COLOR)
 
-    ring_nbrs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (x, y) in annulus:
-        touching = []
-        for (dx, dy) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            c = (x + dx, y + dy)
-            if c in inner_cells:
-                touching.append(c)
-        if touching:
-            ring_nbrs[(x, y)] = touching
-
-    ring_index = {c: i for i, c in enumerate(ring_cells)}
-
-    def ring_pattern(tau: Coloring) -> bytes:
-        return bytes(tau.colors[inner.index(c)] for c in ring_cells)
-
+    found = grid_region_counts(annulus | set(ring), 3, forbidden=forbidden, keep=ring,
+                               cap=WINDOW_CAP)
     taus = list(enumerate_colorings(inner, 3, cap=WINDOW_CAP))
     ring_counts: dict[bytes, int] = {}
-    for tau in taus:
-        rp = ring_pattern(tau)
-        if rp in ring_counts:
-            continue
-        forb = {c: set(s) for c, s in base_forbidden.items()}
-        for cell, touch in ring_nbrs.items():
-            for t in touch:
-                forb.setdefault(cell, set()).add(rp[ring_index[t]])
-        ring_counts[rp] = count_grid_region_colorings(annulus, 3, forbidden=forb)
-
     counts: dict[bytes, int] = {}
     outcomes: list[Coloring] = []
-    dropped = 0
-    total = 0
     for tau in taus:
-        nt = ring_counts[ring_pattern(tau)]
-        if nt == 0:
-            dropped += 1
-            continue
-        counts[tau.colors] = nt
-        outcomes.append(tau)
-        total += nt
+        rp = _ring_pattern(tau, ring)
+        nt = ring_counts.setdefault(rp, found.get(rp, 0))
+        if nt:
+            counts[tau.colors] = nt
+            outcomes.append(tau)
+    total = sum(counts.values())
     probs = [Fraction(counts[t.colors], total) for t in outcomes]
     return RestrictionResult(
         m=m,
@@ -256,7 +230,7 @@ def restriction_distribution(m: int, n: int) -> RestrictionResult:
         counts=counts,
         ring_counts=ring_counts,
         total=total,
-        dropped=dropped,
+        dropped=len(taus) - len(outcomes),
     )
 
 
@@ -286,13 +260,13 @@ def max_entropy_gap_check(m: int, n: int) -> GapReport:
     H ≥ −log max p; that bound and the pinned-ring mass bound are checked
     in exact rational arithmetic.
     """
+    ext = extendable_colorings(n)
     res = restriction_distribution(m, n)
-    ext = extendable_colorings(2, n)
     ext_set = {t.colors for t in ext.colorings}
     c3p = ext.extendable
 
     inner = box(2, n)
-    ring_cells = [c for c in inner.coords if max(abs(x) for x in c) == n]
+    ring_cells = _ring_cells(inner)
     bsize = len(ring_cells)
 
     support_ok = all(t.colors in ext_set for t in res.distribution.outcomes)
@@ -310,7 +284,7 @@ def max_entropy_gap_check(m: int, n: int) -> GapReport:
                 grouped_ok = False
     seen: dict[bytes, int] = {}
     for t in res.distribution.outcomes:
-        rp = bytes(t.colors[inner.index(c)] for c in ring_cells)
+        rp = _ring_pattern(t, ring_cells)
         nt = res.counts[t.colors]
         if seen.setdefault(rp, nt) != nt:
             grouped_ok = False
@@ -323,16 +297,8 @@ def max_entropy_gap_check(m: int, n: int) -> GapReport:
     floor = math.log(c3p) - 2 * bsize * math.log(3)
     floor_ok = h >= floor
 
-    pinned_ring = 0
-    for t in ext.colorings:
-        ok = True
-        for c in ring_cells:
-            want = 0 if sum(c) % 2 != 0 else 1
-            if t.colors[inner.index(c)] != want:
-                ok = False
-                break
-        if ok:
-            pinned_ring += 1
+    pinned = bytes(0 if sum(c) % 2 != 0 else 1 for c in ring_cells)
+    pinned_ring = sum(_ring_pattern(t, ring_cells) == pinned for t in ext.colorings)
     ring_mass_ok = pinned_ring * 3 ** bsize >= c3p
 
     return GapReport(

@@ -88,10 +88,13 @@ def enumerate_colorings(
     """Stream exactly the proper colorings satisfying ``bc``, each once, in
     deterministic (lexicographic) order.  Before the first one the exact
     count (``count_colorings``) is compared with ``cap``, so a listing past
-    the cap is refused before any of it is made."""
+    the cap is refused before any of it is made, and a count of 0 lists
+    nothing."""
     count = count_colorings(lat, q, bc)
     if count > cap:
         raise CapExceeded(f"{count} colorings exceed the cap {cap}")
+    if not count:
+        return
     for colors in _assignments(lat.nv, lat.neighbors, q, _pins(lat, q, bc)):
         yield Coloring(lat, colors, q)
 
@@ -99,21 +102,29 @@ def enumerate_colorings(
 # -- frontier counting -----------------------------------------------------------
 
 
-def _frontier_count(nv, neighbors, q, pins, forbidden, cap) -> int:
-    """Exact count of proper q-colorings of a graph, with per-vertex pins and
+def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=()) -> dict[bytes, int]:
+    """Exact counts of proper q-colorings of a graph, with per-vertex pins and
     forbidden color sets, placing vertices in index order (the "broken"
-    transfer-matrix method).
+    transfer-matrix method), per color pattern of the ``keep`` vertices.
 
     The frontier is the placed vertices that still have an unplaced
-    neighbour; a state packs their colors base q into an int64 key (digit i
-    for the i-th frontier vertex, in placement order) and carries the number
-    of partial colorings behind it.  Each site filters the states by its
-    earlier neighbours' digits and merges equal keys (sort + reduceat).
-    Weights are int64 while the exact total stays below 2^63/q, so no step
-    can overflow, and Python ints after.  Refuses (CapExceeded) past ``cap``
-    states (None: no cap) or when a key of q^(frontier+1) could pass 2^63.
+    neighbour, plus the placed kept vertices, which never leave it; a state
+    packs their colors base q into an int64 key (digit i for the i-th
+    frontier vertex, in placement order) and carries the number of partial
+    colorings behind it.  Each site filters the states by its earlier
+    neighbours' digits and merges equal keys (sort + reduceat).  The final
+    states are the kept patterns: the result maps each pattern with a
+    nonzero count, as bytes in ``keep`` order, to its count, so with no kept
+    vertex it is {b"": total} (or {} for none).  Two adjacent vertices
+    pinned alike answer {} at once.  Weights are int64 while the exact total
+    stays below 2^63/q, so no step can overflow, and Python ints after.
+    Refuses (CapExceeded) past ``cap`` states (None: no cap) or when a key of
+    q^(frontier+1) could pass 2^63.
     """
-    last = [max(nbrs, default=-1) for nbrs in neighbors]
+    if any(pins.get(u) == c for v, c in pins.items() for u in neighbors[v]):
+        return {}
+    kept = set(keep)
+    last = [nv if v in kept else max(nbrs, default=-1) for v, nbrs in enumerate(neighbors)]
     frontier: list[int] = []
     keys = np.zeros(1, dtype=np.int64)
     weights = np.ones(1, dtype=np.int64)
@@ -145,7 +156,7 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap) -> int:
             new_weights.append(weights[ok])
         keys = np.concatenate([keys[:0], *new_keys])
         if not len(keys):
-            return 0
+            return {}
         order = np.argsort(keys)
         keys = keys[order]
         runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -153,7 +164,8 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap) -> int:
         weights = np.add.reduceat(np.concatenate(new_weights)[order], runs)
         if cap is not None and len(keys) > cap:
             raise CapExceeded(f"frontier of {len(keys)} states exceeds the state cap {cap}")
-    return int(weights.sum())
+    digits = keys[:, None] // q ** np.array([frontier.index(u) for u in keep], dtype=np.int64) % q
+    return {row.tobytes(): int(w) for row, w in zip(digits.astype(np.uint8), weights)}
 
 
 def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
@@ -169,7 +181,7 @@ def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
     """
     pins = _pins(lat, q, bc)
     if lat.kind is LatticeKind.BOX:
-        return _frontier_count(lat.nv, lat.neighbors, q, pins, {}, state_cap)
+        return sum(_frontier_count(lat.nv, lat.neighbors, q, pins, {}, state_cap).values())
     m = lat.nv // lat.n
     slab = [[u for u in lat.neighbors[v] if u < m] for v in range(m)]
     try:
@@ -185,9 +197,9 @@ def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
             if used != list(range(len(used))):
                 continue
             weight = math.perm(q, len(used))
-        total += weight * _frontier_count(
+        total += weight * sum(_frontier_count(
             lat.nv, lat.neighbors, q, {**pins, **dict(enumerate(start))}, {}, state_cap
-        )
+        ).values())
     return total
 
 
@@ -252,12 +264,10 @@ class ExactTransitionMatrix:
         return len(seen) == self.n
 
 
-def transition_matrix(states: list[Coloring] | list[bytes], lat: Lattice, q: int = 3,
-                      cap: int = STATE_CAP) -> ExactTransitionMatrix:
+def transition_matrix(states: list[Coloring] | list[bytes], lat: Lattice,
+                      q: int = 3) -> ExactTransitionMatrix:
     """The Metropolis matrix on an enumerated state list, exact rationals."""
     raw = [s.colors if isinstance(s, Coloring) else bytes(s) for s in states]
-    if len(raw) > cap:
-        raise CapExceeded(f"state count {len(raw)} exceeds cap {cap}")
     index = {s: i for i, s in enumerate(raw)}
     denom = q * lat.nv
     adj: list[list[int]] = []
@@ -646,11 +656,13 @@ class LcolReport:
     satisfying: int
 
 
-def lcol_check(graph: BipartiteGraph, e1, o1, e2, o2, cap: int = ENUM_CAP) -> LcolReport:
+def lcol_check(graph: BipartiteGraph, e1, o1, e2, o2) -> LcolReport:
     """Exact P(χ≡0 on E″, χ≡1 on O″ | χ≡0 on E′, χ≡1 on O′) vs 3^{−|E″∪O″|}.
 
-    Vertices in e1/o1 are the conditioning sets; e2/o2 the target sets.
-    Refuses when the conditioning event is empty.
+    Vertices in e1/o1 are the conditioning sets; e2/o2 the target sets.  One
+    frontier count with the targets kept: the conditioned total is the sum
+    over target patterns, the satisfying count the one at the target
+    pattern.  Refuses when the conditioning event is empty.
     """
     e1, o1, e2, o2 = set(e1), set(o1), set(e2), set(o2)
     for v in e1 | e2:
@@ -661,14 +673,12 @@ def lcol_check(graph: BipartiteGraph, e1, o1, e2, o2, cap: int = ENUM_CAP) -> Lc
             raise ColoringError(f"vertex {v} is not odd")
     if (e1 & e2) or (o1 & o2):
         raise ColoringError("target sets must be disjoint from conditioning sets")
-    neighbors = graph.neighbor_lists()
     pins = {v: 0 for v in e1}
     pins.update({v: 1 for v in o1})
-    conditioned = satisfying = 0
-    for colors in _assignments(graph.nv, neighbors, 3, pins, cap=cap):
-        conditioned += 1
-        if all(colors[v] == 0 for v in e2) and all(colors[v] == 1 for v in o2):
-            satisfying += 1
+    targets = sorted(e2 | o2)
+    counts = _frontier_count(graph.nv, graph.neighbor_lists(), 3, pins, {}, None, targets)
+    conditioned = sum(counts.values())
+    satisfying = counts.get(bytes(int(v in o2) for v in targets), 0)
     if conditioned == 0:
         raise ColoringError("conditioning event is empty; conditional undefined")
     lhs = Fraction(satisfying, conditioned)
@@ -689,8 +699,15 @@ def count_grid_region_colorings(
     forbidden: dict[tuple[int, int], set[int]] | None = None,
 ) -> int:
     """Exact count of proper q-colorings of an arbitrary finite cell subset
-    of Z², with optional per-cell pins and forbidden color sets: the
-    frontier counter over the cells in raster order."""
+    of Z², with optional per-cell pins and forbidden color sets."""
+    return sum(grid_region_counts(cells, q, pins, forbidden).values())
+
+
+def grid_region_counts(cells, q=3, pins=None, forbidden=None, keep=(),
+                       cap=None) -> dict[bytes, int]:
+    """``_frontier_count`` over a finite cell subset of Z² in raster order:
+    the nonzero counts per color pattern of the ``keep`` cells (bytes in
+    ``keep`` order), refused past ``cap`` frontier states."""
     order = sorted(cells)
     index = {c: i for i, c in enumerate(order)}
     neighbors = [
@@ -701,5 +718,5 @@ def count_grid_region_colorings(
         len(order), neighbors, q,
         {index[c]: k for c, k in (pins or {}).items() if c in index},
         {index[c]: s for c, s in (forbidden or {}).items() if c in index},
-        None,
+        cap, [index[c] for c in keep],
     )

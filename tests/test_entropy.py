@@ -15,7 +15,8 @@ from potts3 import (
     shannon_entropy,
     topological_entropy_estimate,
 )
-from potts3.errors import ColoringError
+from potts3 import entropy
+from potts3.errors import CapExceeded, ColoringError
 from potts3.oracle import count_grid_region_colorings
 
 
@@ -84,9 +85,20 @@ def test_topo_entropy_d2_strips():
 
 
 def test_extendable_d2_n1_all():
-    rep = extendable_colorings(2, 1)
+    rep = extendable_colorings(1)
     assert rep.total == 246 and rep.extendable == 246
     assert rep.fraction == 1
+
+
+def test_extendability_refuses_before_it_lists(monkeypatch):
+    # the ring count over Λ_4 minus Λ_2's interior passes WINDOW_CAP states;
+    # the 580,986 colorings of Λ_2 must not be listed first
+    def no_listing(*args, **kwargs):
+        raise AssertionError("listed before refusing")
+
+    monkeypatch.setattr(entropy, "enumerate_colorings", no_listing)
+    with pytest.raises(CapExceeded):
+        extendable_colorings(2)
 
 
 def test_restriction_distribution_m2():

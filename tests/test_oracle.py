@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -166,15 +167,23 @@ def test_region_counter_matches_enumeration():
 
 
 def _brute_count(nv, neighbors, q, pins, forbidden):
-    return sum(
-        all(colors[v] not in forbidden.get(v, ()) for v in range(nv))
+    return sum(_brute_counts(nv, neighbors, q, pins, forbidden).values())
+
+
+def _brute_counts(nv, neighbors, q, pins, forbidden, keep=()):
+    """Listed colorings grouped by the colors of ``keep``."""
+    counts = Counter(
+        bytes(colors[u] for u in keep)
         for colors in _assignments(nv, neighbors, q, pins)
+        if all(colors[v] not in forbidden.get(v, ()) for v in range(nv))
     )
+    return dict(counts)
 
 
 @st.composite
 def _pinned_graphs(draw):
-    """A graph on 0..7 vertices with some pins and forbidden color sets."""
+    """A graph on 0..7 vertices with some pins, forbidden color sets and a
+    kept subset."""
     nv = draw(st.integers(0, 7))
     q = draw(st.integers(1, 4))
     pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
@@ -183,13 +192,27 @@ def _pinned_graphs(draw):
     sites = st.integers(0, max(nv - 1, 0))
     pins = draw(st.dictionaries(sites, st.integers(0, q - 1), max_size=min(nv, 3)))
     forbidden = draw(st.dictionaries(sites, st.sets(st.integers(0, q - 1)), max_size=min(nv, 3)))
-    return nv, neighbors, q, pins, forbidden
+    keep = draw(st.permutations(range(nv)))[:draw(st.integers(0, nv))]
+    return nv, neighbors, q, pins, forbidden, keep
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph=_pinned_graphs())
 def test_frontier_count_matches_brute_force_on_random_graphs(graph):
-    assert _frontier_count(*graph, cap=None) == _brute_count(*graph)
+    nv, neighbors, q, pins, forbidden, keep = graph
+    assert _frontier_count(nv, neighbors, q, pins, forbidden, None, keep) == \
+        _brute_counts(nv, neighbors, q, pins, forbidden, keep)
+    assert sum(_frontier_count(nv, neighbors, q, pins, forbidden, None).values()) == \
+        _brute_count(nv, neighbors, q, pins, forbidden)
+
+
+def test_adjacent_equal_pins_count_zero_at_once():
+    # v₀ = 0 sits next to odd boundary vertices pinned to 0; the frontier
+    # would pass the state cap (or 2^63) long before it reached v₀
+    for q in (4, 5, 6):
+        bc = odd_boundary_pinned((0, 0, 0, 0))
+        assert count_colorings(box(4, 1), q, bc) == 0
+        assert list(enumerate_colorings(box(4, 1), q, bc)) == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -383,13 +406,6 @@ def test_orbit_keys_must_fit_int64():
         orbit_representatives([], torus(1, 64), 2)
     with pytest.raises(ValueError):
         orbit_representatives([], torus(1, 40), 3)           # 3^40 > 2^63
-
-
-def test_transition_matrix_cap():
-    lat = torus(1, 4)
-    states = list(enumerate_colorings(lat, 3))
-    with pytest.raises(CapExceeded):
-        transition_matrix(states, lat, 3, cap=5)
 
 
 def test_tv_mixing_iteration_cap_refusal():
