@@ -20,9 +20,14 @@ import numpy as np
 from .coloring import Coloring
 from .errors import ColoringError, LatticeError
 from .lattice import Lattice, box
-from .oracle import _assignments, count_colorings, enumerate_colorings, grid_region_counts
+from .oracle import (
+    WINDOW_CAP,
+    _assignments,
+    count_colorings,
+    enumerate_colorings,
+    grid_region_counts,
+)
 
-WINDOW_CAP = 2_000_000   # window colorings listed, or ring-count frontier states, before refusing
 BOUNDARY_COLOR = 1       # the frozen even exterior; 1 and 2 agree under the color swap
 
 
@@ -164,8 +169,7 @@ def extendable_colorings(n: int) -> ExtendableReport:
     inner = box(2, n)
     ring = _ring_cells(inner)
     interior = set(inner.coords) - set(ring)
-    ring_counts = grid_region_counts(set(box(2, n + 2).coords) - interior, 3, keep=ring,
-                                     cap=WINDOW_CAP)
+    ring_counts = grid_region_counts(set(box(2, n + 2).coords) - interior, 3, keep=ring)
     taus = list(enumerate_colorings(inner, 3, cap=WINDOW_CAP))
     keep = [tau for tau in taus if _ring_pattern(tau, ring) in ring_counts]
     return ExtendableReport(total=len(taus), extendable=len(keep), colorings=keep)
@@ -189,7 +193,9 @@ def restriction_distribution(m: int, n: int) -> RestrictionResult:
     """Exact law of the window restriction via extension counts N(τ) over
     the annulus between the window and the padded box, in d = 2 (the
     region counter takes Z² cells): one count over the annulus plus the
-    ring, with the ring kept, then N(τ) is read off at τ's ring."""
+    ring, with the ring kept, then N(τ) is read off at τ's ring.  Keeping
+    the ring multiplies the frontier by the ring patterns still possible,
+    so the count refuses past ``WINDOW_CAP`` states from m = 7 on (n = 1)."""
     if m <= n:
         raise ColoringError("need m > n")
 
@@ -209,8 +215,7 @@ def restriction_distribution(m: int, n: int) -> RestrictionResult:
                     raise LatticeError("exterior of W_m must be even")
                 forbidden.setdefault((x, y), set()).add(BOUNDARY_COLOR)
 
-    found = grid_region_counts(annulus | set(ring), 3, forbidden=forbidden, keep=ring,
-                               cap=WINDOW_CAP)
+    found = grid_region_counts(annulus | set(ring), 3, forbidden=forbidden, keep=ring)
     taus = list(enumerate_colorings(inner, 3, cap=WINDOW_CAP))
     ring_counts: dict[bytes, int] = {}
     counts: dict[bytes, int] = {}

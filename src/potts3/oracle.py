@@ -32,6 +32,7 @@ from .lattice import Lattice, LatticeKind, box
 
 ENUM_CAP = 10_000_000
 STATE_CAP = 20_000
+WINDOW_CAP = 2_000_000   # frontier states of a region or lcol count, or window colorings listed
 ITER_CAP = 100_000
 
 
@@ -662,7 +663,10 @@ def lcol_check(graph: BipartiteGraph, e1, o1, e2, o2) -> LcolReport:
     Vertices in e1/o1 are the conditioning sets; e2/o2 the target sets.  One
     frontier count with the targets kept: the conditioned total is the sum
     over target patterns, the satisfying count the one at the target
-    pattern.  Refuses when the conditioning event is empty.
+    pattern.  Refuses (ColoringError) when the conditioning event is empty,
+    and (CapExceeded) past ``WINDOW_CAP`` frontier states.  A frontier key
+    holds at most 39 base-3 digits before it could pass 2^63, and every
+    target is a digit to the end, so more than 39 targets always refuse.
     """
     e1, o1, e2, o2 = set(e1), set(o1), set(e2), set(o2)
     for v in e1 | e2:
@@ -676,7 +680,8 @@ def lcol_check(graph: BipartiteGraph, e1, o1, e2, o2) -> LcolReport:
     pins = {v: 0 for v in e1}
     pins.update({v: 1 for v in o1})
     targets = sorted(e2 | o2)
-    counts = _frontier_count(graph.nv, graph.neighbor_lists(), 3, pins, {}, None, targets)
+    counts = _frontier_count(graph.nv, graph.neighbor_lists(), 3, pins, {}, WINDOW_CAP,
+                             targets)
     conditioned = sum(counts.values())
     satisfying = counts.get(bytes(int(v in o2) for v in targets), 0)
     if conditioned == 0:
@@ -692,22 +697,12 @@ def lcol_check(graph: BipartiteGraph, e1, o1, e2, o2) -> LcolReport:
 # -- pinned-region counting on Z^2 ----------------------------------------------
 
 
-def count_grid_region_colorings(
-    cells: set[tuple[int, int]],
-    q: int = 3,
-    pins: dict[tuple[int, int], int] | None = None,
-    forbidden: dict[tuple[int, int], set[int]] | None = None,
-) -> int:
-    """Exact count of proper q-colorings of an arbitrary finite cell subset
-    of Z², with optional per-cell pins and forbidden color sets."""
-    return sum(grid_region_counts(cells, q, pins, forbidden).values())
-
-
-def grid_region_counts(cells, q=3, pins=None, forbidden=None, keep=(),
-                       cap=None) -> dict[bytes, int]:
-    """``_frontier_count`` over a finite cell subset of Z² in raster order:
-    the nonzero counts per color pattern of the ``keep`` cells (bytes in
-    ``keep`` order), refused past ``cap`` frontier states."""
+def grid_region_counts(cells, q=3, pins=None, forbidden=None, keep=()) -> dict[bytes, int]:
+    """Exact counts of proper q-colorings of a finite cell subset of Z², with
+    optional per-cell pins and forbidden color sets: ``_frontier_count`` in
+    raster order, the nonzero counts per color pattern of the ``keep`` cells
+    (bytes in ``keep`` order; {b"": total} with none kept), refused past
+    ``WINDOW_CAP`` frontier states."""
     order = sorted(cells)
     index = {c: i for i, c in enumerate(order)}
     neighbors = [
@@ -718,5 +713,5 @@ def grid_region_counts(cells, q=3, pins=None, forbidden=None, keep=(),
         len(order), neighbors, q,
         {index[c]: k for c, k in (pins or {}).items() if c in index},
         {index[c]: s for c, s in (forbidden or {}).items() if c in index},
-        cap, [index[c] for c in keep],
+        WINDOW_CAP, [index[c] for c in keep],
     )

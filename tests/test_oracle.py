@@ -37,7 +37,7 @@ from potts3.oracle import (
     _float_operator,
     _frontier_count,
     _float_tv,
-    count_grid_region_colorings,
+    grid_region_counts,
     le_inv_e,
 )
 
@@ -108,7 +108,7 @@ def test_known_counts_frozen():
 
 
 def _strip_count(k):
-    return count_grid_region_colorings({(x, y) for x in range(k) for y in range(2)}, 3)
+    return sum(grid_region_counts({(x, y) for x in range(k) for y in range(2)}, 3).values())
 
 
 def test_two_by_k_strip_recurrence():
@@ -131,7 +131,7 @@ def test_two_by_k_strip_recurrence():
 def test_region_counter_matches_enumeration():
     # 3x3 box as a raw region
     region = {(x, y) for x in range(3) for y in range(3)}
-    assert count_grid_region_colorings(region, 3) == 246
+    assert sum(grid_region_counts(region, 3).values()) == 246
     rng = random.Random(5)
     for _ in range(12):
         cells = {(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randrange(2, 9))}
@@ -160,7 +160,7 @@ def test_region_counter_matches_enumeration():
                 nxt = dict(assign)
                 nxt[cell] = col
                 stack.append((i + 1, nxt))
-        assert count_grid_region_colorings(cells, 3, forbidden=forb) == total
+        assert sum(grid_region_counts(cells, 3, forbidden=forb).values()) == total
 
 
 # -- the frontier counter --------------------------------------------------------
@@ -234,7 +234,7 @@ def test_region_counter_matches_brute_force_with_pins(cells, data):
         {order.index(c): k for c, k in pins.items()},
         {order.index(c): f for c, f in forbidden.items()},
     )
-    assert count_grid_region_colorings(cells, 3, pins=pins, forbidden=forbidden) == want
+    assert sum(grid_region_counts(cells, 3, pins=pins, forbidden=forbidden).values()) == want
 
 
 def test_ladder_counts_cross_into_python_ints():
@@ -242,7 +242,7 @@ def test_ladder_counts_cross_into_python_ints():
     # weights no longer fit int64
     for k in range(1, 61):
         ladder = {(x, y) for x in range(k) for y in range(2)}
-        assert count_grid_region_colorings(ladder, 3) == 6 * 3 ** (k - 1), k
+        assert sum(grid_region_counts(ladder, 3).values()) == 6 * 3 ** (k - 1), k
 
 
 def test_padded_boxes_count_exactly():
@@ -629,6 +629,15 @@ def test_lcol_input_validation():
         lcol_check(g, [1], [], [], [0])   # parity mismatch both ways
     with pytest.raises(ColoringError):
         lcol_check(g, [0], [], [0], [])   # target overlaps conditioning
+
+
+def test_lcol_refuses_past_the_frontier_cap(monkeypatch):
+    # five isolated targets keep 3^5 = 243 patterns on the frontier
+    g = BipartiteGraph(5, (), (0,) * 5)
+    assert lcol_check(g, [], [], range(5), []).conditioned == 243
+    monkeypatch.setattr(oracle, "WINDOW_CAP", 100)
+    with pytest.raises(CapExceeded):
+        lcol_check(g, [], [], range(5), [])
 
 
 def test_lcol_random_instances_hold():
