@@ -2,8 +2,9 @@
 
 Every command writes ``report.json`` (stable byte-for-byte under replay)
 plus a ``meta.json`` sidecar holding the timestamp and the build stamp (and,
-for ``mixing``, each start's crossing time and the starts decided by the
-exact fallback);
+for ``mixing``, the state, move and orbit counts, the share of each cap
+used, each start's crossing time and lumped block count, and the starts
+decided by the exact fallback);
 trajectory commands add one CSV per chain.  Exit codes: 0 ok, 2 invalid
 config, 3 cap refusal, 4 property violation detected.
 """
@@ -34,11 +35,13 @@ from .errors import CapExceeded, ColoringError, PropertyViolation
 from .lattice import LatticeKind, LatticeSpec, build_lattice, shift_order
 from .oracle import (
     ENUM_CAP,
+    ITER_CAP,
     STATE_CAP,
     conductance_bound,
     count_colorings,
     enumerate_colorings,
     influence_ratio,
+    orbit_representatives,
     transition_matrix,
     tv_mixing_time,
 )
@@ -193,9 +196,20 @@ def cmd_mixing(args) -> int:
         "provenance": "exact",
     }
     meta = {
-        "per_start_t_star": mix.per_start_t_star,
-        "exact_fallbacks": mix.exact_fallbacks,
-    } if mix else None
+        "states": len(states),
+        "moves": sum(len(row) for row in P.adj),
+        "cap_use": {"state": len(states) / args.state_cap},
+    }
+    if mix:
+        orbits = (mix.starts_used if args.starts == "orbits"
+                  else orbit_representatives(P.states, lat, args.q))
+        meta["cap_use"]["iter"] = mix.t_star / ITER_CAP
+        meta |= {
+            "orbits": len(orbits),
+            "per_start_t_star": mix.per_start_t_star,
+            "exact_fallbacks": mix.exact_fallbacks,
+            "lumped_states": mix.lumped_states,
+        }
     write_report(Path(args.out), payload, meta=meta)
     ok = all(checks.values()) and (cond.bound_holds in (True, None))
     print(json.dumps({"tau": tau, "bound": payload["bound"], "ok": ok}))

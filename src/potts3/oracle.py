@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -234,14 +235,8 @@ class ExactTransitionMatrix:
         return all(self.diag[i] + len(self.adj[i]) == self.denom for i in range(self.n))
 
     def is_symmetric(self) -> bool:
-        from collections import Counter
-
-        for i, row in enumerate(self.adj):
-            fwd = Counter(row)
-            for j, k in fwd.items():
-                if Counter(self.adj[j])[i] != k:
-                    return False
-        return True
+        rows, cols = _coordinates(self.adj)
+        return np.array_equal(np.sort(rows * self.n + cols), np.sort(cols * self.n + rows))
 
     def uniform_is_stationary(self) -> bool:
         # column sums equal the denominator iff uniform is fixed
@@ -267,31 +262,38 @@ class ExactTransitionMatrix:
 
 def transition_matrix(states: list[Coloring] | list[bytes], lat: Lattice,
                       q: int = 3) -> ExactTransitionMatrix:
-    """The Metropolis matrix on an enumerated state list, exact rationals."""
+    """The Metropolis matrix on an enumerated state list, exact rationals.
+
+    Each state's bytes are its sort key.  Per (site, color) the legal moves
+    are a mask over all states, their targets are found by binary search
+    among the sorted keys, and a target outside the list is a ColoringError.
+    """
     raw = [s.colors if isinstance(s, Coloring) else bytes(s) for s in states]
-    index = {s: i for i, s in enumerate(raw)}
-    denom = q * lat.nv
-    adj: list[list[int]] = []
-    diag: list[int] = []
-    for s in raw:
-        row = []
-        for v in range(lat.nv):
-            cur = s[v]
-            for c in range(q):
-                if c == cur:
-                    continue
-                if any(s[u] == c for u in lat.neighbors[v]):
-                    continue
-                t = bytearray(s)
-                t[v] = c
-                j = index.get(bytes(t))
-                if j is None:
-                    raise ColoringError("state list is not closed under legal moves")
-                row.append(j)
-        row.sort()
-        adj.append(row)
-        diag.append(denom - len(row))
-    return ExactTransitionMatrix(states=raw, lattice=lat, q=q, adj=adj, diag=diag)
+    n, nv = len(raw), lat.nv
+    S = np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(n, nv)
+    keys = S.view(np.dtype((np.void, nv))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    moves = [np.zeros(0, dtype=np.int64)]               # source · n + target
+    for v in range(nv):
+        around = S[:, lat.neighbors[v]]
+        for c in range(q):
+            legal = np.flatnonzero((S[:, v] != c) & (around != c).all(axis=1))
+            moved = S[legal]
+            moved[:, v] = c
+            target = moved.view(keys.dtype).ravel()
+            pos = np.searchsorted(ordered, target).clip(max=n - 1)
+            if (ordered[pos] != target).any():
+                raise ColoringError("state list is not closed under legal moves")
+            moves.append(legal * n + order[pos])
+    moves = np.concatenate(moves)
+    moves.sort()
+    ends = np.cumsum(np.bincount(moves // n, minlength=n)).tolist()
+    targets = np.arange(n).astype(object)[moves % n]    # rows share one int per state
+    del moves                                           # before the rows are built
+    adj = [targets[a:b].tolist() for a, b in zip([0] + ends, ends)]
+    return ExactTransitionMatrix(states=raw, lattice=lat, q=q, adj=adj,
+                                 diag=[q * nv - len(row) for row in adj])
 
 
 # -- exact mixing time ---------------------------------------------------------
@@ -330,6 +332,7 @@ class MixingResult:
     starts_used: list[int]
     per_start_t_star: dict[int, int]
     exact_fallbacks: list[int]       # starts the float engine left to the exact path
+    lumped_states: dict[int, int]    # blocks each start's float walk ran on
 
 
 def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -> int:
@@ -363,36 +366,107 @@ def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -
 
 _U = 2.0 ** -53        # unit roundoff of binary64
 _TINY = 2.0 ** -1000   # least positive entry the relative-error model admits
+_KEY_CHUNK = 1024      # states per color indicator in the symmetry keys
+
+
+def _coordinates(adj) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of the off-diagonal entries in ``adj``."""
+    lens = np.fromiter((len(row) for row in adj), dtype=np.int64, count=len(adj))
+    cols = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64,
+                       count=int(lens.sum()))
+    return np.repeat(np.arange(len(adj)), lens), cols
 
 
 class _FloatOperator(NamedTuple):
-    """A of P = A/denom as coordinate arrays: entry k adds x[cols[k]] to row
-    rows[k]; the diagonal is separate."""
+    """The step x ← (B·x + D·x)/denom of P lumped over blocks of states:
+    entry k adds weights[k]·x[cols[k]] to rows[k], and x holds the mass of
+    one state of each block.  Without lumping every state is its own block,
+    B is P's off-diagonal integer matrix A (each entry one move, weight 1)
+    and D its diagonal."""
 
     rows: np.ndarray
     cols: np.ndarray
-    diag: np.ndarray
+    weights: np.ndarray    # integers, 1 ≤ w ≤ denom, as float64
+    diag: np.ndarray       # integers, 0 ≤ d ≤ denom, as float64
+    blocks: np.ndarray     # block index of each state
+    sizes: np.ndarray      # states per block, as float64
     denom: float
-    m: int             # longest off-diagonal row
+    m: int                 # most entries in a row, the diagonal not counted
 
 
 def _float_operator(P: ExactTransitionMatrix) -> _FloatOperator | None:
-    """The float form of P, or None when the rounding bound does not cover
-    it: A must be nonnegative with column sums equal to the denominator (so
-    the true iterate keeps mass 1), and the denominator below 2^53 (so A's
-    entries are exact floats)."""
+    """The float form of P, every state its own block, or None when the
+    rounding bound does not cover it: A must be nonnegative with column
+    sums equal to the denominator (so the true iterate keeps mass 1), and
+    the denominator below 2^53 (so A's entries are exact floats)."""
     n = P.n
     if P.denom >= 2 ** 53 or any(not 0 <= d <= P.denom for d in P.diag):
         return None
-    lens = np.fromiter((len(row) for row in P.adj), dtype=np.int64, count=n)
-    cols = np.fromiter(itertools.chain.from_iterable(P.adj), dtype=np.int64,
-                       count=int(lens.sum()))
-    diag = np.asarray(P.diag, dtype=np.int64)
+    rows, cols = _coordinates(P.adj)
+    diag = np.asarray(P.diag, dtype=np.float64)
     if (np.bincount(cols, minlength=n) + diag != P.denom).any():
         return None
     return _FloatOperator(
-        rows=np.repeat(np.arange(n), lens), cols=cols, diag=diag.astype(np.float64),
-        denom=float(P.denom), m=int(lens.max(initial=0)),
+        rows=rows, cols=cols, weights=np.broadcast_to(1.0, len(cols)), diag=diag,
+        blocks=np.arange(n), sizes=np.broadcast_to(1.0, n), denom=float(P.denom),
+        m=int(np.bincount(rows, minlength=n).max(initial=0)),
+    )
+
+
+def _lump(op: _FloatOperator, blocks: np.ndarray, start: int) -> _FloatOperator | None:
+    """The unlumped ``op`` (``_float_operator``) lumped by ``blocks`` (a block
+    index 0 … K−1 per state), or None unless that is exact for the walk
+    from ``start``.
+
+    The walk stays constant on blocks when it starts on a singleton block
+    and the partition is equitable: every state y of a block Y has the same
+    diagonal and the same block-row, the number B(Y, X) of moves into y
+    from each block X.  Then B is the lumped matrix, read off any one state
+    of Y.  Both conditions are checked here in O(nnz), so the result never
+    rests on a symmetry argument; so is B ≤ denom, which the rounding bound
+    of ``_float_tv`` assumes.  Block-row entries are packed into integer
+    codes, so N·K·(denom + 1) ≥ 2^63 is refused too."""
+    k = int(blocks.max()) + 1
+    sizes = np.bincount(blocks, minlength=k)
+    peer = np.unique(blocks, return_index=True)[1][blocks]   # least state of its block
+    if sizes[blocks[start]] != 1 or (op.diag != op.diag[peer]).any():
+        return None
+    # each state's block-row, one code per source block: X·(denom+1) + B(Y, X);
+    # index arrays are int32 where every value fits, which halves the peak
+    scale = int(op.denom) + 1
+    if len(blocks) * k * scale >= 2 ** 63:
+        return None
+    index = np.int32 if len(blocks) * k * scale < 2 ** 31 else np.int64
+    pair = op.rows.astype(index)
+    pair *= k
+    pair += blocks[op.cols]
+    pair.sort()                           # op.rows is sorted, so each entry keeps its row
+    head = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+    moves = np.diff(head, append=len(pair))
+    lens = np.bincount(op.rows[head], minlength=len(blocks))
+    if moves.max(initial=0) > op.denom or (lens != lens[peer]).any():
+        return None
+    code = pair[head]
+    del pair, head
+    code %= k
+    code *= scale
+    code += moves
+    # each code against the same code of its peer's row
+    first = np.cumsum(lens) - lens
+    mirror = np.repeat((first[peer] - first).astype(index), lens)
+    mirror += np.arange(len(code), dtype=index)
+    if (code != code[mirror]).any():
+        return None
+    own = np.flatnonzero(mirror == np.arange(len(code), dtype=index))
+    del mirror
+    cols, weights = np.divmod(code[own].astype(np.intp), scale)
+    reps = np.flatnonzero(peer == np.arange(len(blocks)))
+    diag = np.zeros(k)
+    diag[blocks] = op.diag
+    return _FloatOperator(
+        rows=np.repeat(blocks[reps], lens[reps]), cols=cols,
+        weights=weights.astype(np.float64), diag=diag, blocks=blocks,
+        sizes=sizes.astype(np.float64), denom=op.denom, m=int(lens.max(initial=0)),
     )
 
 
@@ -410,34 +484,44 @@ def _float_tv(op: _FloatOperator, start: int):
     """Yield (tv̂_t, ε_t) for t = 0, 1, …: the float64 TV of P^t(start,·) to
     uniform and a bound ε_t ≥ |tv̂_t − tv_t|.  Stops where the bound lapses.
 
-    Step: x ← (A·x)/denom.  Every term of A·x is nonnegative, so each
-    computed entry carries at most m + 2 roundings (one product, ≤ m sums,
-    one division), each a factor (1 + δ) with |δ| ≤ u = 2⁻⁵³, in any
-    summation order (Higham, *Accuracy and Stability*, §3.1).  By induction
-    the computed iterate x̂_t satisfies |x̂_t − x_t| ≤ e_t·x_t componentwise,
-    with e_t = (1+u)^{t(m+2)} − 1.  That needs every positive entry to stay
-    normal: an entry below 2⁻¹⁰⁰⁰ stops the generator (the division cannot
-    flush a larger entry to zero, since denom < 2⁵³).
+    Step: x ← (B·x + D·x)/denom over the K blocks.  The exact iterate x_t
+    holds P^t(start, y) for one state y of each block (the lumping is
+    exact).  Every term is nonnegative, and its weight is an integer ≤
+    denom < 2⁵³, so each product costs at most one rounding.  A row has at
+    most m terms of B and one of D, so each computed entry carries at most
+    m + 2 roundings (one product, ≤ m sums, one division), each a factor
+    (1 + δ) with |δ| ≤ u = 2⁻⁵³, in any summation order (Higham, *Accuracy
+    and Stability*, §3.1).  By induction the computed iterate x̂_t
+    satisfies |x̂_t − x_t| ≤ e_t·x_t componentwise, with e_t =
+    (1+u)^{t(m+2)} − 1.  That needs every positive entry to stay normal: an
+    entry below 2⁻¹⁰⁰⁰ stops the generator (the division cannot flush a
+    larger entry to zero, since denom < 2⁵³).
 
-    TV: tv̂ = ½·fl(Σ|x̂_i − fl(1/N)|).  Since Σx_i = 1 (column sums of A are
-    denom), Σ|x̂_i − x_i| ≤ e_t, and the rounded 1/N moves the sum by at
-    most u.  The subtractions and the N − 1 additions then cost at most
-    γ_N·(2 + e_t + u), so |tv̂ − tv| ≤ ½(e_t + u) + ½γ_N·(2 + e_t + u).
-    ε_t = e_t + 2γ_{N+2} exceeds that by at least γ_{N+2} ≥ 3u, which
-    covers the roundings in forming ε_t and tv̂ ± ε_t themselves.
+    TV: tv̂ = ½·fl(Σ_Y |Y|·|x̂_Y − fl(1/N)|) over the blocks Y, N = Σ|Y|.
+    Since Σ_Y |Y|·x_Y = 1 (column sums of A + D are denom), Σ_Y |Y|·|x̂_Y −
+    x_Y| ≤ e_t, and the rounded 1/N moves the sum by at most u.  Each term
+    takes one rounding in the subtraction and one in the product by |Y|
+    (none when every |Y| is 1, K = N); the K terms then sum with K − 1
+    more, in any order, so the sum is off by at most γ_{K+1} ≤ γ_N (K < N)
+    or γ_N (K = N) times Σ_Y |Y|·|x̂_Y − fl(1/N)| ≤ 2 + e_t + u.  So
+    |tv̂ − tv| ≤ ½(e_t + u) + ½γ_N·(2 + e_t + u), and ε_t = e_t + 2γ_{N+2}
+    exceeds that by at least γ_{N+2} ≥ 3u, which covers the roundings in
+    forming ε_t and tv̂ ± ε_t themselves.
     """
-    n = len(op.diag)
+    k = len(op.sizes)
+    n = len(op.blocks)
     spare = 2 * (n + 2) * _U / (1 - (n + 2) * _U)     # 2γ_{N+2}
     per_step = (op.m + 2) * math.log1p(_U)
     uniform = 1.0 / n
-    x = np.zeros(n)
-    x[start] = 1.0
+    x = np.zeros(k)
+    x[op.blocks[start]] = 1.0
     t = 0
     while True:
-        yield 0.5 * float(np.abs(x - uniform).sum()), math.expm1(t * per_step) + spare
+        yield 0.5 * float(np.dot(op.sizes, np.abs(x - uniform))), math.expm1(t * per_step) + spare
         t += 1
-        x = (np.bincount(op.rows, weights=x[op.cols], minlength=n) + op.diag * x) / op.denom
-        if np.min(x, where=x > 0, initial=1.0) < _TINY:
+        x = (np.bincount(op.rows, weights=op.weights * x[op.cols], minlength=k)
+             + op.diag * x) / op.denom
+        if x.min() < _TINY and x[x > 0].min(initial=1.0) < _TINY:
             return
 
 
@@ -457,6 +541,16 @@ def _float_crossing(op: _FloatOperator, start: int, threshold, iter_cap) -> int 
     return None
 
 
+def _lumped_crossing(full: _FloatOperator, blocks, start: int, threshold,
+                     iter_cap) -> tuple[int | None, int]:
+    """``_float_crossing`` from ``start`` on ``full`` lumped by ``blocks``, or
+    on ``full`` itself where that lumping fails its check, and the number of
+    blocks it ran on.  The lumped operator dies with this call, before the
+    next start's labelling is built."""
+    op = _lump(full, blocks, start) or full
+    return _float_crossing(op, start, threshold, iter_cap), len(op.sizes)
+
+
 def tv_mixing_time(
     P: ExactTransitionMatrix,
     threshold: Fraction | None = None,
@@ -469,12 +563,16 @@ def tv_mixing_time(
     enclosure of e.  Per-start TV to uniform is non-increasing, so
     τ = max over starts of (first crossing) − 1, floored at 0.  ``starts``
     may be "all", "orbits" (one representative per automorphism orbit;
-    exact by symmetry of P), or an explicit list.
+    exact by symmetry of P), or a nonempty list of state indices (anything
+    else is a ValueError, raised before any iteration).
 
-    Each start runs in float64 (``_float_crossing``); a start whose float
-    run cannot decide a step, or every start when P is outside the float
-    bound's hypotheses, runs the exact ``_first_crossing`` instead and is
-    listed in ``exact_fallbacks``.  Either way every decision is exact.
+    Each start runs in float64 (``_float_crossing``) on P lumped by the
+    orbits of its stabiliser (``_stabilizer_blocks``, ``_lump``), or on P
+    itself where that lumping fails its exactness check.  A start whose
+    float run cannot decide a step, or every start when P is outside the
+    float bound's hypotheses, runs the exact ``_first_crossing`` instead
+    and is listed in ``exact_fallbacks``.  Either way every decision is
+    exact.
     """
     if isinstance(starts, str):
         if starts == "all":
@@ -484,13 +582,17 @@ def tv_mixing_time(
         else:
             raise ValueError(f"unknown starts mode {starts!r}")
     else:
-        use = list(starts)
-    op = _float_operator(P)
-    per = {}
-    fallbacks = []
+        use = [operator.index(s) for s in starts]
+    if not use or not all(0 <= s < P.n for s in use):
+        raise ValueError(f"starts must be a nonempty list of state indices below {P.n}")
+    full = _float_operator(P)
+    labellings = (itertools.repeat(None) if full is None
+                  else _stabilizer_blocks(P.states, P.lattice, P.q, use))
+    per, lumped, fallbacks = {}, {}, []
     worst, worst_t = use[0], -1
-    for st in use:
-        tcross = None if op is None else _float_crossing(op, st, threshold, iter_cap)
+    for st, blocks in zip(use, labellings):
+        tcross, lumped[st] = ((None, P.n) if full is None
+                              else _lumped_crossing(full, blocks, st, threshold, iter_cap))
         if tcross is None:
             fallbacks.append(st)
             tcross = _first_crossing(P, st, threshold, iter_cap)
@@ -504,7 +606,73 @@ def tv_mixing_time(
         starts_used=use,
         per_start_t_star=per,
         exact_fallbacks=fallbacks,
+        lumped_states=lumped,
     )
+
+
+# -- symmetry: lattice automorphisms × color relabelings -------------------------
+
+
+class _SymmetryKeys:
+    """Base-b keys of the states moved by each automorphism p of a lattice
+    (the identity first) and relabeled.
+
+    With W[c, i] = Σ_k [states[i][p(k)] = c]·b^(|V|−1−k), relabeling the
+    colors by λ sends state i, moved by p, to the key Σ_c λ(c)·W[c, i], most
+    significant site first.  Every byte up to the largest in a state counts
+    as a color, b of them (b = q for q-colorings).  Keys stay below b^|V|,
+    which must be below 2^63 (ValueError); below 2^53 they are exact in
+    float64, which is faster.  W comes from the color indicator of
+    ``_KEY_CHUNK`` states at a time, its largest array."""
+
+    def __init__(self, states: list[bytes], lat: Lattice, q: int):
+        nv = lat.nv
+        self.S = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), nv)
+        self.b = max(q, int(self.S.max(initial=0)) + 1)
+        if self.b ** nv >= 2 ** 63:
+            raise ValueError(f"orbit keys need q^|V| < 2^63, got {self.b}^{nv}")
+        self.dtype = np.float64 if self.b ** nv <= 2 ** 53 else np.int64
+        powers = (self.b ** np.arange(nv - 1, -1, -1, dtype=np.int64)).astype(self.dtype)
+        perms = np.array([range(nv), *lat.vertex_automorphisms()], dtype=np.intp)
+        self.moved = powers[np.argsort(perms, axis=1)]     # site weights per automorphism
+
+    def _onehot(self, rows) -> np.ndarray:
+        colors = np.arange(self.b, dtype=np.uint8)[:, None, None]
+        return (self.S[rows] == colors).astype(self.dtype)
+
+    def of(self, s: int) -> np.ndarray:
+        """State s's W under every automorphism, one column each."""
+        return self._onehot(slice(s, s + 1))[:, 0] @ self.moved.T
+
+    def least(self, choices) -> np.ndarray:
+        """Per state, the least ``_first_appearance_keys`` over the
+        (automorphism index, fixed labels) pairs in ``choices``."""
+        out = np.full(len(self.S), np.iinfo(np.int64).max, dtype=self.dtype)
+        for lo in range(0, len(self.S), _KEY_CHUNK):
+            onehot = self._onehot(slice(lo, lo + _KEY_CHUNK))
+            chunk = out[lo:lo + _KEY_CHUNK]
+            for p, fixed in choices:
+                np.minimum(chunk, _first_appearance_keys(onehot @ self.moved[p], fixed), out=chunk)
+            del onehot                                     # before the next chunk's
+        return out
+
+
+def _first_appearance_keys(W: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Each state's key Σ_c λ(c)·W[c] (``_SymmetryKeys``) under the
+    relabeling λ that keeps λ(c) = fixed[c] where that is ≥ 0 and numbers
+    the other, free colors on from there by first appearance.
+
+    A color appears earlier exactly when its weight is larger (its top
+    digit is the earlier site), and an absent color weighs 0.  So a free
+    color's label is the fixed count plus the number of heavier free
+    colors, and summing that count's share over colors gives, for each
+    pair of free colors, the lighter one's weight once."""
+    free = np.flatnonzero(fixed < 0)
+    keys = np.where(fixed < 0, len(fixed) - len(free), fixed) @ W
+    for i, c in enumerate(free):
+        for d in free[i + 1:]:
+            keys += np.minimum(W[c], W[d])
+    return keys
 
 
 def orbit_representatives(states: list[bytes], lat: Lattice, q: int) -> list[int]:
@@ -512,27 +680,38 @@ def orbit_representatives(states: list[bytes], lat: Lattice, q: int) -> list[int
     relabelings (these commute with the Metropolis matrix): the first index,
     in state order, of each orbit.
 
-    Under each automorphism a state's colors are relabeled by first
-    appearance, which is its lexicographically least relabeling, and packed
-    as a base-q int64 key, most significant site first; the orbit key is the
-    least over automorphisms.  Keys stay below q^|V|, which must be below
-    2^63."""
-    nv = lat.nv
-    if q ** nv >= 2 ** 63:
-        raise ValueError(f"orbit keys need q^|V| < 2^63, got {q}^{nv}")
-    S = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), nv)
-    powers = q ** np.arange(nv - 1, -1, -1, dtype=np.int64)
-    colors = np.arange(q, dtype=np.uint8)[:, None, None]
-    best = np.full(len(states), np.iinfo(np.int64).max)
-    for p in lat.vertex_automorphisms():
-        moved = S[:, p]
-        hit = moved == colors                              # (color, state, site)
-        first = np.where(hit.any(axis=2), hit.argmax(axis=2), nv)
-        label = first.argsort(axis=0).argsort(axis=0)      # rank of first appearance
-        canon = np.take_along_axis(label.T, moved.astype(np.intp), axis=1)
-        np.minimum(best, canon @ powers, out=best)
+    A state's orbit key is the least, over automorphisms, of its key moved
+    by the automorphism and relabeled by first appearance, its
+    lexicographically least relabeling.  Keys stay below q^|V|, which must
+    be below 2^63."""
+    keys = _SymmetryKeys(states, lat, q)
+    free = np.full(keys.b, -1)
+    best = keys.least([(p, free) for p in range(len(keys.moved))])
     _, first_index = np.unique(best, return_index=True)
     return sorted(first_index.tolist())
+
+
+def _stabilizer_blocks(states: list[bytes], lat: Lattice, q: int, starts: list[int]):
+    """Yield, for each start s in turn, the orbits of its stabiliser in G
+    (lattice automorphisms × color relabelings) as a block index per state.
+
+    States i and j share a block iff some g ∈ G fixes s and sends i to j,
+    that is iff the pairs (s, i) and (s, j) share a G-orbit.  A pair's
+    orbit key is its least first-appearance key over the automorphisms p
+    that move s to a relabeling of itself, with s's colors numbered first
+    (as they appear in s moved by p) and i's other colors after.  ``_lump``
+    checks every labelling before use, so these blocks are an optimisation
+    only."""
+    keys = _SymmetryKeys(states, lat, q)
+    free = np.full(keys.b, -1)
+    for s in starts:
+        own = keys.of(s)
+        pattern = _first_appearance_keys(own, free)
+        choices = []
+        for p in np.flatnonzero(pattern == pattern[0]):    # s moved to a relabeling of s
+            w = own[:, p]                                  # s's colors, by first appearance
+            choices.append((p, np.where(w > 0, (w > w[:, None]).sum(axis=1), -1)))
+        yield np.unique(keys.least(choices), return_inverse=True)[1]
 
 
 # -- conductance ---------------------------------------------------------------

@@ -37,6 +37,18 @@ def test_mixing_small_ring(tmp_path):
     assert "build" in meta
     assert meta["exact_fallbacks"] == []
     assert max(meta["per_start_t_star"].values()) == report["t_star"]
+    assert (meta["states"], meta["moves"]) == (18, 48)
+    assert meta["orbits"] == len(meta["per_start_t_star"])
+    assert meta["lumped_states"].keys() == meta["per_start_t_star"].keys()
+    assert all(1 <= k <= 18 for k in meta["lumped_states"].values())
+    assert meta["cap_use"] == {"state": 18 / 20000, "iter": report["t_star"] / 100000}
+    # the literal sweep reports the same orbit count and a block count per state
+    rc = run(["mixing", "--kind", "torus", "--d", "1", "--n", "4", "--starts", "all",
+              "--out", str(tmp_path / "all")])
+    assert rc == 0
+    every = json.loads((tmp_path / "all" / "meta.json").read_text())
+    assert every["orbits"] == meta["orbits"]
+    assert len(every["lumped_states"]) == 18
 
 
 def test_mixing_disconnected_chain_is_a_violation(tmp_path):
@@ -49,7 +61,9 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     assert report["tau_exact"] is None
     assert report["t_star"] is None
     assert report["worst_start"] is None
-    assert "per_start_t_star" not in json.loads((tmp_path / "meta.json").read_text())
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert "per_start_t_star" not in meta and "lumped_states" not in meta
+    assert (meta["states"], meta["moves"]) == (2, 0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,6 +280,10 @@ def test_mixing_z24_full(tmp_path):
     assert rep["bound_holds"] is True
     assert rep["pi_A"]["rational"] == "658/1485"
     assert all(rep["checks"].values())
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["states"], meta["moves"], meta["orbits"]) == (2970, 21888, 22)
+    assert sum(meta["lumped_states"].values()) == 16464
+    assert meta["cap_use"] == {"state": 2970 / 20000, "iter": 493 / 100000}
 
 
 def test_entropy_command(tmp_path):

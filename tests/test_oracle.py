@@ -37,6 +37,8 @@ from potts3.oracle import (
     _float_operator,
     _frontier_count,
     _float_tv,
+    _lump,
+    _stabilizer_blocks,
     grid_region_counts,
     le_inv_e,
 )
@@ -301,6 +303,31 @@ def test_pin_outside_color_range_is_rejected():
             list(enumerate_colorings(lat, 3, PinnedVertex((0,), -1)))
 
 
+def _reference_moves(states, lat, q):
+    """Each state's legal single-site moves, one site and color at a time."""
+    index = {s: i for i, s in enumerate(states)}
+    return [
+        sorted(index[s[:v] + bytes([c]) + s[v + 1:]]
+               for v in range(lat.nv) for c in range(q)
+               if c != s[v] and all(s[u] != c for u in lat.neighbors[v]))
+        for s in states
+    ]
+
+
+@pytest.mark.parametrize("lat,q", [
+    (torus(1, 2), 3), (torus(1, 4), 3), (torus(2, 2), 4), (torus(1, 4), 6),
+    (box(2, 1), 3), (torus(2, 4), 3),
+], ids=repr)
+def test_transition_matrix_matches_the_move_by_move_reference(lat, q):
+    states = [c.colors for c in enumerate_colorings(lat, q)]
+    P = transition_matrix(states, lat, q)
+    adj = _reference_moves(states, lat, q)
+    assert P.adj == adj
+    assert P.diag == [q * lat.nv - len(row) for row in adj]
+    with pytest.raises(ColoringError, match="not closed under legal moves"):
+        transition_matrix(states[1:], lat, q)
+
+
 def test_transition_matrix_single_edge():
     lat = torus(1, 2)
     states = list(enumerate_colorings(lat, 3))
@@ -400,12 +427,118 @@ def test_orbit_representatives_z24_match_reference(z24, z24_states):
     assert reps == _first_appearance_representatives(states, z24)
 
 
+def test_orbit_representatives_past_float_exact_keys():
+    # 3^34 > 2^53: keys on the 34-ring run in int64.  A sample of its
+    # colorings plus a rotated, reflected and relabeled copy of each of
+    # the first 20 (not closed under the group) still matches the reference
+    lat = torus(1, 34)
+    rng = random.Random(7)
+    s = bytearray((0, 1) * 17)
+    states = set()
+    while len(states) < 40:
+        v, c = rng.randrange(34), rng.randrange(3)
+        if all(s[u] != c for u in lat.neighbors[v]):
+            s[v] = c
+            states.add(bytes(s))
+    states = sorted(states)
+    states += [bytes((x + 1) % 3 for x in reversed(t[5:] + t[:5])) for t in states[:20]]
+    reps = orbit_representatives(states, lat, 3)
+    assert reps == _first_appearance_representatives(states, lat)
+    assert len(reps) <= 40
+
+
 def test_orbit_keys_must_fit_int64():
     assert orbit_representatives([], torus(1, 62), 2) == []   # 2^62 < 2^63
     with pytest.raises(ValueError, match="2\\^63"):
         orbit_representatives([], torus(1, 64), 2)
     with pytest.raises(ValueError):
         orbit_representatives([], torus(1, 40), 3)           # 3^40 > 2^63
+
+
+@pytest.mark.parametrize("starts", [[], [18], [-1]], ids=repr)
+def test_bad_starts_are_refused_before_any_iteration(starts, monkeypatch):
+    P = _chain(torus(1, 4), 3)                                # 18 states
+
+    def no_iteration(*args):
+        raise AssertionError("iterated before checking the starts")
+
+    monkeypatch.setattr(oracle, "_float_crossing", no_iteration)
+    monkeypatch.setattr(oracle, "_first_crossing", no_iteration)
+    with pytest.raises(ValueError, match="starts"):
+        tv_mixing_time(P, starts=starts)
+
+
+# each orbit representative's first crossing of 1/e on Z^2_4
+Z24_CROSSINGS = {
+    0: 451, 1: 461, 4: 475, 8: 475, 9: 471, 11: 483, 25: 485, 38: 483, 39: 488,
+    41: 476, 44: 488, 45: 489, 46: 476, 51: 480, 57: 483, 60: 482, 61: 489,
+    123: 493, 125: 482, 240: 493, 249: 482, 263: 492,
+}
+
+
+@pytest.fixture(scope="module")
+def z24_chain(z24, z24_states):
+    return transition_matrix(z24_states, z24, 3)
+
+
+def test_mixing_z24_per_start_crossings_frozen(z24_chain):
+    res = tv_mixing_time(z24_chain)
+    assert res.per_start_t_star == Z24_CROSSINGS
+    assert list(res.per_start_t_star) == sorted(Z24_CROSSINGS)   # starts keep their order
+    assert sum(res.per_start_t_star.values()) == 10577
+    # 123 and 240 tie at 493; the first in start order is the worst
+    assert (res.tau, res.t_star, res.worst_start) == (492, 493, 123)
+    assert res.exact_fallbacks == []
+
+
+def test_z24_stabiliser_labellings_pass_the_lumping_check(z24_chain):
+    P = z24_chain
+    starts = sorted(Z24_CROSSINGS)
+    full = _float_operator(P)
+    blocks = {}
+    for s, labels in zip(starts, _stabilizer_blocks(P.states, P.lattice, P.q, starts)):
+        op = _lump(full, labels, s)
+        assert op is not None, s
+        blocks[s] = len(op.sizes)
+    assert min(blocks.values()) == 103 and max(blocks.values()) == 1848
+    assert sum(blocks.values()) == 16464 < len(starts) * P.n
+    assert tv_mixing_time(P).lumped_states == blocks
+
+
+def test_lumping_that_is_not_a_symmetry_fails_its_check():
+    # the path 0 - 1 - 2: relabeling 1 <-> 2 fixes state 0 but is not a
+    # symmetry of the chain, so start 0 runs unlumped; 0 <-> 2 fixing state 1
+    # is one, and start 1 runs on the blocks {1}, {0, 2}
+    P = _lattice_free_chain([[1], [0, 2], [1]], [2, 1, 2], 3)
+    labels = list(_stabilizer_blocks(P.states, P.lattice, P.q, [0, 1, 2]))
+    full = _float_operator(P)
+    assert _lump(full, labels[0], 0) is None
+    assert len(_lump(full, labels[1], 1).sizes) == 2
+    res = tv_mixing_time(P, starts="all")
+    assert res.lumped_states == {0: 3, 1: 2, 2: 3}
+    assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(3)}
+
+
+def test_lump_refuses_each_inexact_labelling():
+    # states 1, 2, 3 each take 3 moves (1 + 2, 2 + 1, 1 + 2 from {0} and
+    # {1, 2, 3}) and have diagonal 1, so only their block-rows tell them apart
+    P = _lattice_free_chain([[1, 2, 3, 3], [0, 2, 3], [0, 0, 1], [0, 1, 2]], [0, 1, 1, 1], 4)
+    full = _float_operator(P)
+    assert _lump(full, np.array([0, 1, 1, 1]), 0) is None
+    assert _lump(full, np.array([0, 1, 2, 1]), 2) is not None    # {1, 3} is equitable
+    res = tv_mixing_time(P, starts="all")
+    assert res.lumped_states[0] == 4
+    assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(4)}
+    # state 2 has the first of its peer's two block-row entries and not the second
+    Q = _lattice_free_chain([[1, 1, 1, 2], [0, 2, 2], [0]], [2, 1, 1], 4)
+    assert _lump(_float_operator(Q), np.array([0, 1, 1]), 0) is None
+    # equal block-rows, unequal diagonals
+    Q = _lattice_free_chain([[1, 2, 2], [0], [0]], [1, 2, 1], 3)
+    assert _lump(_float_operator(Q), np.array([0, 1, 1]), 0) is None
+    # the path 0 - 1 - 2: {0, 2}, {1} is equitable, but the start 0 is not alone
+    Q = _lattice_free_chain([[1], [0, 2], [1]], [2, 1, 2], 3)
+    assert _lump(_float_operator(Q), np.array([0, 1, 0]), 0) is None
+    assert _lump(_float_operator(Q), np.array([0, 1, 0]), 1) is not None
 
 
 def test_tv_mixing_iteration_cap_refusal():
@@ -434,10 +567,14 @@ def _chain(lat, q):
 
 
 class _Sites:
-    """Lattice stand-in for a hand-built chain: P.denom is q·nv."""
+    """Lattice stand-in for a hand-built chain: P.denom is q·nv, and the
+    identity is its one automorphism."""
 
     def __init__(self, nv):
         self.nv = nv
+
+    def vertex_automorphisms(self):
+        return (tuple(range(self.nv)),)
 
 
 def _lattice_free_chain(adj, diag, denom):
@@ -474,18 +611,25 @@ def _exact_tv(P, start, t):
 
 def test_float_tv_stays_within_its_rounding_budget():
     # box(2,1) from its worst start, every step to the crossing: the float
-    # TV is within ε_t of the exact TV, and ε_t stays far below 1/e's scale
+    # TV is within ε_t of the exact TV, and ε_t stays far below 1/e's scale,
+    # on the full chain and on the orbits of the start's stabiliser
     P = _chain(box(2, 1), 3)
     start = tv_mixing_time(P).worst_start
+    full = _float_operator(P)
+    lumped = _lump(full, next(_stabilizer_blocks(P.states, P.lattice, P.q, [start])), start)
+    assert len(lumped.sizes) < P.n
     u = [0] * P.n
     u[start] = 1
     mt = 1
-    for t, (tv, eps) in zip(range(138), _float_tv(_float_operator(P), start)):
+    steps = zip(range(138), _float_tv(full, start), _float_tv(lumped, start))
+    for t, *pairs in steps:
         exact = Fraction(sum(abs(P.n * w - mt) for w in u), 2 * P.n * mt)
-        assert abs(Fraction(tv) - exact) <= Fraction(eps)
-        assert eps < 1e-12
+        for tv, eps in pairs:
+            assert abs(Fraction(tv) - exact) <= Fraction(eps)
+            assert eps < 1e-12
         u = [P.diag[y] * u[y] + sum(u[x] for x in P.adj[y]) for y in range(P.n)]
         mt *= P.denom
+    assert t == 137
 
 
 def test_threshold_at_an_exact_tv_value_forces_the_exact_path():
