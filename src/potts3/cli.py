@@ -4,7 +4,8 @@ Every command writes ``report.json`` (stable byte-for-byte under replay)
 plus a ``meta.json`` sidecar holding the timestamp and the build stamp (and,
 for ``mixing``, the state, move and orbit counts, the share of each cap
 used, each start's crossing time and lumped block count, and the starts
-decided by the exact fallback);
+decided by the exact fallback; for ``torpid-demo``, each chain's acceptance
+share and first sweep with a sign flip);
 trajectory commands add one CSV per chain.  Exit codes: 0 ok, 2 invalid
 config, 3 cap refusal, 4 property violation detected.
 """
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -373,21 +375,33 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
+def _even_start(lat):
+    """The even-phase start of every torpid chain on ``lat``."""
+    return phase_coloring(lat, Parity.EVEN, 1, 3)
+
+
 def _torpid_chain(task):
-    """Worker: run one chain; results merge by stream index."""
+    """Worker: run one chain; results merge by stream index.  The lattice and
+    its start are built once per process: forked workers inherit both."""
     d, n, seed, stream, sweeps, rho = task
     lat = build_lattice(LatticeSpec(LatticeKind.TORUS, d, n))
-    chi0 = phase_coloring(lat, Parity.EVEN, 1, 3)
     spec = ChainSpec(q=3, seed=seed, stream=stream)
-    final, traj = run_chain(spec, chi0, sweeps * lat.nv, thin=lat.nv, rho=rho)
+    final, traj = run_chain(spec, _even_start(lat), sweeps * lat.nv, thin=lat.nv, rho=rho)
     start_sign = 1 if traj.points[0].imbalance > 0 else -1
-    flipped = any(p.imbalance * start_sign < 0 for p in traj.points)
-    return stream, traj.chi0_id, traj.to_csv(), imbalance(final), flipped
+    first_flip = next(
+        (p.step // lat.nv for p in traj.points if p.imbalance * start_sign < 0), None
+    )
+    telemetry = {
+        "stream": stream,
+        "acceptance": traj.accepted / (sweeps * lat.nv) if sweeps else None,
+        "first_flip_sweep": first_flip,
+    }
+    return stream, traj.chi0_id, traj.to_csv(), imbalance(final), telemetry
 
 
 def cmd_torpid_demo(args) -> int:
-    lat = _lattice_from_args(args)
-    chi0 = phase_coloring(lat, Parity.EVEN, 1, 3)
+    chi0 = _even_start(_lattice_from_args(args))
     tasks = [
         (args.d, args.n, args.seed, chain, args.sweeps, args.rho)
         for chain in range(args.chains)
@@ -399,14 +413,15 @@ def cmd_torpid_demo(args) -> int:
             results = pool.map(_torpid_chain, tasks)
     else:
         results = [_torpid_chain(t) for t in tasks]
-    results.sort()  # by stream index: merge order-independent of scheduling
+    results.sort(key=lambda r: r[0])  # by stream index: merge order-independent of scheduling
     csvs = {}
     finals = []
-    flips = 0
-    for stream, chi0_id, csv_text, final_imb, flipped in results:
+    telemetry = []
+    for stream, chi0_id, csv_text, final_imb, chain in results:
         csvs[f"chain{stream:03d}_seed{args.seed}_{chi0_id[:8]}.csv"] = csv_text
         finals.append(final_imb)
-        flips += flipped
+        telemetry.append(chain)
+    flips = sum(chain["first_flip_sweep"] is not None for chain in telemetry)
     finals_sorted = sorted(finals)
     qtile = lambda f: finals_sorted[min(len(finals_sorted) - 1, int(f * len(finals_sorted)))]
     payload = {
@@ -424,7 +439,7 @@ def cmd_torpid_demo(args) -> int:
         "start_imbalance": imbalance(chi0),
         "provenance": "simulated",
     }
-    write_report(Path(args.out), payload, files=csvs)
+    write_report(Path(args.out), payload, files=csvs, meta={"chains": telemetry})
     print(json.dumps({"sign_flip_fraction": payload["sign_flip_fraction"]}))
     return EXIT_OK
 

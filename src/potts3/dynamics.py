@@ -5,6 +5,14 @@ proper: the chain's transition law puts mass 1/(q|V|) on each legal
 recoloring and the remainder on the self-loop.  A *sweep* is |V| proposals.
 Trajectories are deterministic functions of (seed, stream, χ₀).
 
+The legality check is one lookup.  For each site v the chain keeps one int
+cnt[v] that packs, per color c, how many sites of the closed neighbourhood
+N[v] = {v} ∪ N(v) have color c, in a field of (maxdeg+1).bit_length() bits.
+(v, j) is legal iff field j of cnt[v] is zero: v counts itself, so that one
+test covers both j ≠ χ(v) and "no neighbour has j".  An accepted move
+adds unit[j] − unit[χ(v)] to cnt[u] for the at most 2d+1 sites u of N[v].
+Each 2¹⁴-draw block runs in stretches that end at the next record point.
+
 The draw v = (z >> 32) mod |V|, j = (z mod 2³²) mod q from one 64-bit z
 carries modulo bias: each site's probability is within a relative |V|/2³²
 of 1/|V|, each color's within q/2³² of 1/q, and both are exact for powers
@@ -16,6 +24,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -25,7 +34,6 @@ from .coloring import (
     ImbalanceClass,
     imbalance,
     imbalance_class,
-    is_proper,
     zero_counts,
 )
 from .errors import ColoringError
@@ -103,6 +111,7 @@ class Trajectory:
     thin: int
     rho: Fraction
     points: list[TrajectoryPoint] = field(default_factory=list)
+    accepted: int = 0    # proposals that recolored a site
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -126,14 +135,26 @@ def run_chain(
     rho: Fraction = DEFAULT_RHO,
 ) -> tuple[Coloring, Trajectory]:
     """Run ``steps`` proposals from χ₀, recording observables every ``thin``
-    proposals (default: one sweep).  Deterministic in (spec.seed,
-    spec.stream, χ₀, steps)."""
+    proposals (default: one sweep) and after the last one.  Deterministic in
+    (spec.seed, spec.stream, χ₀, steps); the trajectory also counts the
+    accepted moves."""
     lat, q = chi0.lattice, chi0.q
     if q != spec.q:
         raise ColoringError(f"chain expects q={spec.q}, coloring has q={q}")
     if steps < 0:
         raise ColoringError("step count must be nonnegative")
-    if not is_proper(chi0):
+
+    # cnt[v] packs, per color c, how many sites of N[v] = {v} ∪ N(v) have c
+    closed = [(v, *nbrs) for v, nbrs in enumerate(lat.neighbors)]
+    width = max(map(len, closed)).bit_length()
+    unit = [1 << (c * width) for c in range(q)]
+    fields = [((1 << width) - 1) << (c * width) for c in range(q)]
+    # delta[a][b]: the change to cnt[u] when a site of N[u] goes from a to b
+    delta = [[unit[b] - unit[a] for b in range(q)] for a in range(q)]
+    colors = bytearray(chi0.colors)
+    cnt = [sum(unit[colors[u]] for u in nbhd) for nbhd in closed]
+    # proper iff each site is the only one of its color in its closed neighbourhood
+    if any(cnt[v] & fields[c] != unit[c] for v, c in enumerate(colors)):
         raise ColoringError("initial coloring must be proper")
     if thin is not None and thin < 1:
         raise ValueError(f"thin must be at least 1, got {thin}")
@@ -141,10 +162,8 @@ def run_chain(
     thin = lat.nv if thin is None else thin
     rho = Fraction(rho)
     rng = CounterRng(spec.seed, spec.stream)
-    colors = bytearray(chi0.colors)
-    neighbors = lat.neighbors
     parities = lat.parities
-    zero_even, zero_odd = zero_counts(chi0)
+    zeros = list(zero_counts(chi0))   # [|I∩E|, |I∩O|]
 
     traj = Trajectory(
         spec=spec,
@@ -154,43 +173,43 @@ def run_chain(
     )
 
     def record(step):
-        imb = zero_even - zero_odd
+        imb = zeros[0] - zeros[1]
         traj.points.append(
-            TrajectoryPoint(step, imb, zero_even, zero_odd, _class_tag(lat, imb, rho))
+            TrajectoryPoint(step, imb, zeros[0], zeros[1], _class_tag(lat, imb, rho))
         )
 
     record(0)
     nv = lat.nv
+    accepted = 0
     done = 0
     block_size = 1 << 14
     while done < steps:
-        todo = min(block_size, steps - done)
-        zs = rng.block_u64(todo)
+        end = min(done + block_size, steps)
+        zs = rng.block_u64(end - done)
         vs = ((zs >> np.uint64(32)) % np.uint64(nv)).tolist()
         js = ((zs & np.uint64(0xFFFFFFFF)) % np.uint64(q)).tolist()
-        for v, j in zip(vs, js):
-            old = colors[v]
-            if j != old:
-                ok = True
-                for u in neighbors[v]:
-                    if colors[u] == j:
-                        ok = False
-                        break
-                if ok:
-                    colors[v] = j
-                    if old == 0:
-                        if parities[v] == 0:
-                            zero_even -= 1
-                        else:
-                            zero_odd -= 1
-                    elif j == 0:
-                        if parities[v] == 0:
-                            zero_even += 1
-                        else:
-                            zero_odd += 1
-            done += 1
+        draws = zip(vs, js)
+        while done < end:
+            # one run of proposals, up to the next record point or the block's end
+            stop = min(end, (done // thin + 1) * thin)
+            for v, j in islice(draws, stop - done):
+                # legal iff no site of N[v] has j: that covers j ≠ χ(v) too
+                if cnt[v] & fields[j]:
+                    continue
+                old = colors[v]
+                colors[v] = j
+                step = delta[old][j]
+                for u in closed[v]:
+                    cnt[u] += step
+                if old == 0:
+                    zeros[parities[v]] -= 1
+                elif j == 0:
+                    zeros[parities[v]] += 1
+                accepted += 1
+            done = stop
             if done % thin == 0 or done == steps:
                 record(done)
+    traj.accepted = accepted
     return Coloring(lat, colors, q), traj
 
 

@@ -195,8 +195,10 @@ class Lattice:
         return f"Lattice({tag}, d={self.d}, n={self.n}, nv={self.nv})"
 
 
+@lru_cache(maxsize=None)
 def build_lattice(spec: LatticeSpec) -> Lattice:
-    """Validate ``spec`` and construct the immutable lattice object."""
+    """Validate ``spec`` and construct the immutable lattice object, once per
+    process: later calls with the same spec share it."""
     return Lattice(spec)
 
 

@@ -251,6 +251,31 @@ def test_worker_pool_result_independent_of_pool_size(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     for f in sorted(a.glob("chain*.csv")):
         assert f.read_bytes() == (b / f.name).read_bytes()
+    meta_a, meta_b = (json.loads((o / "meta.json").read_text()) for o in (a, b))
+    assert meta_a["chains"] == meta_b["chains"]
+
+
+@pytest.mark.parametrize("sweeps", [0, 40])
+def test_torpid_demo_chain_telemetry(tmp_path, sweeps):
+    from potts3 import ChainSpec, phase_coloring, run_chain, torus
+
+    assert run(["torpid-demo", "--d", "2", "--n", "4", "--chains", "3", "--sweeps",
+                str(sweeps), "--seed", "5", "--workers", "1", "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.iterdir())) == 3 + 2   # no file beyond the CSVs, report, meta
+    report = json.loads((tmp_path / "report.json").read_text())
+    chains = json.loads((tmp_path / "meta.json").read_text())["chains"]
+    assert [c["stream"] for c in chains] == [0, 1, 2]
+    flipped = [c["first_flip_sweep"] is not None for c in chains]
+    assert report["sign_flip_fraction"] == sum(flipped) / 3
+    lat = torus(2, 4)
+    for c in chains:
+        _final, traj = run_chain(ChainSpec(seed=5, stream=c["stream"]), phase_coloring(lat),
+                                 sweeps * lat.nv)
+        flips = [p.step // lat.nv for p in traj.points if p.imbalance < 0]
+        assert c["first_flip_sweep"] == (flips[0] if flips else None)
+        assert c["acceptance"] == (traj.accepted / (sweeps * lat.nv) if sweeps else None)
+    if sweeps:
+        assert all(0 < c["acceptance"] < 1 for c in chains) and any(flipped)
 
 
 def test_config_file_defaults_flags_win(tmp_path):
