@@ -84,7 +84,6 @@ from .oracle import (
     tv_mixing_time,
 )
 from .entropy import (
-    Distribution,
     binary_entropy,
     extendable_colorings,
     max_entropy_gap_check,

@@ -456,10 +456,14 @@ def cmd_entropy(args) -> int:
         "spread": topo.spread,
         "provenance": "exact counts, float extrapolation",
     }
+    ok = True
     if args.m is not None:
         if args.d != 2:
             raise ColoringError(f"restriction distribution is implemented for d=2, not d={args.d}")
         gap = max_entropy_gap_check(args.m, args.n_window)
+        # the float entropy floor is left out: the exact max-prob bound implies it
+        ok = (gap.max_prob_bound_holds and gap.ring_mass_bound_holds
+              and gap.support_extendable and gap.n_depends_on_ring_only)
         payload["gap_check"] = {
             "m": gap.m,
             "n": gap.n,
@@ -476,8 +480,6 @@ def cmd_entropy(args) -> int:
         }
     write_report(Path(args.out), payload)
     print(json.dumps({"estimate": topo.estimate, "spread": topo.spread}))
-    ok = payload.get("gap_check", {}).get("max_prob_bound_holds", True) and \
-        payload.get("gap_check", {}).get("ring_mass_bound_holds", True)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

@@ -6,7 +6,9 @@ The window restriction law: restrict to Λ_n a uniform proper coloring of
 the odd-padded box (Λ_m plus the odd vertices of Λ_{m+1}) whose exterior is
 frozen to the odd-phase boundary coloring.  The law is computed exactly
 through extension counts N(τ), which depend only on τ's boundary ring: one
-frontier count with the ring kept gives N for every ring pattern at once.
+frontier count with the ring kept gives N for every ring pattern at once,
+and one count over Λ_n with the ring kept gives how many window colorings
+carry each pattern, so no window coloring is ever listed.
 """
 
 from __future__ import annotations
@@ -17,45 +19,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coloring import Coloring
 from .errors import ColoringError, LatticeError
-from .lattice import Lattice, box
-from .oracle import (
-    WINDOW_CAP,
-    _assignments,
-    count_colorings,
-    enumerate_colorings,
-    grid_region_counts,
-)
+from .lattice import box
+from .oracle import _assignments, count_colorings, grid_region_counts
 
 BOUNDARY_COLOR = 1       # the frozen even exterior; 1 and 2 agree under the color swap
 
 
-@dataclass
-class Distribution:
-    """Finitely supported distribution with exact rational masses."""
-
-    outcomes: list
-    probs: list[Fraction]
-
-    def __post_init__(self):
-        if len(self.outcomes) != len(self.probs):
-            raise ColoringError("outcomes and probabilities differ in length")
-        if any(p < 0 for p in self.probs):
-            raise ColoringError("negative probability")
-        if sum(self.probs, Fraction(0)) != 1:
-            raise ColoringError("probabilities must sum to exactly 1")
-
-    def max_prob(self) -> Fraction:
-        return max(self.probs, default=Fraction(0))
-
-
-def shannon_entropy(dist: Distribution) -> float:
-    """−Σ p ln p in nats, with 0·log 0 = 0."""
+def shannon_entropy(masses) -> float:
+    """−Σ k·p ln p in nats over (probability p, multiplicity k) pairs, with
+    0·log 0 = 0.  A term is subtracted k times, not once as k·term, so the
+    sum rounds as it would over the k outcomes one by one."""
     h = 0.0
-    for p in dist.probs:
+    for p, k in masses:
         if p > 0:
-            h -= float(p) * (math.log(p.numerator) - math.log(p.denominator))
+            term = float(p) * (math.log(p.numerator) - math.log(p.denominator))
+            for _ in range(k):
+                h -= term
     return h
 
 
@@ -106,13 +86,16 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
 
     d=1: exact path counts per half-width n.  d=2: infinite strips of the
     given widths (transfer-matrix top eigenvalue).  d=3: exact counts of
-    tiny boxes per half-width.  Other d have no route (ColoringError); a box
-    too large to count refuses via the counter's state cap.
+    tiny boxes per half-width.  Other d, fewer than 3 sizes or a size below
+    1 have no route (ColoringError); a box too large to count refuses via
+    the counter's state cap.
     """
     if d not in (1, 2, 3):
         raise ColoringError(f"no counting route for d={d}; d must be 1, 2 or 3")
     if len(sizes) < 3:
         raise ColoringError("need at least 3 sizes to extrapolate")
+    if min(sizes) < 1:
+        raise ColoringError(f"sizes must be at least 1, got {min(sizes)}")
     per_site: list[float] = []
     for size in sizes:
         if d == 2:
@@ -134,16 +117,15 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
     )
 
 
-# -- the window's boundary ring -----------------------------------------------
+# -- the window and its boundary ring -----------------------------------------
 
 
-def _ring_cells(inner: Lattice) -> list[tuple[int, ...]]:
-    """The boundary ring of the window Λ_n, in raster order."""
-    return [c for c in inner.coords if max(abs(x) for x in c) == inner.n]
-
-
-def _ring_pattern(tau: Coloring, ring: list[tuple[int, ...]]) -> bytes:
-    return bytes(tau.colors[tau.lattice.index(c)] for c in ring)
+def _window(n: int) -> tuple[set[tuple[int, int]], list[tuple[int, int]]]:
+    """The cells of the window Λ_n and its boundary ring, in raster order.
+    A count over the cells with the ring kept gives, for every ring pattern
+    of C_3(Λ_n), how many window colorings carry it."""
+    cells = set(box(2, n).coords)
+    return cells, sorted(c for c in cells if max(map(abs, c)) == n)
 
 
 # -- extendable colorings ------------------------------------------------------
@@ -152,8 +134,11 @@ def _ring_pattern(tau: Coloring, ring: list[tuple[int, ...]]) -> bytes:
 @dataclass
 class ExtendableReport:
     total: int
-    extendable: int
-    colorings: list[Coloring]
+    multiplicity: dict[bytes, int]   # extendable ring pattern -> window colorings carrying it
+
+    @property
+    def extendable(self) -> int:
+        return sum(self.multiplicity.values())
 
     @property
     def fraction(self) -> Fraction:
@@ -164,15 +149,16 @@ def extendable_colorings(n: int) -> ExtendableReport:
     """C'_3(Λ_n) in d = 2 under the operative surrogate: extendable to
     Λ_{n+2} with free boundary.  τ extends exactly when its ring does, so
     one count over Λ_{n+2} minus Λ_n's interior, with the ring kept, decides
-    every τ; it runs (and refuses past ``WINDOW_CAP`` states) before the
-    window is listed."""
-    inner = box(2, n)
-    ring = _ring_cells(inner)
-    interior = set(inner.coords) - set(ring)
-    ring_counts = grid_region_counts(set(box(2, n + 2).coords) - interior, 3, keep=ring)
-    taus = list(enumerate_colorings(inner, 3, cap=WINDOW_CAP))
-    keep = [tau for tau in taus if _ring_pattern(tau, ring) in ring_counts]
-    return ExtendableReport(total=len(taus), extendable=len(keep), colorings=keep)
+    every ring pattern; it runs (and refuses past ``WINDOW_CAP`` states)
+    before the window's ring multiplicities are counted."""
+    cells, ring = _window(n)
+    interior = cells - set(ring)
+    extends = grid_region_counts(set(box(2, n + 2).coords) - interior, 3, keep=ring)
+    mult = grid_region_counts(cells, 3, keep=ring)
+    return ExtendableReport(
+        total=sum(mult.values()),
+        multiplicity={r: k for r, k in mult.items() if r in extends},
+    )
 
 
 # -- the restricted-window distribution ----------------------------------------
@@ -182,31 +168,33 @@ def extendable_colorings(n: int) -> ExtendableReport:
 class RestrictionResult:
     m: int
     n: int
-    distribution: Distribution       # over support colorings τ of Λ_n
-    counts: dict[bytes, int]         # τ colors -> N(τ)
-    ring_counts: dict[bytes, int]    # ring pattern -> annulus extension count
-    total: int
+    ring_counts: dict[bytes, int]    # ring pattern of C_3(Λ_n) -> extension count N
+    multiplicity: dict[bytes, int]   # ring pattern -> window colorings carrying it
+    total: int                       # Σ multiplicity·N
     dropped: int                     # τ ∈ C_3(Λ_n) with N(τ) = 0
+    ring_only: bool                  # the annulus touches no cell of Λ_n inside the ring
 
 
 def restriction_distribution(m: int, n: int) -> RestrictionResult:
-    """Exact law of the window restriction via extension counts N(τ) over
-    the annulus between the window and the padded box, in d = 2 (the
-    region counter takes Z² cells): one count over the annulus plus the
-    ring, with the ring kept, then N(τ) is read off at τ's ring.  Keeping
-    the ring multiplies the frontier by the ring patterns still possible,
-    so the count refuses past ``WINDOW_CAP`` states from m = 7 on (n = 1)."""
+    """Exact law of the window restriction via extension counts N over the
+    annulus between the window and the padded box, in d = 2 (the region
+    counter takes Z² cells): one count over the annulus plus the ring, with
+    the ring kept, gives N per ring pattern; τ has probability N(ring of τ)
+    / total.  Keeping the ring multiplies the frontier by the ring patterns
+    still possible, so the count refuses past ``WINDOW_CAP`` states from
+    m = 7 on (n = 1)."""
     if m <= n:
         raise ColoringError("need m > n")
 
     region = set(box(2, m, extended=True).coords)
-    inner = box(2, n)
-    ring = _ring_cells(inner)
-    annulus = region - set(inner.coords)
+    inner, ring = _window(n)
+    annulus = region - inner
 
-    # exterior constraint: every region cell with a Z^2 neighbour outside the
-    # region sees a frozen even vertex of the boundary color
+    # every annulus cell with a Z^2 neighbour outside the region sees a
+    # frozen even vertex of the boundary color; N depends on τ only through
+    # its ring if no annulus cell sees a window cell inside the ring
     forbidden: dict[tuple[int, int], set[int]] = {}
+    ring_only = True
     for (x, y) in annulus:
         for (dx, dy) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             out = (x + dx, y + dy)
@@ -214,28 +202,20 @@ def restriction_distribution(m: int, n: int) -> RestrictionResult:
                 if sum(out) % 2 != 0:
                     raise LatticeError("exterior of W_m must be even")
                 forbidden.setdefault((x, y), set()).add(BOUNDARY_COLOR)
+            elif out in inner and max(map(abs, out)) < n:
+                ring_only = False
 
     found = grid_region_counts(annulus | set(ring), 3, forbidden=forbidden, keep=ring)
-    taus = list(enumerate_colorings(inner, 3, cap=WINDOW_CAP))
-    ring_counts: dict[bytes, int] = {}
-    counts: dict[bytes, int] = {}
-    outcomes: list[Coloring] = []
-    for tau in taus:
-        rp = _ring_pattern(tau, ring)
-        nt = ring_counts.setdefault(rp, found.get(rp, 0))
-        if nt:
-            counts[tau.colors] = nt
-            outcomes.append(tau)
-    total = sum(counts.values())
-    probs = [Fraction(counts[t.colors], total) for t in outcomes]
+    mult = grid_region_counts(inner, 3, keep=ring)
+    ring_counts = {r: found.get(r, 0) for r in mult}
     return RestrictionResult(
         m=m,
         n=n,
-        distribution=Distribution(outcomes, probs),
-        counts=counts,
         ring_counts=ring_counts,
-        total=total,
-        dropped=len(taus) - len(outcomes),
+        multiplicity=mult,
+        total=sum(k * ring_counts[r] for r, k in mult.items()),
+        dropped=sum(k for r, k in mult.items() if not ring_counts[r]),
+        ring_only=ring_only,
     )
 
 
@@ -263,47 +243,29 @@ def max_entropy_gap_check(m: int, n: int) -> GapReport:
 
     The entropy floor follows from the exact max-probability bound via
     H ≥ −log max p; that bound and the pinned-ring mass bound are checked
-    in exact rational arithmetic.
+    in exact rational arithmetic.  The restriction law comes first, so
+    m ≤ n is refused before the extendability count runs.
     """
-    ext = extendable_colorings(n)
     res = restriction_distribution(m, n)
-    ext_set = {t.colors for t in ext.colorings}
+    ext = extendable_colorings(n)
     c3p = ext.extendable
+    _, ring = _window(n)
+    bsize = len(ring)
 
-    inner = box(2, n)
-    ring_cells = _ring_cells(inner)
-    bsize = len(ring_cells)
+    support_ok = all(r in ext.multiplicity for r, nr in res.ring_counts.items() if nr)
 
-    support_ok = all(t.colors in ext_set for t in res.distribution.outcomes)
-
-    # N(τ) can depend only on τ's ring: the annulus must touch no deeper
-    # cell of Λ_n, and counts must be constant on ring groups
-    ring_set = {tuple(c) for c in ring_cells}
-    region = set(box(2, m, extended=True).coords)
-    annulus = region - set(inner.coords)
-    grouped_ok = True
-    for (x, y) in annulus:
-        for (dx, dy) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            c = (x + dx, y + dy)
-            if c in inner.index_of and c not in ring_set:
-                grouped_ok = False
-    seen: dict[bytes, int] = {}
-    for t in res.distribution.outcomes:
-        rp = _ring_pattern(t, ring_cells)
-        nt = res.counts[t.colors]
-        if seen.setdefault(rp, nt) != nt:
-            grouped_ok = False
-
-    max_p = res.distribution.max_prob()
+    max_p = Fraction(max(res.ring_counts.values()), res.total)
     prob_bound = Fraction(3 ** (2 * bsize), c3p)
     prob_bound_ok = max_p <= prob_bound
 
-    h = shannon_entropy(res.distribution)
+    h = shannon_entropy(
+        (Fraction(nr, res.total), res.multiplicity[r]) for r, nr in sorted(res.ring_counts.items())
+    )
     floor = math.log(c3p) - 2 * bsize * math.log(3)
     floor_ok = h >= floor
 
-    pinned = bytes(0 if sum(c) % 2 != 0 else 1 for c in ring_cells)
-    pinned_ring = sum(_ring_pattern(t, ring_cells) == pinned for t in ext.colorings)
+    pinned = bytes(0 if sum(c) % 2 != 0 else 1 for c in ring)
+    pinned_ring = ext.multiplicity.get(pinned, 0)
     ring_mass_ok = pinned_ring * 3 ** bsize >= c3p
 
     return GapReport(
@@ -321,5 +283,5 @@ def max_entropy_gap_check(m: int, n: int) -> GapReport:
         max_prob_bound_holds=prob_bound_ok,
         support_extendable=support_ok,
         ring_mass_bound_holds=ring_mass_ok,
-        n_depends_on_ring_only=grouped_ok,
+        n_depends_on_ring_only=res.ring_only,
     )

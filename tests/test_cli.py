@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import potts3
+from potts3 import cli
 from potts3.cli import build_id, main, make_parser, write_report
 
 
@@ -88,6 +89,8 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["enumerate", "--q", "-1"],
     ["entropy", "--d", "4", "--sizes", "1,1,1"],
     ["entropy", "--d", "3", "--sizes", "1,1,1", "--m", "2"],
+    ["entropy", "--d", "2", "--sizes", "2,3,4", "--m", "2", "--n-window", "2"],
+    ["entropy", "--d", "2", "--sizes", "0,1,2"],
     ["enumerate", "--d", "1", "--n", "1", "--state-cap", "0"],
     ["conductance", "--d", "1", "--n", "4", "--enum-cap", "0"],
     ["influence", "--d", "1", "--n", "1"],
@@ -317,6 +320,23 @@ def test_entropy_command(tmp_path):
     assert rc == 0
     rep = json.loads((out / "report.json").read_text())
     assert len(rep["per_site"]) == 4
+
+
+@pytest.mark.parametrize("check", ["support_extendable", "n_depends_on_ring_only"])
+def test_entropy_failed_structural_check_exits_4(tmp_path, monkeypatch, check):
+    real = cli.max_entropy_gap_check
+
+    def broken(m, n):
+        gap = real(m, n)
+        setattr(gap, check, False)
+        return gap
+
+    monkeypatch.setattr(cli, "max_entropy_gap_check", broken)
+    out = tmp_path / "ent"
+    rc = run(["entropy", "--d", "2", "--sizes", "2,3,4", "--m", "2", "--out", str(out)])
+    assert rc == 4
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["gap_check"]["max_prob_bound_holds"] and rep["gap_check"]["ring_mass_bound_holds"]
 
 
 def test_sample_writes_csv(tmp_path):

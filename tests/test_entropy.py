@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from potts3 import (
-    Distribution,
     binary_entropy,
     box,
+    enumerate_colorings,
     extendable_colorings,
     max_entropy_gap_check,
     restriction_distribution,
@@ -20,25 +21,21 @@ from potts3.errors import CapExceeded, ColoringError
 from potts3.oracle import grid_region_counts
 
 
+def _no_listing(*args, **kwargs):
+    raise AssertionError("a window coloring was listed")
+
+
 def test_shannon_entropy_basics():
-    u3 = Distribution(["a", "b", "c"], [Fraction(1, 3)] * 3)
-    assert math.isclose(shannon_entropy(u3), math.log(3))
-    point = Distribution(["a"], [Fraction(1)])
-    assert shannon_entropy(point) == 0.0
-    dyadic = Distribution(["a", "b", "c"], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    assert math.isclose(shannon_entropy([(Fraction(1, 3), 3)]), math.log(3))
+    assert shannon_entropy([(Fraction(1), 1)]) == 0.0
+    dyadic = [(Fraction(1, 2), 1), (Fraction(1, 4), 2)]
     assert math.isclose(shannon_entropy(dyadic), 1.5 * math.log(2))
-
-
-def test_distribution_validation():
-    with pytest.raises(ColoringError):
-        Distribution(["a"], [Fraction(1, 2)])
-    with pytest.raises(ColoringError):
-        Distribution(["a", "b"], [Fraction(3, 2), Fraction(-1, 2)])
+    assert shannon_entropy([(Fraction(0), 5), (Fraction(1), 1)]) == 0.0
 
 
 def test_entropy_bounded_by_log_support():
-    d = Distribution(["a", "b", "c", "d"], [Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)])
-    assert shannon_entropy(d) < math.log(4)
+    masses = [(Fraction(1, 2), 1), (Fraction(1, 6), 3)]
+    assert shannon_entropy(masses) < math.log(4)
 
 
 def test_binary_entropy_values():
@@ -92,21 +89,41 @@ def test_extendable_d2_n1_all():
 
 def test_extendability_refuses_before_it_lists(monkeypatch):
     # the ring count over Λ_4 minus Λ_2's interior passes WINDOW_CAP states;
-    # the 580,986 colorings of Λ_2 must not be listed first
-    def no_listing(*args, **kwargs):
-        raise AssertionError("listed before refusing")
-
-    monkeypatch.setattr(entropy, "enumerate_colorings", no_listing)
+    # it refuses without listing any of the 580,986 colorings of Λ_2
+    monkeypatch.setattr(entropy, "_assignments", _no_listing)
     with pytest.raises(CapExceeded):
         extendable_colorings(2)
 
 
+def test_ring_multiplicities_match_listing():
+    """The ring-kept count over Λ_1 against a tally of the ring patterns of
+    the listed colorings."""
+    inner = box(2, 1)
+    ring = [inner.index(c) for c in inner.coords if max(map(abs, c)) == 1]
+    listed = Counter(bytes(tau.colors[i] for i in ring) for tau in enumerate_colorings(inner, 3))
+    mult = restriction_distribution(2, 1).multiplicity
+    assert mult == dict(listed)
+    assert len(mult) == 198 and sum(mult.values()) == 246
+    assert extendable_colorings(1).multiplicity == mult
+
+
 def test_restriction_distribution_m2():
     res = restriction_distribution(2, 1)
-    assert sum(res.distribution.probs, Fraction(0)) == 1
-    assert res.total == sum(res.counts.values())
-    assert len(res.distribution.outcomes) + res.dropped == 246
     assert res.m == 2 and res.n == 1
+    assert res.ring_counts.keys() == res.multiplicity.keys() and len(res.ring_counts) == 198
+    assert res.total == sum(k * res.ring_counts[r] for r, k in res.multiplicity.items())
+    kept = sum(k for r, k in res.multiplicity.items() if res.ring_counts[r])
+    assert kept + res.dropped == 246
+    assert res.ring_only
+
+
+def test_restriction_m3_n2_without_listing(monkeypatch):
+    monkeypatch.setattr(entropy, "_assignments", _no_listing)
+    res = restriction_distribution(3, 2)
+    assert res.total == 40_724_629_633_188
+    assert res.dropped == 248_732
+    assert len(res.ring_counts) == 37_170
+    assert sum(res.multiplicity.values()) == 580_986
 
 
 def test_restriction_counts_depend_on_ring_only_dual_route():
@@ -173,9 +190,33 @@ def test_gap_check_m2():
     assert gap.max_prob <= gap.max_prob_bound
 
 
-def test_restriction_requires_m_greater_n():
+@pytest.mark.parametrize("m,max_prob,entropy_nats", [
+    (2, Fraction(2705377, 101596896), 4.409782631724111),
+    (3, Fraction(80740691716, 3393719136099), 4.55495937686829),
+])
+def test_gap_check_frozen_values(m, max_prob, entropy_nats):
+    # the float entropy is summed one window coloring at a time, in ring-key
+    # order, so the report keeps its bits
+    gap = max_entropy_gap_check(m, 1)
+    assert gap.max_prob == max_prob
+    assert gap.entropy_nats == entropy_nats
+
+
+def test_topo_entropy_rejects_sizes_below_one(monkeypatch):
+    monkeypatch.setattr(entropy, "_strip_per_site", _no_listing)
+    monkeypatch.setattr(entropy, "count_colorings", _no_listing)
+    for d in (1, 2, 3):
+        with pytest.raises(ColoringError, match="at least 1"):
+            topological_entropy_estimate(d, [2, 3, 0])
+
+
+def test_restriction_requires_m_greater_n(monkeypatch):
     with pytest.raises(ColoringError):
         restriction_distribution(1, 1)
+    # the gap check refuses m <= n before its extendability count runs
+    monkeypatch.setattr(entropy, "extendable_colorings", _no_listing)
+    with pytest.raises(ColoringError):
+        max_entropy_gap_check(2, 2)
 
 
 def test_region_counter_empty_region():
