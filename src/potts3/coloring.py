@@ -36,9 +36,9 @@ class Coloring:
             raise ColoringError(
                 f"color vector has length {len(colors)}, lattice has {lattice.nv} vertices"
             )
-        bad = [c for c in colors if c >= q]
-        if bad:
-            raise ColoringError(f"color value {bad[0]} out of range for q={q}")
+        if max(colors, default=0) >= q:
+            bad = next(c for c in colors if c >= q)
+            raise ColoringError(f"color value {bad} out of range for q={q}")
         self.lattice = lattice
         self.q = q
         self.colors = colors

@@ -79,26 +79,26 @@ class Lattice:
         self.full_mask = (1 << self.nv) - 1
         self.odd_mask = self.full_mask ^ self.even_mask
 
-        self.neighbors: list[list[int]] = []
-        for i, c in enumerate(self.coords):
-            found = set()
-            for axis in range(self.d):
-                for sign in (1, -1):
-                    j = self._neighbor_index(c, axis, sign)
-                    if j is not None and j != i:
-                        found.add(j)
-            # n=2 tori collapse the two wrap edges into one (simple graph)
-            self.neighbors.append(sorted(found))
+        # σ_s as one tuple per direction: entry v is σ_s(v), None off a box
+        self.shift_tables: dict[int, tuple[int | None, ...]] = {
+            s: tuple(self._neighbor_index(c, abs(s) - 1, 1 if s > 0 else -1)
+                     for c in self.coords)
+            for s in shift_order(self.d)
+        }
+        # n=2 tori collapse the two wrap edges into one (simple graph)
+        self.neighbors: list[list[int]] = [
+            sorted({t[i] for t in self.shift_tables.values()} - {None})
+            for i in range(self.nv)
+        ]
         self.nbr_mask = [sum(1 << j for j in nbrs) for nbrs in self.neighbors]
         self.edges: list[tuple[int, int]] = [
             (u, v) for u in range(self.nv) for v in self.neighbors[u] if u < v
         ]
         # vertices with a Z^d neighbor outside the region (empty on tori)
         self.boundary_mask = 0
-        if self.kind is LatticeKind.BOX:
-            for i, c in enumerate(self.coords):
-                if len(self.neighbors[i]) < 2 * self.d or self._touches_outside(c):
-                    self.boundary_mask |= 1 << i
+        for i in range(self.nv):
+            if any(t[i] is None for t in self.shift_tables.values()):
+                self.boundary_mask |= 1 << i
 
     @staticmethod
     def _gen_coords(spec: LatticeSpec):
@@ -120,16 +120,6 @@ class Lattice:
         cc[axis] += sign
         return self.index_of.get(tuple(cc))
 
-    def _touches_outside(self, c) -> bool:
-        # an extended-region vertex of full degree may still sit on the rim
-        for axis in range(self.d):
-            for sign in (1, -1):
-                cc = list(c)
-                cc[axis] += sign
-                if tuple(cc) not in self.index_of:
-                    return True
-        return False
-
     # -- basic queries -----------------------------------------------------
 
     def parity(self, v: int) -> Parity:
@@ -147,14 +137,15 @@ class Lattice:
     def shift(self, v: int, s: int):
         """σ_s(v) = v + e_s; None when the image leaves a box."""
         check_direction(s, self.d)
-        axis, sign = abs(s) - 1, (1 if s > 0 else -1)
-        return self._neighbor_index(self.coords[v], axis, sign)
+        return self.shift_tables[s][v]
 
     def shift_set(self, mask: int, s: int) -> int:
         """Image mask σ_s(X); box images falling outside are dropped."""
+        check_direction(s, self.d)
+        table = self.shift_tables[s]
         out = 0
         for v in iter_bits(mask):
-            w = self.shift(v, s)
+            w = table[v]
             if w is not None:
                 out |= 1 << w
         return out

@@ -146,28 +146,51 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=()) -> dict[byt
         if last[v] > v:                                    # v joins as the top digit
             top = q ** len(frontier)
             frontier.append(v)
-        choices = (pins[v],) if v in pins else range(q)
-        new_keys, new_weights = [], []
-        for c in choices:
-            if not 0 <= c < q or c in forbidden.get(v, ()):
-                continue
+        choices = [c for c in ((pins[v],) if v in pins else range(q))
+                   if 0 <= c < q and c not in forbidden.get(v, ())]
+        if not choices:
+            return {}
+
+        def branch(c):
             ok = np.ones(len(keys), dtype=bool)
             for digit in seen:
                 ok &= digit != c
-            new_keys.append(base[ok] + c * top)
-            new_weights.append(weights[ok])
-        keys = np.concatenate([keys[:0], *new_keys])
+            return base[ok] + c * top, weights[ok]
+
+        if top and cap is not None and len(keys) * len(choices) > cap:
+            # the site could pass the cap: with v's digit on top the
+            # branches' keys are disjoint, so each merges on its own, in
+            # increasing c, and the count refuses as soon as the states
+            # merged so far pass the cap (a site that adds no digit cannot
+            # add states)
+            branches, states = [], 0
+            for i, c in enumerate(choices):
+                branches.append(_merge([branch(c)]))
+                states += len(branches[-1][0])
+                if states > cap:
+                    states += sum(len(np.unique(branch(c2)[0])) for c2 in choices[i + 1:])
+                    raise CapExceeded(f"frontier of {states} states exceeds the state cap {cap}")
+            keys = np.concatenate([k for k, _ in branches])
+            weights = np.concatenate([w for _, w in branches])
+        else:
+            keys, weights = _merge([branch(c) for c in choices])
         if not len(keys):
             return {}
+    digits = keys[:, None] // q ** np.array([frontier.index(u) for u in keep], dtype=np.int64) % q
+    return {row.tobytes(): int(w) for row, w in zip(digits.astype(np.uint8), weights)}
+
+
+def _merge(parts):
+    """Join (keys, weights) parts, sort by key and add the weights of equal
+    keys."""
+    keys = np.concatenate([k for k, _ in parts])
+    weights = np.concatenate([w for _, w in parts])
+    if len(keys):
         order = np.argsort(keys)
         keys = keys[order]
         runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        keys = keys[runs]
-        weights = np.add.reduceat(np.concatenate(new_weights)[order], runs)
-        if cap is not None and len(keys) > cap:
-            raise CapExceeded(f"frontier of {len(keys)} states exceeds the state cap {cap}")
-    digits = keys[:, None] // q ** np.array([frontier.index(u) for u in keep], dtype=np.int64) % q
-    return {row.tobytes(): int(w) for row, w in zip(digits.astype(np.uint8), weights)}
+        keys, weights = keys[runs], np.add.reduceat(weights[order], runs)
+    return keys, weights
 
 
 def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:

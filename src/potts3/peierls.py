@@ -31,68 +31,76 @@ _F = (0, 2, 1)
 
 
 def boundary_layer(lat: Lattice, region: int, s: int) -> int:
-    """W^s = {x ∈ ∂_int W : σ_{−s}(x) ∉ W}."""
-    check_direction(s, lat.d)
-    out = 0
-    for v in iter_bits(internal_boundary(lat, region)):
-        back = lat.shift(v, -s)
-        if back is None or not ((region >> back) & 1):
-            out |= 1 << v
-    return out
+    """W^s = {x ∈ ∂_int W : σ_{−s}(x) ∉ W} = ∂_int W ∖ σ_s(W)."""
+    return internal_boundary(lat, region) & ~lat.shift_set(region, s)
+
+
+def _repair(chi: Coloring, region: int, s: int, layer: int, subset: int) -> Coloring:
+    """The repair map with W^s = ``layer`` given: 0 on S, χ on
+    (W^s∖S) ∪ (V∖W), f∘χ∘σ_{−s} on W∖W^s."""
+    back = chi.lattice.shift_tables[-s]
+    colors = chi.colors
+    buf = bytearray(colors)
+    for v in iter_bits(subset):
+        buf[v] = 0
+    for v in iter_bits(region & ~layer):
+        w = back[v]
+        if w is None:
+            raise PropertyViolation("shift leaves the lattice inside W")
+        buf[v] = _F[colors[w]]
+    return Coloring(chi.lattice, buf, chi.q)
 
 
 def shift_coloring(chi: Coloring, region: int, s: int, subset: int) -> Coloring:
     """Repair map: 0 on S, unchanged on (W^s∖S) ∪ (V∖W), f∘χ∘σ_{−s} on W∖W^s."""
-    lat = chi.lattice
-    layer = boundary_layer(lat, region, s)
+    layer = boundary_layer(chi.lattice, region, s)
     if subset & ~layer:
         raise ColoringError("S must be a subset of the boundary layer W^s")
-    buf = bytearray(chi.colors)
-    for v in iter_bits(subset):
-        buf[v] = 0
-    for v in iter_bits(region & ~layer):
-        back = lat.shift(v, -s)
-        if back is None:
-            raise PropertyViolation("shift leaves the lattice inside W")
-        buf[v] = _F[chi.colors[back]]
-    return Coloring(lat, buf, chi.q)
+    return _repair(chi, region, s, layer, subset)
 
 
 def reconstruct(chi_prime: Coloring, region: int, s: int) -> Coloring:
     """Invert the repair map: χ = χ′ off W, f∘χ′∘σ_s on W."""
     lat = chi_prime.lattice
-    buf = bytearray(chi_prime.colors)
+    check_direction(s, lat.d)
+    fwd = lat.shift_tables[s]
+    colors = chi_prime.colors
+    buf = bytearray(colors)
     for v in iter_bits(region):
-        fwd = lat.shift(v, s)
-        if fwd is None:
+        w = fwd[v]
+        if w is None:
             raise PropertyViolation("shift leaves the lattice inside W")
-        buf[v] = _F[chi_prime.colors[fwd]]
+        buf[v] = _F[colors[w]]
     return Coloring(lat, buf, chi_prime.q)
 
 
-def phi_family(chi: Coloring, region: int, s: int):
-    """Lazily yield (S, repaired coloring) over all S ⊆ W^s; the family
-    has exactly 2^{|W^s|} members."""
-    lat = chi.lattice
-    layer = boundary_layer(lat, region, s)
+def _subsets(layer: int):
+    """Every S ⊆ ``layer``, in the order of the binary counter over its bits."""
     members = list(iter_bits(layer))
     for pick in range(1 << len(members)):
         subset = 0
         for i, v in enumerate(members):
             if (pick >> i) & 1:
                 subset |= 1 << v
-        yield subset, shift_coloring(chi, region, s, subset)
+        yield subset
+
+
+def phi_family(chi: Coloring, region: int, s: int):
+    """Lazily yield (S, repaired coloring) over all S ⊆ W^s; the family
+    has exactly 2^{|W^s|} members."""
+    layer = boundary_layer(chi.lattice, region, s)
+    for subset in _subsets(layer):
+        yield subset, _repair(chi, region, s, layer, subset)
 
 
 def sample_phi(chi: Coloring, region: int, s: int, rng) -> tuple[int, Coloring]:
     """Uniform member of φ_s(χ); ``rng`` is a random.Random-like object."""
-    lat = chi.lattice
-    layer = boundary_layer(lat, region, s)
+    layer = boundary_layer(chi.lattice, region, s)
     subset = 0
     for v in iter_bits(layer):
         if rng.getrandbits(1):
             subset |= 1 << v
-    return subset, shift_coloring(chi, region, s, subset)
+    return subset, _repair(chi, region, s, layer, subset)
 
 
 # -- approximations ----------------------------------------------------------
@@ -231,17 +239,19 @@ def flow_sets(cut: Cutset, approx: Approximation, s: int) -> tuple[int, int, int
     return layer, c_set, layer & ~c_set
 
 
-def membership_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int) -> int:
-    """The unique S whose repair image is χ′, or raise if χ′ is not one."""
-    lat = chi.lattice
-    layer = boundary_layer(lat, region, s)
+def _member_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int, layer: int) -> int:
     subset = 0
     for v in iter_bits(layer):
         if chi_prime.colors[v] == 0:
             subset |= 1 << v
-    if shift_coloring(chi, region, s, subset) != chi_prime:
+    if _repair(chi, region, s, layer, subset) != chi_prime:
         raise ColoringError("chi_prime is not in the shift family of chi")
     return subset
+
+
+def membership_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int) -> int:
+    """The unique S whose repair image is χ′, or raise if χ′ is not one."""
+    return _member_subset(chi, chi_prime, region, s, boundary_layer(chi.lattice, region, s))
 
 
 def flow_weight(
@@ -282,7 +292,12 @@ def flow_out_total(
     explicit_cap: int = 20,
 ) -> FlowTotal:
     """Σ_{χ′∈φ_s(χ)} ν(χ, χ′): 1 in closed form, cross-checked by explicit
-    summation over all S whenever |W^s| ≤ ``explicit_cap``."""
+    summation over all S whenever |W^s| ≤ ``explicit_cap``.
+
+    The explicit sum visits every image, checks that it is a member, and
+    reads its own zero set on C: ν = 3^{|C∖I(χ′)|} / (4^{|C|} 2^{|D|}), so
+    the numerators are summed as integers over that common denominator.
+    """
     layer, c_set, d_set = flow_sets(cut, approx, s)
     closed = Fraction(1)
     for _v in iter_bits(c_set):
@@ -291,9 +306,14 @@ def flow_out_total(
         closed *= Fraction(1, 2) + Fraction(1, 2)
     if layer.bit_count() > explicit_cap:
         return FlowTotal(closed_form=closed, explicit=None, agrees=None)
-    total = Fraction(0)
-    for _subset, chi_prime in phi_family(chi, cut.region, s):
-        total += flow_weight(chi, chi_prime, cut, approx, s)
+    region = cut.region
+    c_bits = list(iter_bits(c_set))
+    numerator = 0
+    for subset in _subsets(layer):
+        chi_prime = _repair(chi, region, s, layer, subset)
+        _member_subset(chi, chi_prime, region, s, layer)
+        numerator += 3 ** sum(chi_prime.colors[v] != 0 for v in c_bits)
+    total = Fraction(numerator, 4 ** len(c_bits) * 2 ** d_set.bit_count())
     return FlowTotal(closed_form=closed, explicit=total, agrees=total == closed)
 
 

@@ -45,6 +45,11 @@ def test_zero_set_of_phase_and_mod3():
     assert len(expect) == 3
 
 
+def test_color_out_of_range_names_the_first_bad_value():
+    with pytest.raises(ColoringError, match="^color value 5 out of range for q=3$"):
+        Coloring(box(1, 1), [0, 5, 7], 3)
+
+
 def test_zero_set_requires_proper():
     t = torus(2, 4)
     with pytest.raises(ColoringError):

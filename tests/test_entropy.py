@@ -91,7 +91,7 @@ def test_extendability_refuses_before_it_lists(monkeypatch):
     # the ring count over Λ_4 minus Λ_2's interior passes WINDOW_CAP states;
     # it refuses without listing any of the 580,986 colorings of Λ_2
     monkeypatch.setattr(entropy, "_assignments", _no_listing)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^frontier of 2097216 states exceeds the state cap 2000000$"):
         extendable_colorings(2)
 
 

@@ -157,3 +157,51 @@ def test_box_degree_range():
         b = box(d, n)
         degs = {b.degree(v) for v in range(b.nv)}
         assert min(degs) == d and max(degs) == 2 * d
+
+
+SHIFT_LATTICES = [
+    box(2, 2), box(3, 1), box(2, 1, extended=True),
+    torus(1, 2), torus(2, 2), torus(2, 4), torus(3, 4),
+]
+
+
+def _shift_by_coordinates(lat, c, s):
+    """σ_s by coordinate arithmetic: wrap on tori; on a box, None unless
+    c + e_s is in Λ_n, or (extended) an odd vertex of Λ_{n+1}."""
+    cc = list(c)
+    cc[abs(s) - 1] += 1 if s > 0 else -1
+    if lat.kind is LatticeKind.TORUS:
+        cc = [x % lat.n for x in cc]
+    else:
+        reach = max(map(abs, cc))
+        padded = lat.spec.extended and reach == lat.n + 1 and sum(cc) % 2 == 1
+        if reach > lat.n and not padded:
+            return None
+    return lat.index(cc)
+
+
+@pytest.mark.parametrize("lat", SHIFT_LATTICES, ids=repr)
+def test_shift_tables_match_coordinate_arithmetic(lat):
+    for s in shift_order(lat.d):
+        for v, c in enumerate(lat.coords):
+            w = _shift_by_coordinates(lat, c, s)
+            assert lat.shift_tables[s][v] == w == lat.shift(v, s)
+            if w is not None:
+                assert lat.shift(w, -s) == v
+            assert lat.shift_set(1 << v, s) == (0 if w is None else 1 << w)
+    # neighbors are the distinct defined shifts; n = 2 tori collapse the
+    # two wrap edges into one
+    for v, c in enumerate(lat.coords):
+        expect = {_shift_by_coordinates(lat, c, s) for s in shift_order(lat.d)} - {None}
+        assert lat.neighbors[v] == sorted(expect)
+    if lat.kind is LatticeKind.TORUS and lat.n == 2:
+        assert all(lat.degree(v) == lat.d for v in range(lat.nv))
+
+
+@pytest.mark.parametrize("lat", SHIFT_LATTICES, ids=repr)
+def test_shift_rejects_bad_directions(lat):
+    for s in (0, lat.d + 1, -(lat.d + 1), 1.0):
+        with pytest.raises(LatticeError):
+            lat.shift(0, s)
+        with pytest.raises(LatticeError):
+            lat.shift_set(1, s)

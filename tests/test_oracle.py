@@ -281,8 +281,27 @@ def test_frontier_keys_never_overflow():
 
 
 def test_frontier_state_cap_refuses():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^frontier of 12 states exceeds the state cap 10$"):
         count_colorings(box(2, 2), 3, state_cap=10)
+
+
+def test_frontier_refuses_branch_by_branch(monkeypatch):
+    # three leaves, then their common neighbour: the first two leaves merge
+    # their branches at once (3, then 9 states, within the cap of 10); the
+    # third leaf's branches hold 9 states each, so they merge one at a
+    # time, the second passes the cap, and the third is counted for the
+    # message but never merged
+    merged = []
+    real_merge = oracle._merge
+
+    def recording_merge(parts):
+        merged.append(real_merge(parts))
+        return merged[-1]
+
+    monkeypatch.setattr(oracle, "_merge", recording_merge)
+    with pytest.raises(CapExceeded, match="^frontier of 27 states exceeds the state cap 10$"):
+        _frontier_count(4, [[3], [3], [3], [0, 1, 2]], 3, {}, {}, 10)
+    assert [len(keys) for keys, _ in merged] == [3, 9, 9, 9]
 
 
 def test_torus_refuses_before_it_counts(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from potts3 import (
     Parity,
     boundary_layer,
     bound_report,
+    box,
     build_box_cutset,
     canonical_good_triple,
     exact_approximation,
@@ -19,6 +21,8 @@ from potts3 import (
     flow_weight,
     is_approximation,
     is_good_triple,
+    is_proper,
+    odd_boundary_pinned,
     phase_coloring,
     phi_family,
     q_sets,
@@ -325,3 +329,79 @@ def test_box_shift_images_respect_boundary_condition(box_corpus, box22):
     for s in shift_order(2):
         for _subset, chi_p in phi_family(chi, cut.region, s):
             assert satisfies_bc(chi_p, OddBoundaryZero())
+
+
+def _random_coloring(lat, pins, rng):
+    """A proper 3-coloring that keeps ``pins``: depth-first over the
+    vertices in index order.  Each free vertex tries 1 and 2 in a random
+    order, with 0 first on even vertices and last on odd ones, which grows
+    the even zero set and so the cutset region.  None when there is none."""
+    colors = [None] * lat.nv
+
+    def place(v):
+        if v == lat.nv:
+            return True
+        nonzero = rng.sample((1, 2), 2)
+        options = [0, *nonzero] if lat.parities[v] == 0 else [*nonzero, 0]
+        for c in [pins[v]] if v in pins else options:
+            if all(colors[u] != c for u in lat.neighbors[v]):
+                colors[v] = c
+                if place(v + 1):
+                    return True
+        colors[v] = None
+        return False
+
+    return Coloring(lat, colors, 3) if place(0) else None
+
+
+def test_box31_pinned_class_is_empty():
+    # v₀'s neighbours all lie on the odd boundary, pinned to v₀'s color
+    lat = box(3, 1)
+    assert _random_coloring(lat, odd_boundary_pinned((0, 0, 0)).pins(lat), random.Random(0)) is None
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (2, 4), (2, 6)])
+def test_repair_round_trip_on_random_box_colorings(d, n):
+    # box(3,2) keeps every even vertex but v₀ off the zero set (each has an
+    # odd boundary neighbour), so its regions are stars; box(2,6) has
+    # layers past 10 cells, where S is sampled
+    lat = box(d, n)
+    origin = (0,) * d
+    v0 = lat.index(origin)
+    pins = odd_boundary_pinned(origin).pins(lat)
+    rng = random.Random(20 * d + n)
+    widest = 0
+    for _ in range(3):
+        chi = _random_coloring(lat, pins, rng)
+        region = build_box_cutset(chi, v0).region
+        for s in shift_order(d):
+            layer = boundary_layer(lat, region, s)
+            widest = max(widest, layer.bit_count())
+            if layer.bit_count() <= 10:
+                family = phi_family(chi, region, s)
+            else:
+                family = (sample_phi(chi, region, s, rng) for _ in range(16))
+            for subset, chi_p in family:
+                assert subset & ~layer == 0
+                assert is_proper(chi_p) and satisfies_bc(chi_p, OddBoundaryZero())
+                assert reconstruct(chi_p, region, s) == chi
+                assert membership_subset(chi, chi_p, region, s) == subset
+    assert (widest > 10) == (n == 6)
+
+
+def _explicit_flow(chi, cut, approx, s):
+    return sum(flow_weight(chi, chi_p, cut, approx, s)
+               for _subset, chi_p in phi_family(chi, cut.region, s))
+
+
+def test_explicit_flow_sum_matches_per_image_weights(box_corpus, box22, domino_setup):
+    v0 = box22.index((0, 0))
+    for chi in box_corpus:
+        cut = build_box_cutset(chi, v0)
+        approx = exact_approximation(cut)
+        for s in shift_order(2):
+            assert flow_out_total(chi, cut, approx, s).explicit == _explicit_flow(chi, cut, approx, s)
+    t, chi, cut, approx, extra = domino_setup
+    for s in shift_order(2):
+        assert flow_out_total(chi, cut, approx, s).explicit == _explicit_flow(chi, cut, approx, s) == 1
+    assert flow_sets(cut, approx, -2)[1] != 0
