@@ -162,7 +162,7 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=()) -> dict[byt
             # branches' keys are disjoint, so each merges on its own, in
             # increasing c, and the count refuses as soon as the states
             # merged so far pass the cap (a site that adds no digit cannot
-            # add states)
+            # add states); below the cap one merge is faster than several
             branches, states = [], 0
             for i, c in enumerate(choices):
                 branches.append(_merge([branch(c)]))

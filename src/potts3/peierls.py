@@ -264,17 +264,13 @@ def flow_weight(
     """ν(χ, χ′) = (1/4)^{|C∩I(χ′)|} (3/4)^{|C∖I(χ′)|} (1/2)^{|D|}."""
     membership_subset(chi, chi_prime, cut.region, s)
     _, c_set, d_set = flow_sets(cut, approx, s)
-    zeros_prime = 0
-    for v, c in enumerate(chi_prime.colors):
-        if c == 0:
-            zeros_prime |= 1 << v
-    hit = (c_set & zeros_prime).bit_count()
-    miss = (c_set & ~zeros_prime).bit_count()
-    return (
-        Fraction(1, 4) ** hit
-        * Fraction(3, 4) ** miss
-        * Fraction(1, 2) ** d_set.bit_count()
-    )
+    c_bits = list(iter_bits(c_set))
+    return Fraction(_nu_numerator(chi_prime, c_bits), 4 ** len(c_bits) * 2 ** d_set.bit_count())
+
+
+def _nu_numerator(chi_prime: Coloring, c_bits: list[int]) -> int:
+    """ν(χ, χ′) · 4^{|C|} 2^{|D|} = 3^{|C∖I(χ′)|}, for the vertices of C."""
+    return 3 ** sum(chi_prime.colors[v] != 0 for v in c_bits)
 
 
 @dataclass(frozen=True)
@@ -295,8 +291,8 @@ def flow_out_total(
     summation over all S whenever |W^s| ≤ ``explicit_cap``.
 
     The explicit sum visits every image, checks that it is a member, and
-    reads its own zero set on C: ν = 3^{|C∖I(χ′)|} / (4^{|C|} 2^{|D|}), so
-    the numerators are summed as integers over that common denominator.
+    sums ``flow_weight``'s numerators as integers over their common
+    denominator 4^{|C|} 2^{|D|}.
     """
     layer, c_set, d_set = flow_sets(cut, approx, s)
     closed = Fraction(1)
@@ -312,7 +308,7 @@ def flow_out_total(
     for subset in _subsets(layer):
         chi_prime = _repair(chi, region, s, layer, subset)
         _member_subset(chi, chi_prime, region, s, layer)
-        numerator += 3 ** sum(chi_prime.colors[v] != 0 for v in c_bits)
+        numerator += _nu_numerator(chi_prime, c_bits)
     total = Fraction(numerator, 4 ** len(c_bits) * 2 ** d_set.bit_count())
     return FlowTotal(closed_form=closed, explicit=total, agrees=total == closed)
 
