@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BoundaryConditionError, ColoringError
 from .lattice import Lattice, LatticeKind, Parity, iter_bits
@@ -177,10 +178,18 @@ def odd_boundary_pinned(v0: tuple[int, ...]) -> Composite:
     return Composite((OddBoundaryZero(), PinnedVertex(v0, 0)))
 
 
+@lru_cache(maxsize=64)
+def _pin_items(bc: BoundaryCondition, lat: Lattice) -> tuple[tuple[int, int], ...]:
+    """``bc``'s pins on ``lat`` as (vertex, color) pairs, built once per
+    (condition, lattice); a tuple, so no caller can change the shared map."""
+    return tuple(bc.pins(lat).items())
+
+
 def satisfies_bc(chi: Coloring, bc: BoundaryCondition | None) -> bool:
     if bc is None:
         return True
-    return all(chi.colors[v] == c for v, c in bc.pins(chi.lattice).items())
+    colors = chi.colors
+    return all(colors[v] == c for v, c in _pin_items(bc, chi.lattice))
 
 
 # -- stock colorings ---------------------------------------------------------

@@ -25,6 +25,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +96,7 @@ class ChainSpec:
     stream: int = 0
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     step: int
     imbalance: int
     zero_even: int
@@ -172,11 +172,14 @@ def run_chain(
         rho=rho,
     )
 
+    tags: dict[int, str] = {}     # class tag per imbalance seen in this chain
+
     def record(step):
         imb = zeros[0] - zeros[1]
-        traj.points.append(
-            TrajectoryPoint(step, imb, zeros[0], zeros[1], _class_tag(lat, imb, rho))
-        )
+        tag = tags.get(imb)
+        if tag is None:
+            tag = tags[imb] = _class_tag(lat, imb, rho)
+        traj.points.append(TrajectoryPoint(step, imb, zeros[0], zeros[1], tag))
 
     record(0)
     nv = lat.nv

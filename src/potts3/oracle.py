@@ -29,7 +29,7 @@ from .coloring import (
 )
 from .cutset import build_box_cutset
 from .errors import CapExceeded, ColoringError, LatticeError
-from .lattice import Lattice, LatticeKind, box
+from .lattice import Lattice, LatticeKind, LatticeSpec, box, build_lattice
 
 ENUM_CAP = 10_000_000
 STATE_CAP = 20_000
@@ -197,35 +197,37 @@ def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
     """Exact |C_q(lat, bc)| by the frontier counter, refusing (CapExceeded)
     past ``state_cap`` frontier states.
 
-    A box is one run.  A torus pins its first slab x₀ = 0 to each of that
-    slab's proper colorings in turn, which keeps the frontier small.  It
-    lists them all (at most ``state_cap``) before it counts any, so a slab
-    past the cap refuses without counting.  With no other pins only the
-    colorings whose colors appear in order 0, 1, … run, each standing for
-    the q·(q−1)·… relabelings of its colors.
+    A box is one run.  A torus pins its first slab x₀ = 0 to its proper
+    colorings, which keeps the frontier small.  It lists them all (at most
+    ``state_cap``) before it counts any, so a slab past the cap refuses
+    without counting; the cap also bounds each run's frontier.  With no
+    other pins and d > 1, one run per orbit of slab colorings under the
+    slab torus Z^{d−1}_n's automorphisms × color relabelings, whose indices
+    the slab shares, stands for the whole orbit: each such symmetry extends
+    to Z^d_n fixing the slab, so the orbit's colorings count alike.  Its
+    orbit keys need q^(n^{d−1}) < 2^63, or it refuses, as its frontier of
+    n^{d−1} pinned sites would.
     """
     pins = _pins(lat, q, bc)
     if lat.kind is LatticeKind.BOX:
         return sum(_frontier_count(lat.nv, lat.neighbors, q, pins, {}, state_cap).values())
     m = lat.nv // lat.n
     slab = [[u for u in lat.neighbors[v] if u < m] for v in range(m)]
+    symmetric = not pins and lat.d > 1
+    if symmetric and q ** m >= 2 ** 63:
+        raise CapExceeded(f"orbit keys of a {m}-site slab need q^{m} < 2^63, got q={q}")
     try:
         starts = list(_assignments(m, slab, q, {v: c for v, c in pins.items() if v < m},
                                    cap=state_cap))
     except CapExceeded:
         raise CapExceeded(f"first-slab colorings exceed the state cap {state_cap}") from None
-    total = 0
-    for start in starts:
-        weight = 1
-        if not pins:
-            used = list(dict.fromkeys(start))              # colors by first appearance
-            if used != list(range(len(used))):
-                continue
-            weight = math.perm(q, len(used))
-        total += weight * sum(_frontier_count(
-            lat.nv, lat.neighbors, q, {**pins, **dict(enumerate(start))}, {}, state_cap
-        ).values())
-    return total
+    weights = [1] * len(starts)
+    if symmetric:
+        first, weights = _orbits(starts, build_lattice(LatticeSpec(lat.kind, lat.d - 1, lat.n)), q)
+        starts = [starts[i] for i in first]
+    return sum(int(weight) * sum(_frontier_count(
+        lat.nv, lat.neighbors, q, {**pins, **dict(enumerate(start))}, {}, state_cap
+    ).values()) for start, weight in zip(starts, weights))
 
 
 # -- exact transition matrix ---------------------------------------------------
@@ -698,10 +700,9 @@ def _first_appearance_keys(W: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     return keys
 
 
-def orbit_representatives(states: list[bytes], lat: Lattice, q: int) -> list[int]:
-    """One state index per orbit under lattice automorphisms × color
-    relabelings (these commute with the Metropolis matrix): the first index,
-    in state order, of each orbit.
+def _orbits(states: list[bytes], lat: Lattice, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each orbit's first index, in state order, and how many of the states
+    it holds, under lattice automorphisms × color relabelings.
 
     A state's orbit key is the least, over automorphisms, of its key moved
     by the automorphism and relabeled by first appearance, its
@@ -710,8 +711,16 @@ def orbit_representatives(states: list[bytes], lat: Lattice, q: int) -> list[int
     keys = _SymmetryKeys(states, lat, q)
     free = np.full(keys.b, -1)
     best = keys.least([(p, free) for p in range(len(keys.moved))])
-    _, first_index = np.unique(best, return_index=True)
-    return sorted(first_index.tolist())
+    _, first, sizes = np.unique(best, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], sizes[order]
+
+
+def orbit_representatives(states: list[bytes], lat: Lattice, q: int) -> list[int]:
+    """One state index per orbit under lattice automorphisms × color
+    relabelings (these commute with the Metropolis matrix): the first index,
+    in state order, of each orbit (``_orbits``)."""
+    return _orbits(states, lat, q)[0].tolist()
 
 
 def _stabilizer_blocks(states: list[bytes], lat: Lattice, q: int, starts: list[int]):

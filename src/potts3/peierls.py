@@ -239,7 +239,9 @@ def flow_sets(cut: Cutset, approx: Approximation, s: int) -> tuple[int, int, int
     return layer, c_set, layer & ~c_set
 
 
-def _member_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int, layer: int) -> int:
+def membership_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int) -> int:
+    """The unique S whose repair image is χ′, or raise if χ′ is not one."""
+    layer = boundary_layer(chi.lattice, region, s)
     subset = 0
     for v in iter_bits(layer):
         if chi_prime.colors[v] == 0:
@@ -247,11 +249,6 @@ def _member_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int, laye
     if _repair(chi, region, s, layer, subset) != chi_prime:
         raise ColoringError("chi_prime is not in the shift family of chi")
     return subset
-
-
-def membership_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int) -> int:
-    """The unique S whose repair image is χ′, or raise if χ′ is not one."""
-    return _member_subset(chi, chi_prime, region, s, boundary_layer(chi.lattice, region, s))
 
 
 def flow_weight(
@@ -290,9 +287,9 @@ def flow_out_total(
     """Σ_{χ′∈φ_s(χ)} ν(χ, χ′): 1 in closed form, cross-checked by explicit
     summation over all S whenever |W^s| ≤ ``explicit_cap``.
 
-    The explicit sum visits every image, checks that it is a member, and
-    sums ``flow_weight``'s numerators as integers over their common
-    denominator 4^{|C|} 2^{|D|}.
+    The explicit sum visits every image, checks that ``reconstruct`` maps
+    it back to χ (PropertyViolation if not), and sums ``flow_weight``'s
+    numerators as integers over their common denominator 4^{|C|} 2^{|D|}.
     """
     layer, c_set, d_set = flow_sets(cut, approx, s)
     closed = Fraction(1)
@@ -307,7 +304,8 @@ def flow_out_total(
     numerator = 0
     for subset in _subsets(layer):
         chi_prime = _repair(chi, region, s, layer, subset)
-        _member_subset(chi, chi_prime, region, s, layer)
+        if reconstruct(chi_prime, region, s) != chi:
+            raise PropertyViolation("a repair image does not reconstruct to chi")
         numerator += _nu_numerator(chi_prime, c_bits)
     total = Fraction(numerator, 4 ** len(c_bits) * 2 ** d_set.bit_count())
     return FlowTotal(closed_form=closed, explicit=total, agrees=total == closed)

@@ -220,6 +220,14 @@ def test_cap_refusal_exit_code(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_slab_orbit_keys_past_int64_exit_3(tmp_path, capsys):
+    # the 64-site slab's orbit keys would need 2^64: a refusal, not a crash
+    rc = run(["enumerate", "--kind", "torus", "--d", "2", "--n", "64", "--q", "2",
+              "--out", str(tmp_path)])
+    assert rc == 3
+    assert "2^63" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["mixing", "--d", "2", "--n", "6"],
     ["conductance", "--d", "2", "--n", "6"],

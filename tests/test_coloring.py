@@ -125,6 +125,20 @@ def test_satisfies_bc_examples():
         satisfies_bc(phase_coloring(torus(2, 4)), OddBoundaryZero())
 
 
+def test_satisfies_bc_builds_each_pin_map_once(monkeypatch):
+    calls = []
+    real_pins = OddBoundaryZero.pins
+    monkeypatch.setattr(OddBoundaryZero, "pins",
+                        lambda self, lat: calls.append(lat) or real_pins(self, lat))
+    b = box(2, 3)
+    chis = [phase_coloring(b, Parity.ODD), mod3_coloring(b)]
+    assert [satisfies_bc(chi, OddBoundaryZero()) for chi in chis * 3] == [True, False] * 3
+    assert calls == [b]
+    # a caller's own pin map is a copy: emptying it leaves the shared one whole
+    OddBoundaryZero().pins(b).clear()
+    assert not satisfies_bc(mod3_coloring(b), OddBoundaryZero())
+
+
 def test_zero_counts_consistency(z24_states):
     for chi in z24_states[::301]:
         ze, zo = zero_counts(chi)

@@ -23,6 +23,7 @@ from potts3 import (
     run_chain,
     torus,
 )
+from potts3 import dynamics
 from potts3.coloring import imbalance_class, zero_counts
 from potts3.dynamics import Trajectory, TrajectoryPoint
 from potts3.errors import ColoringError
@@ -177,6 +178,18 @@ def test_trajectory_csv_format():
     assert lines[0] == "step,imbalance,zero_even,zero_odd,class"
     assert lines[1].startswith("0,8,8,0,even-heavy")
     assert len(lines) == 4
+
+
+def test_class_rule_runs_once_per_imbalance(monkeypatch):
+    # record points remember each imbalance's tag within a chain
+    calls = []
+    real_class = dynamics.imbalance_class
+    monkeypatch.setattr(dynamics, "imbalance_class",
+                        lambda imb, nv, rho: calls.append(imb) or real_class(imb, nv, rho))
+    _, traj = run_chain(ChainSpec(seed=5), phase_coloring(torus(2, 4)), 2000, thin=1)
+    assert len(traj.points) == 2001
+    assert sorted(calls) == sorted({p.imbalance for p in traj.points})
+    assert len(calls) > 1
 
 
 def test_box_trajectory_class_is_na():

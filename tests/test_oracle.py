@@ -28,6 +28,7 @@ from potts3 import (
 )
 from potts3 import oracle
 from potts3.errors import CapExceeded, ColoringError
+from potts3.lattice import Lattice
 from potts3.oracle import (
     ITER_CAP,
     ExactTransitionMatrix,
@@ -312,6 +313,81 @@ def test_torus_refuses_before_it_counts(monkeypatch):
     monkeypatch.setattr(oracle, "_frontier_count", no_counting)
     with pytest.raises(CapExceeded):
         count_colorings(torus(2, 4), 3, state_cap=5)
+
+
+# -- tori by slab orbits: one pinned run per orbit of first-slab colorings -------
+
+
+def _slab_adjacency(lat):
+    """The first slab x₀ = 0 of a torus: its sites 0…m−1 and their edges."""
+    m = lat.nv // lat.n
+    return [[u for u in lat.neighbors[v] if u < m] for v in range(m)]
+
+
+def _count_every_slab_start(lat, q):
+    """Reference: one pinned frontier run per proper first-slab coloring,
+    each with weight 1."""
+    slab = _slab_adjacency(lat)
+    return sum(
+        sum(_frontier_count(lat.nv, lat.neighbors, q, dict(enumerate(start)), {}, None).values())
+        for start in _assignments(len(slab), slab, q, {})
+    )
+
+
+@pytest.mark.parametrize("lat,q", [
+    (torus(2, 6), 3), (torus(2, 4), 4), (torus(3, 2), 3), (torus(4, 2), 3), (torus(1, 6), 4),
+], ids=repr)
+def test_orbit_weighted_torus_count_matches_every_slab_start(lat, q):
+    assert count_colorings(lat, q) == _count_every_slab_start(lat, q)
+
+
+@pytest.mark.parametrize("lat", [
+    torus(2, 2), torus(2, 4), torus(2, 6), torus(2, 8), torus(2, 10),
+    torus(3, 2), torus(3, 4), torus(4, 2),
+], ids=repr)
+def test_slab_shares_the_indices_of_the_slab_torus(lat):
+    # the orbits are taken on torus(d − 1, n): its vertex i must be slab site i,
+    # with the same edges (n = 2 collapses both wrap edges on each)
+    assert _slab_adjacency(lat) == torus(lat.d - 1, lat.n).neighbors
+
+
+def test_torus_counts_frozen(monkeypatch):
+    # one pinned run per slab orbit: 8 on the 8-cycle, 18 on the 10-cycle,
+    # and Z^2_4's 22 on Z^3_4
+    runs = []
+    real_count = oracle._frontier_count
+    monkeypatch.setattr(oracle, "_frontier_count",
+                        lambda *args: runs.append(args) or real_count(*args))
+    assert count_colorings(torus(2, 8)) == 2_901_094_068_042
+    assert count_colorings(torus(2, 10)) == 16_178_049_740_086_515_288
+    # Z^3_4 is 2·|EvenHeavy| + |Balanced| of the class split at ρ = 11/50
+    assert count_colorings(torus(3, 4)) == 2 * 45_222_378_468 + 9_856_293_666 == 100_301_050_602
+    assert len(runs) == 8 + 18 + 22
+
+
+def test_repeated_torus_counts_share_one_slab_lattice():
+    # the slab torus comes from build_lattice, so a repeated count adds no
+    # lattice to the process-wide automorphism cache
+    t = torus(2, 6)
+    count_colorings(t)
+    before = Lattice.vertex_automorphisms.cache_info().currsize
+    count_colorings(t)
+    assert Lattice.vertex_automorphisms.cache_info().currsize == before
+
+
+def test_torus_with_pins_runs_every_slab_start(monkeypatch):
+    runs = []
+    real_count = oracle._frontier_count
+    monkeypatch.setattr(oracle, "_frontier_count",
+                        lambda *args: runs.append(args) or real_count(*args))
+    assert count_colorings(torus(2, 4), 3, PinnedVertex((0, 0), 0)) == 2970 // 3
+    assert len(runs) == 6                      # 4-cycle colorings with site 0 at 0
+
+
+def test_torus_orbit_keys_past_int64_refuse():
+    # 2^64 keys for the 64-site slab: a cap refusal (exit 3), not a ValueError
+    with pytest.raises(CapExceeded, match="2\\^63"):
+        count_colorings(torus(2, 64), 2)
 
 
 def test_pin_outside_color_range_is_rejected():

@@ -37,7 +37,8 @@ from potts3 import (
 )
 from potts3.cutset import SeedParity
 from potts3.dynamics import CounterRng
-from potts3.errors import ColoringError
+from potts3 import peierls
+from potts3.errors import ColoringError, PropertyViolation
 from potts3.lattice import iter_bits, shift_order
 from potts3.peierls import degree_threshold, flow_sets, membership_subset
 
@@ -401,3 +402,22 @@ def test_explicit_flow_sum_matches_per_image_weights(box_corpus, box22, domino_s
     for s in shift_order(2):
         assert flow_out_total(chi, cut, approx, s).explicit == _explicit_flow(chi, cut, approx, s) == 1
     assert flow_sets(cut, approx, -2)[1] != 0
+
+
+def test_explicit_flow_sum_catches_a_corrupted_repair(domino_setup, monkeypatch):
+    # a repair map that recolors one site of W ∖ W^s wrongly: no image then
+    # reconstructs to χ, and the explicit sum checks every image against χ
+    t, chi, cut, approx, extra = domino_setup
+    s = -2
+    real_repair = peierls._repair
+
+    def corrupted(chi, region, s, layer, subset):
+        out = bytearray(real_repair(chi, region, s, layer, subset).colors)
+        v = next(iter_bits(region & ~layer))
+        out[v] = (out[v] + 1) % 3
+        return Coloring(chi.lattice, out, chi.q)
+
+    assert flow_out_total(chi, cut, approx, s).agrees is True
+    monkeypatch.setattr(peierls, "_repair", corrupted)
+    with pytest.raises(PropertyViolation, match="reconstruct"):
+        flow_out_total(chi, cut, approx, s)
