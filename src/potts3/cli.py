@@ -19,7 +19,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -64,8 +64,10 @@ EXIT_CAP = 3
 EXIT_VIOLATION = 4
 
 
+@cache
 def build_id() -> str:
-    """Version plus the git state of the package's own checkout, not the cwd's."""
+    """Version plus the git state of the package's own checkout, not the
+    cwd's; asked of git once per process."""
     try:
         desc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ColoringError, LatticeError
+from .errors import CapExceeded, ColoringError, LatticeError
 from .lattice import box
-from .oracle import _assignments, count_colorings, grid_region_counts
+from .oracle import STATE_CAP, _assignments, count_colorings, grid_region_counts
 
 BOUNDARY_COLOR = 1       # the frozen even exterior; 1 and 2 agree under the color swap
 
@@ -72,13 +72,28 @@ def _aitken_pass(seq: list[float]) -> list[float]:
 
 
 def _strip_per_site(width: int) -> float:
-    """ln λ_max of the width-w column transfer matrix, per site."""
+    """ln λ_max of the width-w column transfer matrix T, per site, from T's
+    quotient by the colour relabelings x ↦ ax + b (mod 3).  They act freely
+    on the colorings of a w ≥ 2 path, and each orbit has one representative
+    reading (0, 1) first, so the equitable quotient B[X, Y] = #{b ∈ Y : b
+    compatible with a_X} is 2^{w−2}-square; its rows are built in chunks."""
+    if width == 1:
+        return math.log(2)     # one orbit, B = [[2]]
     path = [[u for u in (v - 1, v + 1) if 0 <= u < width] for v in range(width)]
     S = np.frombuffer(b"".join(_assignments(width, path, 3, {})), dtype=np.uint8)
-    S = S.reshape(-1, width)
-    T = (S[:, None, :] != S[None, :, :]).all(axis=2).astype(float)
-    lam = float(max(abs(np.linalg.eigvals(T))))
-    return math.log(lam) / width
+    S = S.reshape(-1, width).astype(np.int64)
+    # each state's base-3 key after relabeling it to read (0, 1) first; the
+    # listing is lexicographic, so the representatives' keys come sorted
+    key = ((S - S[:, :1]) * (S[:, 1:2] - S[:, :1]) % 3) @ 3 ** np.arange(width - 1, -1, -1)
+    reps = np.flatnonzero((S[:, 0] == 0) & (S[:, 1] == 1))
+    orbit, R = np.searchsorted(key[reps], key), len(reps)
+    B = np.zeros((R, R))
+    step = max(1, 2 ** 22 // S.size)
+    for lo in range(0, R, step):
+        A = S[reps[lo:lo + step]]
+        rows, cols = np.nonzero((A[:, None, :] != S[None, :, :]).all(axis=2))
+        B[lo:lo + step] = np.bincount(rows * R + orbit[cols], minlength=len(A) * R).reshape(-1, R)
+    return math.log(max(abs(np.linalg.eigvals(B)))) / width
 
 
 def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
@@ -88,7 +103,8 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
     given widths (transfer-matrix top eigenvalue).  d=3: exact counts of
     tiny boxes per half-width.  Other d, fewer than 3 sizes or a size below
     1 have no route (ColoringError); a box too large to count refuses via
-    the counter's state cap.
+    the counter's state cap, and a strip of more than ``STATE_CAP`` states
+    (w ≥ 14) refuses before any strip is listed.
     """
     if d not in (1, 2, 3):
         raise ColoringError(f"no counting route for d={d}; d must be 1, 2 or 3")
@@ -96,6 +112,8 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
         raise ColoringError("need at least 3 sizes to extrapolate")
     if min(sizes) < 1:
         raise ColoringError(f"sizes must be at least 1, got {min(sizes)}")
+    if d == 2 and (states := 3 * 2 ** (max(sizes) - 1)) > STATE_CAP:
+        raise CapExceeded(f"a width-{max(sizes)} strip has {states} states, past the cap {STATE_CAP}")
     per_site: list[float] = []
     for size in sizes:
         if d == 2:

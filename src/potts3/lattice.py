@@ -57,7 +57,7 @@ class LatticeSpec:
 class Lattice:
     """Immutable graph of a lattice region with precomputed tables.
 
-    Safe to share across workers; nothing here mutates after construction.
+    Safe to share across workers; only the automorphism cache fills later.
     """
 
     def __init__(self, spec: LatticeSpec):
@@ -152,10 +152,14 @@ class Lattice:
 
     # -- automorphisms -----------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def vertex_automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Graph automorphisms: axis permutations and reflections, plus
-        translations on tori.  Returned as vertex permutation tuples."""
+        translations on tori, as vertex permutation tuples kept on the lattice."""
+        if "_automorphisms" not in self.__dict__:
+            self._automorphisms = self._build_automorphisms()
+        return self._automorphisms
+
+    def _build_automorphisms(self) -> tuple[tuple[int, ...], ...]:
         perms = set()
         axes = list(itertools.permutations(range(self.d)))
         signs = list(itertools.product((1, -1), repeat=self.d))

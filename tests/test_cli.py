@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import potts3
-from potts3 import cli
+from potts3 import cli, entropy, topological_entropy_estimate
 from potts3.cli import build_id, main, make_parser, write_report
 
 
@@ -159,9 +159,38 @@ def test_failed_write_keeps_previous_report(tmp_path, monkeypatch):
 
 def test_build_id_ignores_callers_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(Path(potts3.__file__).resolve().parent)
+    build_id.cache_clear()
     stamp = build_id()
     monkeypatch.chdir(tmp_path)
+    build_id.cache_clear()
     assert build_id() == stamp
+
+
+def test_two_runs_ask_git_once(tmp_path, monkeypatch):
+    gits = []
+    real_run = cli.subprocess.run
+    monkeypatch.setattr(cli.subprocess, "run",
+                        lambda cmd, **kw: gits.append(cmd) or real_run(cmd, **kw))
+    build_id.cache_clear()
+    for name in ("a", "b"):
+        assert run(["enumerate", "--kind", "box", "--d", "2", "--n", "1",
+                    "--out", str(tmp_path / name)]) == 0
+    assert [cmd[0] for cmd in gits] == ["git"]
+
+
+def test_entropy_wide_strip_refuses_before_listing(tmp_path, monkeypatch):
+    # a width-14 strip has 3·2^13 = 24,576 states, past STATE_CAP; the count
+    # is closed-form, so no strip (not even the narrow ones) is listed
+    def no_listing(*args, **kwargs):
+        raise AssertionError("a strip was listed")
+
+    monkeypatch.setattr(entropy, "_assignments", no_listing)
+    rc = run(["entropy", "--d", "2", "--sizes", "2,3,14", "--out", str(tmp_path)])
+    assert rc == 3
+    assert not (tmp_path / "report.json").exists()
+    # width 13 (12,288 states) is the widest that passes the cap
+    monkeypatch.setattr(entropy, "_strip_per_site", lambda w: 1 / w)
+    assert topological_entropy_estimate(2, [11, 12, 13]).per_site == [1 / 11, 1 / 12, 1 / 13]
 
 
 def test_flow_check_box(tmp_path):

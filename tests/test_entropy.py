@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from potts3 import (
@@ -18,7 +21,11 @@ from potts3 import (
 )
 from potts3 import entropy
 from potts3.errors import CapExceeded, ColoringError
-from potts3.oracle import grid_region_counts
+from potts3.oracle import _assignments, grid_region_counts
+
+COUNT_ENTROPY_REFERENCE = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "count-entropy.json"
+)
 
 
 def _no_listing(*args, **kwargs):
@@ -81,10 +88,64 @@ def test_topo_entropy_d2_strips():
     assert abs(rep.estimate - 1.5 * math.log(4 / 3)) < 0.01
 
 
+def _dense_strip_per_site(w: int) -> float:
+    """ln λ_max of the full 3·2^{w−1}-square strip transfer matrix, per site."""
+    path = [[u for u in (v - 1, v + 1) if 0 <= u < w] for v in range(w)]
+    S = np.frombuffer(b"".join(_assignments(w, path, 3, {})), dtype=np.uint8).reshape(-1, w)
+    T = (S[:, None, :] != S[None, :, :]).all(axis=2).astype(float)
+    return math.log(max(abs(np.linalg.eigvals(T)))) / w
+
+
+@pytest.mark.parametrize("w", range(1, 9))
+def test_strip_quotient_matches_dense_transfer(w):
+    assert math.isclose(entropy._strip_per_site(w), _dense_strip_per_site(w), rel_tol=1e-13)
+
+
+def test_topo_entropy_d2_matches_frozen_reference():
+    # the count-entropy benchmark's frozen report, to the same 1e-12; the
+    # third Aitken pass amplifies per-site ulps about 2700-fold
+    ref = next(op["report"] for op in json.loads(COUNT_ENTROPY_REFERENCE.read_text())["ops"]
+               if op["argv"][0] == "entropy")
+    rep = topological_entropy_estimate(2, [2, 3, 4, 5, 6, 7, 8])
+    assert rep.per_site == pytest.approx(ref["per_site"], rel=0, abs=1e-12)
+    assert len(rep.passes) == len(ref["aitken_passes"])
+    for got, want in zip(rep.passes, ref["aitken_passes"]):
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+    assert rep.estimate == pytest.approx(ref["estimate"], rel=0, abs=1e-12)
+
+
+def test_wide_strip_continues_the_sequence():
+    h8, h9, h10 = (entropy._strip_per_site(w) for w in (8, 9, 10))
+    assert h8 > h9 > h10 > 1.5 * math.log(4 / 3)
+    assert h8 - h9 > h9 - h10 > 0
+
+
 def test_extendable_d2_n1_all():
     rep = extendable_colorings(1)
     assert rep.total == 246 and rep.extendable == 246
     assert rep.fraction == 1
+
+
+def test_extendable_filter_drops_a_ring_that_does_not_extend(monkeypatch):
+    # every ring of Λ_1 extends, so make the Λ_3 extendability count (the
+    # first region count) miss one ring pattern r and watch the filter drop it
+    real_counts = entropy.grid_region_counts
+    calls = []
+
+    def drop_one(*args, **kwargs):
+        counts = real_counts(*args, **kwargs)
+        if not calls:
+            calls.append(min(counts))
+            del counts[calls[0]]
+        return counts
+
+    monkeypatch.setattr(entropy, "grid_region_counts", drop_one)
+    rep = extendable_colorings(1)
+    (r,) = calls
+    mult = restriction_distribution(2, 1).multiplicity
+    assert r not in rep.multiplicity and mult[r] > 0
+    assert rep.total == 246 and rep.extendable == 246 - mult[r]
+    assert rep.fraction < 1
 
 
 def test_extendability_refuses_before_it_lists(monkeypatch):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -205,3 +208,13 @@ def test_shift_rejects_bad_directions(lat):
             lat.shift(0, s)
         with pytest.raises(LatticeError):
             lat.shift_set(1, s)
+
+
+def test_lattice_with_automorphisms_is_collected():
+    # the automorphisms are kept on the lattice, not in a process-wide cache
+    t = torus(2, 4)
+    assert len(t.vertex_automorphisms()) == 128
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None

@@ -365,14 +365,21 @@ def test_torus_counts_frozen(monkeypatch):
     assert len(runs) == 8 + 18 + 22
 
 
-def test_repeated_torus_counts_share_one_slab_lattice():
-    # the slab torus comes from build_lattice, so a repeated count adds no
-    # lattice to the process-wide automorphism cache
+def test_repeated_torus_counts_share_one_slab_lattice(monkeypatch):
+    # the slab torus comes from build_lattice and keeps its automorphisms,
+    # so a repeated count builds none; a fresh lattice builds its own once
     t = torus(2, 6)
     count_colorings(t)
-    before = Lattice.vertex_automorphisms.cache_info().currsize
+    builds = []
+    real_build = Lattice._build_automorphisms
+    monkeypatch.setattr(Lattice, "_build_automorphisms",
+                        lambda self: builds.append(self) or real_build(self))
     count_colorings(t)
-    assert Lattice.vertex_automorphisms.cache_info().currsize == before
+    count_colorings(torus(2, 6))
+    assert builds == []
+    fresh = torus(1, 6)
+    assert fresh.vertex_automorphisms() is fresh.vertex_automorphisms()
+    assert builds == [fresh]
 
 
 def test_torus_with_pins_runs_every_slab_start(monkeypatch):
