@@ -86,13 +86,18 @@ def rat(fr) -> dict:
 
 
 def parse_rho(text: str) -> Fraction:
+    """A rational rho strictly between 0 and 1, the imbalance classes' scope."""
     try:
         if "/" in text:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(text)
+            rho = Fraction(int(num), int(den))
+        else:
+            rho = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"rho must be a rational like 11/50: {exc}")
+    if not 0 < rho < 1:
+        raise argparse.ArgumentTypeError(f"rho must lie strictly between 0 and 1, got {rho}")
+    return rho
 
 
 def positive_int(text: str) -> int:
@@ -448,6 +453,8 @@ def cmd_torpid_demo(args) -> int:
 
 def cmd_entropy(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",")]
+    if args.m is not None and args.d != 2:
+        raise ColoringError(f"restriction distribution is implemented for d=2, not d={args.d}")
     topo = topological_entropy_estimate(args.d, sizes)
     payload = {
         "command": "entropy",
@@ -460,8 +467,6 @@ def cmd_entropy(args) -> int:
     }
     ok = True
     if args.m is not None:
-        if args.d != 2:
-            raise ColoringError(f"restriction distribution is implemented for d=2, not d={args.d}")
         gap = max_entropy_gap_check(args.m, args.n_window)
         # the float entropy floor is left out: the exact max-prob bound implies it
         ok = (gap.max_prob_bound_holds and gap.ring_mass_bound_holds

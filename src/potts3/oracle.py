@@ -391,7 +391,7 @@ def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -
 
 _U = 2.0 ** -53        # unit roundoff of binary64
 _TINY = 2.0 ** -1000   # least positive entry the relative-error model admits
-_KEY_CHUNK = 1024      # states per color indicator in the symmetry keys
+_KEY_CHUNK = 1024      # states per color indicator in the orbit keys (``_orbits``)
 
 
 def _coordinates(adj) -> tuple[np.ndarray, np.ndarray]:
@@ -448,9 +448,10 @@ def _lump(op: _FloatOperator, blocks: np.ndarray, start: int) -> _FloatOperator 
     diagonal and the same block-row, the number B(Y, X) of moves into y
     from each block X.  Then B is the lumped matrix, read off any one state
     of Y.  Both conditions are checked here in O(nnz), so the result never
-    rests on a symmetry argument; so is B ≤ denom, which the rounding bound
-    of ``_float_tv`` assumes.  Block-row entries are packed into integer
-    codes, so N·K·(denom + 1) ≥ 2^63 is refused too."""
+    rests on how the labelling was found (``_refined_blocks`` hashes); so
+    is B ≤ denom, which the rounding bound of ``_float_tv`` assumes.
+    Block-row entries are packed into integer codes, so N·K·(denom + 1) ≥
+    2^63 is refused too."""
     k = int(blocks.max()) + 1
     sizes = np.bincount(blocks, minlength=k)
     peer = np.unique(blocks, return_index=True)[1][blocks]   # least state of its block
@@ -466,7 +467,7 @@ def _lump(op: _FloatOperator, blocks: np.ndarray, start: int) -> _FloatOperator 
     pair *= k
     pair += blocks[op.cols]
     pair.sort()                           # op.rows is sorted, so each entry keeps its row
-    head = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+    head = np.flatnonzero(np.diff(pair, prepend=-1))      # empty with no move at all
     moves = np.diff(head, append=len(pair))
     lens = np.bincount(op.rows[head], minlength=len(blocks))
     if moves.max(initial=0) > op.denom or (lens != lens[peer]).any():
@@ -493,6 +494,45 @@ def _lump(op: _FloatOperator, blocks: np.ndarray, start: int) -> _FloatOperator 
         weights=weights.astype(np.float64), diag=diag, blocks=blocks,
         sizes=sizes.astype(np.float64), denom=op.denom, m=int(lens.max(initial=0)),
     )
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)   # odd, so multiplying by it is a bijection
+
+
+def _mixed(labels: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser (Steele, Lea and Flood 2014), wrapping."""
+    x = labels + _GOLDEN
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _refined_blocks(op: _FloatOperator, start: int) -> np.ndarray:
+    """A block index per state of the unlumped ``op``: the coarsest
+    equitable partition that holds ``start`` alone, by colour refinement.
+
+    The first labels are (diagonal, is-start).  Each round's label is the
+    old one times a fixed odd constant plus the wrapping sum of the
+    in-neighbours' ``_mixed`` labels, a hash of their blocks' multiset; the
+    rounds stop when the block count stops growing.  That is the optimal
+    exact lumping (Derisavi, Hermanns and Sanders 2003), at least as coarse
+    as the orbits of the start's stabiliser in any symmetry group of P.  A
+    hash collision can only merge blocks wrongly, and ``_lump`` then
+    refuses the labelling, so exactness never rests on the hash."""
+    heads = np.flatnonzero(np.diff(op.rows, prepend=-1))   # empty with no move at all
+    owners = op.rows[heads]
+    labels = op.diag.astype(np.uint64) * np.uint64(2) + (np.arange(len(op.diag)) == start)
+    count = 0
+    while True:
+        grown = np.count_nonzero(np.diff(np.sort(labels))) + 1    # blocks, by sort + diff
+        if grown == count:
+            return np.unique(labels, return_inverse=True)[1]
+        count = grown
+        mixed = _mixed(labels)
+        labels *= _GOLDEN
+        labels[owners] += np.add.reduceat(mixed[op.cols], heads)
 
 
 def _threshold_enclosure(threshold) -> tuple[float, float]:
@@ -566,16 +606,6 @@ def _float_crossing(op: _FloatOperator, start: int, threshold, iter_cap) -> int 
     return None
 
 
-def _lumped_crossing(full: _FloatOperator, blocks, start: int, threshold,
-                     iter_cap) -> tuple[int | None, int]:
-    """``_float_crossing`` from ``start`` on ``full`` lumped by ``blocks``, or
-    on ``full`` itself where that lumping fails its check, and the number of
-    blocks it ran on.  The lumped operator dies with this call, before the
-    next start's labelling is built."""
-    op = _lump(full, blocks, start) or full
-    return _float_crossing(op, start, threshold, iter_cap), len(op.sizes)
-
-
 def tv_mixing_time(
     P: ExactTransitionMatrix,
     threshold: Fraction | None = None,
@@ -592,12 +622,12 @@ def tv_mixing_time(
     else is a ValueError, raised before any iteration).
 
     Each start runs in float64 (``_float_crossing``) on P lumped by the
-    orbits of its stabiliser (``_stabilizer_blocks``, ``_lump``), or on P
-    itself where that lumping fails its exactness check.  A start whose
-    float run cannot decide a step, or every start when P is outside the
-    float bound's hypotheses, runs the exact ``_first_crossing`` instead
-    and is listed in ``exact_fallbacks``.  Either way every decision is
-    exact.
+    coarsest equitable partition that holds it alone (``_refined_blocks``,
+    ``_lump``), or on P itself where that lumping fails its exactness
+    check.  A start whose float run cannot decide a step, or every start
+    when P is outside the float bound's hypotheses, runs the exact
+    ``_first_crossing`` instead and is listed in ``exact_fallbacks``.
+    Either way every decision is exact.
     """
     if isinstance(starts, str):
         if starts == "all":
@@ -611,13 +641,14 @@ def tv_mixing_time(
     if not use or not all(0 <= s < P.n for s in use):
         raise ValueError(f"starts must be a nonempty list of state indices below {P.n}")
     full = _float_operator(P)
-    labellings = (itertools.repeat(None) if full is None
-                  else _stabilizer_blocks(P.states, P.lattice, P.q, use))
     per, lumped, fallbacks = {}, {}, []
     worst, worst_t = use[0], -1
-    for st, blocks in zip(use, labellings):
-        tcross, lumped[st] = ((None, P.n) if full is None
-                              else _lumped_crossing(full, blocks, st, threshold, iter_cap))
+    for st in use:
+        tcross, lumped[st] = None, P.n
+        if full is not None:
+            op = _lump(full, _refined_blocks(full, st), st) or full
+            tcross, lumped[st] = _float_crossing(op, st, threshold, iter_cap), len(op.sizes)
+            del op                     # before the next start's labelling is built
         if tcross is None:
             fallbacks.append(st)
             tcross = _first_crossing(P, st, threshold, iter_cap)
@@ -638,79 +669,37 @@ def tv_mixing_time(
 # -- symmetry: lattice automorphisms × color relabelings -------------------------
 
 
-class _SymmetryKeys:
-    """Base-b keys of the states moved by each automorphism p of a lattice
-    (the identity first) and relabeled.
-
-    With W[c, i] = Σ_k [states[i][p(k)] = c]·b^(|V|−1−k), relabeling the
-    colors by λ sends state i, moved by p, to the key Σ_c λ(c)·W[c, i], most
-    significant site first.  Every byte up to the largest in a state counts
-    as a color, b of them (b = q for q-colorings).  Keys stay below b^|V|,
-    which must be below 2^63 (ValueError); below 2^53 they are exact in
-    float64, which is faster.  W comes from the color indicator of
-    ``_KEY_CHUNK`` states at a time, its largest array."""
-
-    def __init__(self, states: list[bytes], lat: Lattice, q: int):
-        nv = lat.nv
-        self.S = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), nv)
-        self.b = max(q, int(self.S.max(initial=0)) + 1)
-        if self.b ** nv >= 2 ** 63:
-            raise ValueError(f"orbit keys need q^|V| < 2^63, got {self.b}^{nv}")
-        self.dtype = np.float64 if self.b ** nv <= 2 ** 53 else np.int64
-        powers = (self.b ** np.arange(nv - 1, -1, -1, dtype=np.int64)).astype(self.dtype)
-        perms = np.array([range(nv), *lat.vertex_automorphisms()], dtype=np.intp)
-        self.moved = powers[np.argsort(perms, axis=1)]     # site weights per automorphism
-
-    def _onehot(self, rows) -> np.ndarray:
-        colors = np.arange(self.b, dtype=np.uint8)[:, None, None]
-        return (self.S[rows] == colors).astype(self.dtype)
-
-    def of(self, s: int) -> np.ndarray:
-        """State s's W under every automorphism, one column each."""
-        return self._onehot(slice(s, s + 1))[:, 0] @ self.moved.T
-
-    def least(self, choices) -> np.ndarray:
-        """Per state, the least ``_first_appearance_keys`` over the
-        (automorphism index, fixed labels) pairs in ``choices``."""
-        out = np.full(len(self.S), np.iinfo(np.int64).max, dtype=self.dtype)
-        for lo in range(0, len(self.S), _KEY_CHUNK):
-            onehot = self._onehot(slice(lo, lo + _KEY_CHUNK))
-            chunk = out[lo:lo + _KEY_CHUNK]
-            for p, fixed in choices:
-                np.minimum(chunk, _first_appearance_keys(onehot @ self.moved[p], fixed), out=chunk)
-            del onehot                                     # before the next chunk's
-        return out
-
-
-def _first_appearance_keys(W: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Each state's key Σ_c λ(c)·W[c] (``_SymmetryKeys``) under the
-    relabeling λ that keeps λ(c) = fixed[c] where that is ≥ 0 and numbers
-    the other, free colors on from there by first appearance.
-
-    A color appears earlier exactly when its weight is larger (its top
-    digit is the earlier site), and an absent color weighs 0.  So a free
-    color's label is the fixed count plus the number of heavier free
-    colors, and summing that count's share over colors gives, for each
-    pair of free colors, the lighter one's weight once."""
-    free = np.flatnonzero(fixed < 0)
-    keys = np.where(fixed < 0, len(fixed) - len(free), fixed) @ W
-    for i, c in enumerate(free):
-        for d in free[i + 1:]:
-            keys += np.minimum(W[c], W[d])
-    return keys
-
-
 def _orbits(states: list[bytes], lat: Lattice, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Each orbit's first index, in state order, and how many of the states
     it holds, under lattice automorphisms × color relabelings.
 
-    A state's orbit key is the least, over automorphisms, of its key moved
-    by the automorphism and relabeled by first appearance, its
-    lexicographically least relabeling.  Keys stay below q^|V|, which must
-    be below 2^63."""
-    keys = _SymmetryKeys(states, lat, q)
-    free = np.full(keys.b, -1)
-    best = keys.least([(p, free) for p in range(len(keys.moved))])
+    A state's orbit key is the least, over automorphisms p, of its base-b
+    key (most significant site first) moved by p and relabeled by first
+    appearance.  With W[c] the key of color c's sites alone, a color
+    appears earlier exactly when its W is larger, and so that key sums the
+    lighter W of each pair of colors.  Every byte up to the largest in a
+    state is a color, b of them (b = q for q-colorings).  Keys stay below
+    b^|V|, which must be below 2^63 (ValueError); below 2^53 they are exact
+    in float64, which is faster."""
+    nv = lat.nv
+    S = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), nv)
+    b = max(q, int(S.max(initial=0)) + 1)
+    if b ** nv >= 2 ** 63:
+        raise ValueError(f"orbit keys need q^|V| < 2^63, got {b}^{nv}")
+    dtype = np.float64 if b ** nv <= 2 ** 53 else np.int64
+    powers = (b ** np.arange(nv - 1, -1, -1, dtype=np.int64)).astype(dtype)
+    perms = np.array([range(nv), *lat.vertex_automorphisms()], dtype=np.intp)
+    moved = powers[np.argsort(perms, axis=1)]              # site weights per automorphism
+    colors = np.arange(b, dtype=np.uint8)[:, None, None]
+    best = np.full(len(S), np.iinfo(np.int64).max, dtype=dtype)
+    for lo in range(0, len(S), _KEY_CHUNK):
+        onehot = (S[lo:lo + _KEY_CHUNK] == colors).astype(dtype)
+        chunk = best[lo:lo + _KEY_CHUNK]
+        for weights in moved:
+            W = onehot @ weights
+            np.minimum(chunk, sum(np.minimum(W[c], W[d])
+                                  for c, d in itertools.combinations(range(b), 2)), out=chunk)
+        del onehot                                         # before the next chunk's
     _, first, sizes = np.unique(best, return_index=True, return_counts=True)
     order = np.argsort(first)
     return first[order], sizes[order]
@@ -721,29 +710,6 @@ def orbit_representatives(states: list[bytes], lat: Lattice, q: int) -> list[int
     relabelings (these commute with the Metropolis matrix): the first index,
     in state order, of each orbit (``_orbits``)."""
     return _orbits(states, lat, q)[0].tolist()
-
-
-def _stabilizer_blocks(states: list[bytes], lat: Lattice, q: int, starts: list[int]):
-    """Yield, for each start s in turn, the orbits of its stabiliser in G
-    (lattice automorphisms × color relabelings) as a block index per state.
-
-    States i and j share a block iff some g ∈ G fixes s and sends i to j,
-    that is iff the pairs (s, i) and (s, j) share a G-orbit.  A pair's
-    orbit key is its least first-appearance key over the automorphisms p
-    that move s to a relabeling of itself, with s's colors numbered first
-    (as they appear in s moved by p) and i's other colors after.  ``_lump``
-    checks every labelling before use, so these blocks are an optimisation
-    only."""
-    keys = _SymmetryKeys(states, lat, q)
-    free = np.full(keys.b, -1)
-    for s in starts:
-        own = keys.of(s)
-        pattern = _first_appearance_keys(own, free)
-        choices = []
-        for p in np.flatnonzero(pattern == pattern[0]):    # s moved to a relabeling of s
-            w = own[:, p]                                  # s's colors, by first appearance
-            choices.append((p, np.where(w > 0, (w > w[:, None]).sum(axis=1), -1)))
-        yield np.unique(keys.least(choices), return_inverse=True)[1]
 
 
 # -- conductance ---------------------------------------------------------------

@@ -89,6 +89,7 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["enumerate", "--q", "-1"],
     ["entropy", "--d", "4", "--sizes", "1,1,1"],
     ["entropy", "--d", "3", "--sizes", "1,1,1", "--m", "2"],
+    ["entropy", "--d", "3", "--m", "3"],
     ["entropy", "--d", "2", "--sizes", "2,3,4", "--m", "2", "--n-window", "2"],
     ["entropy", "--d", "2", "--sizes", "0,1,2"],
     ["enumerate", "--d", "1", "--n", "1", "--state-cap", "0"],
@@ -96,6 +97,10 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["influence", "--d", "1", "--n", "1"],
     ["torpid-demo", "--workers", "0"],
     ["torpid-demo", "--workers", "-2"],
+    ["mixing", "--rho", "2"],
+    ["conductance", "--rho", "0"],
+    ["sample", "--rho", "1"],
+    ["torpid-demo", "--rho", "7"],
 ])
 def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -347,7 +352,7 @@ def test_mixing_z24_full(tmp_path):
     assert all(rep["checks"].values())
     meta = json.loads((out / "meta.json").read_text())
     assert (meta["states"], meta["moves"], meta["orbits"]) == (2970, 21888, 22)
-    assert sum(meta["lumped_states"].values()) == 16464
+    assert sum(meta["lumped_states"].values()) == 11559
     assert meta["cap_use"] == {"state": 2970 / 20000, "iter": 493 / 100000}
 
 

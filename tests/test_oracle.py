@@ -39,7 +39,7 @@ from potts3.oracle import (
     _frontier_count,
     _float_tv,
     _lump,
-    _stabilizer_blocks,
+    _refined_blocks,
     grid_region_counts,
     le_inv_e,
 )
@@ -593,29 +593,28 @@ def test_mixing_z24_per_start_crossings_frozen(z24_chain):
     assert res.exact_fallbacks == []
 
 
-def test_z24_stabiliser_labellings_pass_the_lumping_check(z24_chain):
+def test_z24_refined_labellings_pass_the_lumping_check(z24_chain):
     P = z24_chain
     starts = sorted(Z24_CROSSINGS)
     full = _float_operator(P)
     blocks = {}
-    for s, labels in zip(starts, _stabilizer_blocks(P.states, P.lattice, P.q, starts)):
-        op = _lump(full, labels, s)
+    for s in starts:
+        op = _lump(full, _refined_blocks(full, s), s)
         assert op is not None, s
         blocks[s] = len(op.sizes)
-    assert min(blocks.values()) == 103 and max(blocks.values()) == 1848
-    assert sum(blocks.values()) == 16464 < len(starts) * P.n
+    assert min(blocks.values()) == 75 and max(blocks.values()) == 1191
+    assert sum(blocks.values()) == 11559 < len(starts) * P.n
     assert tv_mixing_time(P).lumped_states == blocks
 
 
 def test_lumping_that_is_not_a_symmetry_fails_its_check():
     # the path 0 - 1 - 2: relabeling 1 <-> 2 fixes state 0 but is not a
-    # symmetry of the chain, so start 0 runs unlumped; 0 <-> 2 fixing state 1
-    # is one, and start 1 runs on the blocks {1}, {0, 2}
+    # symmetry of the chain, and its blocks {0}, {1, 2} fail the check;
+    # 0 <-> 2 fixing state 1 is one, and start 1 runs on {1}, {0, 2}
     P = _lattice_free_chain([[1], [0, 2], [1]], [2, 1, 2], 3)
-    labels = list(_stabilizer_blocks(P.states, P.lattice, P.q, [0, 1, 2]))
     full = _float_operator(P)
-    assert _lump(full, labels[0], 0) is None
-    assert len(_lump(full, labels[1], 1).sizes) == 2
+    assert _lump(full, np.array([0, 1, 1]), 0) is None
+    assert len(_lump(full, _refined_blocks(full, 1), 1).sizes) == 2
     res = tv_mixing_time(P, starts="all")
     assert res.lumped_states == {0: 3, 1: 2, 2: 3}
     assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(3)}
@@ -629,7 +628,7 @@ def test_lump_refuses_each_inexact_labelling():
     assert _lump(full, np.array([0, 1, 1, 1]), 0) is None
     assert _lump(full, np.array([0, 1, 2, 1]), 2) is not None    # {1, 3} is equitable
     res = tv_mixing_time(P, starts="all")
-    assert res.lumped_states[0] == 4
+    assert res.lumped_states[0] == 3                             # refinement finds {1, 3}
     assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(4)}
     # state 2 has the first of its peer's two block-row entries and not the second
     Q = _lattice_free_chain([[1, 1, 1, 2], [0, 2, 2], [0]], [2, 1, 1], 4)
@@ -641,6 +640,26 @@ def test_lump_refuses_each_inexact_labelling():
     Q = _lattice_free_chain([[1], [0, 2], [1]], [2, 1, 2], 3)
     assert _lump(_float_operator(Q), np.array([0, 1, 0]), 0) is None
     assert _lump(_float_operator(Q), np.array([0, 1, 0]), 1) is not None
+
+
+def test_labelling_that_fails_its_check_runs_unlumped(monkeypatch):
+    # each start alone against one block of the rest is not equitable on the
+    # 4-ring, so every start's float walk runs on the full chain
+    P = _chain(torus(1, 4), 3)
+    monkeypatch.setattr(oracle, "_refined_blocks",
+                        lambda op, start: (np.arange(len(op.diag)) != start).astype(np.intp))
+    res = tv_mixing_time(P, starts="all")
+    assert res.lumped_states == {s: P.n for s in range(P.n)}
+    assert res.exact_fallbacks == []
+    assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(P.n)}
+
+
+@pytest.mark.parametrize("starts", ["orbits", "all"])
+def test_one_state_chain_is_mixed_at_once(starts):
+    # no off-diagonal entry at all: nothing to refine, lump or iterate
+    P = _lattice_free_chain([[]], [1], 1)
+    res = tv_mixing_time(P, starts=starts)
+    assert (res.tau, res.t_star, res.lumped_states) == (0, 0, {0: 1})
 
 
 def test_tv_mixing_iteration_cap_refusal():
@@ -714,11 +733,11 @@ def _exact_tv(P, start, t):
 def test_float_tv_stays_within_its_rounding_budget():
     # box(2,1) from its worst start, every step to the crossing: the float
     # TV is within ε_t of the exact TV, and ε_t stays far below 1/e's scale,
-    # on the full chain and on the orbits of the start's stabiliser
+    # on the full chain and on its refinement-lumped form
     P = _chain(box(2, 1), 3)
     start = tv_mixing_time(P).worst_start
     full = _float_operator(P)
-    lumped = _lump(full, next(_stabilizer_blocks(P.states, P.lattice, P.q, [start])), start)
+    lumped = _lump(full, _refined_blocks(full, start), start)
     assert len(lumped.sizes) < P.n
     u = [0] * P.n
     u[start] = 1
@@ -778,8 +797,32 @@ def _symmetric_chains(draw):
        threshold=st.one_of(st.none(), st.fractions(Fraction(1, 50), Fraction(9, 10))))
 def test_float_engine_matches_exact_on_random_chains(P, threshold):
     res = tv_mixing_time(P, threshold=threshold, starts="all")
+    full = _float_operator(P)
     for s in range(P.n):
         assert res.per_start_t_star[s] == _first_crossing(P, s, threshold, ITER_CAP)
+        labels = _refined_blocks(full, s)
+        assert _partition(labels.tolist()) == _coarsest_equitable_partition(P, s)
+        assert len(_lump(full, labels, s).sizes) == res.lumped_states[s]
+
+
+def _partition(labels):
+    """Each state's least fellow in its block: the partition, whatever the
+    block numbering."""
+    first = {}
+    return [first.setdefault(label, y) for y, label in enumerate(labels)]
+
+
+def _coarsest_equitable_partition(P, start):
+    """Reference for ``_refined_blocks``: colour refinement from (diagonal,
+    is-start), each round keyed by the state's block and the sorted blocks
+    of its in-neighbours, with no hashing."""
+    blocks = _partition([(P.diag[y], y == start) for y in range(P.n)])
+    while True:
+        refined = _partition([(blocks[y], tuple(sorted(blocks[x] for x in P.adj[y])))
+                              for y in range(P.n)])
+        if refined == blocks:
+            return blocks
+        blocks = refined
 
 
 @pytest.mark.parametrize("lat,q", SMALL_CHAINS, ids=repr)
