@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .coloring import Coloring, is_proper, satisfies_bc, zero_set, OddBoundaryZero
+from .coloring import Coloring, satisfies_bc, zero_set, OddBoundaryZero
 from .errors import ColoringError, NotEvenClassError, PropertyViolation
 from .lattice import (
     Lattice,
@@ -103,12 +103,10 @@ def build_box_cutset(chi: Coloring, v0: int) -> Cutset:
         raise ColoringError(f"box cutsets need d >= 2, got d={lat.d}")
     if not (lat.even_mask >> v0) & 1 or (lat.boundary_mask >> v0) & 1:
         raise ColoringError("v0 must be an interior even vertex")
-    if not is_proper(chi):
-        raise ColoringError("cutset construction needs a proper coloring")
+    zeros = zero_set(chi)   # refuses an improper coloring
     if not satisfies_bc(chi, OddBoundaryZero()) or chi.colors[v0] != 0:
         raise ColoringError("coloring is not in C_3^O(v0)")
 
-    zeros = zero_set(chi)
     seed_plus = closure(lat, zeros & lat.even_mask)
     region_r = next(c for c in connected_components(lat, seed_plus) if (c >> v0) & 1)
     comp_mask = lat.full_mask & ~region_r
@@ -137,9 +135,7 @@ def build_torus_cutsets(chi: Coloring) -> list[Cutset]:
     _check_q3(chi)
     if lat.kind is not LatticeKind.TORUS:
         raise ColoringError("torus cutsets are built on tori")
-    if not is_proper(chi):
-        raise ColoringError("cutset construction needs a proper coloring")
-    zeros = zero_set(chi)
+    zeros = zero_set(chi)   # refuses an improper coloring
     return _torus_cutsets_for_parity(lat, zeros, SeedParity.EVEN_SEEDED) + \
         _torus_cutsets_for_parity(lat, zeros, SeedParity.ODD_SEEDED)
 
@@ -181,9 +177,7 @@ def select_family(chi: Coloring) -> FamilyResult:
     _check_q3(chi)
     if lat.kind is not LatticeKind.TORUS:
         raise ColoringError("cutset families live on tori")
-    if not is_proper(chi):
-        raise ColoringError("cutset construction needs a proper coloring")
-    zeros = zero_set(chi)
+    zeros = zero_set(chi)   # refuses an improper coloring
     for parity in (SeedParity.EVEN_SEEDED, SeedParity.ODD_SEEDED):
         family = _greedy_family(lat, zeros, parity)
         if family is not None:

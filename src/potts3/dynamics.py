@@ -41,7 +41,7 @@ from .errors import ColoringError
 from .lattice import Lattice, LatticeKind
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+GOLDEN = 0x9E3779B97F4A7C15   # odd, so multiplying by it is a bijection
 
 
 def _mix64(x: int) -> int:
@@ -52,6 +52,16 @@ def _mix64(x: int) -> int:
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
+    return x
+
+
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """``_mix64`` on a uint64 array, in place (wrapping), returned."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -66,24 +76,18 @@ class CounterRng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = seed & _MASK64
         self.stream = stream & _MASK64
-        self.key = _mix64(_mix64(self.seed) ^ _mix64((self.stream + 1) * _GOLDEN))
+        self.key = _mix64(_mix64(self.seed) ^ _mix64((self.stream + 1) * GOLDEN))
         self.counter = 0
 
     def next_u64(self) -> int:
         self.counter += 1
-        return _mix64((self.key + self.counter * _GOLDEN) & _MASK64)
+        return _mix64((self.key + self.counter * GOLDEN) & _MASK64)
 
     def block_u64(self, count: int) -> np.ndarray:
         """Vectorized batch of the same stream (advances the counter)."""
         idx = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += count
-        x = (np.uint64(self.key) + idx * np.uint64(_GOLDEN))
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        return x
+        return mix64_array(np.uint64(self.key) + idx * GOLDEN)
 
     def getrandbits(self, k: int) -> int:
         return self.next_u64() >> (64 - k)

@@ -101,10 +101,11 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
 
     d=1: exact path counts per half-width n.  d=2: infinite strips of the
     given widths (transfer-matrix top eigenvalue).  d=3: exact counts of
-    tiny boxes per half-width.  Other d, fewer than 3 sizes or a size below
-    1 have no route (ColoringError); a box too large to count refuses via
-    the counter's state cap, and a strip of more than ``STATE_CAP`` states
-    (w ≥ 14) refuses before any strip is listed.
+    tiny boxes per half-width.  Other d, fewer than 3 sizes, a size below
+    1 or sizes that do not strictly increase (repeats zero Aitken's
+    denominators) have no route (ColoringError); a box too large to count
+    refuses via the counter's state cap, and a strip of more than
+    ``STATE_CAP`` states (w ≥ 14) refuses before any strip is listed.
     """
     if d not in (1, 2, 3):
         raise ColoringError(f"no counting route for d={d}; d must be 1, 2 or 3")
@@ -112,6 +113,8 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
         raise ColoringError("need at least 3 sizes to extrapolate")
     if min(sizes) < 1:
         raise ColoringError(f"sizes must be at least 1, got {min(sizes)}")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ColoringError(f"sizes must strictly increase, got {sizes}")
     if d == 2 and (states := 3 * 2 ** (max(sizes) - 1)) > STATE_CAP:
         raise CapExceeded(f"a width-{max(sizes)} strip has {states} states, past the cap {STATE_CAP}")
     per_site: list[float] = []

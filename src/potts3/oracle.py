@@ -25,9 +25,12 @@ from .coloring import (
     Coloring,
     DEFAULT_RHO,
     ImbalanceClass,
+    OddBoundaryZero,
     classify,
+    odd_boundary_pinned,
 )
 from .cutset import build_box_cutset
+from .dynamics import GOLDEN, mix64_array
 from .errors import CapExceeded, ColoringError, LatticeError
 from .lattice import Lattice, LatticeKind, LatticeSpec, box, build_lattice
 
@@ -496,27 +499,14 @@ def _lump(op: _FloatOperator, blocks: np.ndarray, start: int) -> _FloatOperator 
     )
 
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)   # odd, so multiplying by it is a bijection
-
-
-def _mixed(labels: np.ndarray) -> np.ndarray:
-    """SplitMix64's finaliser (Steele, Lea and Flood 2014), wrapping."""
-    x = labels + _GOLDEN
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
 def _refined_blocks(op: _FloatOperator, start: int) -> np.ndarray:
     """A block index per state of the unlumped ``op``: the coarsest
     equitable partition that holds ``start`` alone, by colour refinement.
 
     The first labels are (diagonal, is-start).  Each round's label is the
     old one times a fixed odd constant plus the wrapping sum of the
-    in-neighbours' ``_mixed`` labels, a hash of their blocks' multiset; the
-    rounds stop when the block count stops growing.  That is the optimal
+    in-neighbours' SplitMix64-mixed labels, a hash of their blocks'
+    multiset; the rounds stop when the block count stops growing.  That is the optimal
     exact lumping (Derisavi, Hermanns and Sanders 2003), at least as coarse
     as the orbits of the start's stabiliser in any symmetry group of P.  A
     hash collision can only merge blocks wrongly, and ``_lump`` then
@@ -530,8 +520,8 @@ def _refined_blocks(op: _FloatOperator, start: int) -> np.ndarray:
         if grown == count:
             return np.unique(labels, return_inverse=True)[1]
         count = grown
-        mixed = _mixed(labels)
-        labels *= _GOLDEN
+        mixed = mix64_array(labels + GOLDEN)
+        labels *= GOLDEN
         labels[owners] += np.add.reduceat(mixed[op.cols], heads)
 
 
@@ -746,16 +736,11 @@ def conductance_bound(
     pi_m = Fraction(n_m, n)
     if pi_a > Fraction(1, 2):
         raise ColoringError("conductance setup requires pi(A) <= 1/2")
-    if n_m == 0:
-        return ConductanceReport(
-            n, n_a, n_m, counts[ImbalanceClass.ODD_HEAVY], pi_a, pi_m,
-            bound=None, unbounded=n_a > 0, tau=tau, bound_holds=None,
-        )
-    bound = pi_a / (8 * pi_m)
-    holds = None if tau is None else Fraction(tau) >= bound
+    bound = pi_a / (8 * pi_m) if n_m else None
     return ConductanceReport(
         n, n_a, n_m, counts[ImbalanceClass.ODD_HEAVY], pi_a, pi_m,
-        bound=bound, unbounded=False, tau=tau, bound_holds=holds,
+        bound=bound, unbounded=bound is None and n_a > 0, tau=tau,
+        bound_holds=None if bound is None or tau is None else Fraction(tau) >= bound,
     )
 
 
@@ -778,8 +763,6 @@ def influence_ratio(d: int, n: int, cap: int = ENUM_CAP) -> InfluenceReport:
     """|C_3^O(v₀)| / |C_3^O| at the centre v₀ with the size-resolved cutset
     histogram, all exact.  Box cutsets need d ≥ 2; a smaller d is a
     ColoringError."""
-    from .coloring import OddBoundaryZero, odd_boundary_pinned
-
     if d < 2:
         raise ColoringError(f"box cutsets need d >= 2, got d={d}")
     lat = box(d, n)

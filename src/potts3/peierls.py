@@ -116,8 +116,7 @@ class Approximation:
 
 
 def exact_approximation(cut: Cutset) -> Approximation:
-    w_even, w_odd = cut.region & cut.lattice.even_mask, cut.region & cut.lattice.odd_mask
-    return Approximation(cut.lattice, w_even, w_odd)
+    return Approximation(cut.lattice, *cut.region_parts())
 
 
 def degree_threshold(d: int) -> int:
@@ -292,11 +291,8 @@ def flow_out_total(
     numerators as integers over their common denominator 4^{|C|} 2^{|D|}.
     """
     layer, c_set, d_set = flow_sets(cut, approx, s)
-    closed = Fraction(1)
-    for _v in iter_bits(c_set):
-        closed *= Fraction(1, 4) + Fraction(3, 4)
-    for _v in iter_bits(d_set):
-        closed *= Fraction(1, 2) + Fraction(1, 2)
+    closed = ((Fraction(1, 4) + Fraction(3, 4)) ** c_set.bit_count()
+              * (Fraction(1, 2) + Fraction(1, 2)) ** d_set.bit_count())
     if layer.bit_count() > explicit_cap:
         return FlowTotal(closed_form=closed, explicit=None, agrees=None)
     region = cut.region
@@ -387,13 +383,8 @@ def _good_triples(ctx: QSets):
     K is forced (K = ∂_B(U∖L)) and M is forced up to cover minimality, so
     L determines the triple.
     """
-    u_bits = list(iter_bits(ctx.u))
     edges = ctx.b_edges()
-    for pick in range(1 << len(u_bits)):
-        l = 0
-        for i, v in enumerate(u_bits):
-            if (pick >> i) & 1:
-                l |= 1 << v
+    for l in _subsets(ctx.u):
         k = ctx.b_boundary(ctx.u & ~l)
         # every edge must be covered by K ∪ L ∪ (some M ⊆ Q^E∖U)
         m = 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import potts3
-from potts3 import cli, entropy, topological_entropy_estimate
+from potts3 import cli, entropy, peierls, topological_entropy_estimate
 from potts3.cli import build_id, main, make_parser, write_report
 
 
@@ -92,6 +93,8 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["entropy", "--d", "3", "--m", "3"],
     ["entropy", "--d", "2", "--sizes", "2,3,4", "--m", "2", "--n-window", "2"],
     ["entropy", "--d", "2", "--sizes", "0,1,2"],
+    ["entropy", "--d", "2", "--sizes", "1,1,1"],
+    ["entropy", "--d", "2", "--sizes", "3,2,1"],
     ["enumerate", "--d", "1", "--n", "1", "--state-cap", "0"],
     ["conductance", "--d", "1", "--n", "4", "--enum-cap", "0"],
     ["influence", "--d", "1", "--n", "1"],
@@ -211,6 +214,45 @@ def test_flow_check_box(tmp_path):
     bounds = (out / "bounds.csv").read_text().strip().split("\n")
     assert bounds[0] == "chi_id,s,nu,bound,ratio,nu_le_bound"
     assert len(bounds) == 32 * 4 + 1
+
+
+def test_flow_check_box_is_frozen_and_builds_each_image_once(tmp_path, monkeypatch):
+    calls = {"_repair": 0, "reconstruct": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(peierls, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(peierls, name, counted)
+    rc = run(["flow-check", "--kind", "box", "--d", "2", "--n", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("report.json", "flow.jsonl", "bounds.csv")}
+    assert digests == {
+        "report.json": "3bfcc42c5565d43e866a31224d7f7749516d97292bdc5c6990855a7029878428",
+        "flow.jsonl": "800bfeb63d08fd68286b1db56a14556dd236b4ff1179f9956d82009ca64db4a9",
+        "bounds.csv": "0d2790f608303d71101a3df5c2b9ea4fb3671888f122256e5c1070096db0358b",
+    }
+    # the 128 (chi, s) pairs hold 1024 images: each is built and reconstructed
+    # once by the explicit flow sum; the bound's image and its membership
+    # check add one repair each per pair
+    assert calls == {"_repair": 1024 + 2 * 128, "reconstruct": 1024}
+
+
+def test_flow_check_image_that_does_not_reconstruct_exits_4(tmp_path, monkeypatch):
+    monkeypatch.setattr(peierls, "reconstruct", lambda chi_p, region, s: chi_p)
+    rc = run(["flow-check", "--kind", "box", "--d", "2", "--n", "2", "--out", str(tmp_path)])
+    assert rc == 4
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv,name,key", [
+    (["flow-check", "--kind", "box", "--d", "3", "--n", "1"], "flow.jsonl", "pairs"),
+    (["cutsets", "--kind", "box", "--d", "2", "--n", "1"], "cutsets.jsonl", "cutsets"),
+])
+def test_no_records_write_an_empty_jsonl(tmp_path, argv, name, key):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())[key] == 0
+    assert (tmp_path / name).read_bytes() == b""
 
 
 def test_cutsets_box_and_torus(tmp_path):

@@ -271,6 +271,17 @@ def test_topo_entropy_rejects_sizes_below_one(monkeypatch):
             topological_entropy_estimate(d, [2, 3, 0])
 
 
+def test_topo_entropy_rejects_sizes_that_do_not_strictly_increase(monkeypatch):
+    # repeated sizes zero Aitken's denominators and a falling run
+    # extrapolates backwards; neither is counted
+    monkeypatch.setattr(entropy, "_strip_per_site", _no_listing)
+    monkeypatch.setattr(entropy, "count_colorings", _no_listing)
+    for d in (1, 2, 3):
+        for sizes in ([1, 1, 1], [3, 2, 1], [2, 3, 3]):
+            with pytest.raises(ColoringError, match="strictly increase"):
+                topological_entropy_estimate(d, sizes)
+
+
 def test_restriction_requires_m_greater_n(monkeypatch):
     with pytest.raises(ColoringError):
         restriction_distribution(1, 1)
