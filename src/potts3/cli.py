@@ -62,6 +62,9 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_VIOLATION = 4
 
+# cutsets, flows and the influence ratio are the q = 3 theory: --q takes only 3
+Q3_COMMANDS = ("influence", "cutsets", "flow-check")
+
 
 @cache
 def build_id() -> str:
@@ -136,12 +139,6 @@ def write_report(outdir: Path, payload: dict, files: dict[str, str] | None = Non
 
 def _config_of(args, fields) -> dict:
     return {k: getattr(args, k) for k in fields}
-
-
-def _require_q3(args):
-    """Cutsets, flows and the influence ratio are the q = 3 theory."""
-    if args.q != 3:
-        raise ColoringError(f"{args.command} is defined for q = 3, got --q {args.q}")
 
 
 # -- commands ----------------------------------------------------------------
@@ -243,7 +240,6 @@ def cmd_conductance(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    _require_q3(args)
     rep = influence_ratio(args.d, args.n, cap=args.enum_cap)
     payload = {
         "command": "influence",
@@ -262,7 +258,6 @@ def cmd_influence(args) -> int:
 
 
 def cmd_cutsets(args) -> int:
-    _require_q3(args)
     lat = _lattice_from_args(args)
     if lat.kind is LatticeKind.TORUS:
         anchor, bc = None, None
@@ -308,7 +303,6 @@ def cmd_cutsets(args) -> int:
 
 
 def cmd_flow_check(args) -> int:
-    _require_q3(args)
     lat = _lattice_from_args(args)
     v0 = lat.index((0,) * lat.d)
     lines = []
@@ -493,7 +487,7 @@ def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "toru
         "kind": dict(choices=kinds, default="torus" if torus else "box"),
         "d": dict(type=int, default=2),
         "n": dict(type=int, default=4 if torus else 2),
-        "q": dict(type=positive_int, default=3),
+        "q": dict(type=positive_int, default=3, choices=(3,) if name in Q3_COMMANDS else None),
         "rho": dict(type=parse_rho, default=DEFAULT_RHO),
         "seed": dict(type=int, default=0),
         "enum-cap": dict(type=positive_int, default=ENUM_CAP),

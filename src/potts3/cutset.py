@@ -287,30 +287,11 @@ def verify_properties(cut: Cutset, chi: Coloring, v0: int | None = None) -> Cuts
     )
 
 
-def _reaches_complement(cut: Cutset, closed: set[tuple[int, int]]) -> bool:
-    """BFS from W with ``closed`` edges removed; does it touch C?"""
-    lat = cut.lattice
-    reach = cut.region
-    stack = list(iter_bits(cut.region))
-    while stack:
-        v = stack.pop()
-        for u in lat.neighbors[v]:
-            if (reach >> u) & 1:
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e in closed:
-                continue
-            reach |= 1 << u
-            stack.append(u)
-    return bool(reach & cut.complement)
-
-
 def minimality_check(cut: Cutset) -> bool:
-    """γ separates W from C, and reopening any single edge reconnects them."""
-    closed = set(cut.edges)
-    if _reaches_complement(cut, closed):
-        return False
-    return all(_reaches_complement(cut, closed - {e}) for e in cut.edges)
+    """γ = ∇(C) is a minimal edge cutset of the connected lattice iff both
+    sides, W and C, are nonempty and connected."""
+    return all(len(connected_components(cut.lattice, side)) == 1
+               for side in (cut.region, cut.complement))
 
 
 def profile_membership(chi: Coloring, profile: Profile) -> bool:

@@ -259,6 +259,11 @@ def flow_weight(
 ) -> Fraction:
     """ν(χ, χ′) = (1/4)^{|C∩I(χ′)|} (3/4)^{|C∖I(χ′)|} (1/2)^{|D|}."""
     membership_subset(chi, chi_prime, cut.region, s)
+    return _nu(chi_prime, cut, approx, s)
+
+
+def _nu(chi_prime: Coloring, cut: Cutset, approx: Approximation, s: int) -> Fraction:
+    """ν(χ, χ′) for a χ′ known to lie in φ_s(χ)."""
     _, c_set, d_set = flow_sets(cut, approx, s)
     c_bits = list(iter_bits(c_set))
     return Fraction(_nu_numerator(chi_prime, c_bits), 4 ** len(c_bits) * 2 ** d_set.bit_count())
@@ -317,17 +322,17 @@ class GoodTriple:
     m: int
 
 
-def _is_cover(ctx: QSets, cover: int) -> bool:
-    return all(((cover >> x) & 1) or ((cover >> y) & 1) for x, y in ctx.b_edges())
-
-
 def _is_minimal_cover(ctx: QSets, cover: int) -> bool:
-    if not _is_cover(ctx, cover):
-        return False
-    for v in iter_bits(cover):
-        if _is_cover(ctx, cover & ~(1 << v)):
+    """``cover`` meets every edge of B, and each member has a private edge:
+    a B-edge whose other end lies outside the cover."""
+    private = 0
+    for x, y in ctx.b_edges():
+        hit = cover & (1 << x | 1 << y)
+        if not hit:
             return False
-    return True
+        if hit.bit_count() == 1:
+            private |= hit
+    return not cover & ~private
 
 
 def is_good_triple(triple: GoodTriple, ctx: QSets) -> bool:
@@ -351,13 +356,11 @@ def canonical_good_triple(
     chi_prime: Coloring,
 ) -> GoodTriple:
     """(W∩Q^O, U∖W, (Q^E∖U)∖W); asserts goodness."""
-    ctx = q_sets(approx, s, chi_prime)
-    w = cut.region
-    triple = GoodTriple(
-        k=w & ctx.q_odd,
-        l=ctx.u & ~w,
-        m=(ctx.q_even & ~ctx.u) & ~w,
-    )
+    return _canonical_triple(q_sets(approx, s, chi_prime), cut.region)
+
+
+def _canonical_triple(ctx: QSets, w: int) -> GoodTriple:
+    triple = GoodTriple(k=w & ctx.q_odd, l=ctx.u & ~w, m=ctx.q_even & ~ctx.u & ~w)
     if not is_good_triple(triple, ctx):
         raise PropertyViolation("canonical triple failed the goodness conditions")
     return triple
@@ -380,24 +383,17 @@ class BoundReport:
 def _good_triples(ctx: QSets):
     """All good triples, enumerated by the resolved subset L ⊆ U.
 
-    K is forced (K = ∂_B(U∖L)) and M is forced up to cover minimality, so
-    L determines the triple.
+    K = ∂_B(U∖L) is forced, and M must hold the even end of each edge that
+    K ∪ L leaves uncovered, so L determines the triple.  That end lies in
+    Q^E∖U: an edge leaving U∖L ends in K.
     """
     edges = ctx.b_edges()
     for l in _subsets(ctx.u):
         k = ctx.b_boundary(ctx.u & ~l)
-        # every edge must be covered by K ∪ L ∪ (some M ⊆ Q^E∖U)
         m = 0
-        feasible = True
         for x, y in edges:
-            if ((k >> y) & 1) or ((l >> x) & 1):
-                continue
-            if (ctx.u >> x) & 1:
-                feasible = False   # x ∈ U∖L cannot be covered by M
-                break
-            m |= 1 << x
-        if not feasible:
-            continue
+            if not ((k >> y) & 1 or (l >> x) & 1):
+                m |= 1 << x
         triple = GoodTriple(k=k, l=l, m=m)
         if is_good_triple(triple, ctx):
             yield triple
@@ -415,12 +411,14 @@ def bound_report(
 
     Exhaustive over the L-subsets when |Q^E ∪ Q^O| ≤ ``cap``; otherwise the
     report is marked skipped.  The comparison ν ≤ B is computed exactly on
-    squares and reported, never asserted.
+    squares and reported, never asserted.  The Q-sets are built once, for
+    the canonical triple and the search alike; χ′ must lie in φ_s(χ), as
+    ν is read without ``flow_weight``'s membership check.
     """
     ctx = q_sets(approx, s, chi_prime)
     if (ctx.q_even | ctx.q_odd).bit_count() > cap:
         return BoundReport(status="skipped")
-    hat = canonical_good_triple(chi, cut, approx, s, chi_prime)
+    hat = _canonical_triple(ctx, cut.region)
     best = None
     for triple in _good_triples(ctx):
         key = (triple.k.bit_count() + triple.l.bit_count(), triple.k, triple.l)
@@ -435,7 +433,7 @@ def bound_report(
     w_even = (cut.region & lat.even_mask).bit_count()
     w_odd = (cut.region & lat.odd_mask).bit_count()
     gap = w_odd - w_even
-    nu = flow_weight(chi, chi_prime, cut, approx, s)
+    nu = _nu(chi_prime, cut, approx, s)
     n_k0, n_l0 = k0.bit_count(), l0.bit_count()
     n_kp, n_lp = k_prime.bit_count(), l_prime.bit_count()
     # B = (√3/2)^gap · 2^{|K0|} / (3^{|K0|+|L0|} · 2^{|K′|−|L′|})

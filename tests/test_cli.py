@@ -201,6 +201,18 @@ def test_entropy_wide_strip_refuses_before_listing(tmp_path, monkeypatch):
     assert topological_entropy_estimate(2, [11, 12, 13]).per_site == [1 / 11, 1 / 12, 1 / 13]
 
 
+def test_conductance_z24(tmp_path, capsys):
+    rc = run(["conductance", "--d", "2", "--n", "4", "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["rational"] == "329/676"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_states"] == 2970
+    assert report["pi_A"]["rational"] == "658/1485"
+    assert report["pi_M"]["rational"] == "169/1485"
+    assert report["bound"]["rational"] == "329/676"
+    assert report["unbounded"] is False
+
+
 def test_flow_check_box(tmp_path):
     out = tmp_path / "flow"
     rc = run(["flow-check", "--kind", "box", "--d", "2", "--n", "2", "--out", str(out)])
@@ -233,9 +245,9 @@ def test_flow_check_box_is_frozen_and_builds_each_image_once(tmp_path, monkeypat
         "bounds.csv": "0d2790f608303d71101a3df5c2b9ea4fb3671888f122256e5c1070096db0358b",
     }
     # the 128 (chi, s) pairs hold 1024 images: each is built and reconstructed
-    # once by the explicit flow sum; the bound's image and its membership
-    # check add one repair each per pair
-    assert calls == {"_repair": 1024 + 2 * 128, "reconstruct": 1024}
+    # once by the explicit flow sum; the bound's image adds one repair per
+    # pair, and the bound reads its nu without rebuilding that image
+    assert calls == {"_repair": 1024 + 128, "reconstruct": 1024}
 
 
 def test_flow_check_image_that_does_not_reconstruct_exits_4(tmp_path, monkeypatch):

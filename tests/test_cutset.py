@@ -4,6 +4,7 @@ import pytest
 
 from potts3 import (
     Coloring,
+    Cutset,
     Parity,
     Profile,
     SeedParity,
@@ -18,7 +19,7 @@ from potts3 import (
     zero_set,
 )
 from potts3.errors import ColoringError, NotEvenClassError
-from potts3.lattice import connected_components, iter_bits
+from potts3.lattice import connected_components, edge_boundary, iter_bits
 
 
 def _torus_coloring_with_even_zeros(lat, zero_cells, odd_color=1):
@@ -68,6 +69,34 @@ def test_box_cutset_regions_connected(box_corpus, box22):
         assert len(connected_components(box22, cut.region)) == 1
         assert len(connected_components(box22, cut.complement)) == 1
         assert minimality_check(cut)
+
+
+def test_minimality_check_rejects_a_cut_with_a_disconnected_side():
+    # ∇(C) separates W from C, but C = {(0,0), (2,2)} is two pieces, so the
+    # cut is the union of two smaller cutsets
+    t = torus(2, 4)
+
+    def cut_of(cells):
+        comp = sum(1 << t.index(c) for c in cells)
+        region = t.full_mask & ~comp
+        return Cutset(lattice=t, region=region, complement=comp,
+                      edges=tuple(edge_boundary(t, comp)), witness=region,
+                      seed_parity=SeedParity.EVEN_SEEDED, interior=comp)
+
+    split = cut_of([(0, 0), (2, 2)])
+    assert split.size == 8
+    assert not minimality_check(split)
+    assert minimality_check(cut_of([(0, 0)]))
+    assert minimality_check(cut_of([(0, 0), (0, 1)]))
+
+
+def test_every_cutset_the_builders_make_is_minimal(box22, box_corpus, z24_states):
+    v0 = box22.index((0, 0))
+    cuts = [build_box_cutset(chi, v0) for chi in box_corpus]
+    for chi in z24_states:
+        cuts += build_torus_cutsets(chi) + list(select_family(chi).cutsets)
+    assert len(cuts) == 32 + 5472 + 576
+    assert all(minimality_check(cut) for cut in cuts)
 
 
 def test_box_cutset_rejects_bad_inputs(box22):

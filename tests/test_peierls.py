@@ -270,6 +270,40 @@ def test_flow_weight_rejects_non_member(star_setup):
         flow_weight(chi, phase_coloring(t, Parity.ODD, 2), cut, exact_approximation(cut), 1)
 
 
+def _covers(ctx, cover):
+    return all((cover >> x) & 1 or (cover >> y) & 1 for x, y in ctx.b_edges())
+
+
+def _remove_one_minimal_cover(ctx, cover):
+    """Reference: ``cover`` meets every B-edge and no single removal keeps
+    it a cover."""
+    return _covers(ctx, cover) and not any(
+        _covers(ctx, cover & ~(1 << v)) for v in iter_bits(cover))
+
+
+def test_minimal_cover_by_private_edges_matches_remove_one(z24):
+    rng = random.Random(18)
+    verdicts = []
+    for _ in range(1500):
+        q_even = rng.getrandbits(z24.nv) & z24.even_mask
+        q_odd = rng.getrandbits(z24.nv) & z24.odd_mask
+        ctx = peierls.QSets(z24, q_even, q_odd, u=q_even & rng.getrandbits(z24.nv))
+        cover = rng.getrandbits(z24.nv) & (q_even | q_odd)
+        if rng.getrandbits(1):
+            # prune the full cover to a minimal one in random order, then
+            # half the time add back one vertex, in B or not
+            cover = q_even | q_odd
+            for v in rng.sample(list(iter_bits(cover)), cover.bit_count()):
+                if _covers(ctx, cover & ~(1 << v)):
+                    cover &= ~(1 << v)
+            if rng.getrandbits(1):
+                cover |= 1 << rng.randrange(z24.nv)
+        want = _remove_one_minimal_cover(ctx, cover)
+        assert peierls._is_minimal_cover(ctx, cover) == want
+        verdicts.append(want)
+    assert 300 < sum(verdicts) < 1200
+
+
 def test_vacuous_good_triple(star_setup):
     t, chi, cut = star_setup
     approx = exact_approximation(cut)
