@@ -202,7 +202,7 @@ def cmd_mixing(args) -> int:
     }
     meta = {
         "states": len(states),
-        "moves": sum(len(row) for row in P.adj),
+        "moves": len(P.cols),
         "cap_use": {"state": len(states) / args.state_cap},
     }
     if mix:
@@ -580,7 +580,7 @@ def main(argv=None) -> int:
     except PropertyViolation as exc:
         print(f"error: property violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

@@ -207,7 +207,9 @@ def restriction_distribution(m: int, n: int) -> RestrictionResult:
     if m <= n:
         raise ColoringError("need m > n")
 
-    region = set(box(2, m, extended=True).coords)
+    # W_m: Λ_m plus the odd cells of Λ_{m+1}
+    region = {(x, y) for x in range(-m - 1, m + 2) for y in range(-m - 1, m + 2)
+              if max(abs(x), abs(y)) <= m or (x + y) % 2}
     inner, ring = _window(n)
     annulus = region - inner
 

@@ -27,15 +27,11 @@ class Parity(Enum):
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Geometry request: a box Λ_n = {−n..n}^d or an even torus Z^d_n.
-
-    ``extended`` pads the box with the odd vertices of Λ_{n+1}.
-    """
+    """Geometry request: a box Λ_n = {−n..n}^d or an even torus Z^d_n."""
 
     kind: LatticeKind
     d: int
     n: int
-    extended: bool = False
 
     def validate(self) -> None:
         if self.d < 1:
@@ -47,8 +43,6 @@ class LatticeSpec:
                 raise LatticeError(
                     f"torus side must be even to preserve bipartiteness, got n={self.n}"
                 )
-            if self.extended:
-                raise LatticeError("extended regions are defined for boxes only")
         else:
             if self.n < 1:
                 raise LatticeError(f"box half-width must be at least 1, got n={self.n}")
@@ -104,13 +98,8 @@ class Lattice:
     def _gen_coords(spec: LatticeSpec):
         if spec.kind is LatticeKind.TORUS:
             yield from itertools.product(range(spec.n), repeat=spec.d)
-        elif not spec.extended:
-            yield from itertools.product(range(-spec.n, spec.n + 1), repeat=spec.d)
         else:
-            m = spec.n
-            for c in itertools.product(range(-m - 1, m + 2), repeat=spec.d):
-                if all(abs(x) <= m for x in c) or sum(c) % 2 != 0:
-                    yield c
+            yield from itertools.product(range(-spec.n, spec.n + 1), repeat=spec.d)
 
     def _neighbor_index(self, c, axis, sign):
         cc = list(c)
@@ -186,8 +175,7 @@ class Lattice:
         return tuple(sorted(perms))
 
     def __repr__(self):
-        tag = "W" if self.spec.extended else self.kind.value
-        return f"Lattice({tag}, d={self.d}, n={self.n}, nv={self.nv})"
+        return f"Lattice({self.kind.value}, d={self.d}, n={self.n}, nv={self.nv})"
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +185,8 @@ def build_lattice(spec: LatticeSpec) -> Lattice:
     return Lattice(spec)
 
 
-def box(d: int, n: int, extended: bool = False) -> Lattice:
-    return Lattice(LatticeSpec(LatticeKind.BOX, d, n, extended))
+def box(d: int, n: int) -> Lattice:
+    return Lattice(LatticeSpec(LatticeKind.BOX, d, n))
 
 
 def torus(d: int, n: int) -> Lattice:

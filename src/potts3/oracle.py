@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -238,13 +239,17 @@ def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
 
 @dataclass
 class ExactTransitionMatrix:
-    """P = A / (q·|V|) with integer A; rows sum to the denominator."""
+    """P = A / (q·|V|) with integer A; rows sum to the denominator.
+
+    A's off-diagonal unit entries (legal single-site moves) are the pairs
+    (rows[k], cols[k]), sorted by source; ``diag`` is its diagonal."""
 
     states: list[bytes]
     lattice: Lattice
     q: int
-    adj: list[list[int]]    # off-diagonal unit entries (legal single-site moves)
-    diag: list[int]
+    rows: np.ndarray
+    cols: np.ndarray
+    diag: np.ndarray
 
     @property
     def n(self) -> int:
@@ -254,38 +259,37 @@ class ExactTransitionMatrix:
     def denom(self) -> int:
         return self.q * self.lattice.nv
 
+    @cached_property
+    def adj(self) -> list[list[int]]:
+        """Each state's move targets, in order: a read-only view of ``cols``."""
+        ends = np.cumsum(np.bincount(self.rows, minlength=self.n)).tolist()
+        cols = self.cols.tolist()
+        return [cols[a:b] for a, b in zip([0] + ends, ends)]
+
     def entry(self, i: int, j: int) -> Fraction:
         if i == j:
-            return Fraction(self.diag[i], self.denom)
-        return Fraction(self.adj[i].count(j), self.denom)
+            return Fraction(int(self.diag[i]), self.denom)
+        return Fraction(int(np.count_nonzero((self.rows == i) & (self.cols == j))), self.denom)
 
     def row_sums_ok(self) -> bool:
-        return all(self.diag[i] + len(self.adj[i]) == self.denom for i in range(self.n))
+        return bool((np.bincount(self.rows, minlength=self.n) + self.diag == self.denom).all())
 
     def is_symmetric(self) -> bool:
-        rows, cols = _coordinates(self.adj)
-        return np.array_equal(np.sort(rows * self.n + cols), np.sort(cols * self.n + rows))
+        return np.array_equal(np.sort(self.rows * self.n + self.cols),
+                              np.sort(self.cols * self.n + self.rows))
 
     def uniform_is_stationary(self) -> bool:
         # column sums equal the denominator iff uniform is fixed
-        col = [0] * self.n
-        for i, row in enumerate(self.adj):
-            for j in row:
-                col[j] += 1
-        return all(col[i] + self.diag[i] == self.denom for i in range(self.n))
+        return bool((np.bincount(self.cols, minlength=self.n) + self.diag == self.denom).all())
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in self.adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
+        """Every state is reached from state 0 (vacuous with no state)."""
+        seen = np.arange(self.n) == 0
+        count = 0
+        while count < np.count_nonzero(seen):
+            count = np.count_nonzero(seen)
+            seen[self.cols[seen[self.rows]]] = True
+        return bool(seen.all())
 
 
 def transition_matrix(states: list[Coloring] | list[bytes], lat: Lattice,
@@ -316,12 +320,9 @@ def transition_matrix(states: list[Coloring] | list[bytes], lat: Lattice,
             moves.append(legal * n + order[pos])
     moves = np.concatenate(moves)
     moves.sort()
-    ends = np.cumsum(np.bincount(moves // n, minlength=n)).tolist()
-    targets = np.arange(n).astype(object)[moves % n]    # rows share one int per state
-    del moves                                           # before the rows are built
-    adj = [targets[a:b].tolist() for a, b in zip([0] + ends, ends)]
-    return ExactTransitionMatrix(states=raw, lattice=lat, q=q, adj=adj,
-                                 diag=[q * nv - len(row) for row in adj])
+    rows, cols = np.divmod(moves, n)
+    return ExactTransitionMatrix(states=raw, lattice=lat, q=q, rows=rows, cols=cols,
+                                 diag=q * nv - np.bincount(rows, minlength=n))
 
 
 # -- exact mixing time ---------------------------------------------------------
@@ -364,45 +365,33 @@ class MixingResult:
 
 
 def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -> int:
-    """Smallest t ≥ 0 with TV(P^t(start,·), uniform) ≤ threshold."""
+    """Smallest t ≥ 0 with TV(P^t(start,·), uniform) ≤ threshold.  The
+    iterate is an object array of Python ints, so nothing overflows."""
     n = P.n
-    denom = P.denom
-    u = [0] * n
+    heads = np.flatnonzero(np.diff(P.rows, prepend=-1))  # each moving row's first entry
+    owners = P.rows[heads]
+    diag = P.diag.astype(object)
+    u = np.zeros(n, dtype=object)
     u[start] = 1
     mt = 1
     t = 0
     while True:
-        spread = sum(abs(n * w - mt) for w in u)
-        tv = Fraction(spread, 2 * n * mt)
+        tv = Fraction(np.abs(n * u - mt).sum(), 2 * n * mt)
         done = le_inv_e(tv) if threshold is None else tv <= threshold
         if done:
             return t
         if t >= iter_cap:
             raise CapExceeded(f"no TV crossing within iteration cap {iter_cap}")
         t += 1
-        new = [0] * n
-        adj = P.adj
-        diag = P.diag
-        for y in range(n):
-            acc = diag[y] * u[y]
-            for x in adj[y]:
-                acc += u[x]
-            new[y] = acc
+        new = diag * u
+        new[owners] += np.add.reduceat(u[P.cols], heads)
         u = new
-        mt *= denom
+        mt *= P.denom
 
 
 _U = 2.0 ** -53        # unit roundoff of binary64
 _TINY = 2.0 ** -1000   # least positive entry the relative-error model admits
 _KEY_CHUNK = 1024      # states per color indicator in the orbit keys (``_orbits``)
-
-
-def _coordinates(adj) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of the off-diagonal entries in ``adj``."""
-    lens = np.fromiter((len(row) for row in adj), dtype=np.int64, count=len(adj))
-    cols = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64,
-                       count=int(lens.sum()))
-    return np.repeat(np.arange(len(adj)), lens), cols
 
 
 class _FloatOperator(NamedTuple):
@@ -428,16 +417,13 @@ def _float_operator(P: ExactTransitionMatrix) -> _FloatOperator | None:
     sums equal to the denominator (so the true iterate keeps mass 1), and
     the denominator below 2^53 (so A's entries are exact floats)."""
     n = P.n
-    if P.denom >= 2 ** 53 or any(not 0 <= d <= P.denom for d in P.diag):
-        return None
-    rows, cols = _coordinates(P.adj)
-    diag = np.asarray(P.diag, dtype=np.float64)
-    if (np.bincount(cols, minlength=n) + diag != P.denom).any():
+    if P.denom >= 2 ** 53 or (P.diag < 0).any() or not P.uniform_is_stationary():
         return None
     return _FloatOperator(
-        rows=rows, cols=cols, weights=np.broadcast_to(1.0, len(cols)), diag=diag,
-        blocks=np.arange(n), sizes=np.broadcast_to(1.0, n), denom=float(P.denom),
-        m=int(np.bincount(rows, minlength=n).max(initial=0)),
+        rows=P.rows, cols=P.cols, weights=np.broadcast_to(1.0, len(P.cols)),
+        diag=P.diag.astype(np.float64), blocks=np.arange(n),
+        sizes=np.broadcast_to(1.0, n), denom=float(P.denom),
+        m=int(np.bincount(P.rows, minlength=n).max(initial=0)),
     )
 
 

@@ -349,7 +349,6 @@ def is_good_triple(triple: GoodTriple, ctx: QSets) -> bool:
 
 
 def canonical_good_triple(
-    chi: Coloring,
     cut: Cutset,
     approx: Approximation,
     s: int,

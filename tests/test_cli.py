@@ -148,6 +148,22 @@ def test_missing_config_file_is_a_config_error(tmp_path):
     assert rc == 2
 
 
+def test_directory_as_config_file_is_a_config_error(tmp_path, capsys):
+    rc = run(["enumerate", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_existing_file_as_out_dir_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = run(["enumerate", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_failed_write_keeps_previous_report(tmp_path, monkeypatch):
     write_report(tmp_path, {"run": 1})
     before = (tmp_path / "report.json").read_bytes()

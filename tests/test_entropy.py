@@ -193,7 +193,8 @@ def test_restriction_counts_depend_on_ring_only_dual_route():
     res = restriction_distribution(2, 1)
     inner = box(2, 1)
     ring_cells = [c for c in inner.coords if max(abs(x) for x in c) == 1]
-    region = set(box(2, 2, extended=True).coords)
+    region = {(x, y) for x in range(-3, 4) for y in range(-3, 4)
+              if max(abs(x), abs(y)) <= 2 or (x + y) % 2}     # W_2
     annulus = sorted(region - set(inner.coords))
     index = {c: i for i, c in enumerate(annulus)}
     neighbors = [[] for _ in annulus]

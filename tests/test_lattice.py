@@ -141,13 +141,6 @@ def test_box_injective_shift(bits):
         assert len(defined) == len(set(defined))
 
 
-def test_extended_region_vertex_count():
-    w1 = box(2, 1, extended=True)
-    # 3x3 box plus the odd vertices of the 5x5 box that lie outside it
-    assert w1.nv == 9 + (12 - 4)
-    assert all(sum(w1.coords[v]) % 2 == 1 for v in iter_bits(w1.boundary_mask & w1.odd_mask) if max(map(abs, w1.coords[v])) == 2)
-
-
 def test_degenerate_small_torus_simple_graph():
     k2 = torus(1, 2)
     assert k2.nv == 2 and k2.neighbors[0] == [1]
@@ -163,23 +156,20 @@ def test_box_degree_range():
 
 
 SHIFT_LATTICES = [
-    box(2, 2), box(3, 1), box(2, 1, extended=True),
+    box(2, 2), box(3, 1),
     torus(1, 2), torus(2, 2), torus(2, 4), torus(3, 4),
 ]
 
 
 def _shift_by_coordinates(lat, c, s):
     """σ_s by coordinate arithmetic: wrap on tori; on a box, None unless
-    c + e_s is in Λ_n, or (extended) an odd vertex of Λ_{n+1}."""
+    c + e_s is in Λ_n."""
     cc = list(c)
     cc[abs(s) - 1] += 1 if s > 0 else -1
     if lat.kind is LatticeKind.TORUS:
         cc = [x % lat.n for x in cc]
-    else:
-        reach = max(map(abs, cc))
-        padded = lat.spec.extended and reach == lat.n + 1 and sum(cc) % 2 == 1
-        if reach > lat.n and not padded:
-            return None
+    elif max(map(abs, cc)) > lat.n:
+        return None
     return lat.index(cc)
 
 

@@ -248,15 +248,12 @@ def test_ladder_counts_cross_into_python_ints():
         assert sum(grid_region_counts(ladder, 3).values()) == 6 * 3 ** (k - 1), k
 
 
-def test_padded_boxes_count_exactly():
-    assert count_colorings(box(2, 1, extended=True)) == 62976
-    for lat, bc in [
-        (box(1, 1, extended=True), None),
-        (box(1, 3, extended=True), None),
-        (box(2, 1, extended=True), OddBoundaryZero()),
-        (box(1, 2, extended=True), OddBoundaryZero()),
-    ]:
-        assert count_colorings(lat, 3, bc) == _enumerated(lat, 3, bc)
+def test_padded_box_cells_count_exactly():
+    # W_1: the 3x3 box plus the odd cells of the 5x5 box outside it
+    w1 = {(x, y) for x in range(-2, 3) for y in range(-2, 3)
+          if max(abs(x), abs(y)) <= 1 or (x + y) % 2}
+    assert len(w1) == 9 + (12 - 4) == 17
+    assert grid_region_counts(w1, 3) == {b"": 62976}
 
 
 @pytest.mark.parametrize("lat,q,bc", [
@@ -425,7 +422,7 @@ def test_transition_matrix_matches_the_move_by_move_reference(lat, q):
     P = transition_matrix(states, lat, q)
     adj = _reference_moves(states, lat, q)
     assert P.adj == adj
-    assert P.diag == [q * lat.nv - len(row) for row in adj]
+    assert P.diag.tolist() == [q * lat.nv - len(row) for row in adj]
     with pytest.raises(ColoringError, match="not closed under legal moves"):
         transition_matrix(states[1:], lat, q)
 
@@ -454,8 +451,9 @@ def test_tv_mixing_single_vertex_tau_zero():
         states=[bytes([0]), bytes([1]), bytes([2])],
         lattice=_OnePoint(),
         q=3,
-        adj=[[1, 2], [0, 2], [0, 1]],
-        diag=[1, 1, 1],
+        rows=np.array([0, 0, 1, 1, 2, 2]),
+        cols=np.array([1, 2, 0, 2, 0, 1]),
+        diag=np.array([1, 1, 1]),
     )
     res = tv_mixing_time(P, starts="all")
     assert res.tau == 0 and res.t_star == 1
@@ -701,7 +699,8 @@ class _Sites:
 def _lattice_free_chain(adj, diag, denom):
     return ExactTransitionMatrix(
         states=[bytes([i]) for i in range(len(adj))], lattice=_Sites(1), q=denom,
-        adj=adj, diag=diag,
+        rows=np.repeat(np.arange(len(adj)), [len(row) for row in adj]),
+        cols=np.array([j for row in adj for j in row], dtype=np.int64), diag=np.array(diag),
     )
 
 
@@ -722,10 +721,11 @@ def test_float_and_exact_crossings_agree_per_start(lat, q):
 
 def _exact_tv(P, start, t):
     """TV(P^t(start,·), uniform) as a Fraction, by the integer iteration."""
+    diag = P.diag.tolist()                  # Python ints: the products outgrow int64
     u = [0] * P.n
     u[start] = 1
     for _ in range(t):
-        u = [P.diag[y] * u[y] + sum(u[x] for x in P.adj[y]) for y in range(P.n)]
+        u = [diag[y] * u[y] + sum(u[x] for x in P.adj[y]) for y in range(P.n)]
     mt = P.denom ** t
     return Fraction(sum(abs(P.n * w - mt) for w in u), 2 * P.n * mt)
 
@@ -739,6 +739,7 @@ def test_float_tv_stays_within_its_rounding_budget():
     full = _float_operator(P)
     lumped = _lump(full, _refined_blocks(full, start), start)
     assert len(lumped.sizes) < P.n
+    diag = P.diag.tolist()                  # Python ints: the products outgrow int64
     u = [0] * P.n
     u[start] = 1
     mt = 1
@@ -748,7 +749,7 @@ def test_float_tv_stays_within_its_rounding_budget():
         for tv, eps in pairs:
             assert abs(Fraction(tv) - exact) <= Fraction(eps)
             assert eps < 1e-12
-        u = [P.diag[y] * u[y] + sum(u[x] for x in P.adj[y]) for y in range(P.n)]
+        u = [diag[y] * u[y] + sum(u[x] for x in P.adj[y]) for y in range(P.n)]
         mt *= P.denom
     assert t == 137
 
@@ -846,6 +847,17 @@ def test_box_transition_graph_connected():
     P = transition_matrix(states, lat, 3)
     assert P.is_connected()
     assert P.is_symmetric() and P.uniform_is_stationary()
+
+
+@pytest.mark.parametrize("adj,diag,denom,verdicts", [
+    ([[1], []], [1, 2], 2, (True, False, False, True)),            # one move 0 -> 1, none back
+    ([[1, 1, 1], [0, 0, 0]], [0, 0], 2, (False, True, False, True)),  # 3 moves per row, denom 2
+    ([[1], [0], [3], [2]], [1, 1, 1, 1], 2, (True, True, True, False)),  # two disjoint 2-cycles
+], ids=["one-way", "overfull-row", "two-cycles"])
+def test_each_matrix_check_can_fail(adj, diag, denom, verdicts):
+    P = _lattice_free_chain(adj, diag, denom)
+    checks = (P.row_sums_ok(), P.is_symmetric(), P.uniform_is_stationary(), P.is_connected())
+    assert checks == verdicts
 
 
 def test_le_inv_e_brackets():

@@ -308,7 +308,7 @@ def test_vacuous_good_triple(star_setup):
     t, chi, cut = star_setup
     approx = exact_approximation(cut)
     _, chi_p = next(phi_family(chi, cut.region, 1))
-    triple = canonical_good_triple(chi, cut, approx, 1, chi_p)
+    triple = canonical_good_triple(cut, approx, 1, chi_p)
     assert triple == GoodTriple(0, 0, 0)
     ctx = q_sets(approx, 1, chi_p)
     assert is_good_triple(triple, ctx)
@@ -321,7 +321,7 @@ def test_canonical_triple_nontrivial(domino_setup):
     for subset, chi_p in phi_family(chi, cut.region, s):
         ctx = q_sets(approx, s, chi_p)
         seen_u.add(ctx.u)
-        triple = canonical_good_triple(chi, cut, approx, s, chi_p)
+        triple = canonical_good_triple(cut, approx, s, chi_p)
         assert is_good_triple(triple, ctx)
         assert triple.k == 0  # Q^O lies outside W here
         assert (triple.l | triple.m) == ctx.q_even
