@@ -141,6 +141,15 @@ def test_box_injective_shift(bits):
         assert len(defined) == len(set(defined))
 
 
+def test_extended_region_vertex_count():
+    # W_1: the 3x3 box plus the odd vertices of the 5x5 box that lie outside it
+    inner, outer = box(2, 1), box(2, 2)
+    odd_rim = {outer.coords[v] for v in iter_bits(outer.boundary_mask & outer.odd_mask)}
+    w1 = set(inner.coords) | odd_rim
+    assert len(w1) == 9 + (12 - 4)
+    assert w1 == {c for c in outer.coords if max(map(abs, c)) <= 1 or sum(c) % 2 == 1}
+
+
 def test_degenerate_small_torus_simple_graph():
     k2 = torus(1, 2)
     assert k2.nv == 2 and k2.neighbors[0] == [1]

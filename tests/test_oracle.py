@@ -248,12 +248,34 @@ def test_ladder_counts_cross_into_python_ints():
         assert sum(grid_region_counts(ladder, 3).values()) == 6 * 3 ** (k - 1), k
 
 
-def test_padded_box_cells_count_exactly():
-    # W_1: the 3x3 box plus the odd cells of the 5x5 box outside it
-    w1 = {(x, y) for x in range(-2, 3) for y in range(-2, 3)
-          if max(abs(x), abs(y)) <= 1 or (x + y) % 2}
-    assert len(w1) == 9 + (12 - 4) == 17
+def _padded_cells(d, m):
+    """W_m in Z^d for d <= 2, as Z^2 cells: Λ_m plus the odd cells of Λ_{m+1}."""
+    span = range(-m - 1, m + 2)
+    cells = [(x, 0) for x in span] if d == 1 else [(x, y) for x in span for y in span]
+    return {c for c in cells if max(map(abs, c)) <= m or sum(c) % 2}
+
+
+def _grid_brute_count(cells, pins=None):
+    order = sorted(cells)
+    neighbors = [
+        [j for j, (a, b) in enumerate(order) if abs(a - x) + abs(b - y) == 1]
+        for x, y in order
+    ]
+    return _brute_count(len(order), neighbors, 3,
+                        {order.index(c): k for c, k in (pins or {}).items()}, {})
+
+
+def test_padded_boxes_count_exactly():
+    w1 = _padded_cells(2, 1)
+    assert len(w1) == 17
     assert grid_region_counts(w1, 3) == {b"": 62976}
+    for cells, pins in [
+        (_padded_cells(1, 1), None),
+        (_padded_cells(1, 3), None),
+        (w1, {c: 0 for c in w1 if max(map(abs, c)) == 2}),
+        (_padded_cells(1, 2), {c: 0 for c in _padded_cells(1, 2) if abs(c[0]) == 3}),
+    ]:
+        assert sum(grid_region_counts(cells, 3, pins=pins).values()) == _grid_brute_count(cells, pins)
 
 
 @pytest.mark.parametrize("lat,q,bc", [
