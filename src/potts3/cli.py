@@ -3,10 +3,10 @@
 Every command writes ``report.json`` (stable byte-for-byte under replay)
 plus a ``meta.json`` sidecar holding the timestamp and the build stamp (and,
 for ``mixing``, the state, move and orbit counts, the share of each cap
-used, each start's crossing time and lumped block count, and the starts
-decided by the exact fallback; for ``torpid-demo``, each chain's acceptance
-share and first sweep with a sign flip);
-trajectory commands add one CSV per chain.  Exit codes: 0 ok, 2 invalid
+used, each start's crossing time and lumped block count, the distinct
+float walks stepped, and the starts decided by the exact fallback; for
+``torpid-demo``, each chain's acceptance share and first sweep with a sign
+flip); trajectory commands add one CSV per chain.  Exit codes: 0 ok, 2 invalid
 config, 3 cap refusal, 4 property violation detected.
 """
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from pathlib import Path
 
-from . import __version__
+from . import __version__, peierls
 from .coloring import (
     DEFAULT_RHO,
     OddBoundaryZero,
@@ -53,7 +53,6 @@ from .peierls import (
     exact_approximation,
     flow_out_total,
     flow_sets,
-    shift_coloring,
 )
 from .entropy import max_entropy_gap_check, topological_entropy_estimate
 
@@ -214,6 +213,7 @@ def cmd_mixing(args) -> int:
             "per_start_t_star": mix.per_start_t_star,
             "exact_fallbacks": mix.exact_fallbacks,
             "lumped_states": mix.lumped_states,
+            "float_walks": mix.float_walks,
         }
     write_report(Path(args.out), payload, meta=meta)
     ok = all(checks.values()) and (cond.bound_holds in (True, None))
@@ -331,7 +331,8 @@ def cmd_flow_check(args) -> int:
                 "roundtrip_ok": True,
             }, sort_keys=True) + "\n")
             # the last image of the family, the one with S = W^s
-            rep = bound_report(chi, shift_coloring(chi, cut.region, s, layer), cut, approx, s)
+            image = peierls._repair(chi, cut.region, s, layer, layer)
+            rep = bound_report(chi, image, cut, approx, s)
             if rep.status == "ok":
                 bound_rows.append(
                     f"{chi_id},{s},{float(rep.nu):.6g},{rep.b_value:.6g},"

@@ -362,6 +362,7 @@ class MixingResult:
     per_start_t_star: dict[int, int]
     exact_fallbacks: list[int]       # starts the float engine left to the exact path
     lumped_states: dict[int, int]    # blocks each start's float walk ran on
+    float_walks: int                 # distinct float walks stepped
 
 
 def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -> int:
@@ -392,45 +393,48 @@ def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -
 _U = 2.0 ** -53        # unit roundoff of binary64
 _TINY = 2.0 ** -1000   # least positive entry the relative-error model admits
 _KEY_CHUNK = 1024      # states per color indicator in the orbit keys (``_orbits``)
+_STACK_CAP = 1 << 18   # moves plus blocks per stack of walks, and per sharing index
+# narrows the walks a walk may equal; equality is decided array by array
+_share_key = operator.attrgetter("sizes.shape", "cols.shape", "m", "start")
 
 
 class _FloatOperator(NamedTuple):
-    """The step x ← (B·x + D·x)/denom of P lumped over blocks of states:
-    entry k adds weights[k]·x[cols[k]] to rows[k], and x holds the mass of
-    one state of each block.  Without lumping every state is its own block,
-    B is P's off-diagonal integer matrix A (each entry one move, weight 1)
+    """The walk x ← (B·x + D·x)/denom of P lumped over blocks of states,
+    from x = 1 on block ``start``: entry k adds weights[k]·x[cols[k]] to
+    rows[k], entries sorted by (row, col), and x holds the mass of one
+    state of each block.  Without lumping every state is its own block, B
+    is P's off-diagonal integer matrix A (each entry one move, weight 1)
     and D its diagonal."""
 
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray    # integers, 1 ≤ w ≤ denom, as float64
     diag: np.ndarray       # integers, 0 ≤ d ≤ denom, as float64
-    blocks: np.ndarray     # block index of each state
     sizes: np.ndarray      # states per block, as float64
     denom: float
     m: int                 # most entries in a row, the diagonal not counted
+    start: int             # the block the walk starts on
 
 
 def _float_operator(P: ExactTransitionMatrix) -> _FloatOperator | None:
-    """The float form of P, every state its own block, or None when the
-    rounding bound does not cover it: A must be nonnegative with column
-    sums equal to the denominator (so the true iterate keeps mass 1), and
-    the denominator below 2^53 (so A's entries are exact floats)."""
+    """The float form of P from state 0, every state its own block, or None
+    when the rounding bound does not cover it: A must be nonnegative with
+    column sums equal to the denominator (so the true iterate keeps mass
+    1), and the denominator below 2^53 (so A's entries are exact floats)."""
     n = P.n
     if P.denom >= 2 ** 53 or (P.diag < 0).any() or not P.uniform_is_stationary():
         return None
     return _FloatOperator(
         rows=P.rows, cols=P.cols, weights=np.broadcast_to(1.0, len(P.cols)),
-        diag=P.diag.astype(np.float64), blocks=np.arange(n),
-        sizes=np.broadcast_to(1.0, n), denom=float(P.denom),
-        m=int(np.bincount(P.rows, minlength=n).max(initial=0)),
+        diag=P.diag.astype(np.float64), sizes=np.broadcast_to(1.0, n),
+        denom=float(P.denom), m=int(np.bincount(P.rows, minlength=n).max(initial=0)), start=0,
     )
 
 
 def _lump(op: _FloatOperator, blocks: np.ndarray, start: int) -> _FloatOperator | None:
     """The unlumped ``op`` (``_float_operator``) lumped by ``blocks`` (a block
-    index 0 … K−1 per state), or None unless that is exact for the walk
-    from ``start``.
+    index 0 … K−1 per state) and walked from ``start``'s block, or None
+    unless that is exact for the walk from ``start``.
 
     The walk stays constant on blocks when it starts on a singleton block
     and the partition is equitable: every state y of a block Y has the same
@@ -438,7 +442,7 @@ def _lump(op: _FloatOperator, blocks: np.ndarray, start: int) -> _FloatOperator 
     from each block X.  Then B is the lumped matrix, read off any one state
     of Y.  Both conditions are checked here in O(nnz), so the result never
     rests on how the labelling was found (``_refined_blocks`` hashes); so
-    is B ≤ denom, which the rounding bound of ``_float_tv`` assumes.
+    is B ≤ denom, which the rounding bound of ``_stacked_tv`` assumes.
     Block-row entries are packed into integer codes, so N·K·(denom + 1) ≥
     2^63 is refused too."""
     k = int(blocks.max()) + 1
@@ -476,12 +480,14 @@ def _lump(op: _FloatOperator, blocks: np.ndarray, start: int) -> _FloatOperator 
     del mirror
     cols, weights = np.divmod(code[own].astype(np.intp), scale)
     reps = np.flatnonzero(peer == np.arange(len(blocks)))
+    rows = np.repeat(blocks[reps], lens[reps])
+    order = np.argsort(rows, kind="stable")      # (row, col) order: each row's cols are sorted
     diag = np.zeros(k)
     diag[blocks] = op.diag
     return _FloatOperator(
-        rows=np.repeat(blocks[reps], lens[reps]), cols=cols,
-        weights=weights.astype(np.float64), diag=diag, blocks=blocks,
-        sizes=sizes.astype(np.float64), denom=op.denom, m=int(lens.max(initial=0)),
+        rows=rows[order], cols=cols[order], weights=weights[order].astype(np.float64),
+        diag=diag, sizes=sizes.astype(np.float64), denom=op.denom,
+        m=int(lens.max(initial=0)), start=int(blocks[start]),
     )
 
 
@@ -521,9 +527,13 @@ def _threshold_enclosure(threshold) -> tuple[float, float]:
     return float(threshold) * (1 - 2 * _U), float(threshold) * (1 + 2 * _U)
 
 
-def _float_tv(op: _FloatOperator, start: int):
-    """Yield (tv̂_t, ε_t) for t = 0, 1, …: the float64 TV of P^t(start,·) to
-    uniform and a bound ε_t ≥ |tv̂_t − tv_t|.  Stops where the bound lapses.
+def _stacked_tv(ops: list[_FloatOperator], n: int):
+    """Yield (tv̂_t, ε_t) for t = 0, 1, …: per walk of ``ops`` (lumpings of
+    one P on N = n states), the float64 TV of its iterate to uniform and a
+    bound ε_t ≥ |tv̂_t − tv_t|, ∞ once the bound has lapsed.
+
+    The walks step as one block-diagonal operator: entries concatenated,
+    each walk's offset by the blocks before it, one ``bincount`` a step.
 
     Step: x ← (B·x + D·x)/denom over the K blocks.  The exact iterate x_t
     holds P^t(start, y) for one state y of each block (the lumping is
@@ -534,9 +544,10 @@ def _float_tv(op: _FloatOperator, start: int):
     (1 + δ) with |δ| ≤ u = 2⁻⁵³, in any summation order (Higham, *Accuracy
     and Stability*, §3.1).  By induction the computed iterate x̂_t
     satisfies |x̂_t − x_t| ≤ e_t·x_t componentwise, with e_t =
-    (1+u)^{t(m+2)} − 1.  That needs every positive entry to stay normal: an
-    entry below 2⁻¹⁰⁰⁰ stops the generator (the division cannot flush a
-    larger entry to zero, since denom < 2⁵³).
+    (1+u)^{t(m+2)} − 1 and m the walk's own.  That needs every positive
+    entry to stay normal: an entry below 2⁻¹⁰⁰⁰ lapses its walk's bound
+    for good (the division cannot flush a larger entry to zero, since
+    denom < 2⁵³).
 
     TV: tv̂ = ½·fl(Σ_Y |Y|·|x̂_Y − fl(1/N)|) over the blocks Y, N = Σ|Y|.
     Since Σ_Y |Y|·x_Y = 1 (column sums of A + D are denom), Σ_Y |Y|·|x̂_Y −
@@ -549,37 +560,61 @@ def _float_tv(op: _FloatOperator, start: int):
     exceeds that by at least γ_{N+2} ≥ 3u, which covers the roundings in
     forming ε_t and tv̂ ± ε_t themselves.
     """
-    k = len(op.sizes)
-    n = len(op.blocks)
+    heads = np.cumsum([0] + [len(op.sizes) for op in ops])
+    rows, cols = map(np.concatenate, zip(*[(op.rows + h, op.cols + h) for op, h in zip(ops, heads)]))
+    weights, diag, sizes = map(np.concatenate, zip(*[(op.weights, op.diag, op.sizes) for op in ops]))
+    heads, k, denom = heads[:-1], int(heads[-1]), ops[0].denom
     spare = 2 * (n + 2) * _U / (1 - (n + 2) * _U)     # 2γ_{N+2}
-    per_step = (op.m + 2) * math.log1p(_U)
-    uniform = 1.0 / n
+    per_step = np.array([op.m + 2 for op in ops]) * math.log1p(_U)   # ∞ once lapsed
     x = np.zeros(k)
-    x[op.blocks[start]] = 1.0
-    t = 0
-    while True:
-        yield 0.5 * float(np.dot(op.sizes, np.abs(x - uniform))), math.expm1(t * per_step) + spare
-        t += 1
-        x = (np.bincount(op.rows, weights=op.weights * x[op.cols], minlength=k)
-             + op.diag * x) / op.denom
-        if x.min() < _TINY and x[x > 0].min(initial=1.0) < _TINY:
-            return
+    x[heads + [op.start for op in ops]] = 1.0
+    for t in itertools.count():
+        yield (0.5 * np.add.reduceat(sizes * np.abs(x - 1.0 / n), heads),
+               np.expm1(t * per_step) + spare)
+        x = (np.bincount(rows, weights=weights * x[cols], minlength=k) + diag * x) / denom
+        if x.min() < _TINY:
+            per_step[np.minimum.reduceat(np.where(x > 0, x, 1.0), heads) < _TINY] = np.inf
 
 
-def _float_crossing(op: _FloatOperator, start: int, threshold, iter_cap) -> int | None:
-    """``_first_crossing`` decided in float64, or None where a step is too
-    close to call.  Against lo ≤ threshold ≤ hi, tv̂_t + ε_t < lo is a
-    crossing and tv̂_t − ε_t > hi means not yet (the iteration cap then
-    refuses exactly as the exact path does); anything else is undecided."""
+def _stacked_crossings(ops: list[_FloatOperator], n: int, threshold, iter_cap) -> list[int | None]:
+    """``_first_crossing`` of each walk of ``ops`` decided in float64
+    (``_stacked_tv``), or None for a walk with a step too close to call.
+    Against lo ≤ threshold ≤ hi, tv̂_t + ε_t < lo is a crossing and tv̂_t −
+    ε_t > hi means not yet (the iteration cap then refuses exactly as the
+    exact path does); anything else is undecided."""
     lo, hi = _threshold_enclosure(threshold)
-    for t, (tv, eps) in enumerate(_float_tv(op, start)):
-        if tv + eps < lo:
-            return t
-        if tv - eps <= hi:
-            return None
+    out, live = [None] * len(ops), np.ones(len(ops), dtype=bool)
+    for t, (tv, eps) in enumerate(_stacked_tv(ops, n)):
+        for w in np.flatnonzero(live & (tv + eps < lo)):
+            out[w] = t
+        live &= tv - eps > hi
+        if not live.any():
+            return out
         if t >= iter_cap:
             raise CapExceeded(f"no TV crossing within iteration cap {iter_cap}")
-    return None
+
+
+def _shared_walks(full: _FloatOperator, use: list[int]):
+    """Yield stacks of [walk, its starts], each at most ``_STACK_CAP`` moves
+    plus blocks or one walk.  A start walks on ``full`` lumped for it, or
+    on ``full`` where that fails its check, and shares the walk of an
+    earlier start of the stack whose every field is equal."""
+    stack, index, entries = [], {}, 0
+    for st in use:
+        op = _lump(full, _refined_blocks(full, st), st) or full._replace(start=st)
+        same = index.setdefault(_share_key(op), [])
+        walk = next((w for w in same if all(map(np.array_equal, w[0], op))), None)
+        if walk is None:
+            if stack and entries + len(op.cols) + len(op.sizes) > _STACK_CAP:
+                yield stack
+                stack, index, entries = [], {}, 0
+                same = index.setdefault(_share_key(op), [])
+            walk = (op, [])
+            stack.append(walk)
+            same.append(walk)
+            entries += len(op.cols) + len(op.sizes)
+        walk[1].append(st)
+    yield stack
 
 
 def tv_mixing_time(
@@ -597,12 +632,13 @@ def tv_mixing_time(
     exact by symmetry of P), or a nonempty list of state indices (anything
     else is a ValueError, raised before any iteration).
 
-    Each start runs in float64 (``_float_crossing``) on P lumped by the
-    coarsest equitable partition that holds it alone (``_refined_blocks``,
-    ``_lump``), or on P itself where that lumping fails its exactness
-    check.  A start whose float run cannot decide a step, or every start
-    when P is outside the float bound's hypotheses, runs the exact
-    ``_first_crossing`` instead and is listed in ``exact_fallbacks``.
+    Each start walks in float64 on P lumped by the coarsest equitable
+    partition that holds it alone (``_refined_blocks``, ``_lump``), or on
+    P itself where that lumping fails its exactness check; exactly equal
+    walks are shared, and all step as one stack (``_shared_walks``,
+    ``_stacked_crossings``).  A start whose walk cannot decide a step, or
+    every start when P is outside the float bound's hypotheses, runs the
+    exact ``_first_crossing`` instead and is listed in ``exact_fallbacks``.
     Either way every decision is exact.
     """
     if isinstance(starts, str):
@@ -616,15 +652,17 @@ def tv_mixing_time(
         use = [operator.index(s) for s in starts]
     if not use or not all(0 <= s < P.n for s in use):
         raise ValueError(f"starts must be a nonempty list of state indices below {P.n}")
+    floated, float_walks = {}, 0       # start → (float crossing or None, blocks)
     full = _float_operator(P)
+    for stack in _shared_walks(full, use) if full is not None else ():
+        float_walks += len(stack)
+        crossings = _stacked_crossings([op for op, _ in stack], P.n, threshold, iter_cap)
+        for (op, sts), tcross in zip(stack, crossings):
+            floated |= dict.fromkeys(sts, (tcross, len(op.sizes)))
     per, lumped, fallbacks = {}, {}, []
     worst, worst_t = use[0], -1
     for st in use:
-        tcross, lumped[st] = None, P.n
-        if full is not None:
-            op = _lump(full, _refined_blocks(full, st), st) or full
-            tcross, lumped[st] = _float_crossing(op, st, threshold, iter_cap), len(op.sizes)
-            del op                     # before the next start's labelling is built
+        tcross, lumped[st] = floated.get(st, (None, P.n))
         if tcross is None:
             fallbacks.append(st)
             tcross = _first_crossing(P, st, threshold, iter_cap)
@@ -639,6 +677,7 @@ def tv_mixing_time(
         per_start_t_star=per,
         exact_fallbacks=fallbacks,
         lumped_states=lumped,
+        float_walks=float_walks,
     )
 
 

@@ -44,13 +44,15 @@ def test_mixing_small_ring(tmp_path):
     assert meta["lumped_states"].keys() == meta["per_start_t_star"].keys()
     assert all(1 <= k <= 18 for k in meta["lumped_states"].values())
     assert meta["cap_use"] == {"state": 18 / 20000, "iter": report["t_star"] / 100000}
-    # the literal sweep reports the same orbit count and a block count per state
+    # the literal sweep reports the same orbit count and a block count per
+    # state, and its starts share the orbit representatives' walks
     rc = run(["mixing", "--kind", "torus", "--d", "1", "--n", "4", "--starts", "all",
               "--out", str(tmp_path / "all")])
     assert rc == 0
     every = json.loads((tmp_path / "all" / "meta.json").read_text())
     assert every["orbits"] == meta["orbits"]
     assert len(every["lumped_states"]) == 18
+    assert every["float_walks"] == meta["float_walks"] == 2
 
 
 def test_mixing_disconnected_chain_is_a_violation(tmp_path):
@@ -64,7 +66,7 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     assert report["t_star"] is None
     assert report["worst_start"] is None
     meta = json.loads((tmp_path / "meta.json").read_text())
-    assert "per_start_t_star" not in meta and "lumped_states" not in meta
+    assert not {"per_start_t_star", "lumped_states", "float_walks"} & meta.keys()
     assert (meta["states"], meta["moves"]) == (2, 0)
 
 
@@ -423,6 +425,7 @@ def test_mixing_z24_full(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert (meta["states"], meta["moves"], meta["orbits"]) == (2970, 21888, 22)
     assert sum(meta["lumped_states"].values()) == 11559
+    assert meta["float_walks"] == 16
     assert meta["cap_use"] == {"state": 2970 / 20000, "iter": 493 / 100000}
 
 

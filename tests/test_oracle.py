@@ -37,9 +37,9 @@ from potts3.oracle import (
     _first_crossing,
     _float_operator,
     _frontier_count,
-    _float_tv,
     _lump,
     _refined_blocks,
+    _stacked_tv,
     grid_region_counts,
     le_inv_e,
 )
@@ -584,7 +584,7 @@ def test_bad_starts_are_refused_before_any_iteration(starts, monkeypatch):
     def no_iteration(*args):
         raise AssertionError("iterated before checking the starts")
 
-    monkeypatch.setattr(oracle, "_float_crossing", no_iteration)
+    monkeypatch.setattr(oracle, "_stacked_crossings", no_iteration)
     monkeypatch.setattr(oracle, "_first_crossing", no_iteration)
     with pytest.raises(ValueError, match="starts"):
         tv_mixing_time(P, starts=starts)
@@ -611,6 +611,47 @@ def test_mixing_z24_per_start_crossings_frozen(z24_chain):
     # 123 and 240 tie at 493; the first in start order is the worst
     assert (res.tau, res.t_star, res.worst_start) == (492, 493, 123)
     assert res.exact_fallbacks == []
+
+
+# C4 x C4 is the 4-cube, whose 384 automorphisms join these pairs of the
+# 22 orbits of the torus's 128; each pair's lumped walks are equal
+Z24_SHARED = {(4, 8), (39, 44), (41, 46), (45, 61), (123, 240), (125, 249)}
+
+
+def test_z24_starts_share_exactly_equal_walks(z24_chain, monkeypatch):
+    stepped = []
+
+    def spy(ops, *args):
+        stepped.extend(ops)
+        return real(ops, *args)
+
+    real = oracle._stacked_crossings
+    monkeypatch.setattr(oracle, "_stacked_crossings", spy)
+    assert tv_mixing_time(z24_chain).float_walks == len(stepped) == 16
+    full = _float_operator(z24_chain)
+    walk_of = {}
+    for s in Z24_CROSSINGS:
+        op = _lump(full, _refined_blocks(full, s), s)
+        same = [w for w, walk in enumerate(stepped) if all(map(np.array_equal, walk, op))]
+        assert len(same) == 1, s
+        walk_of[s] = same[0]
+    shared = {(a, b) for a in walk_of for b in walk_of if a < b and walk_of[a] == walk_of[b]}
+    assert shared == Z24_SHARED
+
+
+def test_walks_are_shared_only_when_exactly_equal(z24_chain, monkeypatch):
+    # every walk under one key: sharing must rest on the arrays alone
+    monkeypatch.setattr(oracle, "_share_key", lambda op: 0)
+    res = tv_mixing_time(z24_chain)
+    assert res.per_start_t_star == Z24_CROSSINGS and res.float_walks == 16
+    P = _chain(torus(1, 4), 3)
+    exact = {s: _first_crossing(P, s, None, ITER_CAP) for s in range(P.n)}
+    assert tv_mixing_time(P, starts="all").per_start_t_star == exact
+    # unlumped (one block is never exact), the walks differ in their start alone
+    monkeypatch.setattr(oracle, "_refined_blocks",
+                        lambda op, start: np.zeros(len(op.diag), dtype=np.intp))
+    res = tv_mixing_time(P, starts="all")
+    assert res.per_start_t_star == exact and res.float_walks == P.n
 
 
 def test_z24_refined_labellings_pass_the_lumping_check(z24_chain):
@@ -670,7 +711,7 @@ def test_labelling_that_fails_its_check_runs_unlumped(monkeypatch):
                         lambda op, start: (np.arange(len(op.diag)) != start).astype(np.intp))
     res = tv_mixing_time(P, starts="all")
     assert res.lumped_states == {s: P.n for s in range(P.n)}
-    assert res.exact_fallbacks == []
+    assert res.exact_fallbacks == [] and res.float_walks == P.n
     assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(P.n)}
 
 
@@ -679,13 +720,15 @@ def test_one_state_chain_is_mixed_at_once(starts):
     # no off-diagonal entry at all: nothing to refine, lump or iterate
     P = _lattice_free_chain([[]], [1], 1)
     res = tv_mixing_time(P, starts=starts)
-    assert (res.tau, res.t_star, res.lumped_states) == (0, 0, {0: 1})
+    assert (res.tau, res.t_star, res.lumped_states, res.float_walks) == (0, 0, {0: 1}, 1)
 
 
-def test_tv_mixing_iteration_cap_refusal():
+def test_tv_mixing_iteration_cap_refusal(monkeypatch):
     lat = torus(1, 4)
     states = list(enumerate_colorings(lat, 3))
     P = transition_matrix(states, lat, 3)
+    # the stacked float walks refuse; no start reaches the exact path
+    monkeypatch.setattr(oracle, "_first_crossing", None)
     with pytest.raises(CapExceeded):
         tv_mixing_time(P, starts="all", iter_cap=1)
 
@@ -752,23 +795,42 @@ def _exact_tv(P, start, t):
     return Fraction(sum(abs(P.n * w - mt) for w in u), 2 * P.n * mt)
 
 
+def test_walks_past_the_entry_cap_stack_apart(monkeypatch):
+    # a cap below any walk's size puts each distinct walk in a stack of its
+    # own, and a start shares a walk only while its stack is open: the 4-ring's
+    # 18 starts, in index order, hold 11 runs of equal walks
+    P = _chain(torus(1, 4), 3)
+    stacks = []
+
+    def spy(ops, *args):
+        stacks.append(len(ops))
+        return real(ops, *args)
+
+    real = oracle._stacked_crossings
+    monkeypatch.setattr(oracle, "_stacked_crossings", spy)
+    monkeypatch.setattr(oracle, "_STACK_CAP", 1)
+    res = tv_mixing_time(P, starts="all")
+    assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(P.n)}
+    assert res.exact_fallbacks == [] and res.float_walks == 11 and stacks == [1] * 11
+
+
 def test_float_tv_stays_within_its_rounding_budget():
     # box(2,1) from its worst start, every step to the crossing: the float
     # TV is within ε_t of the exact TV, and ε_t stays far below 1/e's scale,
-    # on the full chain and on its refinement-lumped form
+    # for the full chain and its refinement-lumped form stepped as one stack
     P = _chain(box(2, 1), 3)
     start = tv_mixing_time(P).worst_start
-    full = _float_operator(P)
+    full = _float_operator(P)._replace(start=start)
     lumped = _lump(full, _refined_blocks(full, start), start)
     assert len(lumped.sizes) < P.n
     diag = P.diag.tolist()                  # Python ints: the products outgrow int64
     u = [0] * P.n
     u[start] = 1
     mt = 1
-    steps = zip(range(138), _float_tv(full, start), _float_tv(lumped, start))
-    for t, *pairs in steps:
+    for t, (tvs, epss) in zip(range(138), _stacked_tv([full, lumped], P.n)):
         exact = Fraction(sum(abs(P.n * w - mt) for w in u), 2 * P.n * mt)
-        for tv, eps in pairs:
+        assert len(tvs) == len(epss) == 2
+        for tv, eps in zip(tvs, epss):
             assert abs(Fraction(tv) - exact) <= Fraction(eps)
             assert eps < 1e-12
         u = [diag[y] * u[y] + sum(u[x] for x in P.adj[y]) for y in range(P.n)]
@@ -786,12 +848,27 @@ def test_threshold_at_an_exact_tv_value_forces_the_exact_path():
     assert res.per_start_t_star[0] <= 3
 
 
+def test_walk_that_leaves_the_normal_range_runs_exact_alone():
+    # the 61-state path with moves of weight 2^-24: from an end, the state k
+    # steps away first gets mass near 2^-24k, below 2^-1000 at k = 42, so
+    # that walk's bound lapses before it crosses and its start runs exact;
+    # the middle start's walk, in the same stack, decides in float
+    n, denom = 61, 2 ** 24
+    adj = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
+    P = _lattice_free_chain(adj, [denom - len(row) for row in adj], denom)
+    threshold = (_exact_tv(P, 0, 50) + _exact_tv(P, 0, 51)) / 2
+    res = tv_mixing_time(P, threshold=threshold, starts=[0, 30])
+    assert res.exact_fallbacks == [0] and res.float_walks == 2
+    assert res.per_start_t_star == {s: _first_crossing(P, s, threshold, ITER_CAP) for s in (0, 30)}
+    assert res.per_start_t_star[0] == 51
+
+
 def test_chain_outside_the_float_bound_runs_exact():
     # column sums 2, 4, 3 against the denominator 3: mass is not conserved,
     # so the float bound does not apply and every start runs exact
     P = _lattice_free_chain([[1, 1], [0, 2], [1]], [1, 1, 2], 3)
     res = tv_mixing_time(P, threshold=Fraction(9, 10), starts="all")
-    assert res.exact_fallbacks == [0, 1, 2]
+    assert res.exact_fallbacks == [0, 1, 2] and res.float_walks == 0
     assert res.per_start_t_star == {
         s: _first_crossing(P, s, Fraction(9, 10), ITER_CAP) for s in range(3)
     }
