@@ -402,9 +402,9 @@ class _FloatOperator(NamedTuple):
     """The walk x ← (B·x + D·x)/denom of P lumped over blocks of states,
     from x = 1 on block ``start``: entry k adds weights[k]·x[cols[k]] to
     rows[k], entries sorted by (row, col), and x holds the mass of one
-    state of each block.  Without lumping every state is its own block, B
-    is P's off-diagonal integer matrix A (each entry one move, weight 1)
-    and D its diagonal."""
+    state of each block.  Under the identity labelling every state is its
+    own block, B is P's off-diagonal integer matrix A (each weight the
+    moves from its row's state to its column's) and D its diagonal."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -416,84 +416,56 @@ class _FloatOperator(NamedTuple):
     start: int             # the block the walk starts on
 
 
-def _float_operator(P: ExactTransitionMatrix) -> _FloatOperator | None:
-    """The float form of P from state 0, every state its own block, or None
-    when the rounding bound does not cover it: A must be nonnegative with
-    column sums equal to the denominator (so the true iterate keeps mass
-    1), and the denominator below 2^53 (so A's entries are exact floats)."""
-    n = P.n
-    if P.denom >= 2 ** 53 or (P.diag < 0).any() or not P.uniform_is_stationary():
-        return None
-    return _FloatOperator(
-        rows=P.rows, cols=P.cols, weights=np.broadcast_to(1.0, len(P.cols)),
-        diag=P.diag.astype(np.float64), sizes=np.broadcast_to(1.0, n),
-        denom=float(P.denom), m=int(np.bincount(P.rows, minlength=n).max(initial=0)), start=0,
-    )
+def _floatable(P: ExactTransitionMatrix) -> bool:
+    """Whether the rounding bound of ``_stacked_tv`` covers P: A must be
+    nonnegative with column sums equal to the denominator (so the true
+    iterate keeps mass 1), the denominator below 2^53 (so A's entries are
+    exact floats), and N²·(denom + 1) below 2^63 (so ``_lump``'s packed
+    codes fit in int64)."""
+    return (P.denom < 2 ** 53 and P.n ** 2 * (P.denom + 1) < 2 ** 63
+            and not (P.diag < 0).any() and P.uniform_is_stationary())
 
 
-def _lump(op: _FloatOperator, blocks: np.ndarray, start: int) -> _FloatOperator | None:
-    """The unlumped ``op`` (``_float_operator``) lumped by ``blocks`` (a block
-    index 0 … K−1 per state) and walked from ``start``'s block, or None
-    unless that is exact for the walk from ``start``.
+def _lump(P: ExactTransitionMatrix, blocks: np.ndarray, start: int) -> _FloatOperator | None:
+    """P (``_floatable``) lumped by ``blocks`` (a block index 0 … K−1 per
+    state, K ≤ N) and walked from ``start``'s block, or None unless that is
+    exact for the walk from ``start``.
 
     The walk stays constant on blocks when it starts on a singleton block
     and the partition is equitable: every state y of a block Y has the same
-    diagonal and the same block-row, the number B(Y, X) of moves into y
-    from each block X.  Then B is the lumped matrix, read off any one state
-    of Y.  Both conditions are checked here in O(nnz), so the result never
-    rests on how the labelling was found (``_refined_blocks`` hashes); so
-    is B ≤ denom, which the rounding bound of ``_stacked_tv`` assumes.
-    Block-row entries are packed into integer codes, so N·K·(denom + 1) ≥
-    2^63 is refused too."""
+    diagonal and the same block-row, the number c = B(Y, X) of moves into y
+    from each block X.  Sorting the packed pairs (y, X) counts each c, and
+    sorting the packed triples (Y, X, c) counts the states of Y that share
+    it: the block-rows agree iff every triple is shared by all |Y| states
+    of Y, and the triples are then B's entries in (row, col) order.  So the
+    result never rests on how the labelling was found (``_refined_blocks``
+    hashes).  c ≤ denom, which ``_stacked_tv``'s rounding bound assumes, is
+    checked too; the identity labelling always passes."""
     k = int(blocks.max()) + 1
     sizes = np.bincount(blocks, minlength=k)
-    peer = np.unique(blocks, return_index=True)[1][blocks]   # least state of its block
-    if sizes[blocks[start]] != 1 or (op.diag != op.diag[peer]).any():
-        return None
-    # each state's block-row, one code per source block: X·(denom+1) + B(Y, X);
-    # index arrays are int32 where every value fits, which halves the peak
-    scale = int(op.denom) + 1
-    if len(blocks) * k * scale >= 2 ** 63:
-        return None
-    index = np.int32 if len(blocks) * k * scale < 2 ** 31 else np.int64
-    pair = op.rows.astype(index)
-    pair *= k
-    pair += blocks[op.cols]
-    pair.sort()                           # op.rows is sorted, so each entry keeps its row
-    head = np.flatnonzero(np.diff(pair, prepend=-1))      # empty with no move at all
-    moves = np.diff(head, append=len(pair))
-    lens = np.bincount(op.rows[head], minlength=len(blocks))
-    if moves.max(initial=0) > op.denom or (lens != lens[peer]).any():
-        return None
-    code = pair[head]
-    del pair, head
-    code %= k
-    code *= scale
-    code += moves
-    # each code against the same code of its peer's row
-    first = np.cumsum(lens) - lens
-    mirror = np.repeat((first[peer] - first).astype(index), lens)
-    mirror += np.arange(len(code), dtype=index)
-    if (code != code[mirror]).any():
-        return None
-    own = np.flatnonzero(mirror == np.arange(len(code), dtype=index))
-    del mirror
-    cols, weights = np.divmod(code[own].astype(np.intp), scale)
-    reps = np.flatnonzero(peer == np.arange(len(blocks)))
-    rows = np.repeat(blocks[reps], lens[reps])
-    order = np.argsort(rows, kind="stable")      # (row, col) order: each row's cols are sorted
     diag = np.zeros(k)
-    diag[blocks] = op.diag
+    diag[blocks] = P.diag
+    pairs, moves = np.unique(P.rows * k + blocks[P.cols], return_counts=True)
+    if (sizes[blocks[start]] != 1 or (diag[blocks] != P.diag).any()
+            or moves.max(initial=0) > P.denom):
+        return None
+    y, source = np.divmod(pairs, k)
+    scale = P.denom + 1
+    codes, shared = np.unique((blocks[y] * k + source) * scale + moves, return_counts=True)
+    cells, weights = np.divmod(codes, scale)
+    rows, cols = np.divmod(cells, k)
+    if (shared != sizes[rows]).any():
+        return None
     return _FloatOperator(
-        rows=rows[order], cols=cols[order], weights=weights[order].astype(np.float64),
-        diag=diag, sizes=sizes.astype(np.float64), denom=op.denom,
-        m=int(lens.max(initial=0)), start=int(blocks[start]),
+        rows=rows, cols=cols, weights=weights.astype(np.float64), diag=diag,
+        sizes=sizes.astype(np.float64), denom=float(P.denom),
+        m=int(np.bincount(rows, minlength=k).max()), start=int(blocks[start]),
     )
 
 
-def _refined_blocks(op: _FloatOperator, start: int) -> np.ndarray:
-    """A block index per state of the unlumped ``op``: the coarsest
-    equitable partition that holds ``start`` alone, by colour refinement.
+def _refined_blocks(P: ExactTransitionMatrix, start: int) -> np.ndarray:
+    """A block index per state of P: the coarsest equitable partition that
+    holds ``start`` alone, by colour refinement.
 
     The first labels are (diagonal, is-start).  Each round's label is the
     old one times a fixed odd constant plus the wrapping sum of the
@@ -503,9 +475,9 @@ def _refined_blocks(op: _FloatOperator, start: int) -> np.ndarray:
     as the orbits of the start's stabiliser in any symmetry group of P.  A
     hash collision can only merge blocks wrongly, and ``_lump`` then
     refuses the labelling, so exactness never rests on the hash."""
-    heads = np.flatnonzero(np.diff(op.rows, prepend=-1))   # empty with no move at all
-    owners = op.rows[heads]
-    labels = op.diag.astype(np.uint64) * np.uint64(2) + (np.arange(len(op.diag)) == start)
+    heads = np.flatnonzero(np.diff(P.rows, prepend=-1))   # empty with no move at all
+    owners = P.rows[heads]
+    labels = P.diag.astype(np.uint64) * np.uint64(2) + (np.arange(P.n) == start)
     count = 0
     while True:
         grown = np.count_nonzero(np.diff(np.sort(labels))) + 1    # blocks, by sort + diff
@@ -514,7 +486,7 @@ def _refined_blocks(op: _FloatOperator, start: int) -> np.ndarray:
         count = grown
         mixed = mix64_array(labels + GOLDEN)
         labels *= GOLDEN
-        labels[owners] += np.add.reduceat(mixed[op.cols], heads)
+        labels[owners] += np.add.reduceat(mixed[P.cols], heads)
 
 
 def _threshold_enclosure(threshold) -> tuple[float, float]:
@@ -594,14 +566,15 @@ def _stacked_crossings(ops: list[_FloatOperator], n: int, threshold, iter_cap) -
             raise CapExceeded(f"no TV crossing within iteration cap {iter_cap}")
 
 
-def _shared_walks(full: _FloatOperator, use: list[int]):
+def _shared_walks(P: ExactTransitionMatrix, use: list[int]):
     """Yield stacks of [walk, its starts], each at most ``_STACK_CAP`` moves
-    plus blocks or one walk.  A start walks on ``full`` lumped for it, or
-    on ``full`` where that fails its check, and shares the walk of an
-    earlier start of the stack whose every field is equal."""
+    plus blocks or one walk.  A start walks on P (``_floatable``) lumped by
+    its refined labelling, or by the identity labelling where that fails
+    ``_lump``'s check, and shares the walk of an earlier start of the stack
+    whose every field is equal."""
     stack, index, entries = [], {}, 0
     for st in use:
-        op = _lump(full, _refined_blocks(full, st), st) or full._replace(start=st)
+        op = _lump(P, _refined_blocks(P, st), st) or _lump(P, np.arange(P.n), st)
         same = index.setdefault(_share_key(op), [])
         walk = next((w for w in same if all(map(np.array_equal, w[0], op))), None)
         if walk is None:
@@ -633,9 +606,11 @@ def tv_mixing_time(
     else is a ValueError, raised before any iteration).
 
     Each start walks in float64 on P lumped by the coarsest equitable
-    partition that holds it alone (``_refined_blocks``, ``_lump``), or on
-    P itself where that lumping fails its exactness check; exactly equal
-    walks are shared, and all step as one stack (``_shared_walks``,
+    partition that holds it alone (``_refined_blocks``), or on P itself
+    (the identity labelling) where that lumping fails ``_lump``'s
+    exactness check, which counts each triple (block Y, block X, moves
+    into a state of Y from X) against |Y|; exactly equal walks are
+    shared, and all step as one stack (``_shared_walks``,
     ``_stacked_crossings``).  A start whose walk cannot decide a step, or
     every start when P is outside the float bound's hypotheses, runs the
     exact ``_first_crossing`` instead and is listed in ``exact_fallbacks``.
@@ -653,8 +628,7 @@ def tv_mixing_time(
     if not use or not all(0 <= s < P.n for s in use):
         raise ValueError(f"starts must be a nonempty list of state indices below {P.n}")
     floated, float_walks = {}, 0       # start → (float crossing or None, blocks)
-    full = _float_operator(P)
-    for stack in _shared_walks(full, use) if full is not None else ():
+    for stack in _shared_walks(P, use) if _floatable(P) else ():
         float_walks += len(stack)
         crossings = _stacked_crossings([op for op, _ in stack], P.n, threshold, iter_cap)
         for (op, sts), tcross in zip(stack, crossings):

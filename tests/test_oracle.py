@@ -35,7 +35,7 @@ from potts3.oracle import (
     STATE_CAP,
     _assignments,
     _first_crossing,
-    _float_operator,
+    _floatable,
     _frontier_count,
     _lump,
     _refined_blocks,
@@ -628,10 +628,9 @@ def test_z24_starts_share_exactly_equal_walks(z24_chain, monkeypatch):
     real = oracle._stacked_crossings
     monkeypatch.setattr(oracle, "_stacked_crossings", spy)
     assert tv_mixing_time(z24_chain).float_walks == len(stepped) == 16
-    full = _float_operator(z24_chain)
     walk_of = {}
     for s in Z24_CROSSINGS:
-        op = _lump(full, _refined_blocks(full, s), s)
+        op = _lump(z24_chain, _refined_blocks(z24_chain, s), s)
         same = [w for w, walk in enumerate(stepped) if all(map(np.array_equal, walk, op))]
         assert len(same) == 1, s
         walk_of[s] = same[0]
@@ -657,10 +656,9 @@ def test_walks_are_shared_only_when_exactly_equal(z24_chain, monkeypatch):
 def test_z24_refined_labellings_pass_the_lumping_check(z24_chain):
     P = z24_chain
     starts = sorted(Z24_CROSSINGS)
-    full = _float_operator(P)
     blocks = {}
     for s in starts:
-        op = _lump(full, _refined_blocks(full, s), s)
+        op = _lump(P, _refined_blocks(P, s), s)
         assert op is not None, s
         blocks[s] = len(op.sizes)
     assert min(blocks.values()) == 75 and max(blocks.values()) == 1191
@@ -673,9 +671,8 @@ def test_lumping_that_is_not_a_symmetry_fails_its_check():
     # symmetry of the chain, and its blocks {0}, {1, 2} fail the check;
     # 0 <-> 2 fixing state 1 is one, and start 1 runs on {1}, {0, 2}
     P = _lattice_free_chain([[1], [0, 2], [1]], [2, 1, 2], 3)
-    full = _float_operator(P)
-    assert _lump(full, np.array([0, 1, 1]), 0) is None
-    assert len(_lump(full, _refined_blocks(full, 1), 1).sizes) == 2
+    assert _lump(P, np.array([0, 1, 1]), 0) is None
+    assert len(_lump(P, _refined_blocks(P, 1), 1).sizes) == 2
     res = tv_mixing_time(P, starts="all")
     assert res.lumped_states == {0: 3, 1: 2, 2: 3}
     assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(3)}
@@ -685,22 +682,31 @@ def test_lump_refuses_each_inexact_labelling():
     # states 1, 2, 3 each take 3 moves (1 + 2, 2 + 1, 1 + 2 from {0} and
     # {1, 2, 3}) and have diagonal 1, so only their block-rows tell them apart
     P = _lattice_free_chain([[1, 2, 3, 3], [0, 2, 3], [0, 0, 1], [0, 1, 2]], [0, 1, 1, 1], 4)
-    full = _float_operator(P)
-    assert _lump(full, np.array([0, 1, 1, 1]), 0) is None
-    assert _lump(full, np.array([0, 1, 2, 1]), 2) is not None    # {1, 3} is equitable
+    assert _lump(P, np.array([0, 1, 1, 1]), 0) is None
+    assert _lump(P, np.array([0, 1, 2, 1]), 2) is not None    # {1, 3} is equitable
     res = tv_mixing_time(P, starts="all")
     assert res.lumped_states[0] == 3                             # refinement finds {1, 3}
     assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(4)}
     # state 2 has the first of its peer's two block-row entries and not the second
     Q = _lattice_free_chain([[1, 1, 1, 2], [0, 2, 2], [0]], [2, 1, 1], 4)
-    assert _lump(_float_operator(Q), np.array([0, 1, 1]), 0) is None
+    assert _lump(Q, np.array([0, 1, 1]), 0) is None
     # equal block-rows, unequal diagonals
     Q = _lattice_free_chain([[1, 2, 2], [0], [0]], [1, 2, 1], 3)
-    assert _lump(_float_operator(Q), np.array([0, 1, 1]), 0) is None
+    assert _lump(Q, np.array([0, 1, 1]), 0) is None
     # the path 0 - 1 - 2: {0, 2}, {1} is equitable, but the start 0 is not alone
     Q = _lattice_free_chain([[1], [0, 2], [1]], [2, 1, 2], 3)
-    assert _lump(_float_operator(Q), np.array([0, 1, 0]), 0) is None
-    assert _lump(_float_operator(Q), np.array([0, 1, 0]), 1) is not None
+    assert _lump(Q, np.array([0, 1, 0]), 0) is None
+    assert _lump(Q, np.array([0, 1, 0]), 1) is not None
+
+
+def test_lump_refuses_a_block_row_past_the_denominator():
+    # state 0 takes a move from each of 1, 2, 3, which take none: column
+    # sums are 2, the denominator, and {0}, {1, 2, 3} is equitable, but
+    # the 3 moves into 0 from {1, 2, 3} are more than the denominator
+    P = _lattice_free_chain([[1, 2, 3], [], [], []], [2, 1, 1, 1], 2)
+    assert _floatable(P)
+    assert _lump(P, np.array([1, 0, 0, 0]), 0) is None
+    assert _lump(P, np.arange(4), 0).weights.tolist() == [1, 1, 1]
 
 
 def test_labelling_that_fails_its_check_runs_unlumped(monkeypatch):
@@ -743,6 +749,7 @@ SMALL_CHAINS = [
     (torus(1, 4), 4),
     (torus(2, 2), 4),
     (box(2, 1), 3),
+    (torus(3, 2), 3),
 ]
 
 
@@ -774,14 +781,22 @@ def test_float_and_exact_crossings_agree_per_start(lat, q):
     P = _chain(lat, q)
     res = tv_mixing_time(P, starts="all")
     assert res.exact_fallbacks == []
-    # every start on the rings and tori; on box(2,1) (246 starts, ~9 s
-    # exact) the orbit representatives, which hold every crossing time
+    # every start on the rings and 2-tori; on box(2,1) (246 starts, ~9 s
+    # exact) and Z^3_2 (114) the orbit representatives, which hold every
+    # crossing time
     exact_starts = range(P.n) if P.n < 100 else orbit_representatives(P.states, lat, q)
     for s in exact_starts:
         assert res.per_start_t_star[s] == _first_crossing(P, s, None, ITER_CAP), s
     crossings = set(res.per_start_t_star.values())
     assert crossings == {res.per_start_t_star[s] for s in exact_starts}
     assert res.t_star == max(crossings)
+
+
+def test_mixing_z32_per_start_crossings_frozen():
+    # Z^3_2 is the 3-cube Q_3: 114 colorings in 4 start orbits
+    res = tv_mixing_time(_chain(torus(3, 2), 3))
+    assert res.per_start_t_star == {0: 91, 1: 97, 4: 101, 10: 101}
+    assert (res.tau, res.t_star, res.exact_fallbacks) == (100, 101, [])
 
 
 def _exact_tv(P, start, t):
@@ -820,8 +835,8 @@ def test_float_tv_stays_within_its_rounding_budget():
     # for the full chain and its refinement-lumped form stepped as one stack
     P = _chain(box(2, 1), 3)
     start = tv_mixing_time(P).worst_start
-    full = _float_operator(P)._replace(start=start)
-    lumped = _lump(full, _refined_blocks(full, start), start)
+    full = _lump(P, np.arange(P.n), start)
+    lumped = _lump(P, _refined_blocks(P, start), start)
     assert len(lumped.sizes) < P.n
     diag = P.diag.tolist()                  # Python ints: the products outgrow int64
     u = [0] * P.n
@@ -874,6 +889,24 @@ def test_chain_outside_the_float_bound_runs_exact():
     }
 
 
+def test_chain_past_the_packing_bound_runs_exact():
+    # the 32-state lazy path with denominator 2^53 − 1 meets the rounding
+    # bound's hypotheses, but N²·(denom + 1) = 2^63 leaves no room for the
+    # packed codes of ``_lump``, so every start runs exact; one less in the
+    # denominator and every start walks in float
+    n = 32
+    adj = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
+    P = _lattice_free_chain(adj, [2 ** 53 - 1 - len(row) for row in adj], 2 ** 53 - 1)
+    res = tv_mixing_time(P, threshold=Fraction(99, 100), starts="all")
+    assert res.float_walks == 0 and res.exact_fallbacks == list(range(n))
+    assert res.per_start_t_star == {
+        s: _first_crossing(P, s, Fraction(99, 100), ITER_CAP) for s in range(n)
+    }
+    Q = _lattice_free_chain(adj, [2 ** 53 - 2 - len(row) for row in adj], 2 ** 53 - 2)
+    assert _floatable(Q) and not _floatable(P)
+    assert tv_mixing_time(Q, threshold=Fraction(99, 100), starts="all").exact_fallbacks == []
+
+
 @st.composite
 def _symmetric_chains(draw):
     """A connected symmetric chain on 2..8 states with laziness ≥ 1."""
@@ -897,12 +930,11 @@ def _symmetric_chains(draw):
        threshold=st.one_of(st.none(), st.fractions(Fraction(1, 50), Fraction(9, 10))))
 def test_float_engine_matches_exact_on_random_chains(P, threshold):
     res = tv_mixing_time(P, threshold=threshold, starts="all")
-    full = _float_operator(P)
     for s in range(P.n):
         assert res.per_start_t_star[s] == _first_crossing(P, s, threshold, ITER_CAP)
-        labels = _refined_blocks(full, s)
+        labels = _refined_blocks(P, s)
         assert _partition(labels.tolist()) == _coarsest_equitable_partition(P, s)
-        assert len(_lump(full, labels, s).sizes) == res.lumped_states[s]
+        assert len(_lump(P, labels, s).sizes) == res.lumped_states[s]
 
 
 def _partition(labels):
@@ -923,6 +955,57 @@ def _coarsest_equitable_partition(P, start):
         if refined == blocks:
             return blocks
         blocks = refined
+
+
+@st.composite
+def _labelled_chains(draw):
+    """A chain of ``_symmetric_chains``, a start, and a labelling of its
+    states below N: the identity, the start's refined labelling or the
+    labelling by diagonal, its block numbers renamed by a permutation or
+    merged by any map, and then maybe the start moved to block N − 1."""
+    P = draw(_symmetric_chains())
+    start = draw(st.integers(0, P.n - 1))
+    labels = draw(st.sampled_from([np.arange(P.n), _refined_blocks(P, start),
+                                   np.unique(P.diag, return_inverse=True)[1]]))
+    top = draw(st.integers(0, P.n - 1))
+    rename = draw(st.one_of(st.permutations(range(P.n)),
+                            st.lists(st.integers(0, top), min_size=P.n, max_size=P.n)))
+    blocks = np.array(rename, dtype=np.intp)[labels]
+    if draw(st.booleans()):
+        blocks[start] = P.n - 1
+    return P, blocks, start
+
+
+def _reference_lumping(P, blocks, start):
+    """Reference for ``_lump``: the lumped entries {(Y, X): moves into a
+    state of Y from X}, read off each state's row of ``P.adj``, or None
+    when the start shares its block, a block holds two diagonals or two
+    states of a block have different block-rows."""
+    members = {}
+    for y, Y in enumerate(blocks.tolist()):
+        members.setdefault(Y, []).append(y)
+    if len(members[blocks[start]]) != 1:
+        return None
+    entries = {}
+    for Y, ys in members.items():
+        rows = [Counter(blocks[x] for x in P.adj[y]) for y in ys]
+        if len({P.diag[y] for y in ys}) != 1 or any(row != rows[0] for row in rows):
+            return None
+        entries.update({(Y, X): c for X, c in rows[0].items()})
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_labelled_chains())
+def test_lump_accepts_exactly_the_equitable_labellings(case):
+    P, blocks, start = case
+    op = _lump(P, blocks, start)
+    entries = _reference_lumping(P, blocks, start)
+    assert (op is None) == (entries is None)
+    if op is not None:
+        assert list(zip(op.rows.tolist(), op.cols.tolist())) == sorted(entries)
+        assert op.weights.tolist() == [entries[e] for e in sorted(entries)]
+        assert op.start == blocks[start]
 
 
 @pytest.mark.parametrize("lat,q", SMALL_CHAINS, ids=repr)
