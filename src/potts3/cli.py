@@ -146,13 +146,14 @@ def _config_of(args, fields) -> dict:
 def cmd_enumerate(args) -> int:
     lat = _lattice_from_args(args)
     bc = OddBoundaryZero() if args.odd_boundary_zero else None
-    count = count_colorings(lat, args.q, bc, state_cap=args.state_cap)
+    stats = {}
+    count = count_colorings(lat, args.q, bc, state_cap=args.state_cap, stats=stats)
     write_report(Path(args.out), {
         "command": "enumerate",
         "config": _config_of(args, ("kind", "d", "n", "q", "odd_boundary_zero")),
         "count": count,
         "provenance": "exact",
-    })
+    }, meta=stats | {"cap_use": {"state": stats["peak_states"] / args.state_cap}})
     print(count)
     return EXIT_OK
 

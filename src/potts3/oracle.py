@@ -108,7 +108,8 @@ def enumerate_colorings(
 # -- frontier counting -----------------------------------------------------------
 
 
-def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=()) -> dict[bytes, int]:
+def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
+                    stats=None) -> dict[bytes, int]:
     """Exact counts of proper q-colorings of a graph, with per-vertex pins and
     forbidden color sets, placing vertices in index order (the "broken"
     transfer-matrix method), per color pattern of the ``keep`` vertices.
@@ -122,116 +123,143 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=()) -> dict[byt
     states are the kept patterns: the result maps each pattern with a
     nonzero count, as bytes in ``keep`` order, to its count, so with no kept
     vertex it is {b"": total} (or {} for none).  Two adjacent vertices
-    pinned alike answer {} at once.  Weights are int64 while the exact total
-    stays below 2^63/q, so no step can overflow, and Python ints after.
-    Refuses (CapExceeded) past ``cap`` states (None: no cap) or when a key of
-    q^(frontier+1) could pass 2^63.
+    pinned alike answer {} at once.  Weights are int64 while no sum a site
+    forms (of at most q^(digits it drops + 1) weights) could pass 2^63, and
+    Python ints after.  Refuses (CapExceeded) past ``cap`` states (None: no
+    cap) or when a key of q^(frontier+1) could pass 2^63.
+
+    ``seeds`` = (colors, weights) stacks runs: each (s, m) row colors sites
+    0…m−1, kept in place of ``keep``, and starts a state of its weight,
+    unless a pin next to it has its color.  Its seed key (its colors, site 0
+    on top) is the low m digits of its states, so seeds never merge; ``cap``
+    bounds each seed: a stack that would pass it splits in two by seed key
+    and goes on, and only a lone seed refuses.  ``stats`` (a dict) gets
+    ``peak_states``, raised to the most states one seed held.
     """
-    if any(pins.get(u) == c for v, c in pins.items() for u in neighbors[v]):
+    peak = 1 if stats is None else stats.setdefault("peak_states", 1)
+    colors, weights = seeds if seeds is not None else (np.zeros((1, 0), np.uint8), np.ones(1, int))
+    m = colors.shape[1]
+    live = np.all([np.ones(len(colors), dtype=bool), *(
+        colors[:, v] != c for u, c in pins.items() for v in neighbors[u] if v < m)], axis=0)
+    if not live.any() or any(pins.get(u) == c for v, c in pins.items() for u in neighbors[v]):
         return {}
+    colors, keep = colors[live], range(m) if m else keep
     kept = set(keep)
     last = [nv if v in kept else max(nbrs, default=-1) for v, nbrs in enumerate(neighbors)]
-    frontier: list[int] = []
-    keys = np.zeros(1, dtype=np.int64)
-    weights = np.ones(1, dtype=np.int64)
-    for v in range(nv):
-        if q ** (len(frontier) + 1) >= 2 ** 63:
-            raise CapExceeded(f"a frontier of {len(frontier) + 1} sites needs keys past 2^63")
-        if weights.dtype != object and int(weights.sum()) >= 2 ** 63 // q:
-            weights = weights.astype(object)
-        adjacent = set(neighbors[v])
-        seen = [keys // q ** i % q for i, u in enumerate(frontier) if u in adjacent]
-        base = keys
-        for i in reversed(range(len(frontier))):
-            if last[frontier[i]] == v:                     # v was its last neighbour
-                base = base // q ** (i + 1) * q ** i + base % q ** i
-        frontier = [u for u in frontier if last[u] > v]
-        top = 0
-        if last[v] > v:                                    # v joins as the top digit
-            top = q ** len(frontier)
-            frontier.append(v)
-        choices = [c for c in ((pins[v],) if v in pins else range(q))
-                   if 0 <= c < q and c not in forbidden.get(v, ())]
-        if not choices:
-            return {}
+    counts, todo = {}, [(0, [], np.zeros(len(colors), dtype=np.int64), weights[live])]
+    # the kept sites' final digits: in placement order, the seeds' reversed
+    at = q ** np.array([sorted(kept, reverse=m > 0).index(u) for u in keep], dtype=np.int64)
+    while todo:
+        start, frontier, keys, weights = todo.pop()
+        for v in range(start, nv):
+            if q ** (len(frontier) + 1) >= 2 ** 63:
+                raise CapExceeded(f"a frontier of {len(frontier) + 1} sites needs keys past 2^63")
+            if v < m:                                      # seed colors, site 0 ending on top
+                keys, frontier = keys * q + colors[:, v], [v, *frontier]
+                continue
+            adjacent = set(neighbors[v])
+            seen = [keys // q ** i % q for i, u in enumerate(frontier) if u in adjacent]
+            base = keys
+            for i in reversed(range(len(frontier))):
+                if last[frontier[i]] == v:                 # v was its last neighbour
+                    base = base // q ** (i + 1) * q ** i + base % q ** i
+            before, frontier = frontier, [u for u in frontier if last[u] > v]
+            if weights.dtype != object and \
+                    int(weights.max()) >= 2 ** 63 // q ** (len(before) - len(frontier) + 1):
+                weights = weights.astype(object)
+            top = 0
+            if last[v] > v:                                # v joins as the top digit
+                top = q ** len(frontier)
+                frontier.append(v)
+            choices = [c for c in ((pins[v],) if v in pins else range(q))
+                       if 0 <= c < q and c not in forbidden.get(v, ())]
+            if not choices:
+                return {}
 
-        def branch(c):
-            ok = np.ones(len(keys), dtype=bool)
-            for digit in seen:
-                ok &= digit != c
-            return base[ok] + c * top, weights[ok]
+            def branch(c):
+                ok = np.ones(len(keys), dtype=bool)
+                for digit in seen:
+                    ok &= digit != c
+                return base[ok] + c * top, weights[ok]
 
-        if top and cap is not None and len(keys) * len(choices) > cap:
-            # the site could pass the cap: with v's digit on top the
-            # branches' keys are disjoint, so each merges on its own, in
-            # increasing c, and the count refuses as soon as the states
-            # merged so far pass the cap (a site that adds no digit cannot
-            # add states); below the cap one merge is faster than several
-            branches, states = [], 0
-            for i, c in enumerate(choices):
-                branches.append(_merge([branch(c)]))
-                states += len(branches[-1][0])
+            if top and cap is not None and len(keys) * len(choices) > cap:
+                # the site could pass the cap: with v's digit on top the
+                # branches' keys are disjoint, so each merges on its own, in
+                # increasing c, until the states merged so far pass the cap
+                # (a site that adds no digit cannot add states); below the
+                # cap one merge is faster than several
+                branches = []
+                for c in choices:
+                    branches.append(_merge([branch(c)]))
+                    if (states := sum(len(k) for k, _ in branches)) > cap:
+                        break
+                if states > cap and len(ids := np.unique(seed := keys % q ** m)) > 1:
+                    low = seed < ids[len(ids) // 2]            # the low half goes on first
+                    todo += [(v, before, keys[half], weights[half]) for half in (~low, low)]
+                    break
                 if states > cap:
-                    states += sum(len(np.unique(branch(c2)[0])) for c2 in choices[i + 1:])
+                    states += sum(len(np.unique(branch(c)[0])) for c in choices[len(branches):])
                     raise CapExceeded(f"frontier of {states} states exceeds the state cap {cap}")
-            keys = np.concatenate([k for k, _ in branches])
-            weights = np.concatenate([w for _, w in branches])
-        else:
-            keys, weights = _merge([branch(c) for c in choices])
-        if not len(keys):
-            return {}
-    digits = keys[:, None] // q ** np.array([frontier.index(u) for u in keep], dtype=np.int64) % q
-    return {row.tobytes(): int(w) for row, w in zip(digits.astype(np.uint8), weights)}
+                keys = np.concatenate([k for k, _ in branches])
+                weights = np.concatenate([w for _, w in branches])
+            else:
+                keys, weights = _merge([branch(c) for c in choices])
+            if not len(keys):
+                break
+            if stats is not None and len(keys) > peak:
+                peak = stats["peak_states"] = max(peak, int(
+                    np.unique(keys % q ** m, return_counts=True)[1].max()))
+        else:                                              # the seeds' patterns are disjoint
+            digits = (keys[:, None] // at % q).astype(np.uint8)
+            counts |= {row.tobytes(): int(w) for row, w in zip(digits, weights)}
+    return counts
 
 
 def _merge(parts):
     """Join (keys, weights) parts, sort by key and add the weights of equal
-    keys."""
+    keys.  A stable sort (timsort) takes their mostly sorted runs fastest."""
     keys = np.concatenate([k for k, _ in parts])
     weights = np.concatenate([w for _, w in parts])
     if len(keys):
-        order = np.argsort(keys)
+        order = np.argsort(keys, kind="stable")
         keys = keys[order]
         runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         keys, weights = keys[runs], np.add.reduceat(weights[order], runs)
     return keys, weights
 
 
-def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP) -> int:
+def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP, stats=None) -> int:
     """Exact |C_q(lat, bc)| by the frontier counter, refusing (CapExceeded)
-    past ``state_cap`` frontier states.
+    past ``state_cap`` frontier states; ``stats`` (a dict) gets the most
+    states held against the cap, a slab listing or one seed's frontier.
 
-    A box is one run.  A torus pins its first slab x₀ = 0 to its proper
-    colorings, which keeps the frontier small.  It lists them all (at most
-    ``state_cap``) before it counts any, so a slab past the cap refuses
-    without counting; the cap also bounds each run's frontier.  With no
-    other pins and d > 1, one run per orbit of slab colorings under the
-    slab torus Z^{d−1}_n's automorphisms × color relabelings, whose indices
-    the slab shares, stands for the whole orbit: each such symmetry extends
-    to Z^d_n fixing the slab, so the orbit's colorings count alike.  Its
-    orbit keys need q^(n^{d−1}) < 2^63, or it refuses, as its frontier of
-    n^{d−1} pinned sites would.
+    A box is one run.  A torus lists the colorings of its first slab x₀ = 0
+    (at most ``state_cap``, so a slab past the cap refuses without counting)
+    and seeds one stacked run with them.  With no other pins and d > 1, one
+    seed per orbit under the slab torus Z^{d−1}_n's automorphisms × color
+    relabelings, whose indices the slab shares, stands for its orbit with
+    the orbit's size as weight: each such symmetry extends to Z^d_n fixing
+    the slab, so the orbit's colorings count alike.  Its orbit keys need
+    q^(n^{d−1}) < 2^63, or it refuses, as its n^{d−1} seeded sites would.
     """
     pins = _pins(lat, q, bc)
-    if lat.kind is LatticeKind.BOX:
-        return sum(_frontier_count(lat.nv, lat.neighbors, q, pins, {}, state_cap).values())
-    m = lat.nv // lat.n
+    m = lat.nv // lat.n if lat.kind is LatticeKind.TORUS else 0
     slab = [[u for u in lat.neighbors[v] if u < m] for v in range(m)]
-    symmetric = not pins and lat.d > 1
+    symmetric = not pins and lat.d > 1 and m > 0
     if symmetric and q ** m >= 2 ** 63:
         raise CapExceeded(f"orbit keys of a {m}-site slab need q^{m} < 2^63, got q={q}")
     try:
         starts = list(_assignments(m, slab, q, {v: c for v, c in pins.items() if v < m},
-                                   cap=state_cap))
+                                   cap=state_cap)) if m else [b""]
     except CapExceeded:
         raise CapExceeded(f"first-slab colorings exceed the state cap {state_cap}") from None
-    weights = [1] * len(starts)
-    if symmetric:
-        first, weights = _orbits(starts, build_lattice(LatticeSpec(lat.kind, lat.d - 1, lat.n)), q)
-        starts = [starts[i] for i in first]
-    return sum(int(weight) * sum(_frontier_count(
-        lat.nv, lat.neighbors, q, {**pins, **dict(enumerate(start))}, {}, state_cap
-    ).values()) for start, weight in zip(starts, weights))
+    first, weights = (_orbits(starts, build_lattice(LatticeSpec(lat.kind, lat.d - 1, lat.n)), q)
+                      if symmetric else (slice(None), np.ones(len(starts), dtype=np.int64)))
+    colors = np.frombuffer(b"".join(starts), dtype=np.uint8).reshape(len(starts), m)[first]
+    if stats is not None:                                  # the slab listing counts too
+        stats["peak_states"] = len(starts)
+    return sum(_frontier_count(lat.nv, lat.neighbors, q, pins, {}, state_cap,
+                               seeds=(colors, weights), stats=stats).values())
 
 
 # -- exact transition matrix ---------------------------------------------------

@@ -311,6 +311,24 @@ def test_enumerate_and_influence(tmp_path):
     assert rep["ratio"]["rational"] == "0/1"
 
 
+def test_enumerate_meta_reports_peak_states(tmp_path, capsys):
+    # the box's frontier peaks at 4 states; Z^2_6's largest slab seed holds
+    # 107, past its 66 slab colorings; neither touches report.json or stdout
+    for argv, count, peak in [
+        (["--kind", "box", "--d", "2", "--n", "1", "--odd-boundary-zero"], 32, 4),
+        (["--kind", "torus", "--d", "2", "--n", "6", "--state-cap", "1000"], 16448400, 107),
+    ]:
+        out = tmp_path / argv[1]
+        assert run(["enumerate", *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{count}\n"
+        assert json.loads((out / "report.json").read_text()).keys() == \
+            {"command", "config", "count", "provenance"}
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta.keys() == {"written_at", "build", "peak_states", "cap_use"}
+        cap = 1000 if "--state-cap" in argv else 20000
+        assert (meta["peak_states"], meta["cap_use"]) == (peak, {"state": peak / cap})
+
+
 def test_cap_refusal_exit_code(tmp_path, capsys):
     # slab colorings over the state cap, which the refusal names
     rc = run(["enumerate", "--kind", "torus", "--d", "2", "--n", "4",

@@ -246,6 +246,11 @@ def test_ladder_counts_cross_into_python_ints():
     for k in range(1, 61):
         ladder = {(x, y) for x in range(k) for y in range(2)}
         assert sum(grid_region_counts(ladder, 3).values()) == 6 * 3 ** (k - 1), k
+    # a path's last cell adds no digit, so its branches merge too: at k = 63
+    # six weights of 2^61 sum past 2^63
+    for k in range(60, 66):
+        path = {(x, 0) for x in range(k)}
+        assert sum(grid_region_counts(path, 3).values()) == 3 * 2 ** (k - 1), k
 
 
 def _padded_cells(d, m):
@@ -370,18 +375,30 @@ def test_slab_shares_the_indices_of_the_slab_torus(lat):
     assert _slab_adjacency(lat) == torus(lat.d - 1, lat.n).neighbors
 
 
-def test_torus_counts_frozen(monkeypatch):
-    # one pinned run per slab orbit: 8 on the 8-cycle, 18 on the 10-cycle,
-    # and Z^2_4's 22 on Z^3_4
+def _stacked_seed_counts(monkeypatch):
+    """Record the seed count of every ``_frontier_count`` call (1 unseeded)."""
     runs = []
     real_count = oracle._frontier_count
-    monkeypatch.setattr(oracle, "_frontier_count",
-                        lambda *args: runs.append(args) or real_count(*args))
+
+    def spy(*args, **kwargs):
+        runs.append(len(kwargs["seeds"][0]) if kwargs.get("seeds") is not None else 1)
+        return real_count(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_frontier_count", spy)
+    return runs
+
+
+def test_torus_counts_frozen(monkeypatch):
+    # one stacked pass per torus, seeded with one slab coloring per orbit:
+    # 8 on the 8-cycle, 18 on the 10-cycle, and Z^2_4's 22 on Z^3_4; at the
+    # default cap the last two stacks pass 20,000 states and split, so
+    # these also check that a split stack answers as its seeds would
+    runs = _stacked_seed_counts(monkeypatch)
     assert count_colorings(torus(2, 8)) == 2_901_094_068_042
     assert count_colorings(torus(2, 10)) == 16_178_049_740_086_515_288
     # Z^3_4 is 2·|EvenHeavy| + |Balanced| of the class split at ρ = 11/50
     assert count_colorings(torus(3, 4)) == 2 * 45_222_378_468 + 9_856_293_666 == 100_301_050_602
-    assert len(runs) == 8 + 18 + 22
+    assert runs == [8, 18, 22]
 
 
 def test_repeated_torus_counts_share_one_slab_lattice(monkeypatch):
@@ -402,12 +419,105 @@ def test_repeated_torus_counts_share_one_slab_lattice(monkeypatch):
 
 
 def test_torus_with_pins_runs_every_slab_start(monkeypatch):
-    runs = []
-    real_count = oracle._frontier_count
-    monkeypatch.setattr(oracle, "_frontier_count",
-                        lambda *args: runs.append(args) or real_count(*args))
+    runs = _stacked_seed_counts(monkeypatch)
     assert count_colorings(torus(2, 4), 3, PinnedVertex((0, 0), 0)) == 2970 // 3
-    assert len(runs) == 6                      # 4-cycle colorings with site 0 at 0
+    assert runs == [6]                   # one pass: 4-cycle colorings with site 0 at 0
+
+
+def _per_seed_count(lat, q, bc, state_cap):
+    """Reference for the stacked pass: one pinned ``_frontier_count`` run per
+    slab coloring (per slab orbit with no pins and d > 1) in listing order,
+    summed with the orbit weights, so the first run past the cap refuses.
+    Returns the total and the most states the listing or one run held."""
+    pins = bc.pins(lat) if bc is not None else {}
+    slab = _slab_adjacency(lat)
+    try:
+        starts = list(_assignments(len(slab), slab, q,
+                                   {v: c for v, c in pins.items() if v < len(slab)}, state_cap))
+    except CapExceeded:
+        raise CapExceeded(f"first-slab colorings exceed the state cap {state_cap}") from None
+    weights, peak, total = [1] * len(starts), len(starts), 0
+    if not pins and lat.d > 1:
+        first, weights = oracle._orbits(starts, torus(lat.d - 1, lat.n), q)
+        starts = [starts[i] for i in first]
+    for start, weight in zip(starts, weights):
+        stats = {}
+        total += int(weight) * sum(_frontier_count(
+            lat.nv, lat.neighbors, q, {**pins, **dict(enumerate(start))}, {}, state_cap,
+            stats=stats).values())
+        peak = max(peak, stats["peak_states"])
+    return total, peak
+
+
+@st.composite
+def _small_tori(draw):
+    """A small even torus, q ∈ {3, 4} and maybe one pinned vertex."""
+    d, q = draw(st.integers(1, 3)), draw(st.sampled_from([3, 4]))
+    sizes = {1: [2, 4, 6, 8, 10], 2: [2, 4, 6] if q == 3 else [2, 4], 3: [2]}[d]
+    n = draw(st.sampled_from(sizes))
+    pin = st.builds(PinnedVertex, st.tuples(*[st.integers(0, n - 1)] * d), st.integers(0, q - 1))
+    return torus(d, n), q, draw(st.none() | pin)
+
+
+def _answer(count, *args):
+    try:
+        return count(*args)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_small_tori(), data=st.data())
+def test_stacked_torus_count_matches_per_seed_runs(case, data):
+    lat, q, bc = case
+    total, peak = _per_seed_count(lat, q, bc, None)
+    # caps near the largest seed's frontier: a stack of several seeds passes
+    # those above it and splits, and a seed refuses those below it
+    cap = data.draw(st.just(STATE_CAP) | st.integers(1, 4 * peak) | st.integers(peak // 2, peak))
+    stats = {}
+    got = _answer(lambda: (count_colorings(lat, q, bc, state_cap=cap, stats=stats),
+                           stats["peak_states"]))
+    assert got == _answer(_per_seed_count, lat, q, bc, cap)
+    assert cap < peak or got == (total, peak)
+    if total <= 5000:
+        pins = bc.pins(lat) if bc is not None else {}
+        assert [c.colors for c in enumerate_colorings(lat, q, bc)] == \
+            list(_assignments(lat.nv, lat.neighbors, q, pins))
+
+
+def test_state_cap_bounds_each_slab_seed():
+    # every stack here passes its cap: the count answers where each seed
+    # fits on its own (Z^2_8's largest seed holds 396 states) and refuses
+    # with the first seed's own count where one does not
+    with pytest.raises(CapExceeded, match="^frontier of 103 states exceeds the state cap 100$"):
+        count_colorings(torus(2, 6), 3, state_cap=100)
+    assert count_colorings(torus(2, 6), 3, state_cap=150) == 16_448_400
+    with pytest.raises(CapExceeded, match="^frontier of 319 states exceeds the state cap 300$"):
+        count_colorings(torus(2, 8), 3, state_cap=300)
+    assert count_colorings(torus(2, 8), 3, state_cap=400) == 2_901_094_068_042
+    # a slab seed next to a pin of its own color counts 0 and is dropped
+    # before it can refuse: the first seeds to pass a cap of 100 (the first
+    # with 103 states) color site (0, 2) with the pin's 0, so the count
+    # refuses on the first seed past the cap that does not, with 102
+    pin = PinnedVertex((5, 2), 0)
+    with pytest.raises(CapExceeded, match="^frontier of 102 states exceeds the state cap 100$"):
+        count_colorings(torus(2, 6), 3, pin, state_cap=100)
+    assert count_colorings(torus(2, 6), 3, pin, state_cap=110) == 5_482_800
+
+
+def test_peak_states_of_boxes_and_tori():
+    # a box reports its frontier peak; a torus the larger of its slab
+    # listing (18 colorings of the 4-cycle, 66 of the 6-cycle) and the
+    # most states one slab seed held
+    for lat, bc, count, peak in [
+        (box(2, 1), None, 246, 18),
+        (box(2, 1), OddBoundaryZero(), 32, 4),
+        (torus(2, 4), None, 2970, 18),
+        (torus(2, 6), None, 16_448_400, 107),
+    ]:
+        stats = {}
+        assert count_colorings(lat, 3, bc, stats=stats) == count
+        assert stats == {"peak_states": peak}
 
 
 def test_torus_orbit_keys_past_int64_refuse():
