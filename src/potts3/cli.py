@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from pathlib import Path
 
-from . import __version__, peierls
+from . import __version__
 from .coloring import (
     DEFAULT_RHO,
     OddBoundaryZero,
@@ -48,21 +48,13 @@ from .oracle import (
     transition_matrix,
     tv_mixing_time,
 )
-from .peierls import (
-    bound_report,
-    exact_approximation,
-    flow_out_total,
-    flow_sets,
-)
+from .peierls import bound_report, exact_approximation, flow_out_total
 from .entropy import max_entropy_gap_check, topological_entropy_estimate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_VIOLATION = 4
-
-# cutsets, flows and the influence ratio are the q = 3 theory: --q takes only 3
-Q3_COMMANDS = ("influence", "cutsets", "flow-check")
 
 
 @cache
@@ -318,7 +310,7 @@ def cmd_flow_check(args) -> int:
             # builds every image once and raises PropertyViolation unless
             # each reconstructs to chi, so the round trip holds past this line
             total = flow_out_total(chi, cut, approx, s, explicit_cap=math.inf)
-            layer, c_set, d_set = flow_sets(cut, approx, s)
+            layer, c_set, d_set = total.sets
             closed_ok = total.closed_form == 1 and total.agrees
             all_ok &= closed_ok
             lines.append(json.dumps({
@@ -331,9 +323,7 @@ def cmd_flow_check(args) -> int:
                 "closed_form_ok": closed_ok,
                 "roundtrip_ok": True,
             }, sort_keys=True) + "\n")
-            # the last image of the family, the one with S = W^s
-            image = peierls._repair(chi, cut.region, s, layer, layer)
-            rep = bound_report(chi, image, cut, approx, s)
+            rep = bound_report(chi, total.image, cut, approx, s)
             if rep.status == "ok":
                 bound_rows.append(
                     f"{chi_id},{s},{float(rep.nu):.6g},{rep.b_value:.6g},"
@@ -489,7 +479,7 @@ def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "toru
         "kind": dict(choices=kinds, default="torus" if torus else "box"),
         "d": dict(type=int, default=2),
         "n": dict(type=int, default=4 if torus else 2),
-        "q": dict(type=positive_int, default=3, choices=(3,) if name in Q3_COMMANDS else None),
+        "q": dict(type=positive_int, default=3),
         "rho": dict(type=parse_rho, default=DEFAULT_RHO),
         "seed": dict(type=int, default=0),
         "enum-cap": dict(type=positive_int, default=ENUM_CAP),
@@ -527,11 +517,11 @@ def make_parser() -> argparse.ArgumentParser:
                  "imbalance classes and the bottleneck bound",
                  "kind", "d", "n", "q", "rho", "enum-cap", torus=True, kinds=("torus",))
     _add_command(sub, "influence", cmd_influence,
-                 "|C_3^O(v0)| / |C_3^O| with size histogram", "d", "n", "q", "enum-cap")
+                 "|C_3^O(v0)| / |C_3^O| with size histogram", "d", "n", "enum-cap")
     _add_command(sub, "cutsets", cmd_cutsets, "dump cutsets with verified properties",
-                 "kind", "d", "n", "q", "enum-cap")
+                 "kind", "d", "n", "enum-cap")
     _add_command(sub, "flow-check", cmd_flow_check, "flow conservation + reconstruction sweep",
-                 "kind", "d", "n", "q", "enum-cap", kinds=("box",))
+                 "kind", "d", "n", "enum-cap", kinds=("box",))
     _add_command(sub, "sample", cmd_sample, "run one Metropolis chain, emit trajectory CSV",
                  "kind", "d", "n", "q", "rho", "seed", "steps", "thin", torus=True)
     _add_command(sub, "torpid-demo", cmd_torpid_demo, "many chains from the even phase; summary",

@@ -61,11 +61,6 @@ class Coloring:
     def __repr__(self):
         return f"Coloring({self.lattice!r}, q={self.q}, {self.colors.hex()})"
 
-    def with_color(self, v: int, c: int) -> "Coloring":
-        buf = bytearray(self.colors)
-        buf[v] = c
-        return Coloring(self.lattice, buf, self.q)
-
 
 def is_proper(chi: Coloring) -> bool:
     """True iff every edge is bichromatic."""
@@ -203,8 +198,3 @@ def phase_coloring(lat: Lattice, zero_on: Parity = Parity.EVEN, other: int = 1, 
     for v in range(lat.nv):
         buf[v] = 0 if lat.parities[v] == zero_on.value else other
     return Coloring(lat, buf, q)
-
-
-def mod3_coloring(lat: Lattice) -> Coloring:
-    """χ(x) = Σx_i mod 3 (proper on boxes; on tori only when 3 | n)."""
-    return Coloring(lat, bytes(sum(c) % 3 for c in lat.coords), 3)

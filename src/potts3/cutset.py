@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .coloring import Coloring, satisfies_bc, zero_set, OddBoundaryZero
-from .errors import ColoringError, NotEvenClassError, PropertyViolation
+from .errors import ColoringError, PropertyViolation
 from .lattice import (
     Lattice,
     LatticeKind,
@@ -54,18 +54,6 @@ class Cutset:
         """(W^E, W^O)."""
         lat = self.lattice
         return self.region & lat.even_mask, self.region & lat.odd_mask
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Pairs (cutset size c_i, witness vertex v_i)."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for c, _v in self.entries:
-            if c < 1:
-                raise ValueError(f"profile sizes must be positive, got {c}")
 
 
 def _check_q3(chi: Coloring) -> None:
@@ -118,26 +106,6 @@ def build_box_cutset(chi: Coloring, v0: int) -> Cutset:
             "box boundary not contained in a single component of the complement"
         )
     return _cutset(lat, boundary_comps[0], region_r, SeedParity.EVEN_SEEDED)
-
-
-def _torus_cutsets_for_parity(lat, zeros, parity: SeedParity) -> list[Cutset]:
-    seed_plus = closure(lat, zeros & _seed_mask(lat, parity))
-    return [
-        _cutset(lat, comp_c, region_r, parity)
-        for region_r in connected_components(lat, seed_plus)
-        for comp_c in connected_components(lat, lat.full_mask & ~region_r)
-    ]
-
-
-def build_torus_cutsets(chi: Coloring) -> list[Cutset]:
-    """All cutsets γ(R, C, χ) over both seed parities, deterministic order."""
-    lat = chi.lattice
-    _check_q3(chi)
-    if lat.kind is not LatticeKind.TORUS:
-        raise ColoringError("torus cutsets are built on tori")
-    zeros = zero_set(chi)   # refuses an improper coloring
-    return _torus_cutsets_for_parity(lat, zeros, SeedParity.EVEN_SEEDED) + \
-        _torus_cutsets_for_parity(lat, zeros, SeedParity.ODD_SEEDED)
 
 
 @dataclass(frozen=True)
@@ -285,47 +253,3 @@ def verify_properties(cut: Cutset, chi: Coloring, v0: int | None = None) -> Cuts
         p8b_asserted=lat.d >= LARGE_D_THRESHOLD,
         two_layer=two_layer,
     )
-
-
-def minimality_check(cut: Cutset) -> bool:
-    """γ = ∇(C) is a minimal edge cutset of the connected lattice iff both
-    sides, W and C, are nonempty and connected."""
-    return all(len(connected_components(cut.lattice, side)) == 1
-               for side in (cut.region, cut.complement))
-
-
-def profile_membership(chi: Coloring, profile: Profile) -> bool:
-    """Does Γ(χ) contain a sub-collection matching the profile?
-
-    Entry i needs a distinct family cutset γ with |γ| = c_i and
-    v_i ∈ (int γ)^E.
-    """
-    fam = select_family(chi)
-    if fam.branch is not SeedParity.EVEN_SEEDED:
-        raise NotEvenClassError("profile membership is defined on the even class")
-    lat = chi.lattice
-    candidates: list[list[int]] = []
-    for c, v in profile.entries:
-        match = [
-            k
-            for k, cut in enumerate(fam.cutsets)
-            if cut.size == c and ((cut.interior & lat.even_mask) >> v) & 1
-        ]
-        if not match:
-            return False
-        candidates.append(match)
-
-    used: set[int] = set()
-
-    def assign(i: int) -> bool:
-        if i == len(candidates):
-            return True
-        for k in candidates[i]:
-            if k not in used:
-                used.add(k)
-                if assign(i + 1):
-                    return True
-                used.discard(k)
-        return False
-
-    return assign(0)

@@ -1,4 +1,4 @@
-"""Single-site Metropolis dynamics and ρ-local move checks.
+"""Single-site Metropolis dynamics on counter-based random streams.
 
 One *proposal* draws (v, j) and recolors v with j when the result stays
 proper: the chain's transition law puts mass 1/(q|V|) on each legal
@@ -32,8 +32,6 @@ import numpy as np
 from .coloring import (
     DEFAULT_RHO,
     Coloring,
-    ImbalanceClass,
-    imbalance,
     imbalance_class,
     zero_counts,
 )
@@ -218,39 +216,3 @@ def run_chain(
                 record(done)
     traj.accepted = accepted
     return Coloring(lat, colors, q), traj
-
-
-def hamming(chi1: Coloring, chi2: Coloring) -> int:
-    if chi1.lattice.spec != chi2.lattice.spec:
-        raise ColoringError("colorings live on different lattices")
-    return sum(1 for a, b in zip(chi1.colors, chi2.colors) if a != b)
-
-
-def rho_locality_check(chi1: Coloring, chi2: Coloring, rho: Fraction) -> bool:
-    """Hamming distance ≤ ρ|V|, compared in exact rationals."""
-    rho = Fraction(rho)
-    dist = hamming(chi1, chi2)
-    return dist * rho.denominator <= rho.numerator * chi1.lattice.nv
-
-
-def crossing_blocked_check(chi1: Coloring, chi2: Coloring, rho: Fraction = DEFAULT_RHO) -> bool:
-    """True iff (χ₁, χ₂) is an EvenHeavy→OddHeavy pair that no ρ-local chain
-    can traverse in one step (its Hamming distance exceeds ρ·n^d).
-
-    Internally asserts the tight arithmetic fact that makes the blocking
-    derivable: |Δimbalance| ≤ hamming distance (one vertex enters or leaves
-    the zero set on one side only).
-    """
-    rho = Fraction(rho)
-    if not 0 < rho <= 1:
-        raise ColoringError(f"rho must lie in (0,1], got {rho}")
-    dist = hamming(chi1, chi2)
-    imb1, imb2 = imbalance(chi1), imbalance(chi2)
-    if abs(imb1 - imb2) > dist:
-        raise ColoringError("imbalance moved faster than one per changed vertex")
-    nv = chi1.lattice.nv
-    crosses = (
-        imbalance_class(imb1, nv, rho) is ImbalanceClass.EVEN_HEAVY
-        and imbalance_class(imb2, nv, rho) is ImbalanceClass.ODD_HEAVY
-    )
-    return crosses and not rho_locality_check(chi1, chi2, rho)

@@ -1,4 +1,4 @@
-"""Entropy apparatus: Shannon/binary entropy, per-site log-count sequences
+"""Entropy apparatus: Shannon entropy, per-site log-count sequences
 with Aitken extrapolation, and the exact law of a window restriction with
 its maximal-entropy inequality checks.
 
@@ -37,15 +37,6 @@ def shannon_entropy(masses) -> float:
             for _ in range(k):
                 h -= term
     return h
-
-
-def binary_entropy(x: float) -> float:
-    """H(x) = −x log₂ x − (1−x) log₂(1−x); endpoints give 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy needs x in [0,1], got {x}")
-    if x in (0.0, 1.0):
-        return 0.0
-    return -(x * math.log2(x) + (1 - x) * math.log2(1 - x))
 
 
 # -- per-site log-count sequences ---------------------------------------------
@@ -160,10 +151,6 @@ class ExtendableReport:
     @property
     def extendable(self) -> int:
         return sum(self.multiplicity.values())
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.extendable, self.total)
 
 
 def extendable_colorings(n: int) -> ExtendableReport:

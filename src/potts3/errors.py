@@ -19,7 +19,3 @@ class CapExceeded(RuntimeError):
 
 class PropertyViolation(AssertionError):
     """A structural property the construction guarantees failed to hold."""
-
-
-class NotEvenClassError(ValueError):
-    """Operation requires a coloring in the even cutset class."""

@@ -111,12 +111,6 @@ class Lattice:
 
     # -- basic queries -----------------------------------------------------
 
-    def parity(self, v: int) -> Parity:
-        return Parity(self.parities[v])
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
     def index(self, coords) -> int:
         try:
             return self.index_of[tuple(coords)]
@@ -216,13 +210,6 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def external_boundary(lat: Lattice, mask: int) -> int:

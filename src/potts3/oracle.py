@@ -1,6 +1,5 @@
 """Ground truth by exhaustion: enumeration, exact counting, exact transition
-matrices, mixing times, conductance bounds, and the conditional-probability
-check behind the entropy argument.
+matrices, mixing times, conductance bounds and boundary-influence ratios.
 
 Everything here is exact: counts are big ints and probabilities are
 Fractions.  Mixing times iterate in float64, but every crossing decision is
@@ -32,12 +31,12 @@ from .coloring import (
 )
 from .cutset import build_box_cutset
 from .dynamics import GOLDEN, mix64_array
-from .errors import CapExceeded, ColoringError, LatticeError
+from .errors import CapExceeded, ColoringError
 from .lattice import Lattice, LatticeKind, LatticeSpec, box, build_lattice
 
 ENUM_CAP = 10_000_000
 STATE_CAP = 20_000
-WINDOW_CAP = 2_000_000   # frontier states of a region or lcol count, or window colorings listed
+WINDOW_CAP = 2_000_000   # frontier states of a region count, or window colorings listed
 ITER_CAP = 100_000
 
 
@@ -293,11 +292,6 @@ class ExactTransitionMatrix:
         ends = np.cumsum(np.bincount(self.rows, minlength=self.n)).tolist()
         cols = self.cols.tolist()
         return [cols[a:b] for a, b in zip([0] + ends, ends)]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(int(self.diag[i]), self.denom)
-        return Fraction(int(np.count_nonzero((self.rows == i) & (self.cols == j))), self.denom)
 
     def row_sums_ok(self) -> bool:
         return bool((np.bincount(self.rows, minlength=self.n) + self.diag == self.denom).all())
@@ -807,77 +801,6 @@ def influence_ratio(d: int, n: int, cap: int = ENUM_CAP) -> InfluenceReport:
     return InfluenceReport(
         d=d, n=n, v0=v0, total=total, pinned=pinned, ratio=ratio,
         histogram=dict(sorted(hist.items())), per_size_ratio=per,
-    )
-
-
-# -- conditional color probabilities on small bipartite graphs -------------------
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """A small bipartite graph: explicit parities and an edge list."""
-
-    nv: int
-    edges: tuple[tuple[int, int], ...]
-    parities: tuple[int, ...]    # 0 even, 1 odd
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if self.parities[u] == self.parities[v]:
-                raise LatticeError(f"edge ({u},{v}) joins same-parity vertices")
-
-    def neighbor_lists(self):
-        out = [[] for _ in range(self.nv)]
-        for u, v in self.edges:
-            out[u].append(v)
-            out[v].append(u)
-        return [sorted(x) for x in out]
-
-
-@dataclass
-class LcolReport:
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    equality: bool
-    conditioned: int
-    satisfying: int
-
-
-def lcol_check(graph: BipartiteGraph, e1, o1, e2, o2) -> LcolReport:
-    """Exact P(χ≡0 on E″, χ≡1 on O″ | χ≡0 on E′, χ≡1 on O′) vs 3^{−|E″∪O″|}.
-
-    Vertices in e1/o1 are the conditioning sets; e2/o2 the target sets.  One
-    frontier count with the targets kept: the conditioned total is the sum
-    over target patterns, the satisfying count the one at the target
-    pattern.  Refuses (ColoringError) when the conditioning event is empty,
-    and (CapExceeded) past ``WINDOW_CAP`` frontier states.  A frontier key
-    holds at most 39 base-3 digits before it could pass 2^63, and every
-    target is a digit to the end, so more than 39 targets always refuse.
-    """
-    e1, o1, e2, o2 = set(e1), set(o1), set(e2), set(o2)
-    for v in e1 | e2:
-        if graph.parities[v] != 0:
-            raise ColoringError(f"vertex {v} is not even")
-    for v in o1 | o2:
-        if graph.parities[v] != 1:
-            raise ColoringError(f"vertex {v} is not odd")
-    if (e1 & e2) or (o1 & o2):
-        raise ColoringError("target sets must be disjoint from conditioning sets")
-    pins = {v: 0 for v in e1}
-    pins.update({v: 1 for v in o1})
-    targets = sorted(e2 | o2)
-    counts = _frontier_count(graph.nv, graph.neighbor_lists(), 3, pins, {}, WINDOW_CAP,
-                             targets)
-    conditioned = sum(counts.values())
-    satisfying = counts.get(bytes(int(v in o2) for v in targets), 0)
-    if conditioned == 0:
-        raise ColoringError("conditioning event is empty; conditional undefined")
-    lhs = Fraction(satisfying, conditioned)
-    rhs = Fraction(1, 3 ** len(e2 | o2))
-    return LcolReport(
-        lhs=lhs, rhs=rhs, holds=lhs >= rhs, equality=lhs == rhs,
-        conditioned=conditioned, satisfying=satisfying,
     )
 
 

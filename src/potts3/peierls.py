@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import Coloring
-from .cutset import Cutset, SeedParity
+from .cutset import Cutset
 from .errors import ColoringError, PropertyViolation
 from .lattice import (
     Lattice,
@@ -23,7 +23,6 @@ from .lattice import (
     external_boundary,
     internal_boundary,
     iter_bits,
-    shift_order,
 )
 
 # f: fixes 0, swaps 1 and 2
@@ -49,14 +48,6 @@ def _repair(chi: Coloring, region: int, s: int, layer: int, subset: int) -> Colo
             raise PropertyViolation("shift leaves the lattice inside W")
         buf[v] = _F[colors[w]]
     return Coloring(chi.lattice, buf, chi.q)
-
-
-def shift_coloring(chi: Coloring, region: int, s: int, subset: int) -> Coloring:
-    """Repair map: 0 on S, unchanged on (W^s∖S) ∪ (V∖W), f∘χ∘σ_{−s} on W∖W^s."""
-    layer = boundary_layer(chi.lattice, region, s)
-    if subset & ~layer:
-        raise ColoringError("S must be a subset of the boundary layer W^s")
-    return _repair(chi, region, s, layer, subset)
 
 
 def reconstruct(chi_prime: Coloring, region: int, s: int) -> Coloring:
@@ -93,16 +84,6 @@ def phi_family(chi: Coloring, region: int, s: int):
         yield subset, _repair(chi, region, s, layer, subset)
 
 
-def sample_phi(chi: Coloring, region: int, s: int, rng) -> tuple[int, Coloring]:
-    """Uniform member of φ_s(χ); ``rng`` is a random.Random-like object."""
-    layer = boundary_layer(chi.lattice, region, s)
-    subset = 0
-    for v in iter_bits(layer):
-        if rng.getrandbits(1):
-            subset |= 1 << v
-    return subset, _repair(chi, region, s, layer, subset)
-
-
 # -- approximations ----------------------------------------------------------
 
 
@@ -117,30 +98,6 @@ class Approximation:
 
 def exact_approximation(cut: Cutset) -> Approximation:
     return Approximation(cut.lattice, *cut.region_parts())
-
-
-def degree_threshold(d: int) -> int:
-    """⌈2d − √d⌉, the near-full-degree requirement, as an exact integer."""
-    return 2 * d - math.isqrt(d)
-
-
-def is_approximation(approx: Approximation, cut: Cutset) -> bool:
-    """The three defining conditions, with exact integer degree thresholds."""
-    lat = cut.lattice
-    w_even = cut.region & lat.even_mask
-    w_odd = cut.region & lat.odd_mask
-    a_even, a_odd = approx.even_part, approx.odd_part
-    if (w_even & ~a_even) or (a_odd & ~w_odd):
-        return False
-    need = degree_threshold(lat.d)
-    for x in iter_bits(a_even):
-        if (lat.nbr_mask[x] & a_odd).bit_count() < need:
-            return False
-    outside_even = lat.even_mask & ~a_even
-    for y in iter_bits(lat.odd_mask & ~a_odd):
-        if (lat.nbr_mask[y] & outside_even).bit_count() < need:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -189,43 +146,6 @@ def q_sets(approx: Approximation, s: int, chi_prime: Coloring) -> QSets:
     return QSets(lattice=lat, q_even=q_even, q_odd=q_odd, u=u)
 
 
-@dataclass(frozen=True)
-class DirectionChoice:
-    s: int
-    rule: str                  # "primary" (two-threshold rule) or "fallback"
-    layer: int                 # the winning W^s
-
-
-def select_direction(cut: Cutset, approx: Approximation) -> DirectionChoice:
-    """Smallest s with |W^s| ≥ .8(w_o−w_e) and |σ_s(Q^E)∩Q^O| ≤ 5|W^s|/√d.
-
-    Both thresholds are compared exactly (integers; the second after
-    squaring).  When no direction qualifies — possible at small d — fall
-    back to the s maximizing |W^s|, ties by the direction ordering, and
-    label the choice.
-    """
-    lat = cut.lattice
-    if cut.seed_parity is not SeedParity.EVEN_SEEDED:
-        raise ColoringError("direction selection is defined for even-seeded cutsets")
-    w_even = cut.region & lat.even_mask
-    w_odd = cut.region & lat.odd_mask
-    gap = w_odd.bit_count() - w_even.bit_count()
-    q_even, q_odd = _q_masks(approx)
-    best = None
-    for s in shift_order(lat.d):
-        layer = boundary_layer(lat, cut.region, s)
-        lsz = layer.bit_count()
-        if best is None or lsz > best[1]:
-            best = (s, lsz, layer)
-        if 5 * lsz < 4 * gap:
-            continue
-        overlap = (lat.shift_set(q_even, s) & q_odd).bit_count()
-        if overlap * overlap * lat.d <= 25 * lsz * lsz:
-            return DirectionChoice(s=s, rule="primary", layer=layer)
-    s, _, layer = best
-    return DirectionChoice(s=s, rule="fallback", layer=layer)
-
-
 # -- the flow ----------------------------------------------------------------
 
 
@@ -250,18 +170,6 @@ def membership_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int) -
     return subset
 
 
-def flow_weight(
-    chi: Coloring,
-    chi_prime: Coloring,
-    cut: Cutset,
-    approx: Approximation,
-    s: int,
-) -> Fraction:
-    """ν(χ, χ′) = (1/4)^{|C∩I(χ′)|} (3/4)^{|C∖I(χ′)|} (1/2)^{|D|}."""
-    membership_subset(chi, chi_prime, cut.region, s)
-    return _nu(chi_prime, cut, approx, s)
-
-
 def _nu(chi_prime: Coloring, cut: Cutset, approx: Approximation, s: int) -> Fraction:
     """ν(χ, χ′) for a χ′ known to lie in φ_s(χ)."""
     _, c_set, d_set = flow_sets(cut, approx, s)
@@ -279,6 +187,8 @@ class FlowTotal:
     closed_form: Fraction
     explicit: Fraction | None   # None when |W^s| exceeded the explicit cap
     agrees: bool | None
+    sets: tuple[int, int, int]  # (W^s, C, D)
+    image: Coloring | None      # the last image summed, S = W^s; None past the cap
 
 
 def flow_out_total(
@@ -292,14 +202,15 @@ def flow_out_total(
     summation over all S whenever |W^s| ≤ ``explicit_cap``.
 
     The explicit sum visits every image, checks that ``reconstruct`` maps
-    it back to χ (PropertyViolation if not), and sums ``flow_weight``'s
-    numerators as integers over their common denominator 4^{|C|} 2^{|D|}.
+    it back to χ (PropertyViolation if not), and sums the numerators
+    ν·4^{|C|} 2^{|D|} as integers over that common denominator.  The result
+    keeps the flow sets and the last image, the one with S = W^s.
     """
     layer, c_set, d_set = flow_sets(cut, approx, s)
     closed = ((Fraction(1, 4) + Fraction(3, 4)) ** c_set.bit_count()
               * (Fraction(1, 2) + Fraction(1, 2)) ** d_set.bit_count())
     if layer.bit_count() > explicit_cap:
-        return FlowTotal(closed_form=closed, explicit=None, agrees=None)
+        return FlowTotal(closed, None, None, (layer, c_set, d_set), None)
     region = cut.region
     c_bits = list(iter_bits(c_set))
     numerator = 0
@@ -309,7 +220,7 @@ def flow_out_total(
             raise PropertyViolation("a repair image does not reconstruct to chi")
         numerator += _nu_numerator(chi_prime, c_bits)
     total = Fraction(numerator, 4 ** len(c_bits) * 2 ** d_set.bit_count())
-    return FlowTotal(closed_form=closed, explicit=total, agrees=total == closed)
+    return FlowTotal(closed, total, total == closed, (layer, c_set, d_set), chi_prime)
 
 
 # -- good triples ------------------------------------------------------------
@@ -346,16 +257,6 @@ def is_good_triple(triple: GoodTriple, ctx: QSets) -> bool:
     if not _is_minimal_cover(ctx, k | l | m):
         return False
     return k == ctx.b_boundary(ctx.u & ~l)
-
-
-def canonical_good_triple(
-    cut: Cutset,
-    approx: Approximation,
-    s: int,
-    chi_prime: Coloring,
-) -> GoodTriple:
-    """(W∩Q^O, U∖W, (Q^E∖U)∖W); asserts goodness."""
-    return _canonical_triple(q_sets(approx, s, chi_prime), cut.region)
 
 
 def _canonical_triple(ctx: QSets, w: int) -> GoodTriple:
@@ -412,7 +313,7 @@ def bound_report(
     report is marked skipped.  The comparison ν ≤ B is computed exactly on
     squares and reported, never asserted.  The Q-sets are built once, for
     the canonical triple and the search alike; χ′ must lie in φ_s(χ), as
-    ν is read without ``flow_weight``'s membership check.
+    ν is read without ``membership_subset``'s check.
     """
     ctx = q_sets(approx, s, chi_prime)
     if (ctx.q_even | ctx.q_odd).bit_count() > cap:

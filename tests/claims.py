@@ -1,0 +1,345 @@
+"""Exact checks of the paper's proof devices that the tests use as oracles.
+
+They are the conditional colour bound (the L-colouring lemma) on small
+bipartite graphs; the torus cutset collections with profile membership and
+the minimality check; the repair map on one subset and a uniform member of
+its family; approximations and the direction rule; the flow weight ν of one
+image and the canonical good triple; ρ-local blocking of EvenHeavy→OddHeavy
+moves; the binary entropy; and the mod-3 coloring.  No command or benchmark
+workload runs them, so they live beside the tests and read the package's
+private helpers.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from potts3 import oracle
+from potts3.coloring import (DEFAULT_RHO, Coloring, ImbalanceClass, imbalance,
+                             imbalance_class, zero_set)
+from potts3.cutset import Cutset, SeedParity, _check_q3, _cutset, _seed_mask, select_family
+from potts3.errors import ColoringError, LatticeError
+from potts3.lattice import (Lattice, LatticeKind, closure, connected_components, iter_bits,
+                            shift_order)
+from potts3.peierls import (Approximation, GoodTriple, _canonical_triple, _nu, _q_masks, _repair,
+                            boundary_layer, membership_subset, q_sets)
+
+
+# -- coloring ------------------------------------------------------------------
+
+
+def mod3_coloring(lat: Lattice) -> Coloring:
+    """χ(x) = Σx_i mod 3 (proper on boxes; on tori only when 3 | n)."""
+    return Coloring(lat, bytes(sum(c) % 3 for c in lat.coords), 3)
+
+
+# -- cutset --------------------------------------------------------------------
+
+
+class NotEvenClassError(ValueError):
+    """Operation requires a coloring in the even cutset class."""
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Pairs (cutset size c_i, witness vertex v_i)."""
+
+    entries: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        for c, _v in self.entries:
+            if c < 1:
+                raise ValueError(f"profile sizes must be positive, got {c}")
+
+
+def _torus_cutsets_for_parity(lat, zeros, parity: SeedParity) -> list[Cutset]:
+    seed_plus = closure(lat, zeros & _seed_mask(lat, parity))
+    return [
+        _cutset(lat, comp_c, region_r, parity)
+        for region_r in connected_components(lat, seed_plus)
+        for comp_c in connected_components(lat, lat.full_mask & ~region_r)
+    ]
+
+
+def build_torus_cutsets(chi: Coloring) -> list[Cutset]:
+    """All cutsets γ(R, C, χ) over both seed parities, deterministic order."""
+    lat = chi.lattice
+    _check_q3(chi)
+    if lat.kind is not LatticeKind.TORUS:
+        raise ColoringError("torus cutsets are built on tori")
+    zeros = zero_set(chi)   # refuses an improper coloring
+    return _torus_cutsets_for_parity(lat, zeros, SeedParity.EVEN_SEEDED) + \
+        _torus_cutsets_for_parity(lat, zeros, SeedParity.ODD_SEEDED)
+
+
+def minimality_check(cut: Cutset) -> bool:
+    """γ = ∇(C) is a minimal edge cutset of the connected lattice iff both
+    sides, W and C, are nonempty and connected."""
+    return all(len(connected_components(cut.lattice, side)) == 1
+               for side in (cut.region, cut.complement))
+
+
+def profile_membership(chi: Coloring, profile: Profile) -> bool:
+    """Does Γ(χ) contain a sub-collection matching the profile?
+
+    Entry i needs a distinct family cutset γ with |γ| = c_i and
+    v_i ∈ (int γ)^E.
+    """
+    fam = select_family(chi)
+    if fam.branch is not SeedParity.EVEN_SEEDED:
+        raise NotEvenClassError("profile membership is defined on the even class")
+    lat = chi.lattice
+    candidates: list[list[int]] = []
+    for c, v in profile.entries:
+        match = [
+            k
+            for k, cut in enumerate(fam.cutsets)
+            if cut.size == c and ((cut.interior & lat.even_mask) >> v) & 1
+        ]
+        if not match:
+            return False
+        candidates.append(match)
+
+    used: set[int] = set()
+
+    def assign(i: int) -> bool:
+        if i == len(candidates):
+            return True
+        for k in candidates[i]:
+            if k not in used:
+                used.add(k)
+                if assign(i + 1):
+                    return True
+                used.discard(k)
+        return False
+
+    return assign(0)
+
+
+# -- peierls -------------------------------------------------------------------
+
+
+def shift_coloring(chi: Coloring, region: int, s: int, subset: int) -> Coloring:
+    """Repair map: 0 on S, unchanged on (W^s∖S) ∪ (V∖W), f∘χ∘σ_{−s} on W∖W^s."""
+    layer = boundary_layer(chi.lattice, region, s)
+    if subset & ~layer:
+        raise ColoringError("S must be a subset of the boundary layer W^s")
+    return _repair(chi, region, s, layer, subset)
+
+
+def sample_phi(chi: Coloring, region: int, s: int, rng) -> tuple[int, Coloring]:
+    """Uniform member of φ_s(χ); ``rng`` is a random.Random-like object."""
+    layer = boundary_layer(chi.lattice, region, s)
+    subset = 0
+    for v in iter_bits(layer):
+        if rng.getrandbits(1):
+            subset |= 1 << v
+    return subset, _repair(chi, region, s, layer, subset)
+
+
+def degree_threshold(d: int) -> int:
+    """⌈2d − √d⌉, the near-full-degree requirement, as an exact integer."""
+    return 2 * d - math.isqrt(d)
+
+
+def is_approximation(approx: Approximation, cut: Cutset) -> bool:
+    """The three defining conditions, with exact integer degree thresholds."""
+    lat = cut.lattice
+    w_even = cut.region & lat.even_mask
+    w_odd = cut.region & lat.odd_mask
+    a_even, a_odd = approx.even_part, approx.odd_part
+    if (w_even & ~a_even) or (a_odd & ~w_odd):
+        return False
+    need = degree_threshold(lat.d)
+    for x in iter_bits(a_even):
+        if (lat.nbr_mask[x] & a_odd).bit_count() < need:
+            return False
+    outside_even = lat.even_mask & ~a_even
+    for y in iter_bits(lat.odd_mask & ~a_odd):
+        if (lat.nbr_mask[y] & outside_even).bit_count() < need:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class DirectionChoice:
+    s: int
+    rule: str                  # "primary" (two-threshold rule) or "fallback"
+    layer: int                 # the winning W^s
+
+
+def select_direction(cut: Cutset, approx: Approximation) -> DirectionChoice:
+    """Smallest s with |W^s| ≥ .8(w_o−w_e) and |σ_s(Q^E)∩Q^O| ≤ 5|W^s|/√d.
+
+    Both thresholds are compared exactly (integers; the second after
+    squaring).  When no direction qualifies — possible at small d — fall
+    back to the s maximizing |W^s|, ties by the direction ordering, and
+    label the choice.
+    """
+    lat = cut.lattice
+    if cut.seed_parity is not SeedParity.EVEN_SEEDED:
+        raise ColoringError("direction selection is defined for even-seeded cutsets")
+    w_even = cut.region & lat.even_mask
+    w_odd = cut.region & lat.odd_mask
+    gap = w_odd.bit_count() - w_even.bit_count()
+    q_even, q_odd = _q_masks(approx)
+    best = None
+    for s in shift_order(lat.d):
+        layer = boundary_layer(lat, cut.region, s)
+        lsz = layer.bit_count()
+        if best is None or lsz > best[1]:
+            best = (s, lsz, layer)
+        if 5 * lsz < 4 * gap:
+            continue
+        overlap = (lat.shift_set(q_even, s) & q_odd).bit_count()
+        if overlap * overlap * lat.d <= 25 * lsz * lsz:
+            return DirectionChoice(s=s, rule="primary", layer=layer)
+    s, _, layer = best
+    return DirectionChoice(s=s, rule="fallback", layer=layer)
+
+
+def flow_weight(
+    chi: Coloring,
+    chi_prime: Coloring,
+    cut: Cutset,
+    approx: Approximation,
+    s: int,
+) -> Fraction:
+    """ν(χ, χ′) = (1/4)^{|C∩I(χ′)|} (3/4)^{|C∖I(χ′)|} (1/2)^{|D|}."""
+    membership_subset(chi, chi_prime, cut.region, s)
+    return _nu(chi_prime, cut, approx, s)
+
+
+def canonical_good_triple(
+    cut: Cutset,
+    approx: Approximation,
+    s: int,
+    chi_prime: Coloring,
+) -> GoodTriple:
+    """(W∩Q^O, U∖W, (Q^E∖U)∖W); asserts goodness."""
+    return _canonical_triple(q_sets(approx, s, chi_prime), cut.region)
+
+
+# -- dynamics ------------------------------------------------------------------
+
+
+def hamming(chi1: Coloring, chi2: Coloring) -> int:
+    if chi1.lattice.spec != chi2.lattice.spec:
+        raise ColoringError("colorings live on different lattices")
+    return sum(1 for a, b in zip(chi1.colors, chi2.colors) if a != b)
+
+
+def rho_locality_check(chi1: Coloring, chi2: Coloring, rho: Fraction) -> bool:
+    """Hamming distance ≤ ρ|V|, compared in exact rationals."""
+    rho = Fraction(rho)
+    dist = hamming(chi1, chi2)
+    return dist * rho.denominator <= rho.numerator * chi1.lattice.nv
+
+
+def crossing_blocked_check(chi1: Coloring, chi2: Coloring, rho: Fraction = DEFAULT_RHO) -> bool:
+    """True iff (χ₁, χ₂) is an EvenHeavy→OddHeavy pair that no ρ-local chain
+    can traverse in one step (its Hamming distance exceeds ρ·n^d).
+
+    Internally asserts the tight arithmetic fact that makes the blocking
+    derivable: |Δimbalance| ≤ hamming distance (one vertex enters or leaves
+    the zero set on one side only).
+    """
+    rho = Fraction(rho)
+    if not 0 < rho <= 1:
+        raise ColoringError(f"rho must lie in (0,1], got {rho}")
+    dist = hamming(chi1, chi2)
+    imb1, imb2 = imbalance(chi1), imbalance(chi2)
+    if abs(imb1 - imb2) > dist:
+        raise ColoringError("imbalance moved faster than one per changed vertex")
+    nv = chi1.lattice.nv
+    crosses = (
+        imbalance_class(imb1, nv, rho) is ImbalanceClass.EVEN_HEAVY
+        and imbalance_class(imb2, nv, rho) is ImbalanceClass.ODD_HEAVY
+    )
+    return crosses and not rho_locality_check(chi1, chi2, rho)
+
+
+# -- oracle --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BipartiteGraph:
+    """A small bipartite graph: explicit parities and an edge list."""
+
+    nv: int
+    edges: tuple[tuple[int, int], ...]
+    parities: tuple[int, ...]    # 0 even, 1 odd
+
+    def __post_init__(self):
+        for u, v in self.edges:
+            if self.parities[u] == self.parities[v]:
+                raise LatticeError(f"edge ({u},{v}) joins same-parity vertices")
+
+    def neighbor_lists(self):
+        out = [[] for _ in range(self.nv)]
+        for u, v in self.edges:
+            out[u].append(v)
+            out[v].append(u)
+        return [sorted(x) for x in out]
+
+
+@dataclass
+class LcolReport:
+    lhs: Fraction
+    rhs: Fraction
+    holds: bool
+    equality: bool
+    conditioned: int
+    satisfying: int
+
+
+def lcol_check(graph: BipartiteGraph, e1, o1, e2, o2) -> LcolReport:
+    """Exact P(χ≡0 on E″, χ≡1 on O″ | χ≡0 on E′, χ≡1 on O′) vs 3^{−|E″∪O″|}.
+
+    Vertices in e1/o1 are the conditioning sets; e2/o2 the target sets.  One
+    frontier count with the targets kept: the conditioned total is the sum
+    over target patterns, the satisfying count the one at the target
+    pattern.  Refuses (ColoringError) when the conditioning event is empty,
+    and (CapExceeded) past ``WINDOW_CAP`` frontier states.  A frontier key
+    holds at most 39 base-3 digits before it could pass 2^63, and every
+    target is a digit to the end, so more than 39 targets always refuse.
+    """
+    e1, o1, e2, o2 = set(e1), set(o1), set(e2), set(o2)
+    for v in e1 | e2:
+        if graph.parities[v] != 0:
+            raise ColoringError(f"vertex {v} is not even")
+    for v in o1 | o2:
+        if graph.parities[v] != 1:
+            raise ColoringError(f"vertex {v} is not odd")
+    if (e1 & e2) or (o1 & o2):
+        raise ColoringError("target sets must be disjoint from conditioning sets")
+    pins = {v: 0 for v in e1}
+    pins.update({v: 1 for v in o1})
+    targets = sorted(e2 | o2)
+    # the cap is read from oracle at call time, so a test can lower it there
+    counts = oracle._frontier_count(graph.nv, graph.neighbor_lists(), 3, pins, {},
+                                    oracle.WINDOW_CAP, targets)
+    conditioned = sum(counts.values())
+    satisfying = counts.get(bytes(int(v in o2) for v in targets), 0)
+    if conditioned == 0:
+        raise ColoringError("conditioning event is empty; conditional undefined")
+    lhs = Fraction(satisfying, conditioned)
+    rhs = Fraction(1, 3 ** len(e2 | o2))
+    return LcolReport(
+        lhs=lhs, rhs=rhs, holds=lhs >= rhs, equality=lhs == rhs,
+        conditioned=conditioned, satisfying=satisfying,
+    )
+
+
+# -- entropy -------------------------------------------------------------------
+
+
+def binary_entropy(x: float) -> float:
+    """H(x) = −x log₂ x − (1−x) log₂(1−x); endpoints give 0."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary entropy needs x in [0,1], got {x}")
+    if x in (0.0, 1.0):
+        return 0.0
+    return -(x * math.log2(x) + (1 - x) * math.log2(1 - x))

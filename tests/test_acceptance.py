@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from potts3 import (
-    BipartiteGraph,
     ImbalanceClass,
     box,
     build_box_cutset,
@@ -27,13 +26,11 @@ from potts3 import (
     imbalance,
     influence_ratio,
     is_proper,
-    lcol_check,
     max_entropy_gap_check,
     odd_boundary_pinned,
     phi_family,
     reconstruct,
     satisfies_bc,
-    sample_phi,
     select_family,
     topological_entropy_estimate,
     torus,
@@ -45,6 +42,8 @@ from potts3.coloring import OddBoundaryZero
 from potts3.dynamics import CounterRng
 from potts3.lattice import shift_order
 from potts3.peierls import boundary_layer, membership_subset
+
+from claims import BipartiteGraph, lcol_check, sample_phi
 
 RHO = Fraction(11, 50)
 

@@ -116,9 +116,9 @@ FLAGS = {
     "enumerate": {"kind", "d", "n", "q", "state_cap", "odd_boundary_zero"},
     "mixing": {"kind", "d", "n", "q", "rho", "state_cap", "starts"},
     "conductance": {"kind", "d", "n", "q", "rho", "enum_cap"},
-    "influence": {"d", "n", "q", "enum_cap"},
-    "cutsets": {"kind", "d", "n", "q", "enum_cap"},
-    "flow-check": {"kind", "d", "n", "q", "enum_cap"},
+    "influence": {"d", "n", "enum_cap"},
+    "cutsets": {"kind", "d", "n", "enum_cap"},
+    "flow-check": {"kind", "d", "n", "enum_cap"},
     "sample": {"kind", "d", "n", "q", "rho", "seed", "steps", "thin"},
     "torpid-demo": {"kind", "d", "n", "rho", "seed", "workers", "chains", "sweeps"},
     "entropy": {"d", "sizes", "m", "n_window"},
@@ -263,9 +263,9 @@ def test_flow_check_box_is_frozen_and_builds_each_image_once(tmp_path, monkeypat
         "bounds.csv": "0d2790f608303d71101a3df5c2b9ea4fb3671888f122256e5c1070096db0358b",
     }
     # the 128 (chi, s) pairs hold 1024 images: each is built and reconstructed
-    # once by the explicit flow sum; the bound's image adds one repair per
-    # pair, and the bound reads its nu without rebuilding that image
-    assert calls == {"_repair": 1024 + 128, "reconstruct": 1024}
+    # once by the explicit flow sum; the bound takes the sum's last image and
+    # reads its nu without rebuilding it
+    assert calls == {"_repair": 1024, "reconstruct": 1024}
 
 
 def test_flow_check_image_that_does_not_reconstruct_exits_4(tmp_path, monkeypatch):

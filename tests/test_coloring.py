@@ -15,7 +15,6 @@ from potts3 import (
     enumerate_colorings,
     imbalance,
     is_proper,
-    mod3_coloring,
     phase_coloring,
     satisfies_bc,
     torus,
@@ -24,6 +23,8 @@ from potts3 import (
 from potts3.coloring import zero_counts
 from potts3.errors import BoundaryConditionError, ColoringError
 from potts3.lattice import iter_bits
+
+from claims import mod3_coloring
 
 
 def test_properness_examples():

@@ -6,20 +6,24 @@ from potts3 import (
     Coloring,
     Cutset,
     Parity,
-    Profile,
     SeedParity,
     build_box_cutset,
-    build_torus_cutsets,
-    minimality_check,
     phase_coloring,
-    profile_membership,
     select_family,
     torus,
     verify_properties,
     zero_set,
 )
-from potts3.errors import ColoringError, NotEvenClassError
+from potts3.errors import ColoringError
 from potts3.lattice import connected_components, edge_boundary, iter_bits
+
+from claims import (
+    NotEvenClassError,
+    Profile,
+    build_torus_cutsets,
+    minimality_check,
+    profile_membership,
+)
 
 
 def _torus_coloring_with_even_zeros(lat, zero_cells, odd_color=1):
@@ -156,7 +160,8 @@ def test_family_two_distant_zeros_z26():
 
 
 def test_family_properties_sampled(z24_states):
-    from potts3 import exact_approximation, is_approximation
+    from potts3 import exact_approximation
+    from claims import is_approximation
 
     for chi in z24_states[::37]:
         fam = select_family(chi)

@@ -14,12 +14,9 @@ from potts3 import (
     Parity,
     box,
     classify,
-    crossing_blocked_check,
-    hamming,
     imbalance,
     is_proper,
     phase_coloring,
-    rho_locality_check,
     run_chain,
     torus,
 )
@@ -28,6 +25,8 @@ from potts3.coloring import imbalance_class, zero_counts
 from potts3.dynamics import Trajectory, TrajectoryPoint
 from potts3.errors import ColoringError
 from potts3.lattice import LatticeKind
+
+from claims import crossing_blocked_check, hamming, rho_locality_check
 
 RHO = Fraction(11, 50)
 
@@ -102,7 +101,9 @@ def test_run_chain_rejects_thin_below_one():
 def test_rho_locality_examples():
     t = torus(2, 4)
     a = phase_coloring(t, Parity.EVEN, 1)
-    b = a.with_color(t.index((1, 0)), 2)
+    buf = bytearray(a.colors)
+    buf[t.index((1, 0))] = 2
+    b = Coloring(t, buf, a.q)
     assert rho_locality_check(a, b, Fraction(1, 16))
     assert rho_locality_check(a, a, Fraction(1, 10**6))
     # global 1<->2 swap moves every odd vertex: distance 8 > 3.52

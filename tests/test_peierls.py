@@ -15,11 +15,8 @@ from potts3 import (
     bound_report,
     box,
     build_box_cutset,
-    canonical_good_triple,
     exact_approximation,
     flow_out_total,
-    flow_weight,
-    is_approximation,
     is_good_triple,
     is_proper,
     odd_boundary_pinned,
@@ -28,10 +25,7 @@ from potts3 import (
     q_sets,
     reconstruct,
     satisfies_bc,
-    sample_phi,
-    select_direction,
     select_family,
-    shift_coloring,
     torus,
     zero_set,
 )
@@ -40,7 +34,17 @@ from potts3.dynamics import CounterRng
 from potts3 import peierls
 from potts3.errors import ColoringError, PropertyViolation
 from potts3.lattice import iter_bits, shift_order
-from potts3.peierls import degree_threshold, flow_sets, membership_subset
+from potts3.peierls import flow_sets, membership_subset
+
+from claims import (
+    canonical_good_triple,
+    degree_threshold,
+    flow_weight,
+    is_approximation,
+    sample_phi,
+    select_direction,
+    shift_coloring,
+)
 
 
 def _torus_zero_coloring(lat, zero_cells):

@@ -1,0 +1,48 @@
+"""The package ships only what runs: every top-level function or class in
+``src/potts3`` is named by other package code or by a benchmark workload.
+Checks that only the tests use live in ``tests/claims.py``."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (module file, name) pairs kept although only tests name them, each with
+# the reason it stays; empty while every definition is reached
+EXEMPT: set[tuple[str, str]] = set()
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Identifiers a tree names: variables, attributes, imported names and
+    string constants (the benchmark patches functions by their names)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_package_definition_is_reached():
+    named = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        named |= _names(ast.parse(path.read_text()))
+    defined = []
+    for path in sorted((ROOT / "src" / "potts3").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)   # set on function and class definitions
+            if own is not None:
+                defined.append((path.name, own))
+            # a definition's own body (recursion, its methods) does not reach it
+            named |= _names(node) - {own}
+    unreached = [d for d in defined if d[1] not in named and d not in EXEMPT]
+    assert not unreached, f"only tests reach these; move them to tests/claims.py: {unreached}"
