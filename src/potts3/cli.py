@@ -20,7 +20,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -360,19 +360,15 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=None)
-def _even_start(lat):
-    """The even-phase start of every torpid chain on ``lat``."""
-    return phase_coloring(lat, Parity.EVEN, 1, 3)
-
-
 def _torpid_chain(task):
-    """Worker: run one chain; results merge by stream index.  The lattice and
-    its start are built once per process: forked workers inherit both."""
+    """Worker: run one chain from the even phase; results merge by stream
+    index.  ``build_lattice`` builds the lattice once per process, and
+    forked workers inherit it."""
     d, n, seed, stream, sweeps, rho = task
     lat = build_lattice(LatticeSpec(LatticeKind.TORUS, d, n))
     spec = ChainSpec(q=3, seed=seed, stream=stream)
-    final, traj = run_chain(spec, _even_start(lat), sweeps * lat.nv, thin=lat.nv, rho=rho)
+    chi0 = phase_coloring(lat, Parity.EVEN, 1, 3)
+    final, traj = run_chain(spec, chi0, sweeps * lat.nv, thin=lat.nv, rho=rho)
     start_sign = 1 if traj.points[0].imbalance > 0 else -1
     first_flip = next(
         (p.step // lat.nv for p in traj.points if p.imbalance * start_sign < 0), None
@@ -386,7 +382,7 @@ def _torpid_chain(task):
 
 
 def cmd_torpid_demo(args) -> int:
-    chi0 = _even_start(_lattice_from_args(args))
+    chi0 = phase_coloring(_lattice_from_args(args), Parity.EVEN, 1, 3)
     tasks = [
         (args.d, args.n, args.seed, chain, args.sweeps, args.rho)
         for chain in range(args.chains)

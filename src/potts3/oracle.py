@@ -118,10 +118,11 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
     packs their colors base q into an int64 key (digit i for the i-th
     frontier vertex, in placement order) and carries the number of partial
     colorings behind it.  Each site filters the states by its earlier
-    neighbours' digits and merges equal keys (sort + reduceat).  The final
-    states are the kept patterns: the result maps each pattern with a
-    nonzero count, as bytes in ``keep`` order, to its count, so with no kept
-    vertex it is {b"": total} (or {} for none).  Two adjacent vertices
+    neighbours' digits, once per color it may take, and merges all these
+    branches in one sort + reduceat, adding the weights of equal keys.  The
+    final states are the kept patterns: the result maps each pattern with a
+    nonzero count, as bytes in ``keep`` order, to its count, so with no
+    kept vertex it is {b"": total} (or {} for none).  Two adjacent vertices
     pinned alike answer {} at once.  Weights are int64 while no sum a site
     forms (of at most q^(digits it drops + 1) weights) could pass 2^63, and
     Python ints after.  Refuses (CapExceeded) past ``cap`` states (None: no
@@ -131,9 +132,10 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
     0…m−1, kept in place of ``keep``, and starts a state of its weight,
     unless a pin next to it has its color.  Its seed key (its colors, site 0
     on top) is the low m digits of its states, so seeds never merge; ``cap``
-    bounds each seed: a stack that would pass it splits in two by seed key
-    and goes on, and only a lone seed refuses.  ``stats`` (a dict) gets
-    ``peak_states``, raised to the most states one seed held.
+    bounds each seed: when a site's merged states pass it, the stack splits
+    in two by seed key and each half, the low one first, redoes that site;
+    only a lone seed refuses.  ``stats`` (a dict) gets ``peak_states``,
+    raised to the most states one seed held.
     """
     peak = 1 if stats is None else stats.setdefault("peak_states", 1)
     colors, weights = seeds if seeds is not None else (np.zeros((1, 0), np.uint8), np.ones(1, int))
@@ -145,7 +147,9 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
     colors, keep = colors[live], range(m) if m else keep
     kept = set(keep)
     last = [nv if v in kept else max(nbrs, default=-1) for v, nbrs in enumerate(neighbors)]
-    counts, todo = {}, [(0, [], np.zeros(len(colors), dtype=np.int64), weights[live])]
+    # the seeds' colors are the first m digits, site 0 on top
+    keys = colors.astype(np.int64) @ q ** np.arange(m - 1, -1, -1)
+    counts, todo = {}, [(m, list(range(m - 1, -1, -1)), keys, weights[live])]
     # the kept sites' final digits: in placement order, the seeds' reversed
     at = q ** np.array([sorted(kept, reverse=m > 0).index(u) for u in keep], dtype=np.int64)
     while todo:
@@ -153,9 +157,6 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
         for v in range(start, nv):
             if q ** (len(frontier) + 1) >= 2 ** 63:
                 raise CapExceeded(f"a frontier of {len(frontier) + 1} sites needs keys past 2^63")
-            if v < m:                                      # seed colors, site 0 ending on top
-                keys, frontier = keys * q + colors[:, v], [v, *frontier]
-                continue
             adjacent = set(neighbors[v])
             seen = [keys // q ** i % q for i, u in enumerate(frontier) if u in adjacent]
             base = keys
@@ -181,28 +182,14 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
                     ok &= digit != c
                 return base[ok] + c * top, weights[ok]
 
-            if top and cap is not None and len(keys) * len(choices) > cap:
-                # the site could pass the cap: with v's digit on top the
-                # branches' keys are disjoint, so each merges on its own, in
-                # increasing c, until the states merged so far pass the cap
-                # (a site that adds no digit cannot add states); below the
-                # cap one merge is faster than several
-                branches = []
-                for c in choices:
-                    branches.append(_merge([branch(c)]))
-                    if (states := sum(len(k) for k, _ in branches)) > cap:
-                        break
-                if states > cap and len(ids := np.unique(seed := keys % q ** m)) > 1:
+            merged = _merge([branch(c) for c in choices])
+            if cap is not None and len(merged[0]) > cap:
+                if len(ids := np.unique(seed := keys % q ** m)) > 1:
                     low = seed < ids[len(ids) // 2]            # the low half goes on first
                     todo += [(v, before, keys[half], weights[half]) for half in (~low, low)]
                     break
-                if states > cap:
-                    states += sum(len(np.unique(branch(c)[0])) for c in choices[len(branches):])
-                    raise CapExceeded(f"frontier of {states} states exceeds the state cap {cap}")
-                keys = np.concatenate([k for k, _ in branches])
-                weights = np.concatenate([w for _, w in branches])
-            else:
-                keys, weights = _merge([branch(c) for c in choices])
+                raise CapExceeded(f"frontier of {len(merged[0])} states exceeds the state cap {cap}")
+            keys, weights = merged
             if not len(keys):
                 break
             if stats is not None and len(keys) > peak:
@@ -415,9 +402,7 @@ def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -
 _U = 2.0 ** -53        # unit roundoff of binary64
 _TINY = 2.0 ** -1000   # least positive entry the relative-error model admits
 _KEY_CHUNK = 1024      # states per color indicator in the orbit keys (``_orbits``)
-_STACK_CAP = 1 << 18   # moves plus blocks per stack of walks, and per sharing index
-# narrows the walks a walk may equal; equality is decided array by array
-_share_key = operator.attrgetter("sizes.shape", "cols.shape", "m", "start")
+_STACK_CAP = 1 << 18   # moves plus blocks per stack of walks
 
 
 class _FloatOperator(NamedTuple):
@@ -594,19 +579,16 @@ def _shared_walks(P: ExactTransitionMatrix, use: list[int]):
     its refined labelling, or by the identity labelling where that fails
     ``_lump``'s check, and shares the walk of an earlier start of the stack
     whose every field is equal."""
-    stack, index, entries = [], {}, 0
+    stack, entries = [], 0
     for st in use:
         op = _lump(P, _refined_blocks(P, st), st) or _lump(P, np.arange(P.n), st)
-        same = index.setdefault(_share_key(op), [])
-        walk = next((w for w in same if all(map(np.array_equal, w[0], op))), None)
+        walk = next((w for w in stack if all(map(np.array_equal, w[0], op))), None)
         if walk is None:
             if stack and entries + len(op.cols) + len(op.sizes) > _STACK_CAP:
                 yield stack
-                stack, index, entries = [], {}, 0
-                same = index.setdefault(_share_key(op), [])
+                stack, entries = [], 0
             walk = (op, [])
             stack.append(walk)
-            same.append(walk)
             entries += len(op.cols) + len(op.sizes)
         walk[1].append(st)
     yield stack
@@ -804,12 +786,12 @@ def influence_ratio(d: int, n: int, cap: int = ENUM_CAP) -> InfluenceReport:
     )
 
 
-# -- pinned-region counting on Z^2 ----------------------------------------------
+# -- region counting on Z^2 ---------------------------------------------------
 
 
-def grid_region_counts(cells, q=3, pins=None, forbidden=None, keep=()) -> dict[bytes, int]:
+def grid_region_counts(cells, q=3, forbidden=None, keep=()) -> dict[bytes, int]:
     """Exact counts of proper q-colorings of a finite cell subset of Z², with
-    optional per-cell pins and forbidden color sets: ``_frontier_count`` in
+    optional per-cell forbidden color sets: ``_frontier_count`` in
     raster order, the nonzero counts per color pattern of the ``keep`` cells
     (bytes in ``keep`` order; {b"": total} with none kept), refused past
     ``WINDOW_CAP`` frontier states."""
@@ -820,8 +802,7 @@ def grid_region_counts(cells, q=3, pins=None, forbidden=None, keep=()) -> dict[b
         for x, y in order
     ]
     return _frontier_count(
-        len(order), neighbors, q,
-        {index[c]: k for c, k in (pins or {}).items() if c in index},
+        len(order), neighbors, q, {},
         {index[c]: s for c, s in (forbidden or {}).items() if c in index},
         WINDOW_CAP, [index[c] for c in keep],
     )

@@ -299,5 +299,6 @@ def test_region_counter_empty_region():
 
 def test_region_counter_pins():
     region = {(x, y) for x in range(3) for y in range(3)}
-    # pinning the center to one specific color cuts the count to a third
-    assert sum(grid_region_counts(region, 3, pins={(1, 1): 0}).values()) == 82
+    # pinning the center to one specific color (forbidding the other two)
+    # cuts the count to a third
+    assert sum(grid_region_counts(region, 3, forbidden={(1, 1): {1, 2}}).values()) == 82

@@ -200,13 +200,21 @@ def _pinned_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graph=_pinned_graphs())
-def test_frontier_count_matches_brute_force_on_random_graphs(graph):
+@given(graph=_pinned_graphs(), data=st.data())
+def test_frontier_count_matches_brute_force_on_random_graphs(graph, data):
     nv, neighbors, q, pins, forbidden, keep = graph
-    assert _frontier_count(nv, neighbors, q, pins, forbidden, None, keep) == \
-        _brute_counts(nv, neighbors, q, pins, forbidden, keep)
+    stats = {}
+    counts = _frontier_count(nv, neighbors, q, pins, forbidden, None, keep, stats=stats)
+    assert counts == _brute_counts(nv, neighbors, q, pins, forbidden, keep)
     assert sum(_frontier_count(nv, neighbors, q, pins, forbidden, None).values()) == \
         _brute_count(nv, neighbors, q, pins, forbidden)
+    # a cap answers alike exactly when no site's merged states pass it
+    cap = data.draw(st.integers(1, stats["peak_states"] + 1))
+    if cap >= stats["peak_states"]:
+        assert _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep) == counts
+    else:
+        with pytest.raises(CapExceeded, match=f"exceeds the state cap {cap}$"):
+            _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep)
 
 
 def test_adjacent_equal_pins_count_zero_at_once():
@@ -216,6 +224,15 @@ def test_adjacent_equal_pins_count_zero_at_once():
         bc = odd_boundary_pinned((0, 0, 0, 0))
         assert count_colorings(box(4, 1), q, bc) == 0
         assert list(enumerate_colorings(box(4, 1), q, bc)) == []
+
+
+def _pinned(pins, forbidden=None):
+    """``forbidden`` plus, for each pinned cell, every color but its pin:
+    a region count takes pins as forbidden sets."""
+    out = dict(forbidden or {})
+    for c, k in (pins or {}).items():
+        out[c] = out.get(c, set()) | (set(range(3)) - {k})
+    return out
 
 
 @settings(max_examples=80, deadline=None)
@@ -237,7 +254,7 @@ def test_region_counter_matches_brute_force_with_pins(cells, data):
         {order.index(c): k for c, k in pins.items()},
         {order.index(c): f for c, f in forbidden.items()},
     )
-    assert sum(grid_region_counts(cells, 3, pins=pins, forbidden=forbidden).values()) == want
+    assert sum(grid_region_counts(cells, 3, forbidden=_pinned(pins, forbidden)).values()) == want
 
 
 def test_ladder_counts_cross_into_python_ints():
@@ -280,7 +297,8 @@ def test_padded_boxes_count_exactly():
         (w1, {c: 0 for c in w1 if max(map(abs, c)) == 2}),
         (_padded_cells(1, 2), {c: 0 for c in _padded_cells(1, 2) if abs(c[0]) == 3}),
     ]:
-        assert sum(grid_region_counts(cells, 3, pins=pins).values()) == _grid_brute_count(cells, pins)
+        assert sum(grid_region_counts(cells, 3, forbidden=_pinned(pins)).values()) == \
+            _grid_brute_count(cells, pins)
 
 
 @pytest.mark.parametrize("lat,q,bc", [
@@ -310,23 +328,12 @@ def test_frontier_state_cap_refuses():
         count_colorings(box(2, 2), 3, state_cap=10)
 
 
-def test_frontier_refuses_branch_by_branch(monkeypatch):
-    # three leaves, then their common neighbour: the first two leaves merge
-    # their branches at once (3, then 9 states, within the cap of 10); the
-    # third leaf's branches hold 9 states each, so they merge one at a
-    # time, the second passes the cap, and the third is counted for the
-    # message but never merged
-    merged = []
-    real_merge = oracle._merge
-
-    def recording_merge(parts):
-        merged.append(real_merge(parts))
-        return merged[-1]
-
-    monkeypatch.setattr(oracle, "_merge", recording_merge)
+def test_frontier_refuses_branch_by_branch():
+    # three leaves, then their common neighbour: the leaves hold 3, then 9
+    # states, within the cap of 10; the third leaf's three color branches
+    # merge to 27 states, which the message counts in full
     with pytest.raises(CapExceeded, match="^frontier of 27 states exceeds the state cap 10$"):
         _frontier_count(4, [[3], [3], [3], [0, 1, 2]], 3, {}, {}, 10)
-    assert [len(keys) for keys, _ in merged] == [3, 9, 9, 9]
 
 
 def test_torus_refuses_before_it_counts(monkeypatch):
@@ -750,8 +757,6 @@ def test_z24_starts_share_exactly_equal_walks(z24_chain, monkeypatch):
 
 
 def test_walks_are_shared_only_when_exactly_equal(z24_chain, monkeypatch):
-    # every walk under one key: sharing must rest on the arrays alone
-    monkeypatch.setattr(oracle, "_share_key", lambda op: 0)
     res = tv_mixing_time(z24_chain)
     assert res.per_start_t_star == Z24_CROSSINGS and res.float_walks == 16
     P = _chain(torus(1, 4), 3)
