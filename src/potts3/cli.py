@@ -1,13 +1,14 @@
 """Batch front door: deterministic experiment commands with JSON reports.
 
-Every command writes ``report.json`` (stable byte-for-byte under replay)
-plus a ``meta.json`` sidecar holding the timestamp and the build stamp (and,
-for ``mixing``, the state, move and orbit counts, the share of each cap
-used, each start's crossing time and lumped block count, the distinct
-float walks stepped, and the starts decided by the exact fallback; for
-``torpid-demo``, each chain's acceptance share and first sweep with a sign
-flip); trajectory commands add one CSV per chain.  Exit codes: 0 ok, 2 invalid
-config, 3 cap refusal, 4 property violation detected.
+Every command writes ``report.json`` (stable byte-for-byte under replay; its
+``config`` is every declared flag but the caps, ``--workers``, ``--out`` and
+``--config``) plus a ``meta.json`` sidecar holding the timestamp and the
+build stamp (and, for ``mixing``, the state, move and orbit counts, the
+share of each cap used, each start's crossing time and lumped block count,
+the distinct float walks stepped, and the starts decided by the exact
+fallback; for ``torpid-demo``, each chain's acceptance share and first sweep
+with a sign flip); trajectory commands add one CSV per chain.  Exit codes: 0
+ok, 2 invalid config, 3 cap refusal, 4 property violation detected.
 """
 
 from __future__ import annotations
@@ -128,8 +129,17 @@ def write_report(outdir: Path, payload: dict, files: dict[str, str] | None = Non
             tmp.unlink(missing_ok=True)
 
 
-def _config_of(args, fields) -> dict:
-    return {k: getattr(args, k) for k in fields}
+# parsed names a report leaves out of its config: the caps and the pool size
+# only bound the work, --out and --config place it, argparse adds the rest
+UNRECORDED = frozenset({"state_cap", "enum_cap", "workers", "out", "config", "command", "func"})
+
+
+def _header(args) -> dict:
+    """A report's ``command`` and its ``config``: every flag the command
+    declares except ``UNRECORDED``, with rho as its rational string."""
+    config = {k: str(v) if isinstance(v, Fraction) else v
+              for k, v in vars(args).items() if k not in UNRECORDED}
+    return {"command": args.command, "config": config}
 
 
 # -- commands ----------------------------------------------------------------
@@ -140,9 +150,7 @@ def cmd_enumerate(args) -> int:
     bc = OddBoundaryZero() if args.odd_boundary_zero else None
     stats = {}
     count = count_colorings(lat, args.q, bc, state_cap=args.state_cap, stats=stats)
-    write_report(Path(args.out), {
-        "command": "enumerate",
-        "config": _config_of(args, ("kind", "d", "n", "q", "odd_boundary_zero")),
+    write_report(Path(args.out), _header(args) | {
         "count": count,
         "provenance": "exact",
     }, meta=stats | {"cap_use": {"state": stats["peak_states"] / args.state_cap}})
@@ -173,9 +181,7 @@ def cmd_mixing(args) -> int:
     mix = tv_mixing_time(P, starts=args.starts) if checks["connected"] else None
     tau = mix.tau if mix else None
     cond = conductance_bound(states, args.rho, tau=tau)
-    payload = {
-        "command": "mixing",
-        "config": _config_of(args, ("kind", "d", "n", "q", "starts")) | {"rho": str(args.rho)},
+    payload = _header(args) | {
         "n_states": len(states),
         "checks": checks,
         "tau_exact": tau,
@@ -217,9 +223,7 @@ def cmd_mixing(args) -> int:
 def cmd_conductance(args) -> int:
     _, states = _torus_states(args, args.enum_cap)
     cond = conductance_bound(states, args.rho)
-    payload = {
-        "command": "conductance",
-        "config": _config_of(args, ("kind", "d", "n", "q")) | {"rho": str(args.rho)},
+    payload = _header(args) | {
         "n_states": len(states),
         "pi_A": rat(cond.pi_a),
         "pi_M": rat(cond.pi_m),
@@ -234,9 +238,7 @@ def cmd_conductance(args) -> int:
 
 def cmd_influence(args) -> int:
     rep = influence_ratio(args.d, args.n, cap=args.enum_cap)
-    payload = {
-        "command": "influence",
-        "config": _config_of(args, ("d", "n")),
+    payload = _header(args) | {
         "v0": list(rep.v0),
         "total": rep.total,
         "pinned": rep.pinned,
@@ -284,9 +286,7 @@ def cmd_cutsets(args) -> int:
                 "interior_size": cut.interior.bit_count(),
                 "properties": props,
             }, sort_keys=True) + "\n")
-    write_report(Path(args.out), {
-        "command": "cutsets",
-        "config": _config_of(args, ("kind", "d", "n")),
+    write_report(Path(args.out), _header(args) | {
         "cutsets": len(lines),
         "all_properties_hold": not violation,
         "provenance": "exact",
@@ -329,9 +329,7 @@ def cmd_flow_check(args) -> int:
                     f"{chi_id},{s},{float(rep.nu):.6g},{rep.b_value:.6g},"
                     f"{rep.ratio:.6g},{rep.nu_le_b}\n"
                 )
-    write_report(Path(args.out), {
-        "command": "flow-check",
-        "config": _config_of(args, ("kind", "d", "n")),
+    write_report(Path(args.out), _header(args) | {
         "pairs": len(lines),
         "all_ok": all_ok,
         "provenance": "exact",
@@ -349,9 +347,7 @@ def cmd_sample(args) -> int:
     chi0 = phase_coloring(lat, Parity.EVEN, 1, args.q)
     final, traj = run_chain(spec, chi0, args.steps, thin=args.thin, rho=args.rho)
     name = f"chain_seed{args.seed}_{traj.chi0_id[:12]}.csv"
-    write_report(Path(args.out), {
-        "command": "sample",
-        "config": _config_of(args, ("kind", "d", "n", "q", "seed", "steps", "thin")),
+    write_report(Path(args.out), _header(args) | {
         "final_imbalance": imbalance(final),
         "records": len(traj.points),
         "provenance": "simulated",
@@ -405,10 +401,7 @@ def cmd_torpid_demo(args) -> int:
     flips = sum(chain["first_flip_sweep"] is not None for chain in telemetry)
     finals_sorted = sorted(finals)
     qtile = lambda f: finals_sorted[min(len(finals_sorted) - 1, int(f * len(finals_sorted)))]
-    payload = {
-        "command": "torpid-demo",
-        "config": _config_of(args, ("kind", "d", "n", "chains", "sweeps", "seed"))
-        | {"rho": str(args.rho)},
+    payload = _header(args) | {
         "sign_flip_fraction": flips / args.chains,
         "imbalance_quantiles": {
             "min": finals_sorted[0],
@@ -430,9 +423,7 @@ def cmd_entropy(args) -> int:
     if args.m is not None and args.d != 2:
         raise ColoringError(f"restriction distribution is implemented for d=2, not d={args.d}")
     topo = topological_entropy_estimate(args.d, sizes)
-    payload = {
-        "command": "entropy",
-        "config": _config_of(args, ("d", "sizes", "m", "n_window")),
+    payload = _header(args) | {
         "per_site": topo.per_site,
         "aitken_passes": topo.passes,
         "estimate": topo.estimate,

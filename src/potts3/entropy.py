@@ -237,7 +237,6 @@ class GapReport:
     c3_prime: int
     pinned_ring_count: int
     entropy_nats: float
-    log_c3_prime: float
     entropy_floor: float
     entropy_floor_holds: bool      # H >= log|C'| - 2|ring| log 3 (float check)
     max_prob: Fraction
@@ -285,7 +284,6 @@ def max_entropy_gap_check(m: int, n: int) -> GapReport:
         c3_prime=c3p,
         pinned_ring_count=pinned_ring,
         entropy_nats=h,
-        log_c3_prime=math.log(c3p),
         entropy_floor=floor,
         entropy_floor_holds=floor_ok,
         max_prob=max_p,

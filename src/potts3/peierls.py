@@ -110,13 +110,6 @@ class QSets:
     q_odd: int
     u: int
 
-    def b_boundary(self, even_subset: int) -> int:
-        """∂_ext taken inside B: the Q^O-neighbors of an even subset."""
-        out = 0
-        for x in iter_bits(even_subset):
-            out |= self.lattice.nbr_mask[x]
-        return out & self.q_odd
-
     def b_edges(self) -> list[tuple[int, int]]:
         out = []
         for x in iter_bits(self.q_even):
@@ -256,7 +249,7 @@ def is_good_triple(triple: GoodTriple, ctx: QSets) -> bool:
         return False
     if not _is_minimal_cover(ctx, k | l | m):
         return False
-    return k == ctx.b_boundary(ctx.u & ~l)
+    return k == external_boundary(ctx.lattice, ctx.u & ~l) & ctx.q_odd
 
 
 def _canonical_triple(ctx: QSets, w: int) -> GoodTriple:
@@ -276,8 +269,6 @@ class BoundReport:
     ratio: float | None = None
     k0_size: int | None = None
     l0_size: int | None = None
-    k_prime_size: int | None = None
-    l_prime_size: int | None = None
 
 
 def _good_triples(ctx: QSets):
@@ -289,7 +280,7 @@ def _good_triples(ctx: QSets):
     """
     edges = ctx.b_edges()
     for l in _subsets(ctx.u):
-        k = ctx.b_boundary(ctx.u & ~l)
+        k = external_boundary(ctx.lattice, ctx.u & ~l) & ctx.q_odd
         m = 0
         for x, y in edges:
             if not ((k >> y) & 1 or (l >> x) & 1):
@@ -352,6 +343,4 @@ def bound_report(
         ratio=float(nu) / b_value if b_value else math.inf,
         k0_size=n_k0,
         l0_size=n_l0,
-        k_prime_size=n_kp,
-        l_prime_size=n_lp,
     )

@@ -132,6 +132,38 @@ def test_each_command_declares_only_the_flags_it_reads():
         assert got == flags | {"out", "config"}, cmd
 
 
+TINY = {
+    "enumerate": ["--kind", "box", "--d", "1", "--n", "1"],
+    "mixing": ["--d", "1", "--n", "4"],
+    "conductance": ["--d", "1", "--n", "4"],
+    "influence": ["--d", "2", "--n", "2"],
+    "cutsets": ["--d", "2", "--n", "2"],
+    "flow-check": ["--d", "2", "--n", "2"],
+    "sample": ["--steps", "8"],
+    "torpid-demo": ["--chains", "1", "--sweeps", "1", "--workers", "1"],
+    "entropy": ["--d", "1", "--sizes", "1,2,3"],
+}
+
+
+def _report_bytes(out, cmd, *extra):
+    assert run([cmd, *TINY[cmd], *extra, "--out", str(out)]) == 0
+    return (out / "report.json").read_bytes()
+
+
+def test_report_config_is_every_declared_flag_but_the_bounds(tmp_path):
+    for cmd, flags in FLAGS.items():
+        report = json.loads(_report_bytes(tmp_path / cmd, cmd))
+        assert report["command"] == cmd
+        assert set(report["config"]) == flags - {"state_cap", "enum_cap", "workers"}, cmd
+    sample = json.loads((tmp_path / "sample" / "report.json").read_text())
+    assert sample["config"]["rho"] == "11/50"
+    # the caps only bound the work: raising one past its default keeps every byte
+    for cmd, cap in (("enumerate", "state_cap"), ("conductance", "enum_cap")):
+        raised = str(2 * vars(make_parser().parse_args([cmd]))[cap])
+        got = _report_bytes(tmp_path / f"{cmd}-raised", cmd, "--" + cap.replace("_", "-"), raised)
+        assert got == (tmp_path / cmd / "report.json").read_bytes(), cmd
+
+
 @pytest.mark.parametrize("command,lines", [
     ("conductance", "rho=abc\n"),
     ("enumerate", "kind=cube\n"),
