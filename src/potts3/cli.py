@@ -1,13 +1,15 @@
 """Batch front door: deterministic experiment commands with JSON reports.
 
-Every command writes ``report.json`` (stable byte-for-byte under replay; its
-``config`` is every declared flag but the caps, ``--workers``, ``--out`` and
-``--config``) plus a ``meta.json`` sidecar holding the timestamp and the
-build stamp (and, for ``mixing``, the state, move and orbit counts, the
-share of each cap used, each start's crossing time and lumped block count,
-the distinct float walks stepped, and the starts decided by the exact
-fallback; for ``torpid-demo``, each chain's acceptance share and first sweep
-with a sign flip); trajectory commands add one CSV per chain.  Exit codes: 0
+``main`` is the one place that parses and finishes.  ``CMD @FILE`` reads
+FILE as one flag token per line (``--n=2``), and later tokens win.  Each
+``cmd_*`` returns an ``Outcome``; ``main`` writes its ``report.json``
+(stable byte-for-byte under replay; its ``config`` is every declared flag
+but the caps, ``--workers`` and ``--out``), its sidecar files and a
+``meta.json`` with the timestamp, the build stamp and the command's meta
+fields (for ``mixing``: state, move and orbit counts, cap use, each start's
+crossing time and lumped block count, the float walks stepped and the
+exact fallbacks; for ``torpid-demo``: each chain's acceptance share and
+first sign-flip sweep), then prints its one stdout line.  Exit codes: 0
 ok, 2 invalid config, 3 cap refusal, 4 property violation detected.
 """
 
@@ -23,6 +25,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .coloring import (
@@ -130,8 +133,8 @@ def write_report(outdir: Path, payload: dict, files: dict[str, str] | None = Non
 
 
 # parsed names a report leaves out of its config: the caps and the pool size
-# only bound the work, --out and --config place it, argparse adds the rest
-UNRECORDED = frozenset({"state_cap", "enum_cap", "workers", "out", "config", "command", "func"})
+# only bound the work, --out places it, argparse adds the rest
+UNRECORDED = frozenset({"state_cap", "enum_cap", "workers", "out", "command", "func"})
 
 
 def _header(args) -> dict:
@@ -142,20 +145,27 @@ def _header(args) -> dict:
     return {"command": args.command, "config": config}
 
 
+class Outcome(NamedTuple):
+    """A command's report fields, stdout line, sidecar files (name -> text),
+    meta fields and whether every property it checked held."""
+
+    fields: dict
+    stdout: object
+    files: dict[str, str] | None = None
+    meta: dict | None = None
+    ok: bool = True
+
+
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> Outcome:
     lat = _lattice_from_args(args)
     bc = OddBoundaryZero() if args.odd_boundary_zero else None
     stats = {}
     count = count_colorings(lat, args.q, bc, state_cap=args.state_cap, stats=stats)
-    write_report(Path(args.out), _header(args) | {
-        "count": count,
-        "provenance": "exact",
-    }, meta=stats | {"cap_use": {"state": stats["peak_states"] / args.state_cap}})
-    print(count)
-    return EXIT_OK
+    return Outcome({"count": count, "provenance": "exact"}, count,
+                   meta=stats | {"cap_use": {"state": stats["peak_states"] / args.state_cap}})
 
 
 def _torus_states(args, cap):
@@ -168,7 +178,19 @@ def _torus_states(args, cap):
     return lat, states
 
 
-def cmd_mixing(args) -> int:
+def _bound_fields(states, cond) -> dict:
+    """The fields ``mixing`` and ``conductance`` share: the state count and
+    the bottleneck bound π(A)/(8π(M)) with its parts."""
+    return {
+        "n_states": len(states),
+        "pi_A": rat(cond.pi_a),
+        "pi_M": rat(cond.pi_m),
+        "bound": rat(cond.bound) if cond.bound is not None else None,
+        "provenance": "exact",
+    }
+
+
+def cmd_mixing(args) -> Outcome:
     lat, states = _torus_states(args, args.state_cap)
     P = transition_matrix(states, lat, args.q)
     checks = {
@@ -181,8 +203,7 @@ def cmd_mixing(args) -> int:
     mix = tv_mixing_time(P, starts=args.starts) if checks["connected"] else None
     tau = mix.tau if mix else None
     cond = conductance_bound(states, args.rho, tau=tau)
-    payload = _header(args) | {
-        "n_states": len(states),
+    fields = _bound_fields(states, cond) | {
         "checks": checks,
         "tau_exact": tau,
         "t_star": mix.t_star if mix else None,
@@ -192,11 +213,7 @@ def cmd_mixing(args) -> int:
             "balanced": cond.n_balanced,
             "odd_heavy": cond.n_odd_heavy,
         },
-        "pi_A": rat(cond.pi_a),
-        "pi_M": rat(cond.pi_m),
-        "bound": rat(cond.bound) if cond.bound is not None else None,
         "bound_holds": cond.bound_holds,
-        "provenance": "exact",
     }
     meta = {
         "states": len(states),
@@ -214,31 +231,21 @@ def cmd_mixing(args) -> int:
             "lumped_states": mix.lumped_states,
             "float_walks": mix.float_walks,
         }
-    write_report(Path(args.out), payload, meta=meta)
     ok = all(checks.values()) and (cond.bound_holds in (True, None))
-    print(json.dumps({"tau": tau, "bound": payload["bound"], "ok": ok}))
-    return EXIT_OK if ok else EXIT_VIOLATION
+    line = json.dumps({"tau": tau, "bound": fields["bound"], "ok": ok})
+    return Outcome(fields, line, meta=meta, ok=ok)
 
 
-def cmd_conductance(args) -> int:
+def cmd_conductance(args) -> Outcome:
     _, states = _torus_states(args, args.enum_cap)
     cond = conductance_bound(states, args.rho)
-    payload = _header(args) | {
-        "n_states": len(states),
-        "pi_A": rat(cond.pi_a),
-        "pi_M": rat(cond.pi_m),
-        "bound": rat(cond.bound) if cond.bound is not None else None,
-        "unbounded": cond.unbounded,
-        "provenance": "exact",
-    }
-    write_report(Path(args.out), payload)
-    print(json.dumps(payload["bound"]))
-    return EXIT_OK
+    fields = _bound_fields(states, cond) | {"unbounded": cond.unbounded}
+    return Outcome(fields, json.dumps(fields["bound"]))
 
 
-def cmd_influence(args) -> int:
+def cmd_influence(args) -> Outcome:
     rep = influence_ratio(args.d, args.n, cap=args.enum_cap)
-    payload = _header(args) | {
+    fields = {
         "v0": list(rep.v0),
         "total": rep.total,
         "pinned": rep.pinned,
@@ -247,12 +254,10 @@ def cmd_influence(args) -> int:
         "per_size_ratio": {str(k): rat(v) for k, v in rep.per_size_ratio.items()},
         "provenance": "exact",
     }
-    write_report(Path(args.out), payload)
-    print(json.dumps(payload["ratio"]))
-    return EXIT_OK
+    return Outcome(fields, json.dumps(fields["ratio"]))
 
 
-def cmd_cutsets(args) -> int:
+def cmd_cutsets(args) -> Outcome:
     lat = _lattice_from_args(args)
     if lat.kind is LatticeKind.TORUS:
         anchor, bc = None, None
@@ -286,16 +291,14 @@ def cmd_cutsets(args) -> int:
                 "interior_size": cut.interior.bit_count(),
                 "properties": props,
             }, sort_keys=True) + "\n")
-    write_report(Path(args.out), _header(args) | {
+    return Outcome({
         "cutsets": len(lines),
         "all_properties_hold": not violation,
         "provenance": "exact",
-    }, files={"cutsets.jsonl": "".join(lines)})
-    print(len(lines))
-    return EXIT_VIOLATION if violation else EXIT_OK
+    }, len(lines), files={"cutsets.jsonl": "".join(lines)}, ok=not violation)
 
 
-def cmd_flow_check(args) -> int:
+def cmd_flow_check(args) -> Outcome:
     lat = _lattice_from_args(args)
     v0 = lat.index((0,) * lat.d)
     lines = []
@@ -329,31 +332,27 @@ def cmd_flow_check(args) -> int:
                     f"{chi_id},{s},{float(rep.nu):.6g},{rep.b_value:.6g},"
                     f"{rep.ratio:.6g},{rep.nu_le_b}\n"
                 )
-    write_report(Path(args.out), _header(args) | {
+    return Outcome({
         "pairs": len(lines),
         "all_ok": all_ok,
         "provenance": "exact",
-    }, files={
+    }, len(lines), files={
         "flow.jsonl": "".join(lines),
         "bounds.csv": "".join(bound_rows),
-    })
-    print(len(lines))
-    return EXIT_OK if all_ok else EXIT_VIOLATION
+    }, ok=all_ok)
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> Outcome:
     lat = _lattice_from_args(args)
     spec = ChainSpec(q=args.q, seed=args.seed, stream=0)
     chi0 = phase_coloring(lat, Parity.EVEN, 1, args.q)
     final, traj = run_chain(spec, chi0, args.steps, thin=args.thin, rho=args.rho)
     name = f"chain_seed{args.seed}_{traj.chi0_id[:12]}.csv"
-    write_report(Path(args.out), _header(args) | {
+    return Outcome({
         "final_imbalance": imbalance(final),
         "records": len(traj.points),
         "provenance": "simulated",
-    }, files={name: traj.to_csv()})
-    print(name)
-    return EXIT_OK
+    }, name, files={name: traj.to_csv()})
 
 
 def _torpid_chain(task):
@@ -377,7 +376,7 @@ def _torpid_chain(task):
     return stream, traj.chi0_id, traj.to_csv(), imbalance(final), telemetry
 
 
-def cmd_torpid_demo(args) -> int:
+def cmd_torpid_demo(args) -> Outcome:
     chi0 = phase_coloring(_lattice_from_args(args), Parity.EVEN, 1, 3)
     tasks = [
         (args.d, args.n, args.seed, chain, args.sweeps, args.rho)
@@ -401,7 +400,7 @@ def cmd_torpid_demo(args) -> int:
     flips = sum(chain["first_flip_sweep"] is not None for chain in telemetry)
     finals_sorted = sorted(finals)
     qtile = lambda f: finals_sorted[min(len(finals_sorted) - 1, int(f * len(finals_sorted)))]
-    payload = _header(args) | {
+    fields = {
         "sign_flip_fraction": flips / args.chains,
         "imbalance_quantiles": {
             "min": finals_sorted[0],
@@ -413,17 +412,16 @@ def cmd_torpid_demo(args) -> int:
         "start_imbalance": imbalance(chi0),
         "provenance": "simulated",
     }
-    write_report(Path(args.out), payload, files=csvs, meta={"chains": telemetry})
-    print(json.dumps({"sign_flip_fraction": payload["sign_flip_fraction"]}))
-    return EXIT_OK
+    line = json.dumps({"sign_flip_fraction": fields["sign_flip_fraction"]})
+    return Outcome(fields, line, files=csvs, meta={"chains": telemetry})
 
 
-def cmd_entropy(args) -> int:
+def cmd_entropy(args) -> Outcome:
     sizes = [int(x) for x in args.sizes.split(",")]
     if args.m is not None and args.d != 2:
         raise ColoringError(f"restriction distribution is implemented for d=2, not d={args.d}")
     topo = topological_entropy_estimate(args.d, sizes)
-    payload = _header(args) | {
+    fields = {
         "per_site": topo.per_site,
         "aitken_passes": topo.passes,
         "estimate": topo.estimate,
@@ -436,7 +434,7 @@ def cmd_entropy(args) -> int:
         # the float entropy floor is left out: the exact max-prob bound implies it
         ok = (gap.max_prob_bound_holds and gap.ring_mass_bound_holds
               and gap.support_extendable and gap.n_depends_on_ring_only)
-        payload["gap_check"] = {
+        fields["gap_check"] = {
             "m": gap.m,
             "n": gap.n,
             "boundary": gap.boundary_size,
@@ -450,9 +448,7 @@ def cmd_entropy(args) -> int:
             "max_prob_bound_holds": gap.max_prob_bound_holds,
             "ring_mass_bound_holds": gap.ring_mass_bound_holds,
         }
-    write_report(Path(args.out), payload)
-    print(json.dumps({"estimate": topo.estimate, "spread": topo.spread}))
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return Outcome(fields, json.dumps({"estimate": topo.estimate, "spread": topo.spread}), ok=ok)
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -460,8 +456,8 @@ def cmd_entropy(args) -> int:
 
 def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "torus")):
     """Declare a command with exactly the flags its ``cmd_*`` reads, plus
-    --out and --config.  ``torus`` picks the torus defaults of --kind and
-    --n; ``kinds`` are the lattice kinds the command runs on."""
+    --out.  ``torus`` picks the torus defaults of --kind and --n; ``kinds``
+    are the lattice kinds the command runs on."""
     declared = {
         "kind": dict(choices=kinds, default="torus" if torus else "box"),
         "d": dict(type=int, default=2),
@@ -483,17 +479,16 @@ def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "toru
         "m": dict(type=int, default=None),
         "n-window": dict(type=int, default=1),
     }
-    # no abbreviations: a flag or config key is read only under its full name
+    # no abbreviations: a flag, in argv or in an @FILE, is read only under its full name
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     for flag in flags:
         p.add_argument(f"--{flag}", **declared[flag])
     p.add_argument("--out", default="runs/latest")
-    p.add_argument("--config", default=None, help="key=value lines read as flags; flags win")
     p.set_defaults(func=func)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="potts3", description=__doc__)
+    ap = argparse.ArgumentParser(prog="potts3", description=__doc__, fromfile_prefix_chars="@")
     sub = ap.add_subparsers(dest="command", required=True)
     _add_command(sub, "enumerate", cmd_enumerate, "count colorings under a boundary condition",
                  "kind", "d", "n", "q", "state-cap", "odd-boundary-zero")
@@ -519,40 +514,18 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _with_config(ap, args, argv: list[str]) -> list[str]:
-    """``argv`` with each ``key=value`` line of ``args.config`` inserted as
-    ``--key=value`` right after the command name, so the flags given on the
-    command line come later and win.  A switch takes true/1/yes or
-    false/0/no."""
-    defaults = vars(ap.parse_args([args.command]))
-    tokens = []
-    for line in Path(args.config).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = (part.strip() for part in line.partition("="))
-        flag = "--" + key.replace("_", "-")
-        if not isinstance(defaults.get(key.replace("-", "_")), bool):
-            tokens.append(f"{flag}={value}")
-        elif value.lower() in ("1", "true", "yes"):
-            tokens.append(flag)
-        elif value.lower() not in ("0", "false", "no"):
-            raise ValueError(f"{key} is a switch: true or false, got {value!r}")
-    at = argv.index(args.command) + 1
-    return argv[:at] + tokens + argv[at:]
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    ap = make_parser()
+    """Parse, run one command, then write its report, print its line and
+    map its checks to an exit code; a command that raises writes nothing."""
     try:
         try:
-            args = ap.parse_args(argv)
-            if args.config:
-                args = ap.parse_args(_with_config(ap, args, argv))
-        except SystemExit as exc:  # argparse exits 2 on bad flags
+            args = make_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on bad flags and unreadable @FILEs
             return int(exc.code or 0)
-        return args.func(args)
+        outcome = args.func(args)
+        write_report(Path(args.out), _header(args) | outcome.fields, outcome.files, outcome.meta)
+        print(outcome.stdout)
+        return EXIT_OK if outcome.ok else EXIT_VIOLATION
     except CapExceeded as exc:
         print(f"error: cap refusal: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -91,15 +91,15 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
     """Per-site log-count sequence with Aitken-extrapolated limit.
 
     d=1: exact path counts per half-width n.  d=2: infinite strips of the
-    given widths (transfer-matrix top eigenvalue).  d=3: exact counts of
-    tiny boxes per half-width.  Other d, fewer than 3 sizes, a size below
-    1 or sizes that do not strictly increase (repeats zero Aitken's
-    denominators) have no route (ColoringError); a box too large to count
-    refuses via the counter's state cap, and a strip of more than
-    ``STATE_CAP`` states (w ≥ 14) refuses before any strip is listed.
+    given widths (transfer-matrix top eigenvalue).  Other d, fewer than 3
+    sizes, a size below 1 or sizes that do not strictly increase (repeats
+    zero Aitken's denominators) have no route (ColoringError): d=3 needs
+    three boxes, and box(3,2)'s frontier already passes the state cap.  A
+    strip of more than ``STATE_CAP`` states (w ≥ 14) refuses before any
+    strip is listed.
     """
-    if d not in (1, 2, 3):
-        raise ColoringError(f"no counting route for d={d}; d must be 1, 2 or 3")
+    if d not in (1, 2):
+        raise ColoringError(f"no counting route for d={d}; d must be 1 or 2")
     if len(sizes) < 3:
         raise ColoringError("need at least 3 sizes to extrapolate")
     if min(sizes) < 1:

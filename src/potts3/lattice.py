@@ -153,19 +153,13 @@ class Lattice:
         for axperm in axes:
             for sgn in signs:
                 for sh in shifts:
-                    img = [0] * self.nv
-                    ok = True
-                    for i, c in enumerate(self.coords):
+                    img = []
+                    for c in self.coords:
                         cc = [sgn[k] * c[axperm[k]] + sh[k] for k in range(self.d)]
                         if self.kind is LatticeKind.TORUS:
                             cc = [x % self.n for x in cc]
-                        j = self.index_of.get(tuple(cc))
-                        if j is None:
-                            ok = False
-                            break
-                        img[i] = j
-                    if ok:
-                        perms.add(tuple(img))
+                        img.append(self.index_of[tuple(cc)])
+                    perms.add(tuple(img))
         return tuple(sorted(perms))
 
     def __repr__(self):

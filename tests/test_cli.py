@@ -106,12 +106,13 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["conductance", "--rho", "0"],
     ["sample", "--rho", "1"],
     ["torpid-demo", "--rho", "7"],
+    ["entropy", "--d", "3", "--sizes", "1,2,3"],
 ])
 def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
 
 
-# the flags each command reads, besides --out and --config
+# the flags each command reads, besides --out
 FLAGS = {
     "enumerate": {"kind", "d", "n", "q", "state_cap", "odd_boundary_zero"},
     "mixing": {"kind", "d", "n", "q", "rho", "state_cap", "starts"},
@@ -129,7 +130,7 @@ def test_each_command_declares_only_the_flags_it_reads():
     ap = make_parser()
     for cmd, flags in FLAGS.items():
         got = set(vars(ap.parse_args([cmd]))) - {"command", "func"}
-        assert got == flags | {"out", "config"}, cmd
+        assert got == flags | {"out"}, cmd
 
 
 TINY = {
@@ -164,29 +165,113 @@ def test_report_config_is_every_declared_flag_but_the_bounds(tmp_path):
         assert got == (tmp_path / cmd / "report.json").read_bytes(), cmd
 
 
+# sha256 of each command's TINY run: its stdout, report.json and every
+# sidecar file; meta.json holds a timestamp, so only its keys are frozen
+FROZEN = {
+    "enumerate": ({
+        "stdout": "a1fb50e6c86fae1679ef3351296fd6713411a08cf8dd1790a4fd05fae8688164",
+        "report.json": "191cdcab3c72335bd8c977bf635b03cd4f81e3735e9254ef83de8d45f53b747d",
+    }, {"build", "cap_use", "peak_states", "written_at"}),
+    "mixing": ({
+        "stdout": "cb0504d8558ab9af1c79168313e6d0f99a23297fc63012913698df1872edf9da",
+        "report.json": "aa9830a3809f57f2c0b53a91f7e7fc86c95ff19470af86a1a61f9a85657b4702",
+    }, {"build", "cap_use", "exact_fallbacks", "float_walks", "lumped_states", "moves",
+        "orbits", "per_start_t_star", "states", "written_at"}),
+    "conductance": ({
+        "stdout": "f51e9945d8b9d54cab4229e9c89a541ac2641e487655bbe1824efc7b4396087d",
+        "report.json": "604fa93c65de7b9c81657d35d89e874d4eb483ecc6a2c7bc0ba712bf93271811",
+    }, {"build", "written_at"}),
+    "influence": ({
+        "stdout": "10482b8baaf4c20b77faa83b6df1623204a73b968687726d936de926e71ab9c1",
+        "report.json": "9b47c6bea8df67ec43be904a53cb3cec69695b15269969a7790f0a664cd4bba9",
+    }, {"build", "written_at"}),
+    "cutsets": ({
+        "stdout": "2115cdb6bfcfb008eb2bab2bb79347cb064a48e4e7c4115ccbe4469c787bb6c4",
+        "cutsets.jsonl": "5141d465de4fbc3d9ecce69be1aab6dee00fa3b538572a9f91269b8f53b0a63d",
+        "report.json": "122d31fb74abf160d3dc7a1336d15823f967539aae1304dc1f0029ab06830c24",
+    }, {"build", "written_at"}),
+    "flow-check": ({
+        "stdout": "56292515f7d3a7110811eb8de26b3f75f82a0766aa5a1fd66ebcfcb84fe6d5ff",
+        "bounds.csv": "0d2790f608303d71101a3df5c2b9ea4fb3671888f122256e5c1070096db0358b",
+        "flow.jsonl": "800bfeb63d08fd68286b1db56a14556dd236b4ff1179f9956d82009ca64db4a9",
+        "report.json": "3bfcc42c5565d43e866a31224d7f7749516d97292bdc5c6990855a7029878428",
+    }, {"build", "written_at"}),
+    "sample": ({
+        "stdout": "ca4fe36b21e33547bf2b7633f952631f0c1f8f9629de132c936b03fb56ed59b2",
+        "chain_seed0_000100010100.csv": "51d1636ec0bc004a0da16e2d630386920ad072440645c0b0fa9206013b13ee3e",
+        "report.json": "59e59130164a52e11e1055f2fd7cbed071964c34c70bda4058466c4be31392a2",
+    }, {"build", "written_at"}),
+    "torpid-demo": ({
+        "stdout": "40137cb3e3fca1e0c33d2e15a97b7c964f65161013a54f8c81dca2d7b8f38c73",
+        "chain000_seed0_00010001.csv": "2ebbdc1e3c6305afe1582ace0485d5eaa34954f639b272ea3de3fe3428a2384c",
+        "report.json": "4e56414a4a223a514b1598878a1bc7497d5fa03e0d81ce04894cd7692a62efb4",
+    }, {"build", "chains", "written_at"}),
+    "entropy": ({
+        "stdout": "912fb3baea94440f422707a18c7ee683c4df85de068a067dd6b457a500f4516d",
+        "report.json": "51d085dccbdc5198722b2a1e361b0814de849396101916c9020e2d124a28f123",
+    }, {"build", "written_at"}),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_command_keeps_its_bytes(tmp_path, capsys):
+    for cmd, (digests, meta_keys) in FROZEN.items():
+        out = tmp_path / cmd
+        assert run([cmd, *TINY[cmd], "--out", str(out)]) == 0, cmd
+        got = {"stdout": _sha(capsys.readouterr().out.encode())}
+        got |= {f.name: _sha(f.read_bytes()) for f in out.iterdir() if f.name != "meta.json"}
+        assert got == digests, cmd
+        assert json.loads((out / "meta.json").read_text()).keys() == meta_keys, cmd
+
+
+def _flag_file(tmp_path, text):
+    path = tmp_path / "run.args"
+    path.write_text(text)
+    return f"@{path}"
+
+
 @pytest.mark.parametrize("command,lines", [
+    # key=value is not a flag token
     ("conductance", "rho=abc\n"),
     ("enumerate", "kind=cube\n"),
     ("enumerate", "seed=3\n"),
     ("enumerate", "odd-boundary-zero=maybe\n"),
+    # a bad value, a flag the command does not read, a switch given a value,
+    # two tokens on one line
+    ("conductance", "--rho=abc\n"),
+    ("enumerate", "--kind=cube\n"),
+    ("enumerate", "--seed=3\n"),
+    ("enumerate", "--odd-boundary-zero=maybe\n"),
+    ("enumerate", "--n 2\n"),
 ])
-def test_bad_config_lines_are_config_errors(tmp_path, command, lines):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(lines)
-    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+def test_bad_config_lines_are_config_errors(tmp_path, capsys, command, lines):
+    out = tmp_path / "o"
+    assert run([command, _flag_file(tmp_path, lines), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # the file was read, and argparse names the bad token
+    last = err.splitlines()[-1]
+    assert ": error: " in last and lines.split("=")[0].strip("-\n") in last and "@" not in last
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
-def test_missing_config_file_is_a_config_error(tmp_path):
-    rc = run(["enumerate", "--config", str(tmp_path / "absent.cfg"),
-              "--out", str(tmp_path / "o")])
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    rc = run(["enumerate", f"@{tmp_path / 'absent.args'}", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
     assert rc == 2
+    assert "No such file" in err and "Traceback" not in err
 
 
 def test_directory_as_config_file_is_a_config_error(tmp_path, capsys):
-    rc = run(["enumerate", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    rc = run(["enumerate", f"@{tmp_path}", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    # argparse's usage line, then its one error line
+    assert err.startswith("usage: potts3 ") and "Traceback" not in err
+    assert err.splitlines()[-1].startswith("potts3: error: ") and "Is a directory" in err
 
 
 def test_existing_file_as_out_dir_is_a_config_error(tmp_path, capsys):
@@ -446,18 +531,17 @@ def test_torpid_demo_chain_telemetry(tmp_path, sweeps):
 
 
 def test_config_file_defaults_flags_win(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=1\nd=2\nkind=box\nodd-boundary-zero=true\n")
-    out = tmp_path / "cfg-out"
-    rc = run(["enumerate", "--config", str(cfg), "--out", str(out)])
-    assert rc == 0
-    assert json.loads((out / "report.json").read_text())["count"] == 32
-
-    # explicit flag beats the config file
-    out2 = tmp_path / "cfg-out2"
-    rc = run(["enumerate", "--config", str(cfg), "--n", "2", "--out", str(out2)])
-    assert rc == 0
-    assert json.loads((out2 / "report.json").read_text())["count"] == 13888
+    flags = _flag_file(tmp_path, "--n=1\n--d=2\n--kind=box\n--odd-boundary-zero\n")
+    counts = {}
+    # later tokens win: a flag after the file overrides it, one before does not
+    for name, argv in (("file", [flags]), ("after", [flags, "--n", "2"]),
+                       ("before", ["--n", "2", flags])):
+        out = tmp_path / name
+        assert run(["enumerate", *argv, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["odd_boundary_zero"] is True
+        counts[name] = report["count"]
+    assert counts == {"file": 32, "after": 13888, "before": 32}
 
 
 def test_mixing_z24_full(tmp_path):

@@ -268,9 +268,13 @@ def test_gap_check_frozen_values(m, max_prob, entropy_nats):
 def test_topo_entropy_rejects_sizes_below_one(monkeypatch):
     monkeypatch.setattr(entropy, "_strip_per_site", _no_listing)
     monkeypatch.setattr(entropy, "count_colorings", _no_listing)
-    for d in (1, 2, 3):
+    for d in (1, 2):
         with pytest.raises(ColoringError, match="at least 1"):
             topological_entropy_estimate(d, [2, 3, 0])
+    # d = 3 has no route at all: box(3,2)'s frontier passes the state cap
+    for sizes in ([2, 3, 0], [1, 2, 3]):
+        with pytest.raises(ColoringError, match="no counting route for d=3"):
+            topological_entropy_estimate(3, sizes)
 
 
 def test_topo_entropy_rejects_sizes_that_do_not_strictly_increase(monkeypatch):
@@ -278,10 +282,12 @@ def test_topo_entropy_rejects_sizes_that_do_not_strictly_increase(monkeypatch):
     # extrapolates backwards; neither is counted
     monkeypatch.setattr(entropy, "_strip_per_site", _no_listing)
     monkeypatch.setattr(entropy, "count_colorings", _no_listing)
-    for d in (1, 2, 3):
-        for sizes in ([1, 1, 1], [3, 2, 1], [2, 3, 3]):
+    for sizes in ([1, 1, 1], [3, 2, 1], [2, 3, 3]):
+        for d in (1, 2):
             with pytest.raises(ColoringError, match="strictly increase"):
                 topological_entropy_estimate(d, sizes)
+        with pytest.raises(ColoringError, match="no counting route for d=3"):
+            topological_entropy_estimate(3, sizes)
 
 
 def test_restriction_requires_m_greater_n(monkeypatch):

@@ -731,6 +731,12 @@ def test_mixing_z24_per_start_crossings_frozen(z24_chain):
     assert res.exact_fallbacks == []
 
 
+def test_z24_worst_start_crossing_by_the_exact_path(z24_chain):
+    # the flagship t* from the big-integer iteration alone, no float walk;
+    # every start's crossing is checked this way outside tier-1
+    assert _first_crossing(z24_chain, 123, None, ITER_CAP) == Z24_CROSSINGS[123] == 493
+
+
 # C4 x C4 is the 4-cube, whose 384 automorphisms join these pairs of the
 # 22 orbits of the torus's 128; each pair's lumped walks are equal
 Z24_SHARED = {(4, 8), (39, 44), (41, 46), (45, 61), (123, 240), (125, 249)}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -440,6 +441,30 @@ def test_explicit_flow_sum_matches_per_image_weights(box_corpus, box22, domino_s
     for s in shift_order(2):
         assert flow_out_total(chi, cut, approx, s).explicit == _explicit_flow(chi, cut, approx, s) == 1
     assert flow_sets(cut, approx, -2)[1] != 0
+
+
+def test_flow_check_bounds_reduce_to_the_layer_and_the_parity_gap(box_corpus, box22):
+    # the exact approximation has W^O = ∂_ext W^E (P5), so Q^E, Q^O, U and C
+    # are empty: each (χ, s) row that flow-check --d 2 --n 2 writes to
+    # bounds.csv comes from a good-triple search on an empty graph and reads
+    # ν = 2^−|W^s| and B² = (3/4)^(|W^O| − |W^E|)
+    v0 = box22.index((0, 0))
+    pairs = 0
+    for chi in box_corpus:
+        cut = build_box_cutset(chi, v0)
+        approx = exact_approximation(cut)
+        w_even, w_odd = cut.region_parts()
+        for s in shift_order(2):
+            total = flow_out_total(chi, cut, approx, s, explicit_cap=math.inf)
+            layer, c_set, _ = total.sets
+            ctx = q_sets(approx, s, total.image)
+            assert (ctx.q_even, ctx.q_odd, ctx.u, c_set) == (0, 0, 0, 0)
+            rep = bound_report(chi, total.image, cut, approx, s)
+            assert (rep.status, rep.k0_size, rep.l0_size) == ("ok", 0, 0)
+            assert rep.nu == Fraction(1, 2 ** layer.bit_count())
+            assert rep.b_squared == Fraction(3, 4) ** (w_odd.bit_count() - w_even.bit_count())
+            pairs += 1
+    assert pairs == 128
 
 
 def test_explicit_flow_sum_catches_a_corrupted_repair(domino_setup, monkeypatch):
