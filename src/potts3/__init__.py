@@ -16,13 +16,10 @@ from .lattice import (
     torus,
 )
 from .coloring import (
-    BoundaryCondition,
     Coloring,
-    Composite,
     DEFAULT_RHO,
     ImbalanceClass,
     OddBoundaryZero,
-    PinnedVertex,
     classify,
     imbalance,
     is_proper,
@@ -34,7 +31,6 @@ from .coloring import (
 from .cutset import (
     Cutset,
     FamilyResult,
-    SeedParity,
     build_box_cutset,
     select_family,
     verify_properties,

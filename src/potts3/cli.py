@@ -287,7 +287,7 @@ def cmd_cutsets(args) -> Outcome:
                 "W": cut.region.bit_count(),
                 "W_E": w_even.bit_count(),
                 "W_O": w_odd.bit_count(),
-                "parity": cut.seed_parity.value,
+                "parity": cut.seed_parity.name.lower(),
                 "interior_size": cut.interior.bit_count(),
                 "properties": props,
             }, sort_keys=True) + "\n")

@@ -1,4 +1,7 @@
-"""Colorings χ: V → {0..q−1}, properness, boundary conditions, imbalance.
+"""Colorings χ: V → {0..q−1}, properness, the boundary condition, imbalance.
+
+The one boundary condition, ``OddBoundaryZero``, pins color 0 on a box's odd
+internal boundary and optionally at a centre v₀; a torus takes none.
 
 The zero set I(χ) = χ^{−1}(0) is the order-parameter carrier: its even/odd
 split classifies colorings into Balanced / EvenHeavy / OddHeavy at threshold
@@ -43,9 +46,6 @@ class Coloring:
         self.lattice = lattice
         self.q = q
         self.colors = colors
-
-    def __getitem__(self, v: int) -> int:
-        return self.colors[v]
 
     def __eq__(self, other):
         return (
@@ -124,63 +124,40 @@ def classify(chi: Coloring, rho: Fraction = DEFAULT_RHO) -> ImbalanceClass:
     return imbalance_class(imbalance(chi), chi.lattice.nv, rho)
 
 
-# -- boundary conditions -----------------------------------------------------
+# -- the boundary condition --------------------------------------------------
 
 
-class BoundaryCondition:
-    """Base: a condition reduces to a pin map vertex index → color."""
+@dataclass(frozen=True)
+class OddBoundaryZero:
+    """χ ≡ 0 on ∂_int Λ ∩ O, and χ(center) = 0 when a centre is given; box
+    lattices only."""
+
+    center: tuple[int, ...] | None = None
 
     def pins(self, lat: Lattice) -> dict[int, int]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class OddBoundaryZero(BoundaryCondition):
-    """χ ≡ 0 on ∂_int Λ ∩ O; box lattices only."""
-
-    def pins(self, lat):
+        """The pin map vertex index → color; every pin is 0."""
         if lat.kind is not LatticeKind.BOX:
             raise BoundaryConditionError("OddBoundaryZero references ∂_int Λ of a box")
-        return {v: 0 for v in iter_bits(lat.boundary_mask & lat.odd_mask)}
+        pins = {v: 0 for v in iter_bits(lat.boundary_mask & lat.odd_mask)}
+        if self.center is not None:
+            pins[lat.index(self.center)] = 0
+        return pins
 
 
-@dataclass(frozen=True)
-class PinnedVertex(BoundaryCondition):
-    vertex: tuple[int, ...]
-    color: int = 0
-
-    def pins(self, lat):
-        return {lat.index(self.vertex): self.color}
-
-
-@dataclass(frozen=True)
-class Composite(BoundaryCondition):
-    parts: tuple[BoundaryCondition, ...]
-
-    def pins(self, lat):
-        merged: dict[int, int] = {}
-        for part in self.parts:
-            for v, c in part.pins(lat).items():
-                if merged.setdefault(v, c) != c:
-                    raise BoundaryConditionError(
-                        f"conflicting pins for vertex {v}: {merged[v]} vs {c}"
-                    )
-        return merged
-
-
-def odd_boundary_pinned(v0: tuple[int, ...]) -> Composite:
-    """The C_3^O(v₀) condition: odd boundary ≡ 0 and χ(v₀) = 0."""
-    return Composite((OddBoundaryZero(), PinnedVertex(v0, 0)))
+def odd_boundary_pinned(v0) -> OddBoundaryZero:
+    """The C_3^O(v₀) condition: odd boundary ≡ 0 and χ(v₀) = 0.  A tuple
+    centre, so ``_pin_items``' cache can hash it."""
+    return OddBoundaryZero(tuple(v0))
 
 
 @lru_cache(maxsize=64)
-def _pin_items(bc: BoundaryCondition, lat: Lattice) -> tuple[tuple[int, int], ...]:
+def _pin_items(bc: OddBoundaryZero, lat: Lattice) -> tuple[tuple[int, int], ...]:
     """``bc``'s pins on ``lat`` as (vertex, color) pairs, built once per
     (condition, lattice); a tuple, so no caller can change the shared map."""
     return tuple(bc.pins(lat).items())
 
 
-def satisfies_bc(chi: Coloring, bc: BoundaryCondition | None) -> bool:
+def satisfies_bc(chi: Coloring, bc: OddBoundaryZero | None) -> bool:
     if bc is None:
         return True
     colors = chi.colors

@@ -10,13 +10,13 @@ C of its complement) pair yields a cutset, seeded at parity P ∈ {E, O}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .coloring import Coloring, satisfies_bc, zero_set, OddBoundaryZero
 from .errors import ColoringError, PropertyViolation
 from .lattice import (
     Lattice,
     LatticeKind,
+    Parity,
     closure,
     connected_components,
     edge_boundary,
@@ -29,11 +29,6 @@ from .lattice import (
 LARGE_D_THRESHOLD = 10
 
 
-class SeedParity(Enum):
-    EVEN_SEEDED = "even"
-    ODD_SEEDED = "odd"
-
-
 @dataclass(frozen=True)
 class Cutset:
     """A minimal edge cutset γ = ∇(C) with its region W = complement(C)."""
@@ -43,7 +38,7 @@ class Cutset:
     complement: int        # C
     edges: tuple[tuple[int, int], ...]
     witness: int           # the seed component R
-    seed_parity: SeedParity
+    seed_parity: Parity
     interior: int          # int γ (torus rule: smaller side, ties to W)
 
     @property
@@ -61,11 +56,11 @@ def _check_q3(chi: Coloring) -> None:
         raise ColoringError("cutset machinery requires q = 3")
 
 
-def _seed_mask(lat: Lattice, parity: SeedParity) -> int:
-    return lat.even_mask if parity is SeedParity.EVEN_SEEDED else lat.odd_mask
+def _seed_mask(lat: Lattice, parity: Parity) -> int:
+    return lat.even_mask if parity is Parity.EVEN else lat.odd_mask
 
 
-def _cutset(lat: Lattice, comp_c: int, region_r: int, parity: SeedParity) -> Cutset:
+def _cutset(lat: Lattice, comp_c: int, region_r: int, parity: Parity) -> Cutset:
     """γ = ∇(C) with W = complement(C).  int γ is W on boxes; on the torus
     it is the smaller side, ties to W (so W for every family member)."""
     region_w = lat.full_mask & ~comp_c
@@ -92,7 +87,7 @@ def build_box_cutset(chi: Coloring, v0: int) -> Cutset:
     if not (lat.even_mask >> v0) & 1 or (lat.boundary_mask >> v0) & 1:
         raise ColoringError("v0 must be an interior even vertex")
     zeros = zero_set(chi)   # refuses an improper coloring
-    if not satisfies_bc(chi, OddBoundaryZero()) or chi.colors[v0] != 0:
+    if not satisfies_bc(chi, OddBoundaryZero(lat.coords[v0])):
         raise ColoringError("coloring is not in C_3^O(v0)")
 
     seed_plus = closure(lat, zeros & lat.even_mask)
@@ -105,18 +100,18 @@ def build_box_cutset(chi: Coloring, v0: int) -> Cutset:
         raise PropertyViolation(
             "box boundary not contained in a single component of the complement"
         )
-    return _cutset(lat, boundary_comps[0], region_r, SeedParity.EVEN_SEEDED)
+    return _cutset(lat, boundary_comps[0], region_r, Parity.EVEN)
 
 
 @dataclass(frozen=True)
 class FamilyResult:
     """Γ(χ) when the greedy rule succeeds; branch None marks NotEvenClass."""
 
-    branch: SeedParity | None
+    branch: Parity | None
     cutsets: tuple[Cutset, ...]
 
 
-def _greedy_family(lat, zeros, parity: SeedParity):
+def _greedy_family(lat, zeros, parity: Parity):
     seed_zeros = zeros & _seed_mask(lat, parity)
     family = []
     covered = 0
@@ -146,7 +141,7 @@ def select_family(chi: Coloring) -> FamilyResult:
     if lat.kind is not LatticeKind.TORUS:
         raise ColoringError("cutset families live on tori")
     zeros = zero_set(chi)   # refuses an improper coloring
-    for parity in (SeedParity.EVEN_SEEDED, SeedParity.ODD_SEEDED):
+    for parity in Parity:
         family = _greedy_family(lat, zeros, parity)
         if family is not None:
             return FamilyResult(parity, family)
@@ -196,7 +191,7 @@ def verify_properties(cut: Cutset, chi: Coloring, v0: int | None = None) -> Cuts
     lat = cut.lattice
     zeros = zero_set(chi)
     seed = _seed_mask(lat, cut.seed_parity)
-    other = lat.odd_mask if cut.seed_parity is SeedParity.EVEN_SEEDED else lat.even_mask
+    other = lat.full_mask & ~seed
     region = cut.region
     w_seed = region & seed     # W^E for even-seeded
     w_other = region & other   # W^O for even-seeded

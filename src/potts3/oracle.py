@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .coloring import (
-    BoundaryCondition,
     Coloring,
     DEFAULT_RHO,
     ImbalanceClass,
@@ -74,20 +73,10 @@ def _assignments(nv, neighbors, q, pins, cap=None):
     yield from rec(0)
 
 
-def _pins(lat: Lattice, q: int, bc: BoundaryCondition | None) -> dict[int, int]:
-    """The pin map of ``bc`` on ``lat``; a pin color outside [0, q) is a
-    ColoringError."""
-    pins = bc.pins(lat) if bc is not None else {}
-    for c in pins.values():
-        if not 0 <= c < q:
-            raise ColoringError(f"pin color {c} out of range for q={q}")
-    return pins
-
-
 def enumerate_colorings(
     lat: Lattice,
     q: int = 3,
-    bc: BoundaryCondition | None = None,
+    bc: OddBoundaryZero | None = None,
     cap: int = ENUM_CAP,
 ):
     """Stream exactly the proper colorings satisfying ``bc``, each once, in
@@ -100,7 +89,7 @@ def enumerate_colorings(
         raise CapExceeded(f"{count} colorings exceed the cap {cap}")
     if not count:
         return
-    for colors in _assignments(lat.nv, lat.neighbors, q, _pins(lat, q, bc)):
+    for colors in _assignments(lat.nv, lat.neighbors, q, bc.pins(lat) if bc else {}):
         yield Coloring(lat, colors, q)
 
 
@@ -129,9 +118,9 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
     cap) or when a key of q^(frontier+1) could pass 2^63.
 
     ``seeds`` = (colors, weights) stacks runs: each (s, m) row colors sites
-    0…m−1, kept in place of ``keep``, and starts a state of its weight,
-    unless a pin next to it has its color.  Its seed key (its colors, site 0
-    on top) is the low m digits of its states, so seeds never merge; ``cap``
+    0…m−1, kept in place of ``keep``, and starts a state of its weight; the
+    seeds take no pins.  Its seed key (its colors, site 0 on top) is the low
+    m digits of its states, so seeds never merge; ``cap``
     bounds each seed: when a site's merged states pass it, the stack splits
     in two by seed key and each half, the low one first, redoes that site;
     only a lone seed refuses.  ``stats`` (a dict) gets ``peak_states``,
@@ -140,16 +129,14 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
     peak = 1 if stats is None else stats.setdefault("peak_states", 1)
     colors, weights = seeds if seeds is not None else (np.zeros((1, 0), np.uint8), np.ones(1, int))
     m = colors.shape[1]
-    live = np.all([np.ones(len(colors), dtype=bool), *(
-        colors[:, v] != c for u, c in pins.items() for v in neighbors[u] if v < m)], axis=0)
-    if not live.any() or any(pins.get(u) == c for v, c in pins.items() for u in neighbors[v]):
+    if not len(colors) or any(pins.get(u) == c for v, c in pins.items() for u in neighbors[v]):
         return {}
-    colors, keep = colors[live], range(m) if m else keep
+    keep = range(m) if m else keep
     kept = set(keep)
     last = [nv if v in kept else max(nbrs, default=-1) for v, nbrs in enumerate(neighbors)]
     # the seeds' colors are the first m digits, site 0 on top
     keys = colors.astype(np.int64) @ q ** np.arange(m - 1, -1, -1)
-    counts, todo = {}, [(m, list(range(m - 1, -1, -1)), keys, weights[live])]
+    counts, todo = {}, [(m, list(range(m - 1, -1, -1)), keys, weights)]
     # the kept sites' final digits: in placement order, the seeds' reversed
     at = q ** np.array([sorted(kept, reverse=m > 0).index(u) for u in keep], dtype=np.int64)
     while todo:
@@ -219,24 +206,24 @@ def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP, stats=None)
     past ``state_cap`` frontier states; ``stats`` (a dict) gets the most
     states held against the cap, a slab listing or one seed's frontier.
 
-    A box is one run.  A torus lists the colorings of its first slab x₀ = 0
-    (at most ``state_cap``, so a slab past the cap refuses without counting)
-    and seeds one stacked run with them.  With no other pins and d > 1, one
-    seed per orbit under the slab torus Z^{d−1}_n's automorphisms × color
+    A box is one run, with ``bc``'s pins.  A torus takes no pins (``bc`` on
+    it is a BoundaryConditionError); it lists the colorings of its first slab
+    x₀ = 0 (at most ``state_cap``, so a slab past the cap refuses without
+    counting) and seeds one stacked run with them.  With d > 1, one seed per
+    orbit under the slab torus Z^{d−1}_n's automorphisms × color
     relabelings, whose indices the slab shares, stands for its orbit with
     the orbit's size as weight: each such symmetry extends to Z^d_n fixing
     the slab, so the orbit's colorings count alike.  Its orbit keys need
     q^(n^{d−1}) < 2^63, or it refuses, as its n^{d−1} seeded sites would.
     """
-    pins = _pins(lat, q, bc)
+    pins = bc.pins(lat) if bc else {}
     m = lat.nv // lat.n if lat.kind is LatticeKind.TORUS else 0
     slab = [[u for u in lat.neighbors[v] if u < m] for v in range(m)]
-    symmetric = not pins and lat.d > 1 and m > 0
+    symmetric = lat.d > 1 and m > 0
     if symmetric and q ** m >= 2 ** 63:
         raise CapExceeded(f"orbit keys of a {m}-site slab need q^{m} < 2^63, got q={q}")
     try:
-        starts = list(_assignments(m, slab, q, {v: c for v, c in pins.items() if v < m},
-                                   cap=state_cap)) if m else [b""]
+        starts = list(_assignments(m, slab, q, {}, cap=state_cap)) if m else [b""]
     except CapExceeded:
         raise CapExceeded(f"first-slab colorings exceed the state cap {state_cap}") from None
     first, weights = (_orbits(starts, build_lattice(LatticeSpec(lat.kind, lat.d - 1, lat.n)), q)

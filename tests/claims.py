@@ -19,9 +19,9 @@ from fractions import Fraction
 from potts3 import oracle
 from potts3.coloring import (DEFAULT_RHO, Coloring, ImbalanceClass, imbalance,
                              imbalance_class, zero_set)
-from potts3.cutset import Cutset, SeedParity, _check_q3, _cutset, _seed_mask, select_family
+from potts3.cutset import Cutset, _check_q3, _cutset, _seed_mask, select_family
 from potts3.errors import ColoringError, LatticeError
-from potts3.lattice import (Lattice, LatticeKind, closure, connected_components, iter_bits,
+from potts3.lattice import (Lattice, LatticeKind, Parity, closure, connected_components, iter_bits,
                             shift_order)
 from potts3.peierls import (Approximation, GoodTriple, _canonical_triple, _nu, _q_masks, _repair,
                             boundary_layer, membership_subset, q_sets)
@@ -54,7 +54,7 @@ class Profile:
                 raise ValueError(f"profile sizes must be positive, got {c}")
 
 
-def _torus_cutsets_for_parity(lat, zeros, parity: SeedParity) -> list[Cutset]:
+def _torus_cutsets_for_parity(lat, zeros, parity: Parity) -> list[Cutset]:
     seed_plus = closure(lat, zeros & _seed_mask(lat, parity))
     return [
         _cutset(lat, comp_c, region_r, parity)
@@ -70,8 +70,8 @@ def build_torus_cutsets(chi: Coloring) -> list[Cutset]:
     if lat.kind is not LatticeKind.TORUS:
         raise ColoringError("torus cutsets are built on tori")
     zeros = zero_set(chi)   # refuses an improper coloring
-    return _torus_cutsets_for_parity(lat, zeros, SeedParity.EVEN_SEEDED) + \
-        _torus_cutsets_for_parity(lat, zeros, SeedParity.ODD_SEEDED)
+    return _torus_cutsets_for_parity(lat, zeros, Parity.EVEN) + \
+        _torus_cutsets_for_parity(lat, zeros, Parity.ODD)
 
 
 def minimality_check(cut: Cutset) -> bool:
@@ -88,7 +88,7 @@ def profile_membership(chi: Coloring, profile: Profile) -> bool:
     v_i ∈ (int γ)^E.
     """
     fam = select_family(chi)
-    if fam.branch is not SeedParity.EVEN_SEEDED:
+    if fam.branch is not Parity.EVEN:
         raise NotEvenClassError("profile membership is defined on the even class")
     lat = chi.lattice
     candidates: list[list[int]] = []
@@ -179,7 +179,7 @@ def select_direction(cut: Cutset, approx: Approximation) -> DirectionChoice:
     label the choice.
     """
     lat = cut.lattice
-    if cut.seed_parity is not SeedParity.EVEN_SEEDED:
+    if cut.seed_parity is not Parity.EVEN:
         raise ColoringError("direction selection is defined for even-seeded cutsets")
     w_even = cut.region & lat.even_mask
     w_odd = cut.region & lat.odd_mask

@@ -147,7 +147,7 @@ def test_criterion_04_cutset_properties(box_corpora, z24_system):
         if fam.branch is None:
             branches["none"] += 1
             continue
-        branches[fam.branch.value] += 1
+        branches[fam.branch.name.lower()] += 1
         for cut in fam.cutsets:
             rep = verify_properties(cut, chi)
             n_cuts += 1

@@ -107,6 +107,7 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     ["sample", "--rho", "1"],
     ["torpid-demo", "--rho", "7"],
     ["entropy", "--d", "3", "--sizes", "1,2,3"],
+    ["enumerate", "--kind", "torus", "--odd-boundary-zero"],
 ])
 def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2

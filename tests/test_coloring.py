@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,19 +10,19 @@ from potts3 import (
     ImbalanceClass,
     OddBoundaryZero,
     Parity,
-    PinnedVertex,
     box,
     classify,
     enumerate_colorings,
     imbalance,
     is_proper,
+    odd_boundary_pinned,
     phase_coloring,
     satisfies_bc,
     torus,
     zero_set,
 )
 from potts3.coloring import zero_counts
-from potts3.errors import BoundaryConditionError, ColoringError
+from potts3.errors import BoundaryConditionError, ColoringError, LatticeError
 from potts3.lattice import iter_bits
 
 from claims import mod3_coloring
@@ -119,11 +120,36 @@ def test_satisfies_bc_examples():
     b = box(2, 1)
     chi = phase_coloring(b, Parity.ODD)   # 0 on odd, 1 on even
     assert satisfies_bc(chi, OddBoundaryZero())
-    assert not satisfies_bc(chi, PinnedVertex((0, 0), 0))
+    assert not satisfies_bc(chi, odd_boundary_pinned((0, 0)))
     m3 = mod3_coloring(b)
     assert not satisfies_bc(m3, OddBoundaryZero())
     with pytest.raises(BoundaryConditionError):
         satisfies_bc(phase_coloring(torus(2, 4)), OddBoundaryZero())
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in (1, 2)])
+def test_odd_boundary_zero_pins(d, n):
+    # 0 on every odd vertex with a coordinate at ±n, and at the centre if any
+    lat = box(d, n)
+    points = list(itertools.product(range(-n, n + 1), repeat=d))
+    odd_boundary = {lat.index(x): 0 for x in points if n in map(abs, x) and sum(x) % 2}
+    assert OddBoundaryZero().pins(lat) == odd_boundary
+    for center in points:
+        assert OddBoundaryZero(center).pins(lat) == odd_boundary | {lat.index(center): 0}
+    with pytest.raises(LatticeError):
+        OddBoundaryZero((n + 1,) + (0,) * (d - 1)).pins(lat)
+
+
+def test_odd_boundary_zero_centre_and_torus():
+    b = box(2, 1)
+    chi = phase_coloring(b, Parity.EVEN)   # 0 on even, 1 on odd
+    # a list centre becomes a tuple, which the pin-map cache can hash
+    assert odd_boundary_pinned([0, 0]) == OddBoundaryZero((0, 0))
+    assert not satisfies_bc(chi, odd_boundary_pinned([0, 0]))
+    assert satisfies_bc(phase_coloring(b, Parity.ODD), odd_boundary_pinned([1, 0]))
+    for bc in (OddBoundaryZero(), odd_boundary_pinned((0, 0))):
+        with pytest.raises(BoundaryConditionError):
+            bc.pins(torus(2, 4))
 
 
 def test_satisfies_bc_builds_each_pin_map_once(monkeypatch):

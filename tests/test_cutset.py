@@ -6,7 +6,6 @@ from potts3 import (
     Coloring,
     Cutset,
     Parity,
-    SeedParity,
     build_box_cutset,
     phase_coloring,
     select_family,
@@ -85,7 +84,7 @@ def test_minimality_check_rejects_a_cut_with_a_disconnected_side():
         region = t.full_mask & ~comp
         return Cutset(lattice=t, region=region, complement=comp,
                       edges=tuple(edge_boundary(t, comp)), witness=region,
-                      seed_parity=SeedParity.EVEN_SEEDED, interior=comp)
+                      seed_parity=Parity.EVEN, interior=comp)
 
     split = cut_of([(0, 0), (2, 2)])
     assert split.size == 8
@@ -117,7 +116,7 @@ def test_phase_coloring_family_is_odd_branch_empty():
     cuts = build_torus_cutsets(chi)
     assert cuts == []  # (I^E)^+ = V leaves no complement component
     fam = select_family(chi)
-    assert fam.branch is SeedParity.ODD_SEEDED
+    assert fam.branch is Parity.ODD
     assert fam.cutsets == ()
 
 
@@ -125,7 +124,7 @@ def test_single_even_zero_torus_cutset():
     t = torus(2, 4)
     chi = _torus_coloring_with_even_zeros(t, [(0, 0)])
     cuts = build_torus_cutsets(chi)
-    even = [c for c in cuts if c.seed_parity is SeedParity.EVEN_SEEDED]
+    even = [c for c in cuts if c.seed_parity is Parity.EVEN]
     assert len(even) == 1
     cut = even[0]
     assert cut.witness.bit_count() == 5
@@ -140,7 +139,7 @@ def test_empty_zero_set_family_vacuous():
     t = torus(2, 4)
     chi = Coloring(t, bytes((1 if p == 0 else 2) for p in t.parities), 3)
     fam = select_family(chi)
-    assert fam.branch is SeedParity.EVEN_SEEDED
+    assert fam.branch is Parity.EVEN
     assert fam.cutsets == ()
 
 
@@ -148,7 +147,7 @@ def test_family_two_distant_zeros_z26():
     t = torus(2, 6)
     chi = _torus_coloring_with_even_zeros(t, [(0, 0), (3, 3)])
     fam = select_family(chi)
-    assert fam.branch is SeedParity.EVEN_SEEDED
+    assert fam.branch is Parity.EVEN
     assert len(fam.cutsets) == 2
     interiors = [c.interior for c in fam.cutsets]
     assert interiors[0] & interiors[1] == 0
@@ -170,7 +169,7 @@ def test_family_properties_sampled(z24_states):
             rep = verify_properties(cut, chi)
             assert rep.all_hold(), chi.colors.hex()
             assert minimality_check(cut)
-            if cut.seed_parity is SeedParity.EVEN_SEEDED:
+            if cut.seed_parity is Parity.EVEN:
                 assert is_approximation(exact_approximation(cut), cut)
 
 
@@ -178,7 +177,7 @@ def test_profile_membership_cases():
     t = torus(2, 4)
     chi = _torus_coloring_with_even_zeros(t, [(0, 0)])
     fam = select_family(chi)
-    assert fam.branch is SeedParity.EVEN_SEEDED
+    assert fam.branch is Parity.EVEN
     cut = fam.cutsets[0]
     assert profile_membership(chi, Profile(()))
     v = t.index((0, 0))

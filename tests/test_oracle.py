@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from potts3 import (
-    Composite,
     OddBoundaryZero,
-    PinnedVertex,
     box,
     conductance_bound,
     count_colorings,
@@ -50,6 +48,8 @@ def test_ring_and_edge_counts():
     assert count_colorings(torus(2, 2)) == 18      # Q_2 is the same 4-cycle
     assert count_colorings(torus(1, 2)) == 6       # a single edge
     assert count_colorings(box(1, 1)) == 12        # path on 3 vertices
+    # no slab coloring leaves the stacked pass no seed
+    assert count_colorings(torus(2, 4), 1) == count_colorings(torus(1, 4), 0) == 0
 
 
 def test_general_q_enumeration():
@@ -302,11 +302,7 @@ def test_padded_boxes_count_exactly():
 
 
 @pytest.mark.parametrize("lat,q,bc", [
-    (torus(2, 4), 3, PinnedVertex((0, 1), 2)),
-    (torus(2, 4), 3, PinnedVertex((2, 3), 0)),
-    (torus(2, 4), 3, Composite((PinnedVertex((0, 0), 1), PinnedVertex((1, 0), 1)))),
     (torus(1, 4), 4, None),
-    (torus(1, 6), 4, PinnedVertex((3,), 3)),
     (torus(2, 2), 4, None),
     (torus(1, 6), 5, None),
 ], ids=repr)
@@ -425,32 +421,24 @@ def test_repeated_torus_counts_share_one_slab_lattice(monkeypatch):
     assert builds == [fresh]
 
 
-def test_torus_with_pins_runs_every_slab_start(monkeypatch):
-    runs = _stacked_seed_counts(monkeypatch)
-    assert count_colorings(torus(2, 4), 3, PinnedVertex((0, 0), 0)) == 2970 // 3
-    assert runs == [6]                   # one pass: 4-cycle colorings with site 0 at 0
-
-
-def _per_seed_count(lat, q, bc, state_cap):
+def _per_seed_count(lat, q, state_cap):
     """Reference for the stacked pass: one pinned ``_frontier_count`` run per
-    slab coloring (per slab orbit with no pins and d > 1) in listing order,
-    summed with the orbit weights, so the first run past the cap refuses.
-    Returns the total and the most states the listing or one run held."""
-    pins = bc.pins(lat) if bc is not None else {}
+    slab coloring (per slab orbit with d > 1) in listing order, summed with
+    the orbit weights, so the first run past the cap refuses.  Returns the
+    total and the most states the listing or one run held."""
     slab = _slab_adjacency(lat)
     try:
-        starts = list(_assignments(len(slab), slab, q,
-                                   {v: c for v, c in pins.items() if v < len(slab)}, state_cap))
+        starts = list(_assignments(len(slab), slab, q, {}, state_cap))
     except CapExceeded:
         raise CapExceeded(f"first-slab colorings exceed the state cap {state_cap}") from None
     weights, peak, total = [1] * len(starts), len(starts), 0
-    if not pins and lat.d > 1:
+    if lat.d > 1:
         first, weights = oracle._orbits(starts, torus(lat.d - 1, lat.n), q)
         starts = [starts[i] for i in first]
     for start, weight in zip(starts, weights):
         stats = {}
         total += int(weight) * sum(_frontier_count(
-            lat.nv, lat.neighbors, q, {**pins, **dict(enumerate(start))}, {}, state_cap,
+            lat.nv, lat.neighbors, q, dict(enumerate(start)), {}, state_cap,
             stats=stats).values())
         peak = max(peak, stats["peak_states"])
     return total, peak
@@ -458,12 +446,10 @@ def _per_seed_count(lat, q, bc, state_cap):
 
 @st.composite
 def _small_tori(draw):
-    """A small even torus, q ∈ {3, 4} and maybe one pinned vertex."""
+    """A small even torus and q ∈ {3, 4}."""
     d, q = draw(st.integers(1, 3)), draw(st.sampled_from([3, 4]))
     sizes = {1: [2, 4, 6, 8, 10], 2: [2, 4, 6] if q == 3 else [2, 4], 3: [2]}[d]
-    n = draw(st.sampled_from(sizes))
-    pin = st.builds(PinnedVertex, st.tuples(*[st.integers(0, n - 1)] * d), st.integers(0, q - 1))
-    return torus(d, n), q, draw(st.none() | pin)
+    return torus(d, draw(st.sampled_from(sizes))), q
 
 
 def _answer(count, *args):
@@ -476,20 +462,19 @@ def _answer(count, *args):
 @settings(max_examples=80, deadline=None)
 @given(case=_small_tori(), data=st.data())
 def test_stacked_torus_count_matches_per_seed_runs(case, data):
-    lat, q, bc = case
-    total, peak = _per_seed_count(lat, q, bc, None)
+    lat, q = case
+    total, peak = _per_seed_count(lat, q, None)
     # caps near the largest seed's frontier: a stack of several seeds passes
     # those above it and splits, and a seed refuses those below it
     cap = data.draw(st.just(STATE_CAP) | st.integers(1, 4 * peak) | st.integers(peak // 2, peak))
     stats = {}
-    got = _answer(lambda: (count_colorings(lat, q, bc, state_cap=cap, stats=stats),
+    got = _answer(lambda: (count_colorings(lat, q, state_cap=cap, stats=stats),
                            stats["peak_states"]))
-    assert got == _answer(_per_seed_count, lat, q, bc, cap)
+    assert got == _answer(_per_seed_count, lat, q, cap)
     assert cap < peak or got == (total, peak)
     if total <= 5000:
-        pins = bc.pins(lat) if bc is not None else {}
-        assert [c.colors for c in enumerate_colorings(lat, q, bc)] == \
-            list(_assignments(lat.nv, lat.neighbors, q, pins))
+        assert [c.colors for c in enumerate_colorings(lat, q)] == \
+            list(_assignments(lat.nv, lat.neighbors, q, {}))
 
 
 def test_state_cap_bounds_each_slab_seed():
@@ -502,14 +487,6 @@ def test_state_cap_bounds_each_slab_seed():
     with pytest.raises(CapExceeded, match="^frontier of 319 states exceeds the state cap 300$"):
         count_colorings(torus(2, 8), 3, state_cap=300)
     assert count_colorings(torus(2, 8), 3, state_cap=400) == 2_901_094_068_042
-    # a slab seed next to a pin of its own color counts 0 and is dropped
-    # before it can refuse: the first seeds to pass a cap of 100 (the first
-    # with 103 states) color site (0, 2) with the pin's 0, so the count
-    # refuses on the first seed past the cap that does not, with 102
-    pin = PinnedVertex((5, 2), 0)
-    with pytest.raises(CapExceeded, match="^frontier of 102 states exceeds the state cap 100$"):
-        count_colorings(torus(2, 6), 3, pin, state_cap=100)
-    assert count_colorings(torus(2, 6), 3, pin, state_cap=110) == 5_482_800
 
 
 def test_peak_states_of_boxes_and_tori():
@@ -531,14 +508,6 @@ def test_torus_orbit_keys_past_int64_refuse():
     # 2^64 keys for the 64-site slab: a cap refusal (exit 3), not a ValueError
     with pytest.raises(CapExceeded, match="2\\^63"):
         count_colorings(torus(2, 64), 2)
-
-
-def test_pin_outside_color_range_is_rejected():
-    for lat in (box(1, 1), torus(1, 4)):
-        with pytest.raises(ColoringError):
-            count_colorings(lat, 3, PinnedVertex((0,), 5))
-        with pytest.raises(ColoringError):
-            list(enumerate_colorings(lat, 3, PinnedVertex((0,), -1)))
 
 
 def _reference_moves(states, lat, q):

@@ -30,7 +30,6 @@ from potts3 import (
     torus,
     zero_set,
 )
-from potts3.cutset import SeedParity
 from potts3.dynamics import CounterRng
 from potts3 import peierls
 from potts3.errors import ColoringError, PropertyViolation
@@ -66,7 +65,7 @@ def star_setup():
     t = torus(2, 4)
     chi = _torus_zero_coloring(t, [(0, 0)])
     fam = select_family(chi)
-    assert fam.branch is SeedParity.EVEN_SEEDED
+    assert fam.branch is Parity.EVEN
     return t, chi, fam.cutsets[0]
 
 
@@ -78,7 +77,7 @@ def domino_setup():
     t = torus(2, 6)
     chi = _torus_zero_coloring(t, [(0, 0), (2, 0)])
     fam = select_family(chi)
-    assert fam.branch is SeedParity.EVEN_SEEDED
+    assert fam.branch is Parity.EVEN
     assert len(fam.cutsets) == 1
     cut = fam.cutsets[0]
     extra = t.index((1, 1))
@@ -220,7 +219,7 @@ def test_select_direction_sweep_over_torus_families(z24_states):
     for chi in z24_states[::23]:
         fam = select_family(chi)
         for cut in fam.cutsets:
-            if cut.seed_parity is not SeedParity.EVEN_SEEDED:
+            if cut.seed_parity is not Parity.EVEN:
                 continue
             t = cut.lattice
             gap = (cut.region & t.odd_mask).bit_count() - (cut.region & t.even_mask).bit_count()
