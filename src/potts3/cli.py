@@ -288,7 +288,7 @@ def cmd_cutsets(args) -> Outcome:
                 "W_E": w_even.bit_count(),
                 "W_O": w_odd.bit_count(),
                 "parity": cut.seed_parity.name.lower(),
-                "interior_size": cut.interior.bit_count(),
+                "interior_size": cut.region.bit_count(),   # int γ = W
                 "properties": props,
             }, sort_keys=True) + "\n")
     return Outcome({
@@ -356,9 +356,9 @@ def cmd_sample(args) -> Outcome:
 
 
 def _torpid_chain(task):
-    """Worker: run one chain from the even phase; results merge by stream
-    index.  ``build_lattice`` builds the lattice once per process, and
-    forked workers inherit it."""
+    """Worker: run one chain from the even phase; ``pool.map`` and the
+    serial loop both return the results in stream order.  ``build_lattice``
+    builds the lattice once per process, and forked workers inherit it."""
     d, n, seed, stream, sweeps, rho = task
     lat = build_lattice(LatticeSpec(LatticeKind.TORUS, d, n))
     spec = ChainSpec(q=3, seed=seed, stream=stream)
@@ -389,7 +389,6 @@ def cmd_torpid_demo(args) -> Outcome:
             results = pool.map(_torpid_chain, tasks)
     else:
         results = [_torpid_chain(t) for t in tasks]
-    results.sort(key=lambda r: r[0])  # by stream index: merge order-independent of scheduling
     csvs = {}
     finals = []
     telemetry = []

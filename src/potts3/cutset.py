@@ -5,6 +5,9 @@ Construction (box): I = χ^{−1}(0); R = component of (I^E)^+ containing v₀;
 C = component of the complement containing the box boundary; γ = ∇(C),
 W = complement of C.  On the torus every (component R of (I^P)^+, component
 C of its complement) pair yields a cutset, seeded at parity P ∈ {E, O}.
+A cutset is kept as its region W, its seed parity and its size |γ|: R is
+used only while building, and int γ = W for a box cutset by construction
+and for a family member because the greedy rule refuses |W| > |V∖W|.
 """
 
 from __future__ import annotations
@@ -25,25 +28,14 @@ from .lattice import (
     iter_bits,
 )
 
-# |γ| ≥ d² is a large-d statement; below this dimension it is reported only.
-LARGE_D_THRESHOLD = 10
-
-
 @dataclass(frozen=True)
 class Cutset:
-    """A minimal edge cutset γ = ∇(C) with its region W = complement(C)."""
+    """A minimal edge cutset γ = ∇(C) by its region W = complement(C)."""
 
     lattice: Lattice
     region: int            # W
-    complement: int        # C
-    edges: tuple[tuple[int, int], ...]
-    witness: int           # the seed component R
     seed_parity: Parity
-    interior: int          # int γ (torus rule: smaller side, ties to W)
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
+    size: int              # |γ|
 
     def region_parts(self) -> tuple[int, int]:
         """(W^E, W^O)."""
@@ -60,20 +52,9 @@ def _seed_mask(lat: Lattice, parity: Parity) -> int:
     return lat.even_mask if parity is Parity.EVEN else lat.odd_mask
 
 
-def _cutset(lat: Lattice, comp_c: int, region_r: int, parity: Parity) -> Cutset:
-    """γ = ∇(C) with W = complement(C).  int γ is W on boxes; on the torus
-    it is the smaller side, ties to W (so W for every family member)."""
-    region_w = lat.full_mask & ~comp_c
-    w_inside = lat.kind is LatticeKind.BOX or region_w.bit_count() <= comp_c.bit_count()
-    return Cutset(
-        lattice=lat,
-        region=region_w,
-        complement=comp_c,
-        edges=tuple(edge_boundary(lat, comp_c)),
-        witness=region_r,
-        seed_parity=parity,
-        interior=region_w if w_inside else comp_c,
-    )
+def _cutset(lat: Lattice, comp_c: int, parity: Parity) -> Cutset:
+    """γ = ∇(C) with W = complement(C); |γ| is counted edge by edge."""
+    return Cutset(lat, lat.full_mask & ~comp_c, parity, len(edge_boundary(lat, comp_c)))
 
 
 def build_box_cutset(chi: Coloring, v0: int) -> Cutset:
@@ -100,7 +81,7 @@ def build_box_cutset(chi: Coloring, v0: int) -> Cutset:
         raise PropertyViolation(
             "box boundary not contained in a single component of the complement"
         )
-    return _cutset(lat, boundary_comps[0], region_r, Parity.EVEN)
+    return _cutset(lat, boundary_comps[0], Parity.EVEN)
 
 
 @dataclass(frozen=True)
@@ -128,7 +109,7 @@ def _greedy_family(lat, zeros, parity: Parity):
         if covered & region_w:
             return None  # interiors must be pairwise disjoint
         covered |= region_w
-        family.append(_cutset(lat, comp_c, region_r, parity))
+        family.append(_cutset(lat, comp_c, parity))
     if seed_zeros & ~covered:
         return None  # family must cover I^P
     return tuple(family)
@@ -162,8 +143,6 @@ class CutsetReport:
     p5_region_closure: bool
     size_identity: bool            # |γ| = 2d(|W^O| − |W^E|), parity-oriented
     p8a_isoperimetry: bool | None  # |γ| ≥ |W|^{1−1/d} where applicable
-    p8b_d_squared: bool            # |γ| ≥ d² (reported; asserted only at large d)
-    p8b_asserted: bool
     two_layer: bool                # χ constant 1/2 per side on each moat component
 
     def all_hold(self) -> bool:
@@ -177,8 +156,6 @@ class CutsetReport:
             self.p8a_isoperimetry,
             self.two_layer,
         ]
-        if self.p8b_asserted:
-            vals.append(self.p8b_d_squared)
         return all(v for v in vals if v is not None)
 
 
@@ -222,7 +199,6 @@ def verify_properties(cut: Cutset, chi: Coloring, v0: int | None = None) -> Cuts
         p8a = None
     else:
         p8a = size ** lat.d >= wsz ** (lat.d - 1)
-    p8b = size >= lat.d ** 2
 
     moat = int_b | ext_b
     two_layer = True
@@ -244,7 +220,5 @@ def verify_properties(cut: Cutset, chi: Coloring, v0: int | None = None) -> Cuts
         p5_region_closure=p5,
         size_identity=identity,
         p8a_isoperimetry=p8a,
-        p8b_d_squared=p8b,
-        p8b_asserted=lat.d >= LARGE_D_THRESHOLD,
         two_layer=two_layer,
     )

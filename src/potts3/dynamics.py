@@ -108,10 +108,7 @@ class TrajectoryPoint(NamedTuple):
 
 @dataclass
 class Trajectory:
-    spec: ChainSpec
     chi0_id: str
-    thin: int
-    rho: Fraction
     points: list[TrajectoryPoint] = field(default_factory=list)
     accepted: int = 0    # proposals that recolored a site
 
@@ -167,13 +164,7 @@ def run_chain(
     parities = lat.parities
     zeros = list(zero_counts(chi0))   # [|I∩E|, |I∩O|]
 
-    traj = Trajectory(
-        spec=spec,
-        chi0_id=chi0.colors.hex(),
-        thin=thin,
-        rho=rho,
-    )
-
+    traj = Trajectory(chi0.colors.hex())
     tags: dict[int, str] = {}     # class tag per imbalance seen in this chain
 
     def record(step):

@@ -44,8 +44,6 @@ def shannon_entropy(masses) -> float:
 
 @dataclass
 class TopoEntropyReport:
-    d: int
-    sizes: list[int]
     per_site: list[float]      # nats per site
     passes: list[list[float]]  # Aitken iterates, passes[0] = per_site
     estimate: float
@@ -120,8 +118,6 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
         passes.append(_aitken_pass(passes[-1]))
     spread = abs(passes[-1][-1] - passes[-2][-1]) if len(passes) >= 2 else math.inf
     return TopoEntropyReport(
-        d=d,
-        sizes=list(sizes),
         per_site=per_site,
         passes=passes,
         estimate=passes[-1][-1],
@@ -174,8 +170,6 @@ def extendable_colorings(n: int) -> ExtendableReport:
 
 @dataclass
 class RestrictionResult:
-    m: int
-    n: int
     ring_counts: dict[bytes, int]    # ring pattern of C_3(Λ_n) -> extension count N
     multiplicity: dict[bytes, int]   # ring pattern -> window colorings carrying it
     total: int                       # Σ multiplicity·N
@@ -219,8 +213,6 @@ def restriction_distribution(m: int, n: int) -> RestrictionResult:
     mult = grid_region_counts(inner, 3, keep=ring)
     ring_counts = {r: found.get(r, 0) for r in mult}
     return RestrictionResult(
-        m=m,
-        n=n,
         ring_counts=ring_counts,
         multiplicity=mult,
         total=sum(k * ring_counts[r] for r, k in mult.items()),

@@ -44,33 +44,37 @@ ITER_CAP = 100_000
 
 def _assignments(nv, neighbors, q, pins, cap=None):
     """Yield proper assignments as bytes, vertex-index order, colors
-    ascending (lexicographic output order).  Raises CapExceeded past cap."""
+    ascending (lexicographic output order).  Backtracks with an explicit
+    cursor, so the graph's size sets no recursion depth; in index order a
+    vertex's earlier neighbours are all placed, and only they are tested.
+    Raises CapExceeded past cap."""
+    earlier = [[u for u in nbrs if u < v] for v, nbrs in enumerate(neighbors)]
+    options = [(pins[v],) if v in pins else range(q) for v in range(nv)]
     colors = bytearray(nv)
-    assigned = [False] * nv
+    at = [0] * nv     # per vertex, the index in its options of the next color to try
     produced = 0
-
-    def rec(v):
-        nonlocal produced
+    v = 0
+    while v >= 0:
         if v == nv:
             produced += 1
             if cap is not None and produced > cap:
                 raise CapExceeded(f"enumeration exceeded cap {cap}; at least {cap + 1} exist")
             yield bytes(colors)
-            return
-        choices = (pins[v],) if v in pins else range(q)
-        for c in choices:
-            ok = True
-            for u in neighbors[v]:
-                if assigned[u] and colors[u] == c:
-                    ok = False
+            v -= 1
+            continue
+        opts = options[v]
+        for i in range(at[v], len(opts)):
+            c = opts[i]
+            for u in earlier[v]:
+                if colors[u] == c:
                     break
-            if ok:
-                colors[v] = c
-                assigned[v] = True
-                yield from rec(v + 1)
-                assigned[v] = False
-
-    yield from rec(0)
+            else:
+                colors[v], at[v] = c, i + 1
+                v += 1
+                break
+        else:
+            at[v] = 0
+            v -= 1
 
 
 def enumerate_colorings(
@@ -697,7 +701,6 @@ def orbit_representatives(states: list[bytes], lat: Lattice, q: int) -> list[int
 
 @dataclass
 class ConductanceReport:
-    n_states: int
     n_even_heavy: int
     n_balanced: int
     n_odd_heavy: int
@@ -705,7 +708,6 @@ class ConductanceReport:
     pi_m: Fraction
     bound: Fraction | None       # π(A) / (8 π(M)); None when M is empty
     unbounded: bool
-    tau: int | None
     bound_holds: bool | None
 
 
@@ -728,8 +730,8 @@ def conductance_bound(
         raise ColoringError("conductance setup requires pi(A) <= 1/2")
     bound = pi_a / (8 * pi_m) if n_m else None
     return ConductanceReport(
-        n, n_a, n_m, counts[ImbalanceClass.ODD_HEAVY], pi_a, pi_m,
-        bound=bound, unbounded=bound is None and n_a > 0, tau=tau,
+        n_a, n_m, counts[ImbalanceClass.ODD_HEAVY], pi_a, pi_m,
+        bound=bound, unbounded=bound is None and n_a > 0,
         bound_holds=None if bound is None or tau is None else Fraction(tau) >= bound,
     )
 
@@ -739,8 +741,6 @@ def conductance_bound(
 
 @dataclass
 class InfluenceReport:
-    d: int
-    n: int
     v0: tuple[int, ...]
     total: int                 # |C_3^O|
     pinned: int                # |C_3^O(v0)|
@@ -768,7 +768,7 @@ def influence_ratio(d: int, n: int, cap: int = ENUM_CAP) -> InfluenceReport:
     ratio = Fraction(pinned, total)
     per = {c: Fraction(k, total) for c, k in sorted(hist.items())}
     return InfluenceReport(
-        d=d, n=n, v0=v0, total=total, pinned=pinned, ratio=ratio,
+        v0=v0, total=total, pinned=pinned, ratio=ratio,
         histogram=dict(sorted(hist.items())), per_size_ratio=per,
     )
 

@@ -44,7 +44,7 @@ class NotEvenClassError(ValueError):
 
 @dataclass(frozen=True)
 class Profile:
-    """Pairs (cutset size c_i, witness vertex v_i)."""
+    """Pairs (cutset size c_i, even vertex v_i of int γ)."""
 
     entries: tuple[tuple[int, int], ...]
 
@@ -57,7 +57,7 @@ class Profile:
 def _torus_cutsets_for_parity(lat, zeros, parity: Parity) -> list[Cutset]:
     seed_plus = closure(lat, zeros & _seed_mask(lat, parity))
     return [
-        _cutset(lat, comp_c, region_r, parity)
+        _cutset(lat, comp_c, parity)
         for region_r in connected_components(lat, seed_plus)
         for comp_c in connected_components(lat, lat.full_mask & ~region_r)
     ]
@@ -77,15 +77,16 @@ def build_torus_cutsets(chi: Coloring) -> list[Cutset]:
 def minimality_check(cut: Cutset) -> bool:
     """γ = ∇(C) is a minimal edge cutset of the connected lattice iff both
     sides, W and C, are nonempty and connected."""
-    return all(len(connected_components(cut.lattice, side)) == 1
-               for side in (cut.region, cut.complement))
+    lat = cut.lattice
+    return all(len(connected_components(lat, side)) == 1
+               for side in (cut.region, lat.full_mask & ~cut.region))
 
 
 def profile_membership(chi: Coloring, profile: Profile) -> bool:
     """Does Γ(χ) contain a sub-collection matching the profile?
 
     Entry i needs a distinct family cutset γ with |γ| = c_i and
-    v_i ∈ (int γ)^E.
+    v_i ∈ (int γ)^E, where int γ = W.
     """
     fam = select_family(chi)
     if fam.branch is not Parity.EVEN:
@@ -96,7 +97,7 @@ def profile_membership(chi: Coloring, profile: Profile) -> bool:
         match = [
             k
             for k, cut in enumerate(fam.cutsets)
-            if cut.size == c and ((cut.interior & lat.even_mask) >> v) & 1
+            if cut.size == c and ((cut.region & lat.even_mask) >> v) & 1
         ]
         if not match:
             return False

@@ -70,6 +70,16 @@ def test_mixing_disconnected_chain_is_a_violation(tmp_path):
     assert (meta["states"], meta["moves"]) == (2, 0)
 
 
+@pytest.mark.parametrize("command,code", [("mixing", 4), ("conductance", 0)])
+def test_listing_a_long_ring_keeps_the_exit_contract(tmp_path, capsys, command, code):
+    # the 1000-ring's two q = 2 colorings are listed by a backtracker with no
+    # recursion depth; they are frozen, so mixing finds the chain disconnected
+    assert run([command, "--d", "1", "--n", "1000", "--q", "2", "--out", str(tmp_path)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["n_states"], report["bound"]) == (2, None)
+
+
 @pytest.mark.parametrize("argv", [
     ["cutsets", "--kind", "box", "--d", "1"],
     ["flow-check", "--d", "1"],

@@ -50,7 +50,6 @@ def test_minimal_box_cutset_shape(box_corpus, box22):
     assert cut.size == 2 * 2 * (4 - 1)
     rep = verify_properties(cut, chi, v0)
     assert rep.all_hold()
-    assert rep.p8b_asserted is False  # d=2 is below the large-d threshold
 
 
 def test_cutset_depends_only_on_zero_set(box_corpus, box22):
@@ -60,9 +59,9 @@ def test_cutset_depends_only_on_zero_set(box_corpus, box22):
         cut = build_box_cutset(chi, v0)
         key = zero_set(chi)
         if key in by_zeros:
-            assert by_zeros[key] == (cut.region, cut.complement, cut.edges)
+            assert by_zeros[key] == (cut.region, cut.size)
         else:
-            by_zeros[key] = (cut.region, cut.complement, cut.edges)
+            by_zeros[key] = (cut.region, cut.size)
 
 
 def test_box_cutset_regions_connected(box_corpus, box22):
@@ -70,7 +69,7 @@ def test_box_cutset_regions_connected(box_corpus, box22):
     for chi in box_corpus[:8]:
         cut = build_box_cutset(chi, v0)
         assert len(connected_components(box22, cut.region)) == 1
-        assert len(connected_components(box22, cut.complement)) == 1
+        assert len(connected_components(box22, box22.full_mask & ~cut.region)) == 1
         assert minimality_check(cut)
 
 
@@ -81,10 +80,8 @@ def test_minimality_check_rejects_a_cut_with_a_disconnected_side():
 
     def cut_of(cells):
         comp = sum(1 << t.index(c) for c in cells)
-        region = t.full_mask & ~comp
-        return Cutset(lattice=t, region=region, complement=comp,
-                      edges=tuple(edge_boundary(t, comp)), witness=region,
-                      seed_parity=Parity.EVEN, interior=comp)
+        return Cutset(lattice=t, region=t.full_mask & ~comp, seed_parity=Parity.EVEN,
+                      size=len(edge_boundary(t, comp)))
 
     split = cut_of([(0, 0), (2, 2)])
     assert split.size == 8
@@ -96,10 +93,14 @@ def test_minimality_check_rejects_a_cut_with_a_disconnected_side():
 def test_every_cutset_the_builders_make_is_minimal(box22, box_corpus, z24_states):
     v0 = box22.index((0, 0))
     cuts = [build_box_cutset(chi, v0) for chi in box_corpus]
+    family = []
     for chi in z24_states:
-        cuts += build_torus_cutsets(chi) + list(select_family(chi).cutsets)
-    assert len(cuts) == 32 + 5472 + 576
-    assert all(minimality_check(cut) for cut in cuts)
+        cuts += build_torus_cutsets(chi)
+        family += select_family(chi).cutsets
+    assert len(cuts + family) == 32 + 5472 + 576
+    assert all(minimality_check(cut) for cut in cuts + family)
+    # int γ = W for every family member, the rule cutsets.jsonl's interior_size relies on
+    assert all(2 * cut.region.bit_count() <= cut.lattice.nv for cut in family)
 
 
 def test_box_cutset_rejects_bad_inputs(box22):
@@ -127,12 +128,10 @@ def test_single_even_zero_torus_cutset():
     even = [c for c in cuts if c.seed_parity is Parity.EVEN]
     assert len(even) == 1
     cut = even[0]
-    assert cut.witness.bit_count() == 5
-    assert cut.interior == cut.region
-    assert cut.size == len(cut.edges)
-    lattice_edges = set(t.edges)
+    assert cut.region.bit_count() == 5   # W = R, the closed star of the zero
+    assert cut.size == 4 * 3
     for cut in cuts:
-        assert set(cut.edges) <= lattice_edges
+        assert cut.size == sum((cut.region >> u ^ cut.region >> v) & 1 for u, v in t.edges)
 
 
 def test_empty_zero_set_family_vacuous():
@@ -149,11 +148,10 @@ def test_family_two_distant_zeros_z26():
     fam = select_family(chi)
     assert fam.branch is Parity.EVEN
     assert len(fam.cutsets) == 2
-    interiors = [c.interior for c in fam.cutsets]
+    interiors = [c.region for c in fam.cutsets]
     assert interiors[0] & interiors[1] == 0
     assert zero_set(chi) & t.even_mask & ~(interiors[0] | interiors[1]) == 0
     for cut in fam.cutsets:
-        assert cut.interior == cut.region
         rep = verify_properties(cut, chi)
         assert rep.all_hold()
 
