@@ -31,7 +31,6 @@ from . import __version__
 from .coloring import (
     DEFAULT_RHO,
     OddBoundaryZero,
-    Parity,
     imbalance,
     odd_boundary_pinned,
     phase_coloring,
@@ -39,7 +38,7 @@ from .coloring import (
 from .cutset import build_box_cutset, select_family, verify_properties
 from .dynamics import ChainSpec, run_chain
 from .errors import CapExceeded, ColoringError, PropertyViolation
-from .lattice import LatticeKind, LatticeSpec, build_lattice, shift_order
+from .lattice import LatticeKind, LatticeSpec, Parity, build_lattice, shift_order
 from .oracle import (
     ENUM_CAP,
     ITER_CAP,
@@ -221,11 +220,11 @@ def cmd_mixing(args) -> Outcome:
         "cap_use": {"state": len(states) / args.state_cap},
     }
     if mix:
-        orbits = (mix.starts_used if args.starts == "orbits"
-                  else orbit_representatives(P.states, lat, args.q))
+        orbits = (len(mix.per_start_t_star) if args.starts == "orbits"
+                  else len(orbit_representatives(P.states, lat, args.q)))
         meta["cap_use"]["iter"] = mix.t_star / ITER_CAP
         meta |= {
-            "orbits": len(orbits),
+            "orbits": orbits,
             "per_start_t_star": mix.per_start_t_star,
             "exact_fallbacks": mix.exact_fallbacks,
             "lumped_states": mix.lumped_states,

@@ -116,12 +116,11 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
     passes = [per_site]
     while len(passes[-1]) >= 3:
         passes.append(_aitken_pass(passes[-1]))
-    spread = abs(passes[-1][-1] - passes[-2][-1]) if len(passes) >= 2 else math.inf
     return TopoEntropyReport(
         per_site=per_site,
         passes=passes,
         estimate=passes[-1][-1],
-        spread=spread,
+        spread=abs(passes[-1][-1] - passes[-2][-1]),
     )
 
 

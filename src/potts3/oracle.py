@@ -125,10 +125,10 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
     0…m−1, kept in place of ``keep``, and starts a state of its weight; the
     seeds take no pins.  Its seed key (its colors, site 0 on top) is the low
     m digits of its states, so seeds never merge; ``cap``
-    bounds each seed: when a site's merged states pass it, the stack splits
-    in two by seed key and each half, the low one first, redoes that site;
-    only a lone seed refuses.  ``stats`` (a dict) gets ``peak_states``,
-    raised to the most states one seed held.
+    bounds each seed: merged states past it go back on the list of runs,
+    which splits them in two by seed key, and each half, the low one first,
+    goes on from the next site; only a lone seed refuses.  ``stats`` (a
+    dict) gets ``peak_states``, raised to the most states one seed held.
     """
     peak = 1 if stats is None else stats.setdefault("peak_states", 1)
     colors, weights = seeds if seeds is not None else (np.zeros((1, 0), np.uint8), np.ones(1, int))
@@ -145,6 +145,12 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
     at = q ** np.array([sorted(kept, reverse=m > 0).index(u) for u in keep], dtype=np.int64)
     while todo:
         start, frontier, keys, weights = todo.pop()
+        if cap is not None and len(keys) > cap:
+            if len(ids := np.unique(seed := keys % q ** m)) > 1:
+                low = seed < ids[len(ids) // 2]            # the low half goes on first
+                todo += [(start, frontier, keys[half], weights[half]) for half in (~low, low)]
+                continue
+            raise CapExceeded(f"frontier of {len(keys)} states exceeds the state cap {cap}")
         for v in range(start, nv):
             if q ** (len(frontier) + 1) >= 2 ** 63:
                 raise CapExceeded(f"a frontier of {len(frontier) + 1} sites needs keys past 2^63")
@@ -154,9 +160,9 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
             for i in reversed(range(len(frontier))):
                 if last[frontier[i]] == v:                 # v was its last neighbour
                     base = base // q ** (i + 1) * q ** i + base % q ** i
-            before, frontier = frontier, [u for u in frontier if last[u] > v]
-            if weights.dtype != object and \
-                    int(weights.max()) >= 2 ** 63 // q ** (len(before) - len(frontier) + 1):
+            dropped = sum(last[u] == v for u in frontier)
+            frontier = [u for u in frontier if last[u] > v]
+            if weights.dtype != object and int(weights.max()) >= 2 ** 63 // q ** (dropped + 1):
                 weights = weights.astype(object)
             top = 0
             if last[v] > v:                                # v joins as the top digit
@@ -173,19 +179,15 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
                     ok &= digit != c
                 return base[ok] + c * top, weights[ok]
 
-            merged = _merge([branch(c) for c in choices])
-            if cap is not None and len(merged[0]) > cap:
-                if len(ids := np.unique(seed := keys % q ** m)) > 1:
-                    low = seed < ids[len(ids) // 2]            # the low half goes on first
-                    todo += [(v, before, keys[half], weights[half]) for half in (~low, low)]
-                    break
-                raise CapExceeded(f"frontier of {len(merged[0])} states exceeds the state cap {cap}")
-            keys, weights = merged
-            if not len(keys):
-                break
+            keys, weights = _merge([branch(c) for c in choices])
             if stats is not None and len(keys) > peak:
                 peak = stats["peak_states"] = max(peak, int(
                     np.unique(keys % q ** m, return_counts=True)[1].max()))
+            if cap is not None and len(keys) > cap:       # split when popped
+                todo.append((v + 1, frontier, keys, weights))
+                break
+            if not len(keys):
+                break
         else:                                              # the seeds' patterns are disjoint
             digits = (keys[:, None] // at % q).astype(np.uint8)
             counts |= {row.tobytes(): int(w) for row, w in zip(digits, weights)}
@@ -358,7 +360,6 @@ class MixingResult:
     tau: int
     worst_start: int
     t_star: int                      # first t with worst-start TV ≤ threshold
-    starts_used: list[int]
     per_start_t_star: dict[int, int]
     exact_fallbacks: list[int]       # starts the float engine left to the exact path
     lumped_states: dict[int, int]    # blocks each start's float walk ran on
@@ -642,7 +643,6 @@ def tv_mixing_time(
         tau=max(worst_t - 1, 0),
         worst_start=worst,
         t_star=worst_t,
-        starts_used=use,
         per_start_t_star=per,
         exact_fallbacks=fallbacks,
         lumped_states=lumped,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from potts3 import box, torus, enumerate_colorings, odd_boundary_pinned
+from potts3.coloring import odd_boundary_pinned
+from potts3.lattice import box, torus
+from potts3.oracle import enumerate_colorings
 
 
 @pytest.fixture(scope="session")

@@ -14,34 +14,34 @@ from fractions import Fraction
 
 import pytest
 
-from potts3 import (
+from potts3.coloring import (
     ImbalanceClass,
-    box,
-    build_box_cutset,
+    OddBoundaryZero,
     classify,
+    imbalance,
+    is_proper,
+    odd_boundary_pinned,
+    satisfies_bc,
+)
+from potts3.cutset import build_box_cutset, select_family, verify_properties
+from potts3.dynamics import CounterRng
+from potts3.entropy import max_entropy_gap_check, topological_entropy_estimate
+from potts3.lattice import box, shift_order, torus
+from potts3.oracle import (
     conductance_bound,
     enumerate_colorings,
-    exact_approximation,
-    flow_out_total,
-    imbalance,
     influence_ratio,
-    is_proper,
-    max_entropy_gap_check,
-    odd_boundary_pinned,
-    phi_family,
-    reconstruct,
-    satisfies_bc,
-    select_family,
-    topological_entropy_estimate,
-    torus,
     transition_matrix,
     tv_mixing_time,
-    verify_properties,
 )
-from potts3.coloring import OddBoundaryZero
-from potts3.dynamics import CounterRng
-from potts3.lattice import shift_order
-from potts3.peierls import boundary_layer, membership_subset
+from potts3.peierls import (
+    boundary_layer,
+    exact_approximation,
+    flow_out_total,
+    membership_subset,
+    phi_family,
+    reconstruct,
+)
 
 from claims import BipartiteGraph, lcol_check, sample_phi
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import potts3
-from potts3 import cli, entropy, peierls, topological_entropy_estimate
+from potts3 import cli, entropy, peierls
 from potts3.cli import build_id, main, make_parser, write_report
+from potts3.entropy import topological_entropy_estimate
 
 
 def run(args):
@@ -520,7 +521,9 @@ def test_worker_pool_result_independent_of_pool_size(tmp_path):
 
 @pytest.mark.parametrize("sweeps", [0, 40])
 def test_torpid_demo_chain_telemetry(tmp_path, sweeps):
-    from potts3 import ChainSpec, phase_coloring, run_chain, torus
+    from potts3.coloring import phase_coloring
+    from potts3.dynamics import ChainSpec, run_chain
+    from potts3.lattice import torus
 
     assert run(["torpid-demo", "--d", "2", "--n", "4", "--chains", "3", "--sweeps",
                 str(sweeps), "--seed", "5", "--workers", "1", "--out", str(tmp_path)]) == 0

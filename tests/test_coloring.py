@@ -5,25 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from potts3 import (
+from potts3.coloring import (
     Coloring,
     ImbalanceClass,
     OddBoundaryZero,
-    Parity,
-    box,
     classify,
-    enumerate_colorings,
     imbalance,
     is_proper,
     odd_boundary_pinned,
     phase_coloring,
     satisfies_bc,
-    torus,
+    zero_counts,
     zero_set,
 )
-from potts3.coloring import zero_counts
 from potts3.errors import BoundaryConditionError, ColoringError, LatticeError
-from potts3.lattice import iter_bits
+from potts3.lattice import Parity, box, iter_bits, torus
+from potts3.oracle import enumerate_colorings
 
 from claims import mod3_coloring
 

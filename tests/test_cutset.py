@@ -2,19 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from potts3 import (
-    Coloring,
-    Cutset,
-    Parity,
-    build_box_cutset,
-    phase_coloring,
-    select_family,
-    torus,
-    verify_properties,
-    zero_set,
-)
+from potts3.coloring import Coloring, phase_coloring, zero_set
+from potts3.cutset import Cutset, build_box_cutset, select_family, verify_properties
 from potts3.errors import ColoringError
-from potts3.lattice import connected_components, edge_boundary, iter_bits
+from potts3.lattice import Parity, connected_components, edge_boundary, iter_bits, torus
 
 from claims import (
     NotEvenClassError,
@@ -157,7 +148,7 @@ def test_family_two_distant_zeros_z26():
 
 
 def test_family_properties_sampled(z24_states):
-    from potts3 import exact_approximation
+    from potts3.peierls import exact_approximation
     from claims import is_approximation
 
     for chi in z24_states[::37]:

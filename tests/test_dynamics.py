@@ -6,25 +6,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from potts3 import (
-    ChainSpec,
+from potts3 import dynamics
+from potts3.coloring import (
     Coloring,
-    CounterRng,
     ImbalanceClass,
-    Parity,
-    box,
     classify,
     imbalance,
+    imbalance_class,
     is_proper,
     phase_coloring,
-    run_chain,
-    torus,
+    zero_counts,
 )
-from potts3 import dynamics
-from potts3.coloring import imbalance_class, zero_counts
-from potts3.dynamics import Trajectory, TrajectoryPoint
+from potts3.dynamics import (
+    ChainSpec,
+    CounterRng,
+    Trajectory,
+    TrajectoryPoint,
+    run_chain,
+)
 from potts3.errors import ColoringError
-from potts3.lattice import LatticeKind
+from potts3.lattice import LatticeKind, Parity, box, torus
 
 from claims import crossing_blocked_check, hamming, rho_locality_check
 

@@ -9,18 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from potts3 import (
-    box,
-    enumerate_colorings,
+from potts3 import entropy
+from potts3.entropy import (
     extendable_colorings,
     max_entropy_gap_check,
     restriction_distribution,
     shannon_entropy,
     topological_entropy_estimate,
 )
-from potts3 import entropy
 from potts3.errors import CapExceeded, ColoringError
-from potts3.oracle import _assignments, grid_region_counts
+from potts3.lattice import box
+from potts3.oracle import _assignments, enumerate_colorings, grid_region_counts
 
 from claims import binary_entropy
 

@@ -6,23 +6,21 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potts3 import (
+from potts3.errors import LatticeError
+from potts3.lattice import (
     LatticeKind,
     LatticeSpec,
     Parity,
     box,
     build_lattice,
-    connected_components,
-    shift_order,
-    torus,
-)
-from potts3.errors import LatticeError
-from potts3.lattice import (
     closure,
+    connected_components,
     edge_boundary,
     external_boundary,
     internal_boundary,
     iter_bits,
+    shift_order,
+    torus,
 )
 
 

@@ -9,22 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potts3 import (
-    OddBoundaryZero,
-    box,
-    conductance_bound,
-    count_colorings,
-    enumerate_colorings,
-    influence_ratio,
-    odd_boundary_pinned,
-    orbit_representatives,
-    torus,
-    transition_matrix,
-    tv_mixing_time,
-)
 from potts3 import oracle
+from potts3.coloring import OddBoundaryZero, odd_boundary_pinned
 from potts3.errors import CapExceeded, ColoringError
-from potts3.lattice import Lattice
+from potts3.lattice import Lattice, box, torus
 from potts3.oracle import (
     ITER_CAP,
     ExactTransitionMatrix,
@@ -36,8 +24,15 @@ from potts3.oracle import (
     _lump,
     _refined_blocks,
     _stacked_tv,
+    conductance_bound,
+    count_colorings,
+    enumerate_colorings,
     grid_region_counts,
+    influence_ratio,
     le_inv_e,
+    orbit_representatives,
+    transition_matrix,
+    tv_mixing_time,
 )
 
 from claims import BipartiteGraph, lcol_check
@@ -487,6 +482,24 @@ def test_state_cap_bounds_each_slab_seed():
     with pytest.raises(CapExceeded, match="^frontier of 319 states exceeds the state cap 300$"):
         count_colorings(torus(2, 8), 3, state_cap=300)
     assert count_colorings(torus(2, 8), 3, state_cap=400) == 2_901_094_068_042
+
+
+def test_split_stack_keeps_its_merged_site(monkeypatch):
+    # a stack past the cap splits without redoing the site that passed it:
+    # Z^2_10 splits once and Z^3_4 three times, one merge a site each
+    merges = 0
+    real = oracle._merge
+
+    def counting(parts):
+        nonlocal merges
+        merges += 1
+        return real(parts)
+
+    monkeypatch.setattr(oracle, "_merge", counting)
+    for lat, calls in [(torus(2, 10), 136), (torus(3, 4), 121)]:
+        merges = 0
+        count_colorings(lat)
+        assert merges == calls
 
 
 def test_peak_states_of_boxes_and_tori():
@@ -1150,7 +1163,8 @@ def test_conductance_z24(z24_states):
 def test_conductance_empty_bottleneck_is_flagged():
     # no balanced states at all: the bound is reported unbounded, not faked
     t = torus(2, 4)
-    from potts3 import Parity, phase_coloring
+    from potts3.coloring import phase_coloring
+    from potts3.lattice import Parity
 
     states = [phase_coloring(t, Parity.EVEN), phase_coloring(t, Parity.ODD)]
     rep = conductance_bound(states, Fraction(11, 50))
@@ -1160,7 +1174,7 @@ def test_conductance_empty_bottleneck_is_flagged():
 
 def test_conductance_degenerate_empty_a(z24_states):
     # a state list with no heavy colorings: A = empty, bound collapses to 0
-    from potts3 import ImbalanceClass, classify
+    from potts3.coloring import ImbalanceClass, classify
 
     balanced = [c for c in z24_states if classify(c, Fraction(11, 50)) is ImbalanceClass.BALANCED]
     rep = conductance_bound(balanced, Fraction(11, 50))

@@ -6,35 +6,34 @@ from fractions import Fraction
 
 import pytest
 
-from potts3 import (
-    Approximation,
+from potts3 import peierls
+from potts3.coloring import (
     Coloring,
-    GoodTriple,
     OddBoundaryZero,
-    Parity,
-    boundary_layer,
-    bound_report,
-    box,
-    build_box_cutset,
-    exact_approximation,
-    flow_out_total,
-    is_good_triple,
     is_proper,
     odd_boundary_pinned,
     phase_coloring,
+    satisfies_bc,
+    zero_set,
+)
+from potts3.cutset import build_box_cutset, select_family
+from potts3.dynamics import CounterRng
+from potts3.errors import ColoringError, PropertyViolation
+from potts3.lattice import Parity, box, iter_bits, shift_order, torus
+from potts3.peierls import (
+    Approximation,
+    GoodTriple,
+    bound_report,
+    boundary_layer,
+    exact_approximation,
+    flow_out_total,
+    flow_sets,
+    is_good_triple,
+    membership_subset,
     phi_family,
     q_sets,
     reconstruct,
-    satisfies_bc,
-    select_family,
-    torus,
-    zero_set,
 )
-from potts3.dynamics import CounterRng
-from potts3 import peierls
-from potts3.errors import ColoringError, PropertyViolation
-from potts3.lattice import iter_bits, shift_order
-from potts3.peierls import flow_sets, membership_subset
 
 from claims import (
     canonical_good_triple,
@@ -138,7 +137,7 @@ def test_injectivity_of_subset_map(star_setup):
 
 def test_torus_shift_properness_and_roundtrip(star_setup):
     t, chi, cut = star_setup
-    from potts3 import is_proper
+    from potts3.coloring import is_proper
 
     for s in shift_order(2):
         for subset, chi_p in phi_family(chi, cut.region, s):

@@ -1,10 +1,15 @@
 """The package ships only what runs: every top-level function or class in
 ``src/potts3`` is named by other package code or by a benchmark workload.
-Checks that only the tests use live in ``tests/claims.py``."""
+Checks that only the tests use live in ``tests/claims.py``.  The package
+root re-exports nothing, so importing it loads no module it does not name."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +51,19 @@ def test_every_package_definition_is_reached():
             named |= _names(node) - {own}
     unreached = [d for d in defined if d[1] not in named and d not in EXEMPT]
     assert not unreached, f"only tests reach these; move them to tests/claims.py: {unreached}"
+
+
+def test_bare_import_loads_no_numpy():
+    # a fresh interpreter: this session has loaded every module already
+    probe = """
+import json, sys
+import potts3
+public = [n for n in vars(potts3) if not n.startswith("_")]
+import potts3.lattice
+print(json.dumps([public, sorted(sys.modules)]))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
+    public, modules = json.loads(out)
+    assert public == []
+    assert not {"numpy", "potts3.oracle", "potts3.dynamics", "potts3.entropy"} & set(modules)
