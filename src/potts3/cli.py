@@ -6,10 +6,11 @@ FILE as one flag token per line (``--n=2``), and later tokens win.  Each
 (stable byte-for-byte under replay; its ``config`` is every declared flag
 but the caps, ``--workers`` and ``--out``), its sidecar files and a
 ``meta.json`` with the timestamp, the build stamp and the command's meta
-fields (for ``mixing``: state, move and orbit counts, cap use, each start's
-crossing time and lumped block count, the float walks stepped and the
-exact fallbacks; for ``torpid-demo``: each chain's acceptance share and
-first sign-flip sweep), then prints its one stdout line.  Exit codes: 0
+fields (for ``mixing``: state, move and orbit counts, cap use, the
+imbalance histogram, each start's crossing time and lumped block count,
+the float walks stepped and the exact fallbacks; for ``conductance``: the
+imbalance histogram; for ``torpid-demo``: each chain's acceptance share
+and first sign-flip sweep), then prints its one stdout line.  Exit codes: 0
 ok, 2 invalid config, 3 cap refusal, 4 property violation detected.
 """
 
@@ -22,6 +23,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -168,13 +170,13 @@ def cmd_enumerate(args) -> Outcome:
 
 
 def _torus_states(args, cap):
-    """The torus and its proper colorings, refused past ``cap``; having none
-    is a config error."""
+    """The torus, its proper colorings as color bytes (no Coloring object outlives the call),
+    refused past ``cap`` (none is a config error), and their imbalance histogram, ascending."""
     lat = _lattice_from_args(args)
-    states = list(enumerate_colorings(lat, args.q, cap=cap))
-    if not states:
+    found = list(enumerate_colorings(lat, args.q, cap=cap))
+    if not found:
         raise ColoringError(f"{lat} has no proper {args.q}-coloring")
-    return lat, states
+    return lat, [chi.colors for chi in found], dict(sorted(Counter(map(imbalance, found)).items()))
 
 
 def _bound_fields(states, cond) -> dict:
@@ -190,7 +192,7 @@ def _bound_fields(states, cond) -> dict:
 
 
 def cmd_mixing(args) -> Outcome:
-    lat, states = _torus_states(args, args.state_cap)
+    lat, states, hist = _torus_states(args, args.state_cap)
     P = transition_matrix(states, lat, args.q)
     checks = {
         "stochastic": P.row_sums_ok(),
@@ -201,7 +203,7 @@ def cmd_mixing(args) -> Outcome:
     # a disconnected chain never mixes: no TV crossing to look for
     mix = tv_mixing_time(P, starts=args.starts) if checks["connected"] else None
     tau = mix.tau if mix else None
-    cond = conductance_bound(states, args.rho, tau=tau)
+    cond = conductance_bound(hist, lat, args.rho, tau=tau)
     fields = _bound_fields(states, cond) | {
         "checks": checks,
         "tau_exact": tau,
@@ -218,6 +220,7 @@ def cmd_mixing(args) -> Outcome:
         "states": len(states),
         "moves": len(P.cols),
         "cap_use": {"state": len(states) / args.state_cap},
+        "imbalance_histogram": hist,
     }
     if mix:
         orbits = (len(mix.per_start_t_star) if args.starts == "orbits"
@@ -236,10 +239,10 @@ def cmd_mixing(args) -> Outcome:
 
 
 def cmd_conductance(args) -> Outcome:
-    _, states = _torus_states(args, args.enum_cap)
-    cond = conductance_bound(states, args.rho)
+    lat, states, hist = _torus_states(args, args.enum_cap)
+    cond = conductance_bound(hist, lat, args.rho)
     fields = _bound_fields(states, cond) | {"unbounded": cond.unbounded}
-    return Outcome(fields, json.dumps(fields["bound"]))
+    return Outcome(fields, json.dumps(fields["bound"]), meta={"imbalance_histogram": hist})
 
 
 def cmd_influence(args) -> Outcome:

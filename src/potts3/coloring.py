@@ -114,16 +114,6 @@ def imbalance_class(imb: int, nv: int, rho: Fraction) -> ImbalanceClass:
     return ImbalanceClass.BALANCED
 
 
-def classify(chi: Coloring, rho: Fraction = DEFAULT_RHO) -> ImbalanceClass:
-    """Class of χ at threshold ρ·n^d/2, decided in exact rationals."""
-    if chi.lattice.kind is not LatticeKind.TORUS:
-        raise ColoringError("imbalance classes are defined on tori")
-    rho = Fraction(rho)
-    if not 0 < rho < 1:
-        raise ColoringError(f"rho must lie in (0,1), got {rho}")
-    return imbalance_class(imbalance(chi), chi.lattice.nv, rho)
-
-
 # -- the boundary condition --------------------------------------------------
 
 

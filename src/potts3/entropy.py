@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,11 +129,17 @@ def topological_entropy_estimate(d: int, sizes: list[int]) -> TopoEntropyReport:
 
 
 def _window(n: int) -> tuple[set[tuple[int, int]], list[tuple[int, int]]]:
-    """The cells of the window Λ_n and its boundary ring, in raster order.
-    A count over the cells with the ring kept gives, for every ring pattern
-    of C_3(Λ_n), how many window colorings carry it."""
-    cells = set(box(2, n).coords)
+    """The cells of the window Λ_n = [−n, n]² and its boundary ring, in raster order."""
+    cells = {(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)}
     return cells, sorted(c for c in cells if max(map(abs, c)) == n)
+
+
+@lru_cache(maxsize=1)
+def _ring_multiplicity(n: int) -> tuple[tuple[bytes, int], ...]:
+    """How many window colorings carry each ring pattern of C_3(Λ_n), counted once for a
+    gap check's restriction law and extendability filter; a tuple, so no caller changes it."""
+    cells, ring = _window(n)
+    return tuple(grid_region_counts(cells, 3, keep=ring).items())
 
 
 # -- extendable colorings ------------------------------------------------------
@@ -155,12 +162,11 @@ def extendable_colorings(n: int) -> ExtendableReport:
     every ring pattern; it runs (and refuses past ``WINDOW_CAP`` states)
     before the window's ring multiplicities are counted."""
     cells, ring = _window(n)
-    interior = cells - set(ring)
-    extends = grid_region_counts(set(box(2, n + 2).coords) - interior, 3, keep=ring)
-    mult = grid_region_counts(cells, 3, keep=ring)
+    extends = grid_region_counts((_window(n + 2)[0] - cells) | set(ring), 3, keep=ring)
+    mult = _ring_multiplicity(n)
     return ExtendableReport(
-        total=sum(mult.values()),
-        multiplicity={r: k for r, k in mult.items() if r in extends},
+        total=sum(k for _, k in mult),
+        multiplicity={r: k for r, k in mult if r in extends},
     )
 
 
@@ -209,7 +215,7 @@ def restriction_distribution(m: int, n: int) -> RestrictionResult:
                 ring_only = False
 
     found = grid_region_counts(annulus | set(ring), 3, forbidden=forbidden, keep=ring)
-    mult = grid_region_counts(inner, 3, keep=ring)
+    mult = dict(_ring_multiplicity(n))
     ring_counts = {r: found.get(r, 0) for r in mult}
     return RestrictionResult(
         ring_counts=ring_counts,

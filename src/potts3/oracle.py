@@ -25,7 +25,7 @@ from .coloring import (
     DEFAULT_RHO,
     ImbalanceClass,
     OddBoundaryZero,
-    classify,
+    imbalance_class,
     odd_boundary_pinned,
 )
 from .cutset import build_box_cutset
@@ -712,16 +712,19 @@ class ConductanceReport:
 
 
 def conductance_bound(
-    states: list[Coloring],
+    histogram: dict[int, int],
+    lat: Lattice,
     rho: Fraction = DEFAULT_RHO,
     tau: int | None = None,
 ) -> ConductanceReport:
-    """π(A)/(8π(M)) for A = EvenHeavy, M = Balanced under uniform π,
-    checked against τ when provided."""
+    """π(A)/(8π(M)) for A = EvenHeavy, M = Balanced under uniform π on the torus ``lat``,
+    from its histogram {imbalance: colorings}, each classified once; checked against a given τ."""
+    if lat.kind is not LatticeKind.TORUS or not 0 < (rho := Fraction(rho)) < 1:
+        raise ColoringError(f"conductance needs a torus and rho in (0,1), got {lat}, rho={rho}")
     counts = {cls: 0 for cls in ImbalanceClass}
-    for chi in states:
-        counts[classify(chi, rho)] += 1
-    n = len(states)
+    for imb, k in histogram.items():
+        counts[imbalance_class(imb, lat.nv, rho)] += k
+    n = sum(counts.values())
     n_a = counts[ImbalanceClass.EVEN_HEAVY]
     n_m = counts[ImbalanceClass.BALANCED]
     pi_a = Fraction(n_a, n)

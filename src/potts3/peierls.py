@@ -142,11 +142,10 @@ def q_sets(approx: Approximation, s: int, chi_prime: Coloring) -> QSets:
 # -- the flow ----------------------------------------------------------------
 
 
-def flow_sets(cut: Cutset, approx: Approximation, s: int) -> tuple[int, int, int]:
-    """(W^s, C, D) with C = W^s ∩ A^O ∩ σ_s(Q^E) and D = W^s ∖ C."""
+def flow_sets(cut: Cutset, approx: Approximation, s: int, q_even: int) -> tuple[int, int, int]:
+    """(W^s, C, D) with C = W^s ∩ A^O ∩ σ_s(Q^E), D = W^s ∖ C and Q^E = ``q_even``."""
     lat = cut.lattice
     layer = boundary_layer(lat, cut.region, s)
-    q_even, _ = _q_masks(approx)
     c_set = layer & approx.odd_part & lat.shift_set(q_even, s)
     return layer, c_set, layer & ~c_set
 
@@ -163,9 +162,8 @@ def membership_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int) -
     return subset
 
 
-def _nu(chi_prime: Coloring, cut: Cutset, approx: Approximation, s: int) -> Fraction:
-    """ν(χ, χ′) for a χ′ known to lie in φ_s(χ)."""
-    _, c_set, d_set = flow_sets(cut, approx, s)
+def _nu(chi_prime: Coloring, c_set: int, d_set: int) -> Fraction:
+    """ν(χ, χ′) from the flow sets C and D, for a χ′ known to lie in φ_s(χ)."""
     c_bits = list(iter_bits(c_set))
     return Fraction(_nu_numerator(chi_prime, c_bits), 4 ** len(c_bits) * 2 ** d_set.bit_count())
 
@@ -199,7 +197,7 @@ def flow_out_total(
     ν·4^{|C|} 2^{|D|} as integers over that common denominator.  The result
     keeps the flow sets and the last image, the one with S = W^s.
     """
-    layer, c_set, d_set = flow_sets(cut, approx, s)
+    layer, c_set, d_set = flow_sets(cut, approx, s, _q_masks(approx)[0])
     closed = ((Fraction(1, 4) + Fraction(3, 4)) ** c_set.bit_count()
               * (Fraction(1, 2) + Fraction(1, 2)) ** d_set.bit_count())
     if layer.bit_count() > explicit_cap:
@@ -303,8 +301,8 @@ def bound_report(
     Exhaustive over the L-subsets when |Q^E ∪ Q^O| ≤ ``cap``; otherwise the
     report is marked skipped.  The comparison ν ≤ B is computed exactly on
     squares and reported, never asserted.  The Q-sets are built once, for
-    the canonical triple and the search alike; χ′ must lie in φ_s(χ), as
-    ν is read without ``membership_subset``'s check.
+    the canonical triple, the search and ν's (W^s, C, D) alike; χ′ must lie
+    in φ_s(χ), as ν is read without ``membership_subset``'s check.
     """
     ctx = q_sets(approx, s, chi_prime)
     if (ctx.q_even | ctx.q_odd).bit_count() > cap:
@@ -320,11 +318,10 @@ def bound_report(
     k0, l0 = best[1].k, best[1].l
     k_prime = k0 & ~hat.k
     l_prime = l0 & ~hat.l
-    lat = cut.lattice
-    w_even = (cut.region & lat.even_mask).bit_count()
-    w_odd = (cut.region & lat.odd_mask).bit_count()
-    gap = w_odd - w_even
-    nu = _nu(chi_prime, cut, approx, s)
+    w_even, w_odd = cut.region_parts()
+    gap = w_odd.bit_count() - w_even.bit_count()
+    _, c_set, d_set = flow_sets(cut, approx, s, ctx.q_even)
+    nu = _nu(chi_prime, c_set, d_set)
     n_k0, n_l0 = k0.bit_count(), l0.bit_count()
     n_kp, n_lp = k_prime.bit_count(), l_prime.bit_count()
     # B = (√3/2)^gap · 2^{|K0|} / (3^{|K0|+|L0|} · 2^{|K′|−|L′|})

@@ -1,9 +1,11 @@
 """Exact checks of the paper's proof devices that the tests use as oracles.
 
-They are the conditional colour bound (the L-colouring lemma) on small
-bipartite graphs; the torus cutset collections with profile membership and
-the minimality check; the repair map on one subset and a uniform member of
-its family; approximations and the direction rule; the flow weight ν of one
+They are the per-colouring imbalance class and the imbalance histogram of
+Z²ₙ by a graded row transfer, the references for ``conductance_bound``'s
+histogram path; the conditional colour bound (the L-colouring lemma) on
+small bipartite graphs; the torus cutset collections with profile
+membership and the minimality check; the repair map on one subset and a
+uniform member of its family; approximations and the direction rule; the flow weight ν of one
 image and the canonical good triple; ρ-local blocking of EvenHeavy→OddHeavy
 moves; the binary entropy; and the mod-3 coloring.  No command or benchmark
 workload runs them, so they live beside the tests and read the package's
@@ -12,9 +14,12 @@ private helpers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from potts3 import oracle
 from potts3.coloring import (DEFAULT_RHO, Coloring, ImbalanceClass, imbalance,
@@ -24,7 +29,7 @@ from potts3.errors import ColoringError, LatticeError
 from potts3.lattice import (Lattice, LatticeKind, Parity, closure, connected_components, iter_bits,
                             shift_order)
 from potts3.peierls import (Approximation, GoodTriple, _canonical_triple, _nu, _q_masks, _repair,
-                            boundary_layer, membership_subset, q_sets)
+                            boundary_layer, flow_sets, membership_subset, q_sets)
 
 
 # -- coloring ------------------------------------------------------------------
@@ -33,6 +38,48 @@ from potts3.peierls import (Approximation, GoodTriple, _canonical_triple, _nu, _
 def mod3_coloring(lat: Lattice) -> Coloring:
     """χ(x) = Σx_i mod 3 (proper on boxes; on tori only when 3 | n)."""
     return Coloring(lat, bytes(sum(c) % 3 for c in lat.coords), 3)
+
+
+def classify(chi: Coloring, rho: Fraction = DEFAULT_RHO) -> ImbalanceClass:
+    """Class of χ at threshold ρ·n^d/2, decided in exact rationals."""
+    if chi.lattice.kind is not LatticeKind.TORUS:
+        raise ColoringError("imbalance classes are defined on tori")
+    rho = Fraction(rho)
+    if not 0 < rho < 1:
+        raise ColoringError(f"rho must lie in (0,1), got {rho}")
+    return imbalance_class(imbalance(chi), chi.lattice.nv, rho)
+
+
+def torus_imbalance_histogram(n: int) -> dict[int, int]:
+    """{k: proper 3-colourings of Z²ₙ with |I∩E| − |I∩O| = k}, k ascending,
+    by a dense row-to-row transfer graded by imbalance; no package counter
+    is used.  A row is a proper colouring of the n-cycle; at height y it
+    adds (−1)^y Σ_x (−1)^x [colour 0 at x].  Counts are float64 sums of
+    nonnegative integers, so they are exact while every entry, and so every
+    partial sum, stays below 2^53; that is checked after each step."""
+    if n < 2 or n % 2:
+        raise ValueError(f"the graded row transfer needs an even n >= 2, got {n}")
+    rows = np.array([r for r in itertools.product(range(3), repeat=n)
+                     if all(r[x] != r[x - 1] for x in range(n))])
+    fits = (rows[:, None, :] != rows[None, :, :]).all(axis=2).astype(np.float64)
+    row_imb = (rows == 0) @ (-1) ** np.arange(n)
+    half = n * n // 2                     # |imbalance| <= |E| = n²/2
+    levels = np.arange(2 * half + 1)
+    total = np.zeros(len(levels))
+    for first in range(len(rows)):
+        ways = np.zeros((len(rows), len(levels)))
+        ways[first, half + row_imb[first]] = 1
+        for y in range(1, n):
+            stepped = fits @ ways         # fits is symmetric
+            if stepped.max() >= 2 ** 53:
+                raise OverflowError("a transfer entry reached 2^53; float64 is no longer exact")
+            src = levels - (-1) ** y * row_imb[:, None]   # level k came from k − row imbalance
+            ways = np.where((src >= 0) & (src < len(levels)),
+                            np.take_along_axis(stepped, src.clip(0, len(levels) - 1), axis=1), 0)
+        total += fits[first] @ ways       # the top row must fit the first
+        if total.max() >= 2 ** 53:
+            raise OverflowError("a histogram entry reached 2^53; float64 is no longer exact")
+    return {k - half: int(c) for k, c in zip(levels, total) if c}
 
 
 # -- cutset --------------------------------------------------------------------
@@ -210,7 +257,7 @@ def flow_weight(
 ) -> Fraction:
     """ν(χ, χ′) = (1/4)^{|C∩I(χ′)|} (3/4)^{|C∖I(χ′)|} (1/2)^{|D|}."""
     membership_subset(chi, chi_prime, cut.region, s)
-    return _nu(chi_prime, cut, approx, s)
+    return _nu(chi_prime, *flow_sets(cut, approx, s, _q_masks(approx)[0])[1:])
 
 
 def canonical_good_triple(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ import pytest
 from potts3.coloring import (
     ImbalanceClass,
     OddBoundaryZero,
-    classify,
     imbalance,
     is_proper,
     odd_boundary_pinned,
@@ -43,7 +43,7 @@ from potts3.peierls import (
     reconstruct,
 )
 
-from claims import BipartiteGraph, lcol_check, sample_phi
+from claims import BipartiteGraph, classify, lcol_check, sample_phi
 
 RHO = Fraction(11, 50)
 
@@ -170,7 +170,7 @@ def test_criterion_05_exact_mixing_and_conductance(z24_system):
         and P.is_connected()
     )
     mix = tv_mixing_time(P, starts="orbits")
-    cond = conductance_bound(states, RHO, tau=mix.tau)
+    cond = conductance_bound(Counter(map(imbalance, states)), lat, RHO, tau=mix.tau)
     bound_ok = cond.bound_holds is True and cond.pi_a <= Fraction(1, 2)
     elapsed = time.time() - t0
     _report(

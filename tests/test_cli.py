@@ -12,6 +12,8 @@ from potts3 import cli, entropy, peierls
 from potts3.cli import build_id, main, make_parser, write_report
 from potts3.entropy import topological_entropy_estimate
 
+from claims import torus_imbalance_histogram
+
 
 def run(args):
     return main(args)
@@ -187,12 +189,12 @@ FROZEN = {
     "mixing": ({
         "stdout": "cb0504d8558ab9af1c79168313e6d0f99a23297fc63012913698df1872edf9da",
         "report.json": "aa9830a3809f57f2c0b53a91f7e7fc86c95ff19470af86a1a61f9a85657b4702",
-    }, {"build", "cap_use", "exact_fallbacks", "float_walks", "lumped_states", "moves",
-        "orbits", "per_start_t_star", "states", "written_at"}),
+    }, {"build", "cap_use", "exact_fallbacks", "float_walks", "imbalance_histogram",
+        "lumped_states", "moves", "orbits", "per_start_t_star", "states", "written_at"}),
     "conductance": ({
         "stdout": "f51e9945d8b9d54cab4229e9c89a541ac2641e487655bbe1824efc7b4396087d",
         "report.json": "604fa93c65de7b9c81657d35d89e874d4eb483ecc6a2c7bc0ba712bf93271811",
-    }, {"build", "written_at"}),
+    }, {"build", "imbalance_histogram", "written_at"}),
     "influence": ({
         "stdout": "10482b8baaf4c20b77faa83b6df1623204a73b968687726d936de926e71ab9c1",
         "report.json": "9b47c6bea8df67ec43be904a53cb3cec69695b15269969a7790f0a664cd4bba9",
@@ -358,6 +360,9 @@ def test_conductance_z24(tmp_path, capsys):
     assert report["pi_M"]["rational"] == "169/1485"
     assert report["bound"]["rational"] == "329/676"
     assert report["unbounded"] is False
+    # meta's histogram is the graded transfer's, imbalance ascending
+    hist = json.loads((tmp_path / "meta.json").read_text())["imbalance_histogram"]
+    assert [(int(k), v) for k, v in hist.items()] == list(torus_imbalance_histogram(4).items())
 
 
 def test_flow_check_box(tmp_path):
@@ -376,7 +381,7 @@ def test_flow_check_box(tmp_path):
 
 
 def test_flow_check_box_is_frozen_and_builds_each_image_once(tmp_path, monkeypatch):
-    calls = {"_repair": 0, "reconstruct": 0}
+    calls = {"_repair": 0, "reconstruct": 0, "_q_masks": 0}
     for name in calls:
         def counted(*args, _real=getattr(peierls, name), _name=name):
             calls[_name] += 1
@@ -393,8 +398,9 @@ def test_flow_check_box_is_frozen_and_builds_each_image_once(tmp_path, monkeypat
     }
     # the 128 (chi, s) pairs hold 1024 images: each is built and reconstructed
     # once by the explicit flow sum; the bound takes the sum's last image and
-    # reads its nu without rebuilding it
-    assert calls == {"_repair": 1024, "reconstruct": 1024}
+    # reads its nu without rebuilding it.  Each pair builds its Q-masks twice:
+    # once for the flow sum's sets, once for the bound's Q-sets, C and D
+    assert calls == {"_repair": 1024, "reconstruct": 1024, "_q_masks": 256}
 
 
 def test_flow_check_image_that_does_not_reconstruct_exits_4(tmp_path, monkeypatch):

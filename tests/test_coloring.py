@@ -9,7 +9,6 @@ from potts3.coloring import (
     Coloring,
     ImbalanceClass,
     OddBoundaryZero,
-    classify,
     imbalance,
     is_proper,
     odd_boundary_pinned,
@@ -22,7 +21,7 @@ from potts3.errors import BoundaryConditionError, ColoringError, LatticeError
 from potts3.lattice import Parity, box, iter_bits, torus
 from potts3.oracle import enumerate_colorings
 
-from claims import mod3_coloring
+from claims import classify, mod3_coloring
 
 
 def test_properness_examples():

@@ -10,7 +10,6 @@ from potts3 import dynamics
 from potts3.coloring import (
     Coloring,
     ImbalanceClass,
-    classify,
     imbalance,
     imbalance_class,
     is_proper,
@@ -27,7 +26,7 @@ from potts3.dynamics import (
 from potts3.errors import ColoringError
 from potts3.lattice import LatticeKind, Parity, box, torus
 
-from claims import crossing_blocked_check, hamming, rho_locality_check
+from claims import classify, crossing_blocked_check, hamming, rho_locality_check
 
 RHO = Fraction(11, 50)
 

@@ -264,6 +264,27 @@ def test_gap_check_frozen_values(m, max_prob, entropy_nats):
     assert gap.entropy_nats == entropy_nats
 
 
+def test_gap_check_counts_the_window_once(monkeypatch):
+    # the restriction law and the extendability filter share one count of
+    # the window's ring patterns: 3 region counts, not 4, and the windows'
+    # cells are listed without building a box lattice
+    real_counts = entropy.grid_region_counts
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_counts(*args, **kwargs)
+
+    def no_box(*args):
+        raise AssertionError("a box lattice was built for its coordinates")
+
+    monkeypatch.setattr(entropy, "grid_region_counts", counted)
+    monkeypatch.setattr(entropy, "box", no_box)
+    entropy._ring_multiplicity.cache_clear()
+    max_entropy_gap_check(3, 1)
+    assert len(calls) == 3
+
+
 def test_topo_entropy_rejects_sizes_below_one(monkeypatch):
     monkeypatch.setattr(entropy, "_strip_per_site", _no_listing)
     monkeypatch.setattr(entropy, "count_colorings", _no_listing)

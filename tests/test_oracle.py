@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from potts3 import oracle
-from potts3.coloring import OddBoundaryZero, odd_boundary_pinned
+from potts3.coloring import (Coloring, ImbalanceClass, OddBoundaryZero, imbalance,
+                             odd_boundary_pinned, phase_coloring)
 from potts3.errors import CapExceeded, ColoringError
-from potts3.lattice import Lattice, box, torus
+from potts3.lattice import Lattice, Parity, box, torus
 from potts3.oracle import (
     ITER_CAP,
     ExactTransitionMatrix,
@@ -35,7 +38,7 @@ from potts3.oracle import (
     tv_mixing_time,
 )
 
-from claims import BipartiteGraph, lcol_check
+from claims import BipartiteGraph, classify, lcol_check, torus_imbalance_histogram
 
 
 def test_ring_and_edge_counts():
@@ -1152,32 +1155,84 @@ def test_le_inv_e_brackets():
     assert le_inv_e(Fraction(0))
 
 
-def test_conductance_z24(z24_states):
-    rep = conductance_bound(z24_states, Fraction(11, 50))
-    assert (rep.n_even_heavy, rep.n_balanced, rep.n_odd_heavy) == (1316, 338, 1316)
+_CLASS_ORDER = (ImbalanceClass.EVEN_HEAVY, ImbalanceClass.BALANCED, ImbalanceClass.ODD_HEAVY)
+
+
+def test_conductance_z24(z24, z24_states):
+    # the histogram of the listed states is the graded transfer's, and its
+    # classes are the per-coloring classes
+    rho = Fraction(11, 50)
+    hist = Counter(map(imbalance, z24_states))
+    assert hist == torus_imbalance_histogram(4)
+    rep = conductance_bound(hist, z24, rho)
+    per_coloring = Counter(classify(chi, rho) for chi in z24_states)
+    got = (rep.n_even_heavy, rep.n_balanced, rep.n_odd_heavy)
+    assert got == tuple(per_coloring[c] for c in _CLASS_ORDER) == (1316, 338, 1316)
     assert rep.pi_a == Fraction(1316, 2970)
     assert rep.bound == Fraction(329, 676)
-    assert rep.n_even_heavy == rep.n_odd_heavy  # parity symmetry
+    # a float rho is read as its exact binary fraction, as classify reads it
+    assert conductance_bound(hist, z24, 0.22) == rep
+
+
+def test_graded_transfer_z26_classes_are_frozen():
+    hist = torus_imbalance_histogram(6)
+    assert sum(hist.values()) == 16_448_400 == count_colorings(torus(2, 6), 3)
+    rep = conductance_bound(hist, torus(2, 6))
+    assert (rep.n_even_heavy, rep.n_balanced, rep.n_odd_heavy) == (7_113_692, 2_221_016, 7_113_692)
+
+
+@functools.cache
+def _parity_symmetric_states(d, n, q):
+    """At most 200 listed colorings of the torus plus each one's translate by
+    one step, which swaps the parity classes and negates the imbalance, so
+    π(EvenHeavy) = π(OddHeavy) ≤ 1/2."""
+    lat = torus(d, n)
+    listed = list(itertools.islice(enumerate_colorings(lat, q), 200))
+    step = [lat.shift(v, 1) for v in range(lat.nv)]
+    moved = []
+    for chi in listed:
+        buf = bytearray(lat.nv)
+        for v, c in enumerate(chi.colors):
+            buf[step[v]] = c
+        moved.append(Coloring(lat, buf, q))
+    return lat, listed + moved
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]), n=st.sampled_from([2, 4]), q=st.sampled_from([2, 3, 4]),
+       rho=st.fractions(min_value=0, max_value=1, max_denominator=64).filter(lambda r: 0 < r < 1))
+def test_conductance_classes_match_per_coloring_classes(d, n, q, rho):
+    lat, states = _parity_symmetric_states(d, n, q)
+    rep = conductance_bound(Counter(map(imbalance, states)), lat, rho)
+    per_coloring = Counter(classify(chi, rho) for chi in states)
+    assert (rep.n_even_heavy, rep.n_balanced, rep.n_odd_heavy) == tuple(
+        per_coloring[c] for c in _CLASS_ORDER)
+
+
+@pytest.mark.parametrize("lat,rho", [
+    (box(2, 1), Fraction(11, 50)),
+    (torus(2, 4), Fraction(0)),
+    (torus(2, 4), Fraction(1)),
+    (torus(2, 4), Fraction(-1, 2)),
+], ids=["box", "rho=0", "rho=1", "rho<0"])
+def test_conductance_refuses_a_box_and_rho_outside_the_unit_interval(lat, rho):
+    with pytest.raises(ColoringError):
+        conductance_bound({0: 1}, lat, rho)
 
 
 def test_conductance_empty_bottleneck_is_flagged():
     # no balanced states at all: the bound is reported unbounded, not faked
     t = torus(2, 4)
-    from potts3.coloring import phase_coloring
-    from potts3.lattice import Parity
-
     states = [phase_coloring(t, Parity.EVEN), phase_coloring(t, Parity.ODD)]
-    rep = conductance_bound(states, Fraction(11, 50))
+    rep = conductance_bound(Counter(map(imbalance, states)), t, Fraction(11, 50))
     assert rep.n_balanced == 0
     assert rep.bound is None and rep.unbounded
 
 
-def test_conductance_degenerate_empty_a(z24_states):
+def test_conductance_degenerate_empty_a(z24, z24_states):
     # a state list with no heavy colorings: A = empty, bound collapses to 0
-    from potts3.coloring import ImbalanceClass, classify
-
     balanced = [c for c in z24_states if classify(c, Fraction(11, 50)) is ImbalanceClass.BALANCED]
-    rep = conductance_bound(balanced, Fraction(11, 50))
+    rep = conductance_bound(Counter(map(imbalance, balanced)), z24, Fraction(11, 50))
     assert rep.n_even_heavy == 0
     assert rep.bound == 0
     assert not rep.unbounded

@@ -23,6 +23,7 @@ from potts3.lattice import Parity, box, iter_bits, shift_order, torus
 from potts3.peierls import (
     Approximation,
     GoodTriple,
+    _q_masks,
     bound_report,
     boundary_layer,
     exact_approximation,
@@ -241,7 +242,7 @@ def test_flow_weights_with_exact_approximation(star_setup):
     t, chi, cut = star_setup
     approx = exact_approximation(cut)
     for s in shift_order(2):
-        layer, c_set, d_set = flow_sets(cut, approx, s)
+        layer, c_set, d_set = flow_sets(cut, approx, s, _q_masks(approx)[0])
         assert c_set == 0 and d_set == layer
         for _subset, chi_p in phi_family(chi, cut.region, s):
             assert flow_weight(chi, chi_p, cut, approx, s) == Fraction(1, 2) ** layer.bit_count()
@@ -252,7 +253,7 @@ def test_flow_weights_with_exact_approximation(star_setup):
 def test_flow_nontrivial_c_set(domino_setup):
     t, chi, cut, approx, extra = domino_setup
     s = -2
-    layer, c_set, d_set = flow_sets(cut, approx, s)
+    layer, c_set, d_set = flow_sets(cut, approx, s, _q_masks(approx)[0])
     assert c_set == 1 << t.index((1, 0))
     assert c_set | d_set == layer and c_set & d_set == 0
     total = flow_out_total(chi, cut, approx, s)
@@ -438,7 +439,7 @@ def test_explicit_flow_sum_matches_per_image_weights(box_corpus, box22, domino_s
     t, chi, cut, approx, extra = domino_setup
     for s in shift_order(2):
         assert flow_out_total(chi, cut, approx, s).explicit == _explicit_flow(chi, cut, approx, s) == 1
-    assert flow_sets(cut, approx, -2)[1] != 0
+    assert flow_sets(cut, approx, -2, _q_masks(approx)[0])[1] != 0
 
 
 def test_flow_check_bounds_reduce_to_the_layer_and_the_parity_gap(box_corpus, box22):
