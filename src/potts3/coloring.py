@@ -16,9 +16,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BoundaryConditionError, ColoringError
-from .lattice import Lattice, LatticeKind, Parity, iter_bits
+from .lattice import Lattice, LatticeKind, LatticeSpec, Parity, build_lattice, iter_bits
 
 DEFAULT_RHO = Fraction(11, 50)
+_BYTES = bytes(range(256))
+# byte → its digit in a zero mask: "1" for color 0, "0" for any other
+_ZERO_DIGITS = b"1" + b"0" * 255
 
 
 class ImbalanceClass(Enum):
@@ -40,9 +43,9 @@ class Coloring:
             raise ColoringError(
                 f"color vector has length {len(colors)}, lattice has {lattice.nv} vertices"
             )
-        if max(colors, default=0) >= q:
-            bad = next(c for c in colors if c >= q)
-            raise ColoringError(f"color value {bad} out of range for q={q}")
+        bad = colors.translate(None, _BYTES[:q])
+        if bad:
+            raise ColoringError(f"color value {bad[0]} out of range for q={q}")
         self.lattice = lattice
         self.q = q
         self.colors = colors
@@ -75,11 +78,12 @@ def zero_set(chi: Coloring) -> int:
     """I(χ) = χ^{−1}(0) as a bitmask; requires a proper coloring."""
     if not is_proper(chi):
         raise ColoringError("zero_set requires a proper coloring")
-    mask = 0
-    for v, c in enumerate(chi.colors):
-        if c == 0:
-            mask |= 1 << v
-    return mask
+    return _zero_mask(chi.colors)
+
+
+def _zero_mask(colors: bytes) -> int:
+    """Bit v set iff colors[v] == 0, read in one pass as a base-2 numeral."""
+    return int(colors[::-1].translate(_ZERO_DIGITS), 2)
 
 
 def imbalance(chi: Coloring) -> int:
@@ -89,16 +93,9 @@ def imbalance(chi: Coloring) -> int:
 
 
 def zero_counts(chi: Coloring) -> tuple[int, int]:
-    """(|I∩E|, |I∩O|) without building the mask."""
-    lat = chi.lattice
-    even = odd = 0
-    for v, c in enumerate(chi.colors):
-        if c == 0:
-            if lat.parities[v] == 0:
-                even += 1
-            else:
-                odd += 1
-    return even, odd
+    """(|I∩E|, |I∩O|), without the properness check ``zero_set`` makes."""
+    zeros, lat = _zero_mask(chi.colors), chi.lattice
+    return (zeros & lat.even_mask).bit_count(), (zeros & lat.odd_mask).bit_count()
 
 
 def imbalance_class(imb: int, nv: int, rho: Fraction) -> ImbalanceClass:
@@ -136,22 +133,21 @@ class OddBoundaryZero:
 
 def odd_boundary_pinned(v0) -> OddBoundaryZero:
     """The C_3^O(v₀) condition: odd boundary ≡ 0 and χ(v₀) = 0.  A tuple
-    centre, so ``_pin_items``' cache can hash it."""
+    centre, so ``_pin_mask``' cache can hash it."""
     return OddBoundaryZero(tuple(v0))
 
 
 @lru_cache(maxsize=64)
-def _pin_items(bc: OddBoundaryZero, lat: Lattice) -> tuple[tuple[int, int], ...]:
-    """``bc``'s pins on ``lat`` as (vertex, color) pairs, built once per
-    (condition, lattice); a tuple, so no caller can change the shared map."""
-    return tuple(bc.pins(lat).items())
+def _pin_mask(bc: OddBoundaryZero, spec: LatticeSpec) -> int:
+    """``bc``'s pinned vertices as one mask (every pin is 0), built once per
+    (condition, spec); keyed by the spec, so it keeps no caller's lattice alive."""
+    return sum(1 << v for v in bc.pins(build_lattice(spec)))
 
 
 def satisfies_bc(chi: Coloring, bc: OddBoundaryZero | None) -> bool:
     if bc is None:
         return True
-    colors = chi.colors
-    return all(colors[v] == c for v, c in _pin_items(bc, chi.lattice))
+    return not _pin_mask(bc, chi.lattice.spec) & ~_zero_mask(chi.colors)
 
 
 # -- stock colorings ---------------------------------------------------------

@@ -182,14 +182,11 @@ def verify_properties(cut: Cutset, chi: Coloring, v0: int | None = None) -> Cuts
 
     p2 = not (int_b & ~other) and not (ext_b & ~seed)
     p3 = not (int_b & zeros) and not (ext_b & zeros)
-    p4 = all(lat.nbr_mask[v] & region & zeros for v in iter_bits(int_b))
-    ext_of_wseed = external_boundary(lat, w_seed)
-    p5_first = w_other == ext_of_wseed
-    hull = 0
-    for v in iter_bits(seed):
-        if lat.nbr_mask[v] and not (lat.nbr_mask[v] & ~w_other):
-            hull |= 1 << v
-    p5 = p5_first and (w_seed == hull)
+    p4 = not int_b & ~lat.dilate(region & zeros)
+    # the hull: seed vertices whose neighbours all lie in W^other (every
+    # vertex of a box or torus has one)
+    hull = seed & ~lat.dilate(lat.full_mask & ~w_other)
+    p5 = w_other == external_boundary(lat, w_seed) and w_seed == hull
 
     size = cut.size
     identity = size == 2 * lat.d * (w_other.bit_count() - w_seed.bit_count())

@@ -79,6 +79,12 @@ class Lattice:
                      for c in self.coords)
             for s in shift_order(self.d)
         }
+        # σ_s grouped by index offset, as (mask, delta) pairs: one per
+        # direction on a box, two on a torus; dilate_groups merges them all
+        self.shift_groups = {s: _offset_groups(enumerate(t))
+                             for s, t in self.shift_tables.items()}
+        self.dilate_groups = _offset_groups(
+            (v, w) for t in self.shift_tables.values() for v, w in enumerate(t))
         # n=2 tori collapse the two wrap edges into one (simple graph)
         self.neighbors: list[list[int]] = [
             sorted({t[i] for t in self.shift_tables.values()} - {None})
@@ -125,13 +131,11 @@ class Lattice:
     def shift_set(self, mask: int, s: int) -> int:
         """Image mask σ_s(X); box images falling outside are dropped."""
         check_direction(s, self.d)
-        table = self.shift_tables[s]
-        out = 0
-        for v in iter_bits(mask):
-            w = table[v]
-            if w is not None:
-                out |= 1 << w
-        return out
+        return _apply_groups(self.shift_groups[s], mask)
+
+    def dilate(self, mask: int) -> int:
+        """N(X) = ⋃_s σ_s(X): every vertex with a neighbour in X."""
+        return _apply_groups(self.dilate_groups, mask)
 
     # -- automorphisms -----------------------------------------------------
 
@@ -173,6 +177,23 @@ def build_lattice(spec: LatticeSpec) -> Lattice:
     return Lattice(spec)
 
 
+def _offset_groups(pairs) -> tuple[tuple[int, int], ...]:
+    """(mask, delta) per offset δ = w − v over the (v, w) pairs, w not None."""
+    groups: dict[int, int] = {}
+    for v, w in pairs:
+        if w is not None:
+            groups[w - v] = groups.get(w - v, 0) | 1 << v
+    return tuple((mask, delta) for delta, mask in groups.items())
+
+
+def _apply_groups(groups, mask: int) -> int:
+    """The image of X under offset groups: each part of X moved by its delta."""
+    out = 0
+    for part, delta in groups:
+        out |= (mask & part) << delta if delta > 0 else (mask & part) >> -delta
+    return out
+
+
 def box(d: int, n: int) -> Lattice:
     return Lattice(LatticeSpec(LatticeKind.BOX, d, n))
 
@@ -208,25 +229,17 @@ def iter_bits(mask: int):
 
 def external_boundary(lat: Lattice, mask: int) -> int:
     """∂_ext X: vertices outside X adjacent to X."""
-    out = 0
-    for v in iter_bits(mask):
-        out |= lat.nbr_mask[v]
-    return out & ~mask
+    return lat.dilate(mask) & ~mask
 
 
 def internal_boundary(lat: Lattice, mask: int) -> int:
     """∂_int X: vertices of X adjacent to the complement."""
-    comp = lat.full_mask & ~mask
-    out = 0
-    for v in iter_bits(mask):
-        if lat.nbr_mask[v] & comp:
-            out |= 1 << v
-    return out
+    return mask & lat.dilate(lat.full_mask & ~mask)
 
 
 def closure(lat: Lattice, mask: int) -> int:
     """X⁺ = X ∪ ∂_ext X."""
-    return mask | external_boundary(lat, mask)
+    return mask | lat.dilate(mask)
 
 
 def edge_boundary(lat: Lattice, mask: int) -> list[tuple[int, int]]:

@@ -13,20 +13,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
-from .coloring import Coloring
+from .coloring import Coloring, _zero_mask
 from .cutset import Cutset
 from .errors import ColoringError, PropertyViolation
 from .lattice import (
     Lattice,
+    LatticeSpec,
+    build_lattice,
     check_direction,
     external_boundary,
     internal_boundary,
     iter_bits,
 )
 
-# f: fixes 0, swaps 1 and 2
-_F = (0, 2, 1)
+# f as a byte table: swaps 1 and 2, fixes 0 and every other byte
+_F = bytes((0, 2, 1)) + bytes(range(3, 256))
 
 
 def boundary_layer(lat: Lattice, region: int, s: int) -> int:
@@ -34,54 +38,73 @@ def boundary_layer(lat: Lattice, region: int, s: int) -> int:
     return internal_boundary(lat, region) & ~lat.shift_set(region, s)
 
 
-def _repair(chi: Coloring, region: int, s: int, layer: int, subset: int) -> Coloring:
-    """The repair map with W^s = ``layer`` given: 0 on S, χ on
-    (W^s∖S) ∪ (V∖W), f∘χ∘σ_{−s} on W∖W^s."""
-    back = chi.lattice.shift_tables[-s]
-    colors = chi.colors
-    buf = bytearray(colors)
-    for v in iter_bits(subset):
-        buf[v] = 0
-    for v in iter_bits(region & ~layer):
-        w = back[v]
-        if w is None:
-            raise PropertyViolation("shift leaves the lattice inside W")
-        buf[v] = _F[colors[w]]
+def _shift_pairs(table, mask: int):
+    pairs = tuple((v, table[v]) for v in iter_bits(mask))
+    return None if any(w is None for _, w in pairs) else pairs
+
+
+class _Plan(NamedTuple):
+    """What (W, s) fixes for every image of φ_s.  A pair tuple is None where
+    the shift leaves a box inside W."""
+
+    layer: int       # W^s
+    repair: tuple | None    # (v, σ_{−s}(v)) over W∖W^s, recolored by ``_repair``
+    rebuild: tuple | None   # (v, σ_s(v)) over W, read by ``reconstruct``
+
+
+@lru_cache(maxsize=256)
+def _plan(spec: LatticeSpec, region: int, s: int) -> _Plan:
+    """The plan of (W, s) on the lattice of ``spec``; keyed by the spec, so it
+    keeps no caller's lattice alive."""
+    lat = build_lattice(spec)
+    layer = boundary_layer(lat, region, s)
+    return _Plan(layer, _shift_pairs(lat.shift_tables[-s], region & ~layer),
+                 _shift_pairs(lat.shift_tables[s], region))
+
+
+def _recolor(chi: Coloring, pairs, buf: bytearray) -> Coloring:
+    """``buf`` with f∘χ(w) written at v for each (v, w) of ``pairs``."""
+    if pairs is None:
+        raise PropertyViolation("shift leaves the lattice inside W")
+    swapped = chi.colors.translate(_F)
+    for v, w in pairs:
+        buf[v] = swapped[w]
     return Coloring(chi.lattice, buf, chi.q)
+
+
+def _repair(chi: Coloring, region: int, s: int, subset: int) -> Coloring:
+    """The repair map: 0 on S, χ on (W^s∖S) ∪ (V∖W), f∘χ∘σ_{−s} on W∖W^s."""
+    buf = bytearray(chi.colors)
+    while subset:
+        low = subset & -subset
+        buf[low.bit_length() - 1] = 0
+        subset ^= low
+    return _recolor(chi, _plan(chi.lattice.spec, region, s).repair, buf)
 
 
 def reconstruct(chi_prime: Coloring, region: int, s: int) -> Coloring:
     """Invert the repair map: χ = χ′ off W, f∘χ′∘σ_s on W."""
     lat = chi_prime.lattice
     check_direction(s, lat.d)
-    fwd = lat.shift_tables[s]
-    colors = chi_prime.colors
-    buf = bytearray(colors)
-    for v in iter_bits(region):
-        w = fwd[v]
-        if w is None:
-            raise PropertyViolation("shift leaves the lattice inside W")
-        buf[v] = _F[colors[w]]
-    return Coloring(lat, buf, chi_prime.q)
+    return _recolor(chi_prime, _plan(lat.spec, region, s).rebuild, bytearray(chi_prime.colors))
 
 
 def _subsets(layer: int):
-    """Every S ⊆ ``layer``, in the order of the binary counter over its bits."""
-    members = list(iter_bits(layer))
-    for pick in range(1 << len(members)):
-        subset = 0
-        for i, v in enumerate(members):
-            if (pick >> i) & 1:
-                subset |= 1 << v
+    """Every S ⊆ ``layer``, in the order of the binary counter over its bits:
+    the submasks in increasing order."""
+    subset = 0
+    while True:
         yield subset
+        if subset == layer:
+            return
+        subset = (subset - layer) & layer
 
 
 def phi_family(chi: Coloring, region: int, s: int):
     """Lazily yield (S, repaired coloring) over all S ⊆ W^s; the family
     has exactly 2^{|W^s|} members."""
-    layer = boundary_layer(chi.lattice, region, s)
-    for subset in _subsets(layer):
-        yield subset, _repair(chi, region, s, layer, subset)
+    for subset in _subsets(_plan(chi.lattice.spec, region, s).layer):
+        yield subset, _repair(chi, region, s, subset)
 
 
 # -- approximations ----------------------------------------------------------
@@ -131,11 +154,7 @@ def q_sets(approx: Approximation, s: int, chi_prime: Coloring) -> QSets:
     U = {x ∈ Q^E : χ′(σ_s(x)) = 0}."""
     lat = approx.lattice
     q_even, q_odd = _q_masks(approx)
-    u = 0
-    for x in iter_bits(q_even):
-        fwd = lat.shift(x, s)
-        if fwd is not None and chi_prime.colors[fwd] == 0:
-            u |= 1 << x
+    u = q_even & lat.shift_set(_zero_mask(chi_prime.colors), -s)
     return QSets(lattice=lat, q_even=q_even, q_odd=q_odd, u=u)
 
 
@@ -145,32 +164,28 @@ def q_sets(approx: Approximation, s: int, chi_prime: Coloring) -> QSets:
 def flow_sets(cut: Cutset, approx: Approximation, s: int, q_even: int) -> tuple[int, int, int]:
     """(W^s, C, D) with C = W^s ∩ A^O ∩ σ_s(Q^E), D = W^s ∖ C and Q^E = ``q_even``."""
     lat = cut.lattice
-    layer = boundary_layer(lat, cut.region, s)
+    layer = _plan(lat.spec, cut.region, s).layer
     c_set = layer & approx.odd_part & lat.shift_set(q_even, s)
     return layer, c_set, layer & ~c_set
 
 
 def membership_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int) -> int:
     """The unique S whose repair image is χ′, or raise if χ′ is not one."""
-    layer = boundary_layer(chi.lattice, region, s)
-    subset = 0
-    for v in iter_bits(layer):
-        if chi_prime.colors[v] == 0:
-            subset |= 1 << v
-    if _repair(chi, region, s, layer, subset) != chi_prime:
+    subset = _plan(chi.lattice.spec, region, s).layer & _zero_mask(chi_prime.colors)
+    if _repair(chi, region, s, subset) != chi_prime:
         raise ColoringError("chi_prime is not in the shift family of chi")
     return subset
 
 
 def _nu(chi_prime: Coloring, c_set: int, d_set: int) -> Fraction:
     """ν(χ, χ′) from the flow sets C and D, for a χ′ known to lie in φ_s(χ)."""
-    c_bits = list(iter_bits(c_set))
-    return Fraction(_nu_numerator(chi_prime, c_bits), 4 ** len(c_bits) * 2 ** d_set.bit_count())
+    return Fraction(_nu_numerator(chi_prime, c_set),
+                    4 ** c_set.bit_count() * 2 ** d_set.bit_count())
 
 
-def _nu_numerator(chi_prime: Coloring, c_bits: list[int]) -> int:
-    """ν(χ, χ′) · 4^{|C|} 2^{|D|} = 3^{|C∖I(χ′)|}, for the vertices of C."""
-    return 3 ** sum(chi_prime.colors[v] != 0 for v in c_bits)
+def _nu_numerator(chi_prime: Coloring, c_set: int) -> int:
+    """ν(χ, χ′) · 4^{|C|} 2^{|D|} = 3^{|C∖I(χ′)|}."""
+    return 3 ** (c_set & ~_zero_mask(chi_prime.colors)).bit_count()
 
 
 @dataclass(frozen=True)
@@ -203,14 +218,13 @@ def flow_out_total(
     if layer.bit_count() > explicit_cap:
         return FlowTotal(closed, None, None, (layer, c_set, d_set), None)
     region = cut.region
-    c_bits = list(iter_bits(c_set))
     numerator = 0
     for subset in _subsets(layer):
-        chi_prime = _repair(chi, region, s, layer, subset)
+        chi_prime = _repair(chi, region, s, subset)
         if reconstruct(chi_prime, region, s) != chi:
             raise PropertyViolation("a repair image does not reconstruct to chi")
-        numerator += _nu_numerator(chi_prime, c_bits)
-    total = Fraction(numerator, 4 ** len(c_bits) * 2 ** d_set.bit_count())
+        numerator += _nu_numerator(chi_prime, c_set)
+    total = Fraction(numerator, 4 ** c_set.bit_count() * 2 ** d_set.bit_count())
     return FlowTotal(closed, total, total == closed, (layer, c_set, d_set), chi_prime)
 
 

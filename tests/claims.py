@@ -1,6 +1,10 @@
 """Exact checks of the paper's proof devices that the tests use as oracles.
 
-They are the per-colouring imbalance class and the imbalance histogram of
+They are the vertex-by-vertex forms of the lattice's whole-mask helpers
+(σ_s, ∂_ext, ∂_int, closure, components), of ``verify_properties``' P4
+and P5, of the zero mask, of the subset order of φ_s and of ``q_sets``' U,
+the references for the whole-mask paths; the per-colouring
+imbalance class and the imbalance histogram of
 Z²ₙ by a graded row transfer, the references for ``conductance_bound``'s
 histogram path; the conditional colour bound (the L-colouring lemma) on
 small bipartite graphs; the torus cutset collections with profile
@@ -32,7 +36,90 @@ from potts3.peierls import (Approximation, GoodTriple, _canonical_triple, _nu, _
                             boundary_layer, flow_sets, membership_subset, q_sets)
 
 
+# -- lattice -------------------------------------------------------------------
+
+
+def shift_set_by_vertex(lat: Lattice, mask: int, s: int) -> int:
+    """σ_s(X) vertex by vertex from the shift table; box images falling
+    outside are dropped."""
+    table = lat.shift_tables[s]
+    out = 0
+    for v in iter_bits(mask):
+        w = table[v]
+        if w is not None:
+            out |= 1 << w
+    return out
+
+
+def dilate_by_vertex(lat: Lattice, mask: int) -> int:
+    """N(X) as the union of its vertices' neighbour masks."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= lat.nbr_mask[v]
+    return out
+
+
+def external_boundary_by_vertex(lat: Lattice, mask: int) -> int:
+    return dilate_by_vertex(lat, mask) & ~mask
+
+
+def internal_boundary_by_vertex(lat: Lattice, mask: int) -> int:
+    """∂_int X: each vertex of X with a neighbour in the complement."""
+    comp = lat.full_mask & ~mask
+    out = 0
+    for v in iter_bits(mask):
+        if lat.nbr_mask[v] & comp:
+            out |= 1 << v
+    return out
+
+
+def closure_by_vertex(lat: Lattice, mask: int) -> int:
+    return mask | external_boundary_by_vertex(lat, mask)
+
+
+def components_by_search(lat: Lattice, mask: int) -> list[int]:
+    """Connected pieces of the induced subgraph by depth-first search over
+    neighbour lists, as masks ordered by smallest vertex."""
+    comps, seen = [], 0
+    for start in iter_bits(mask):
+        if (seen >> start) & 1:
+            continue
+        comp, stack = 1 << start, [start]
+        while stack:
+            for w in lat.neighbors[stack.pop()]:
+                if (mask >> w) & 1 and not (comp >> w) & 1:
+                    comp |= 1 << w
+                    stack.append(w)
+        comps.append(comp)
+        seen |= comp
+    return comps
+
+
+def closure_properties_by_vertex(lat: Lattice, region: int, seed: int,
+                                 zeros: int) -> tuple[bool, bool]:
+    """``verify_properties``' P4 (each vertex of ∂_int W has a zero
+    neighbour in W) and P5 (W^other = ∂_ext W^seed, and W^seed is the hull:
+    the seed vertices with neighbours, all of them in W^other)."""
+    w_seed, w_other = region & seed, region & ~seed
+    p4 = all(lat.nbr_mask[v] & region & zeros
+             for v in iter_bits(internal_boundary_by_vertex(lat, region)))
+    hull = 0
+    for v in iter_bits(seed):
+        if lat.nbr_mask[v] and not (lat.nbr_mask[v] & ~w_other):
+            hull |= 1 << v
+    return p4, w_other == external_boundary_by_vertex(lat, w_seed) and w_seed == hull
+
+
 # -- coloring ------------------------------------------------------------------
+
+
+def zero_mask_by_vertex(colors: bytes) -> int:
+    """Bit v set iff colors[v] == 0, vertex by vertex."""
+    mask = 0
+    for v, c in enumerate(colors):
+        if c == 0:
+            mask |= 1 << v
+    return mask
 
 
 def mod3_coloring(lat: Lattice) -> Coloring:
@@ -169,12 +256,33 @@ def profile_membership(chi: Coloring, profile: Profile) -> bool:
 # -- peierls -------------------------------------------------------------------
 
 
+def subsets_by_counter(layer: int):
+    """Every S ⊆ ``layer``, a binary counter over its bits, lowest bit first."""
+    members = list(iter_bits(layer))
+    for pick in range(1 << len(members)):
+        subset = 0
+        for i, v in enumerate(members):
+            if (pick >> i) & 1:
+                subset |= 1 << v
+        yield subset
+
+
+def resolved_by_vertex(lat: Lattice, q_even: int, s: int, chi_prime: Coloring) -> int:
+    """U = {x ∈ Q^E : χ′(σ_s(x)) = 0}, vertex by vertex."""
+    u = 0
+    for x in iter_bits(q_even):
+        fwd = lat.shift(x, s)
+        if fwd is not None and chi_prime.colors[fwd] == 0:
+            u |= 1 << x
+    return u
+
+
 def shift_coloring(chi: Coloring, region: int, s: int, subset: int) -> Coloring:
     """Repair map: 0 on S, unchanged on (W^s∖S) ∪ (V∖W), f∘χ∘σ_{−s} on W∖W^s."""
     layer = boundary_layer(chi.lattice, region, s)
     if subset & ~layer:
         raise ColoringError("S must be a subset of the boundary layer W^s")
-    return _repair(chi, region, s, layer, subset)
+    return _repair(chi, region, s, subset)
 
 
 def sample_phi(chi: Coloring, region: int, s: int, rng) -> tuple[int, Coloring]:
@@ -184,7 +292,7 @@ def sample_phi(chi: Coloring, region: int, s: int, rng) -> tuple[int, Coloring]:
     for v in iter_bits(layer):
         if rng.getrandbits(1):
             subset |= 1 << v
-    return subset, _repair(chi, region, s, layer, subset)
+    return subset, _repair(chi, region, s, subset)
 
 
 def degree_threshold(d: int) -> int:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from potts3 import coloring
 from potts3.coloring import (
     Coloring,
     ImbalanceClass,
@@ -16,12 +20,13 @@ from potts3.coloring import (
     satisfies_bc,
     zero_counts,
     zero_set,
+    _zero_mask,
 )
 from potts3.errors import BoundaryConditionError, ColoringError, LatticeError
 from potts3.lattice import Parity, box, iter_bits, torus
 from potts3.oracle import enumerate_colorings
 
-from claims import classify, mod3_coloring
+from claims import classify, mod3_coloring, zero_mask_by_vertex
 
 
 def test_properness_examples():
@@ -46,6 +51,21 @@ def test_zero_set_of_phase_and_mod3():
 def test_color_out_of_range_names_the_first_bad_value():
     with pytest.raises(ColoringError, match="^color value 5 out of range for q=3$"):
         Coloring(box(1, 1), [0, 5, 7], 3)
+
+
+@pytest.mark.parametrize("q,colors,bad", [
+    (2, [1, 0, 2], 2),
+    (4, [3, 7, 9], 7),
+    (3, [255, 1, 4], 255),
+    (254, [253, 255, 254], 255),
+])
+def test_color_out_of_range_names_the_first_bad_byte(q, colors, bad):
+    with pytest.raises(ColoringError, match=f"^color value {bad} out of range for q={q}$"):
+        Coloring(box(1, 1), colors, q)
+
+
+def test_every_byte_is_in_range_for_q_256():
+    assert Coloring(box(1, 1), [0, 128, 255], 256).colors == bytes([0, 128, 255])
 
 
 def test_zero_set_requires_proper():
@@ -153,16 +173,34 @@ def test_satisfies_bc_builds_each_pin_map_once(monkeypatch):
     real_pins = OddBoundaryZero.pins
     monkeypatch.setattr(OddBoundaryZero, "pins",
                         lambda self, lat: calls.append(lat) or real_pins(self, lat))
+    coloring._pin_mask.cache_clear()
     b = box(2, 3)
     chis = [phase_coloring(b, Parity.ODD), mod3_coloring(b)]
     assert [satisfies_bc(chi, OddBoundaryZero()) for chi in chis * 3] == [True, False] * 3
-    assert calls == [b]
+    # the pin mask is keyed by the spec, so a second box(2, 3) shares it
+    assert satisfies_bc(phase_coloring(box(2, 3), Parity.ODD), OddBoundaryZero())
+    assert [lat.spec for lat in calls] == [b.spec]
     # a caller's own pin map is a copy: emptying it leaves the shared one whole
     OddBoundaryZero().pins(b).clear()
     assert not satisfies_bc(mod3_coloring(b), OddBoundaryZero())
+
+
+def test_satisfies_bc_keeps_no_lattice_alive():
+    b = box(2, 3)
+    assert satisfies_bc(phase_coloring(b, Parity.ODD), odd_boundary_pinned((1, 0)))
+    ref = weakref.ref(b)
+    del b
+    gc.collect()
+    assert ref() is None
 
 
 def test_zero_counts_consistency(z24_states):
     for chi in z24_states[::301]:
         ze, zo = zero_counts(chi)
         assert ze - zo == imbalance(chi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(colors=st.binary(min_size=2, max_size=300))
+def test_zero_mask_matches_its_vertex_loop(colors):
+    assert _zero_mask(colors) == zero_mask_by_vertex(colors)

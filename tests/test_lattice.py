@@ -6,6 +6,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from potts3 import cutset
+from potts3.coloring import Coloring
+from potts3.cutset import Cutset, verify_properties
 from potts3.errors import LatticeError
 from potts3.lattice import (
     LatticeKind,
@@ -21,6 +24,16 @@ from potts3.lattice import (
     iter_bits,
     shift_order,
     torus,
+)
+
+from claims import (
+    closure_by_vertex,
+    closure_properties_by_vertex,
+    components_by_search,
+    dilate_by_vertex,
+    external_boundary_by_vertex,
+    internal_boundary_by_vertex,
+    shift_set_by_vertex,
 )
 
 
@@ -214,3 +227,41 @@ def test_lattice_with_automorphisms_is_collected():
     del t
     gc.collect()
     assert ref() is None
+
+
+MASK_LATTICES = [
+    box(1, 3), box(2, 1), box(2, 2), box(2, 3), box(3, 2),
+    torus(1, 2), torus(1, 4), torus(1, 6), torus(2, 2), torus(2, 4), torus(2, 6),
+    torus(3, 4), torus(4, 2),
+]
+
+
+@pytest.mark.parametrize("lat", MASK_LATTICES, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(0, (1 << 125) - 1), zero_bits=st.integers(0, (1 << 125) - 1),
+       parity=st.sampled_from(Parity))
+def test_whole_mask_helpers_match_their_vertex_loops(lat, bits, zero_bits, parity):
+    # the σ_s offset groups against the shift tables, vertex by vertex; on
+    # tori each direction has a wrap group, which a random mask crosses
+    x = bits & lat.full_mask
+    for s in shift_order(lat.d):
+        assert lat.shift_set(x, s) == shift_set_by_vertex(lat, x, s)
+    assert lat.dilate(x) == dilate_by_vertex(lat, x)
+    assert external_boundary(lat, x) == external_boundary_by_vertex(lat, x)
+    assert internal_boundary(lat, x) == internal_boundary_by_vertex(lat, x)
+    assert closure(lat, x) == closure_by_vertex(lat, x)
+    assert connected_components(lat, x) == components_by_search(lat, x)
+    # P4 and P5: verify_properties reads zero_set(χ) alone for them, so it is
+    # handed a mask.  Beside the random region, W = hull ∪ ∂_ext(x^seed)
+    # satisfies P5 by construction, and zeros ⊇ seed makes P4 likely
+    seed = lat.even_mask if parity is Parity.EVEN else lat.odd_mask
+    rim = external_boundary_by_vertex(lat, x & seed)
+    hull = seed & ~dilate_by_vertex(lat, lat.full_mask & ~rim)
+    chi = Coloring(lat, bytes(lat.nv))
+    for region in (x, hull | rim):
+        for zeros in (zero_bits & lat.full_mask, seed):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cutset, "zero_set", lambda _chi: zeros)
+                rep = verify_properties(Cutset(lat, region, parity, 0), chi)
+            assert (rep.p4_interior_zero_support, rep.p5_region_closure) == \
+                closure_properties_by_vertex(lat, region, seed, zeros)

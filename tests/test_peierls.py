@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potts3 import peierls
 from potts3.coloring import (
@@ -19,7 +22,7 @@ from potts3.coloring import (
 from potts3.cutset import build_box_cutset, select_family
 from potts3.dynamics import CounterRng
 from potts3.errors import ColoringError, PropertyViolation
-from potts3.lattice import Parity, box, iter_bits, shift_order, torus
+from potts3.lattice import Parity, box, closure, iter_bits, shift_order, torus
 from potts3.peierls import (
     Approximation,
     GoodTriple,
@@ -41,9 +44,11 @@ from claims import (
     degree_threshold,
     flow_weight,
     is_approximation,
+    resolved_by_vertex,
     sample_phi,
     select_direction,
     shift_coloring,
+    subsets_by_counter,
 )
 
 
@@ -176,6 +181,24 @@ def test_q_sets_containments_external(domino_setup):
     assert approx.odd_part & ~w_odd == 0
     assert (t.odd_mask & ~(approx.odd_part | qq.q_odd)) & w_odd == 0
     assert qq.u & ~qq.q_even == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(colors=st.lists(st.integers(0, 2), min_size=36, max_size=36))
+def test_q_sets_resolved_part_matches_its_vertex_loop(domino_setup, colors):
+    t, chi, cut, approx, extra = domino_setup
+    # Q^E is grown to every even vertex, so U's shifts cross the torus wrap
+    chi_prime = Coloring(t, colors, 3)
+    for ctx_approx in (approx, Approximation(t, t.even_mask, approx.odd_part)):
+        for s in shift_order(2):
+            ctx = q_sets(ctx_approx, s, chi_prime)
+            assert ctx.u == resolved_by_vertex(t, ctx.q_even, s, chi_prime)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layer=st.sets(st.integers(0, 48), max_size=8).map(lambda vs: sum(1 << v for v in vs)))
+def test_subsets_follow_the_binary_counter(layer):
+    assert list(peierls._subsets(layer)) == list(subsets_by_counter(layer))
 
 
 def test_q_sets_empty_when_a_odd_is_all_odd():
@@ -473,9 +496,9 @@ def test_explicit_flow_sum_catches_a_corrupted_repair(domino_setup, monkeypatch)
     s = -2
     real_repair = peierls._repair
 
-    def corrupted(chi, region, s, layer, subset):
-        out = bytearray(real_repair(chi, region, s, layer, subset).colors)
-        v = next(iter_bits(region & ~layer))
+    def corrupted(chi, region, s, subset):
+        out = bytearray(real_repair(chi, region, s, subset).colors)
+        v = next(iter_bits(region & ~boundary_layer(chi.lattice, region, s)))
         out[v] = (out[v] + 1) % 3
         return Coloring(chi.lattice, out, chi.q)
 
@@ -483,3 +506,47 @@ def test_explicit_flow_sum_catches_a_corrupted_repair(domino_setup, monkeypatch)
     monkeypatch.setattr(peierls, "_repair", corrupted)
     with pytest.raises(PropertyViolation, match="reconstruct"):
         flow_out_total(chi, cut, approx, s)
+
+
+# -- the plan cache: one (W^s, repair pairs, reconstruct pairs) per (spec, W, s)
+
+
+def test_full_box_region_raises_again_through_the_cached_plan():
+    # every direction leaves the box somewhere inside W = Λ, so neither pair
+    # tuple exists; the plan keeps None and the second call raises from it
+    lat = box(2, 2)
+    chi = phase_coloring(lat)
+    peierls._plan.cache_clear()
+    for _ in range(2):
+        with pytest.raises(PropertyViolation, match="leaves the lattice"):
+            reconstruct(chi, lat.full_mask, 1)
+        with pytest.raises(PropertyViolation, match="leaves the lattice"):
+            list(phi_family(chi, lat.full_mask, 1))
+    info = peierls._plan.cache_info()
+    assert info.misses == 1 and info.hits >= 3
+    plan = peierls._plan(lat.spec, lat.full_mask, 1)
+    assert (plan.layer, plan.repair, plan.rebuild) == (0, None, None)
+
+
+def test_separate_lattices_of_one_spec_share_a_plan():
+    peierls._plan.cache_clear()
+    families = []
+    for lat in (box(2, 3), box(2, 3)):
+        chi = phase_coloring(lat)
+        star = closure(lat, 1 << lat.index((0, 0)))
+        families.append([(sub, cp, reconstruct(cp, star, 1)) for sub, cp in phi_family(chi, star, 1)])
+    # the images and their reconstructions agree across the two lattices
+    assert families[0] == families[1] and len(families[0]) == 2 ** 3
+    assert peierls._plan.cache_info().misses == 1
+
+
+def test_plan_cache_keeps_no_lattice_alive():
+    lat = box(2, 3)
+    chi = phase_coloring(lat)
+    star = closure(lat, 1 << lat.index((0, 0)))
+    assert membership_subset(chi, next(phi_family(chi, star, -2))[1], star, -2) == 0
+    assert peierls._plan.cache_info().currsize >= 1
+    ref = weakref.ref(lat)
+    del lat, chi
+    gc.collect()
+    assert ref() is None
