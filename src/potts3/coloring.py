@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BoundaryConditionError, ColoringError
-from .lattice import Lattice, LatticeKind, LatticeSpec, Parity, build_lattice, iter_bits
+from .lattice import Lattice, LatticeKind, Parity, iter_bits
 
 DEFAULT_RHO = Fraction(11, 50)
 _BYTES = bytes(range(256))
@@ -53,13 +53,13 @@ class Coloring:
     def __eq__(self, other):
         return (
             isinstance(other, Coloring)
-            and self.lattice.spec == other.lattice.spec
+            and self.lattice is other.lattice
             and self.q == other.q
             and self.colors == other.colors
         )
 
     def __hash__(self):
-        return hash((self.lattice.spec, self.q, self.colors))
+        return hash((self.lattice, self.q, self.colors))
 
     def __repr__(self):
         return f"Coloring({self.lattice!r}, q={self.q}, {self.colors.hex()})"
@@ -138,16 +138,16 @@ def odd_boundary_pinned(v0) -> OddBoundaryZero:
 
 
 @lru_cache(maxsize=64)
-def _pin_mask(bc: OddBoundaryZero, spec: LatticeSpec) -> int:
+def _pin_mask(bc: OddBoundaryZero, lat: Lattice) -> int:
     """``bc``'s pinned vertices as one mask (every pin is 0), built once per
-    (condition, spec); keyed by the spec, so it keeps no caller's lattice alive."""
-    return sum(1 << v for v in bc.pins(build_lattice(spec)))
+    (condition, lattice)."""
+    return sum(1 << v for v in bc.pins(lat))
 
 
 def satisfies_bc(chi: Coloring, bc: OddBoundaryZero | None) -> bool:
     if bc is None:
         return True
-    return not _pin_mask(bc, chi.lattice.spec) & ~_zero_mask(chi.colors)
+    return not _pin_mask(bc, chi.lattice) & ~_zero_mask(chi.colors)
 
 
 # -- stock colorings ---------------------------------------------------------

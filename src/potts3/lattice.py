@@ -33,7 +33,11 @@ class LatticeSpec:
     d: int
     n: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # a float or bool d or n hashes equal to an int one: build_lattice
+        # would hand back the int spec's lattice
+        if not isinstance(self.kind, LatticeKind) or {type(self.d), type(self.n)} != {int}:
+            raise LatticeError(f"a spec is a LatticeKind and two ints, got {self!r}")
         if self.d < 1:
             raise LatticeError(f"dimension must be positive, got d={self.d}")
         if self.kind is LatticeKind.TORUS:
@@ -43,20 +47,18 @@ class LatticeSpec:
                 raise LatticeError(
                     f"torus side must be even to preserve bipartiteness, got n={self.n}"
                 )
-        else:
-            if self.n < 1:
-                raise LatticeError(f"box half-width must be at least 1, got n={self.n}")
+        elif self.n < 1:
+            raise LatticeError(f"box half-width must be at least 1, got n={self.n}")
 
 
 class Lattice:
     """Immutable graph of a lattice region with precomputed tables.
 
-    Safe to share across workers; only the automorphism cache fills later.
+    Built only by ``build_lattice``, one per spec.  Safe to share across
+    workers; only the automorphism cache fills later.
     """
 
     def __init__(self, spec: LatticeSpec):
-        spec.validate()
-        self.spec = spec
         self.kind = spec.kind
         self.d = spec.d
         self.n = spec.n
@@ -66,10 +68,7 @@ class Lattice:
             c: i for i, c in enumerate(self.coords)
         }
         self.parities = [sum(c) % 2 for c in self.coords]
-        self.even_mask = 0
-        for i, p in enumerate(self.parities):
-            if p == 0:
-                self.even_mask |= 1 << i
+        self.even_mask = sum(1 << i for i, p in enumerate(self.parities) if p == 0)
         self.full_mask = (1 << self.nv) - 1
         self.odd_mask = self.full_mask ^ self.even_mask
 
@@ -95,10 +94,8 @@ class Lattice:
             (u, v) for u in range(self.nv) for v in self.neighbors[u] if u < v
         ]
         # vertices with a Z^d neighbor outside the region (empty on tori)
-        self.boundary_mask = 0
-        for i in range(self.nv):
-            if any(t[i] is None for t in self.shift_tables.values()):
-                self.boundary_mask |= 1 << i
+        self.boundary_mask = sum(1 << i for i in range(self.nv)
+                                 if any(t[i] is None for t in self.shift_tables.values()))
 
     @staticmethod
     def _gen_coords(spec: LatticeSpec):
@@ -172,8 +169,10 @@ class Lattice:
 
 @lru_cache(maxsize=None)
 def build_lattice(spec: LatticeSpec) -> Lattice:
-    """Validate ``spec`` and construct the immutable lattice object, once per
-    process: later calls with the same spec share it."""
+    """The one lattice of ``spec`` in this process, and the only constructor
+    of a ``Lattice``: later calls, ``box`` and ``torus`` share it, and lattice
+    equality is identity.  Never clear this cache: a second object of one
+    spec would make equal colourings on the two compare unequal."""
     return Lattice(spec)
 
 
@@ -195,11 +194,11 @@ def _apply_groups(groups, mask: int) -> int:
 
 
 def box(d: int, n: int) -> Lattice:
-    return Lattice(LatticeSpec(LatticeKind.BOX, d, n))
+    return build_lattice(LatticeSpec(LatticeKind.BOX, d, n))
 
 
 def torus(d: int, n: int) -> Lattice:
-    return Lattice(LatticeSpec(LatticeKind.TORUS, d, n))
+    return build_lattice(LatticeSpec(LatticeKind.TORUS, d, n))
 
 
 def shift_order(d: int) -> list[int]:

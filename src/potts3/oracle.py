@@ -31,7 +31,7 @@ from .coloring import (
 from .cutset import build_box_cutset
 from .dynamics import GOLDEN, mix64_array
 from .errors import CapExceeded, ColoringError
-from .lattice import Lattice, LatticeKind, LatticeSpec, box, build_lattice
+from .lattice import Lattice, LatticeKind, box, torus
 
 ENUM_CAP = 10_000_000
 STATE_CAP = 20_000
@@ -232,7 +232,7 @@ def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP, stats=None)
         starts = list(_assignments(m, slab, q, {}, cap=state_cap)) if m else [b""]
     except CapExceeded:
         raise CapExceeded(f"first-slab colorings exceed the state cap {state_cap}") from None
-    first, weights = (_orbits(starts, build_lattice(LatticeSpec(lat.kind, lat.d - 1, lat.n)), q)
+    first, weights = (_orbits(starts, torus(lat.d - 1, lat.n), q)
                       if symmetric else (slice(None), np.ones(len(starts), dtype=np.int64)))
     colors = np.frombuffer(b"".join(starts), dtype=np.uint8).reshape(len(starts), m)[first]
     if stats is not None:                                  # the slab listing counts too

@@ -21,8 +21,6 @@ from .cutset import Cutset
 from .errors import ColoringError, PropertyViolation
 from .lattice import (
     Lattice,
-    LatticeSpec,
-    build_lattice,
     check_direction,
     external_boundary,
     internal_boundary,
@@ -53,10 +51,8 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _plan(spec: LatticeSpec, region: int, s: int) -> _Plan:
-    """The plan of (W, s) on the lattice of ``spec``; keyed by the spec, so it
-    keeps no caller's lattice alive."""
-    lat = build_lattice(spec)
+def _plan(lat: Lattice, region: int, s: int) -> _Plan:
+    """The plan of (W, s) on ``lat``."""
     layer = boundary_layer(lat, region, s)
     return _Plan(layer, _shift_pairs(lat.shift_tables[-s], region & ~layer),
                  _shift_pairs(lat.shift_tables[s], region))
@@ -79,14 +75,14 @@ def _repair(chi: Coloring, region: int, s: int, subset: int) -> Coloring:
         low = subset & -subset
         buf[low.bit_length() - 1] = 0
         subset ^= low
-    return _recolor(chi, _plan(chi.lattice.spec, region, s).repair, buf)
+    return _recolor(chi, _plan(chi.lattice, region, s).repair, buf)
 
 
 def reconstruct(chi_prime: Coloring, region: int, s: int) -> Coloring:
     """Invert the repair map: χ = χ′ off W, f∘χ′∘σ_s on W."""
     lat = chi_prime.lattice
     check_direction(s, lat.d)
-    return _recolor(chi_prime, _plan(lat.spec, region, s).rebuild, bytearray(chi_prime.colors))
+    return _recolor(chi_prime, _plan(lat, region, s).rebuild, bytearray(chi_prime.colors))
 
 
 def _subsets(layer: int):
@@ -103,7 +99,7 @@ def _subsets(layer: int):
 def phi_family(chi: Coloring, region: int, s: int):
     """Lazily yield (S, repaired coloring) over all S ⊆ W^s; the family
     has exactly 2^{|W^s|} members."""
-    for subset in _subsets(_plan(chi.lattice.spec, region, s).layer):
+    for subset in _subsets(_plan(chi.lattice, region, s).layer):
         yield subset, _repair(chi, region, s, subset)
 
 
@@ -164,14 +160,14 @@ def q_sets(approx: Approximation, s: int, chi_prime: Coloring) -> QSets:
 def flow_sets(cut: Cutset, approx: Approximation, s: int, q_even: int) -> tuple[int, int, int]:
     """(W^s, C, D) with C = W^s ∩ A^O ∩ σ_s(Q^E), D = W^s ∖ C and Q^E = ``q_even``."""
     lat = cut.lattice
-    layer = _plan(lat.spec, cut.region, s).layer
+    layer = _plan(lat, cut.region, s).layer
     c_set = layer & approx.odd_part & lat.shift_set(q_even, s)
     return layer, c_set, layer & ~c_set
 
 
 def membership_subset(chi: Coloring, chi_prime: Coloring, region: int, s: int) -> int:
     """The unique S whose repair image is χ′, or raise if χ′ is not one."""
-    subset = _plan(chi.lattice.spec, region, s).layer & _zero_mask(chi_prime.colors)
+    subset = _plan(chi.lattice, region, s).layer & _zero_mask(chi_prime.colors)
     if _repair(chi, region, s, subset) != chi_prime:
         raise ColoringError("chi_prime is not in the shift family of chi")
     return subset

@@ -382,9 +382,34 @@ def canonical_good_triple(
 
 
 def hamming(chi1: Coloring, chi2: Coloring) -> int:
-    if chi1.lattice.spec != chi2.lattice.spec:
+    if chi1.lattice is not chi2.lattice:
         raise ColoringError("colorings live on different lattices")
     return sum(1 for a, b in zip(chi1.colors, chi2.colors) if a != b)
+
+
+def kempe_matrix(states: list[Coloring], lat: Lattice, q: int = 3) -> oracle.ExactTransitionMatrix:
+    """The Kempe-flip chain on a listed state space, a non-local contrast to
+    the Metropolis matrix: draw (v, c) with mass 1/(q|V|) and, when
+    c ≠ χ(v), swap χ(v) and c on v's {χ(v), c} Kempe component.  Every vertex
+    of a component K draws the same flip, so K adds |K| repeated (row, col)
+    pairs; A stays symmetric and its diagonal is |V|."""
+    raw = [chi.colors for chi in states]
+    n = len(raw)
+    index = {colors: i for i, colors in enumerate(raw)}
+    moves = []
+    for i, colors in enumerate(raw):
+        by_color = [0] * q
+        for v, c in enumerate(colors):
+            by_color[c] |= 1 << v
+        for a, b in itertools.combinations(range(q), 2):
+            for comp in connected_components(lat, by_color[a] | by_color[b]):
+                flipped = bytearray(colors)
+                for v in iter_bits(comp):
+                    flipped[v] = a + b - colors[v]
+                moves += [i * n + index[bytes(flipped)]] * comp.bit_count()
+    rows, cols = np.divmod(np.sort(np.array(moves, dtype=np.int64)), n)
+    return oracle.ExactTransitionMatrix(states=raw, lattice=lat, q=q, rows=rows, cols=cols,
+                                        diag=q * lat.nv - np.bincount(rows, minlength=n))
 
 
 def rho_locality_check(chi1: Coloring, chi2: Coloring, rho: Fraction) -> bool:

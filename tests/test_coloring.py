@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import gc
 import itertools
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -23,7 +21,7 @@ from potts3.coloring import (
     _zero_mask,
 )
 from potts3.errors import BoundaryConditionError, ColoringError, LatticeError
-from potts3.lattice import Parity, box, iter_bits, torus
+from potts3.lattice import LatticeKind, LatticeSpec, Parity, box, build_lattice, iter_bits, torus
 from potts3.oracle import enumerate_colorings
 
 from claims import classify, mod3_coloring, zero_mask_by_vertex
@@ -177,21 +175,24 @@ def test_satisfies_bc_builds_each_pin_map_once(monkeypatch):
     b = box(2, 3)
     chis = [phase_coloring(b, Parity.ODD), mod3_coloring(b)]
     assert [satisfies_bc(chi, OddBoundaryZero()) for chi in chis * 3] == [True, False] * 3
-    # the pin mask is keyed by the spec, so a second box(2, 3) shares it
+    # box(2, 3) is one lattice, so a second call shares its pin mask
     assert satisfies_bc(phase_coloring(box(2, 3), Parity.ODD), OddBoundaryZero())
-    assert [lat.spec for lat in calls] == [b.spec]
+    assert calls == [b]
     # a caller's own pin map is a copy: emptying it leaves the shared one whole
     OddBoundaryZero().pins(b).clear()
     assert not satisfies_bc(mod3_coloring(b), OddBoundaryZero())
 
 
-def test_satisfies_bc_keeps_no_lattice_alive():
+def test_pin_mask_is_cached_on_the_one_lattice_of_its_spec():
+    coloring._pin_mask.cache_clear()
+    bc = odd_boundary_pinned((1, 0))
     b = box(2, 3)
-    assert satisfies_bc(phase_coloring(b, Parity.ODD), odd_boundary_pinned((1, 0)))
-    ref = weakref.ref(b)
-    del b
-    gc.collect()
-    assert ref() is None
+    assert satisfies_bc(phase_coloring(b, Parity.ODD), bc)
+    spec_lat = build_lattice(LatticeSpec(LatticeKind.BOX, 2, 3))
+    assert spec_lat is b
+    assert satisfies_bc(phase_coloring(spec_lat, Parity.ODD), bc)
+    info = coloring._pin_mask.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_zero_counts_consistency(z24_states):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
-import gc
-import weakref
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from potts3.coloring import Coloring
 from potts3.cutset import Cutset, verify_properties
 from potts3.errors import LatticeError
 from potts3.lattice import (
+    Lattice,
     LatticeKind,
     LatticeSpec,
     Parity,
@@ -219,14 +222,44 @@ def test_shift_rejects_bad_directions(lat):
             lat.shift_set(1, s)
 
 
-def test_lattice_with_automorphisms_is_collected():
-    # the automorphisms are kept on the lattice, not in a process-wide cache
-    t = torus(2, 4)
-    assert len(t.vertex_automorphisms()) == 128
-    ref = weakref.ref(t)
-    del t
-    gc.collect()
-    assert ref() is None
+def test_one_lattice_per_spec_builds_its_automorphisms_once(monkeypatch):
+    assert box(2, 3) is box(2, 3)
+    assert torus(2, 4) is build_lattice(LatticeSpec(LatticeKind.TORUS, 2, 4))
+    autos = torus(2, 4).vertex_automorphisms()
+    builds = []
+    monkeypatch.setattr(Lattice, "_build_automorphisms", lambda self: builds.append(self))
+    assert torus(2, 4).vertex_automorphisms() is autos and len(autos) == 128
+    assert builds == []
+
+
+@pytest.mark.parametrize("kind,d,n", [
+    ("torus", 2, 4), (LatticeKind.BOX, 2, 2.0), (LatticeKind.BOX, True, 2),
+    (LatticeKind.TORUS, 2.0, 4), (LatticeKind.TORUS, 2, True),
+])
+def test_spec_refuses_fields_of_the_wrong_type(kind, d, n):
+    with pytest.raises(LatticeError):
+        LatticeSpec(kind, d, n)
+
+
+def test_float_side_is_refused_before_and_after_its_int_lattice():
+    # (BOX, 2, 2.0) hashes and compares equal to (BOX, 2, 2): only the spec's
+    # own check keeps build_lattice from handing back box(2, 2); a fresh
+    # interpreter, where box(2, 2) is not yet built
+    probe = """
+from potts3.errors import LatticeError
+from potts3.lattice import box
+for _ in range(2):
+    try:
+        box(2, 2.0)
+    except LatticeError:
+        pass
+    else:
+        raise SystemExit("box(2, 2.0) built a lattice")
+    box(2, 2)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
 
 
 MASK_LATTICES = [

@@ -38,7 +38,7 @@ from potts3.oracle import (
     tv_mixing_time,
 )
 
-from claims import BipartiteGraph, classify, lcol_check, torus_imbalance_histogram
+from claims import BipartiteGraph, classify, kempe_matrix, lcol_check, torus_imbalance_histogram
 
 
 def test_ring_and_edge_counts():
@@ -403,8 +403,8 @@ def test_torus_counts_frozen(monkeypatch):
 
 
 def test_repeated_torus_counts_share_one_slab_lattice(monkeypatch):
-    # the slab torus comes from build_lattice and keeps its automorphisms,
-    # so a repeated count builds none; a fresh lattice builds its own once
+    # the slab torus is torus(1, 6), one lattice per process that keeps its
+    # automorphisms, so neither a repeated count nor the slab itself builds any
     t = torus(2, 6)
     count_colorings(t)
     builds = []
@@ -413,10 +413,9 @@ def test_repeated_torus_counts_share_one_slab_lattice(monkeypatch):
                         lambda self: builds.append(self) or real_build(self))
     count_colorings(t)
     count_colorings(torus(2, 6))
+    slab = torus(1, 6)
+    assert slab.vertex_automorphisms() is slab.vertex_automorphisms()
     assert builds == []
-    fresh = torus(1, 6)
-    assert fresh.vertex_automorphisms() is fresh.vertex_automorphisms()
-    assert builds == [fresh]
 
 
 def _per_seed_count(lat, q, state_cap):
@@ -1136,6 +1135,61 @@ def test_box_transition_graph_connected():
     P = transition_matrix(states, lat, 3)
     assert P.is_connected()
     assert P.is_symmetric() and P.uniform_is_stationary()
+
+
+def _communicating_classes(P):
+    """P's communicating classes as state lists, read from its move pairs
+    (A is symmetric, so they are the components of its move graph)."""
+    label = [None] * P.n
+    classes = []
+    for start in range(P.n):
+        if label[start] is None:
+            label[start] = len(classes)
+            members = [start]
+            for u in members:
+                for w in P.adj[u]:
+                    if label[w] is None:
+                        label[w] = len(classes)
+                        members.append(w)
+            classes.append(members)
+    return classes
+
+
+def _ring_winding(colors: bytes) -> int:
+    """Σ of the ±1 colour steps (mod 3) once around a ring."""
+    return sum(1 if (b - a) % 3 == 1 else -1 for a, b in zip(colors, colors[1:] + colors[:1]))
+
+
+# (winding, class size) → how many classes; a single-site move keeps the
+# winding, which is 0 or ±6 on these rings, so n ≥ 6 rings split
+@pytest.mark.parametrize("n,classes", [
+    (4, {(0, 18): 1}),
+    (6, {(0, 60): 1, (6, 1): 3, (-6, 1): 3}),
+    (8, {(0, 210): 1, (6, 24): 1, (-6, 24): 1}),
+    (10, {(0, 756): 1, (6, 135): 1, (-6, 135): 1}),
+])
+def test_ring_classes_are_its_winding_classes(n, classes):
+    P = _chain(torus(1, n), 3)
+    found = Counter()
+    for members in _communicating_classes(P):
+        windings = {_ring_winding(P.states[i]) for i in members}
+        assert len(windings) == 1
+        found[windings.pop(), len(members)] += 1
+    assert found == classes
+
+
+def test_kempe_chain_runs_through_the_same_engine(z24, z24_states):
+    # the Kempe-flip chain is not local, yet it is P = A/(q|V|) with A
+    # symmetric; its repeated (row, col) pairs go through _lump and
+    # _first_crossing as they are
+    P = kempe_matrix(z24_states, z24)
+    assert len(P.rows) == 95_040 > len(np.unique(P.rows * P.n + P.cols))
+    assert P.row_sums_ok() and P.is_symmetric() and P.uniform_is_stationary()
+    assert P.is_connected()
+    res = tv_mixing_time(P)
+    assert (res.tau, res.t_star, res.worst_start) == (26, 27, 123)
+    assert res.exact_fallbacks == []
+    assert _first_crossing(P, 123, None, ITER_CAP) == 27
 
 
 @pytest.mark.parametrize("adj,diag,denom,verdicts", [

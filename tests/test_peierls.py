@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import gc
 import math
 import random
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,7 +20,8 @@ from potts3.coloring import (
 from potts3.cutset import build_box_cutset, select_family
 from potts3.dynamics import CounterRng
 from potts3.errors import ColoringError, PropertyViolation
-from potts3.lattice import Parity, box, closure, iter_bits, shift_order, torus
+from potts3.lattice import (LatticeKind, LatticeSpec, Parity, box, build_lattice, closure, iter_bits,
+                            shift_order, torus)
 from potts3.peierls import (
     Approximation,
     GoodTriple,
@@ -508,7 +507,7 @@ def test_explicit_flow_sum_catches_a_corrupted_repair(domino_setup, monkeypatch)
         flow_out_total(chi, cut, approx, s)
 
 
-# -- the plan cache: one (W^s, repair pairs, reconstruct pairs) per (spec, W, s)
+# -- the plan cache: one (W^s, repair pairs, reconstruct pairs) per (lattice, W, s)
 
 
 def test_full_box_region_raises_again_through_the_cached_plan():
@@ -524,7 +523,7 @@ def test_full_box_region_raises_again_through_the_cached_plan():
             list(phi_family(chi, lat.full_mask, 1))
     info = peierls._plan.cache_info()
     assert info.misses == 1 and info.hits >= 3
-    plan = peierls._plan(lat.spec, lat.full_mask, 1)
+    plan = peierls._plan(lat, lat.full_mask, 1)
     assert (plan.layer, plan.repair, plan.rebuild) == (0, None, None)
 
 
@@ -535,18 +534,35 @@ def test_separate_lattices_of_one_spec_share_a_plan():
         chi = phase_coloring(lat)
         star = closure(lat, 1 << lat.index((0, 0)))
         families.append([(sub, cp, reconstruct(cp, star, 1)) for sub, cp in phi_family(chi, star, 1)])
-    # the images and their reconstructions agree across the two lattices
+    # both calls return one lattice, so the images, their reconstructions
+    # and the plan are shared
     assert families[0] == families[1] and len(families[0]) == 2 ** 3
     assert peierls._plan.cache_info().misses == 1
 
 
-def test_plan_cache_keeps_no_lattice_alive():
+def test_plan_cache_keys_on_the_one_lattice_of_its_spec():
     lat = box(2, 3)
     chi = phase_coloring(lat)
     star = closure(lat, 1 << lat.index((0, 0)))
     assert membership_subset(chi, next(phi_family(chi, star, -2))[1], star, -2) == 0
-    assert peierls._plan.cache_info().currsize >= 1
-    ref = weakref.ref(lat)
-    del lat, chi
-    gc.collect()
-    assert ref() is None
+    misses = peierls._plan.cache_info().misses
+    spec_lat = build_lattice(LatticeSpec(LatticeKind.BOX, 2, 3))
+    assert peierls._plan(spec_lat, star, -2) is peierls._plan(lat, star, -2)
+    assert peierls._plan.cache_info().misses == misses
+
+
+def test_records_on_two_box_calls_compare_alike():
+    # equal colours on two box(2, 2) calls: the colorings, cutsets,
+    # approximations and Q-sets built on them compare and hash alike
+    lats = (box(2, 2), box(2, 2))
+    v0 = lats[0].index((0, 0))
+    pins = odd_boundary_pinned((0, 0)).pins(lats[0])
+    colors = _random_coloring(lats[0], pins, random.Random(1)).colors
+    records = []
+    for lat in lats:
+        chi = Coloring(lat, colors)
+        cut = build_box_cutset(chi, v0)
+        approx = exact_approximation(cut)
+        records.append((chi, cut, approx, q_sets(approx, 1, chi)))
+    assert records[0] == records[1]
+    assert [hash(r) for r in records[0]] == [hash(r) for r in records[1]]

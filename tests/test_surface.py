@@ -67,3 +67,15 @@ print(json.dumps([public, sorted(sys.modules)]))
     public, modules = json.loads(out)
     assert public == []
     assert not {"numpy", "potts3.oracle", "potts3.dynamics", "potts3.entropy"} & set(modules)
+
+
+def test_only_build_lattice_constructs_a_lattice():
+    # one lattice per spec: every other caller goes through build_lattice
+    calls = []
+    for path in sorted((ROOT / "src" / "potts3").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "Lattice" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    calls.append((path.name, getattr(top, "name", None)))
+    assert calls == [("lattice.py", "build_lattice")]
