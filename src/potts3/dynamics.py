@@ -64,7 +64,8 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
 
 
 class CounterRng:
-    """Counter-based 64-bit stream: value(i) = mix64(key + (i+1)·golden).
+    """Counter-based 64-bit stream: value(i) = mix64(key + (i+1)·golden),
+    drawn in blocks (``block_u64``).
 
     ``key`` is derived from (seed, stream), so per-chain streams are
     independent and any draw is addressable by its counter — replays never
@@ -77,18 +78,11 @@ class CounterRng:
         self.key = _mix64(_mix64(self.seed) ^ _mix64((self.stream + 1) * GOLDEN))
         self.counter = 0
 
-    def next_u64(self) -> int:
-        self.counter += 1
-        return _mix64((self.key + self.counter * GOLDEN) & _MASK64)
-
     def block_u64(self, count: int) -> np.ndarray:
-        """Vectorized batch of the same stream (advances the counter)."""
+        """The next ``count`` values of the stream (advances the counter)."""
         idx = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += count
         return mix64_array(np.uint64(self.key) + idx * GOLDEN)
-
-    def getrandbits(self, k: int) -> int:
-        return self.next_u64() >> (64 - k)
 
 
 @dataclass(frozen=True)

@@ -120,11 +120,6 @@ class Lattice:
         except KeyError:
             raise LatticeError(f"{tuple(coords)} is not a vertex of this lattice") from None
 
-    def shift(self, v: int, s: int):
-        """σ_s(v) = v + e_s; None when the image leaves a box."""
-        check_direction(s, self.d)
-        return self.shift_tables[s][v]
-
     def shift_set(self, mask: int, s: int) -> int:
         """Image mask σ_s(X); box images falling outside are dropped."""
         check_direction(s, self.d)

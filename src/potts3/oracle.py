@@ -118,8 +118,8 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
     kept vertex it is {b"": total} (or {} for none).  Two adjacent vertices
     pinned alike answer {} at once.  Weights are int64 while no sum a site
     forms (of at most q^(digits it drops + 1) weights) could pass 2^63, and
-    Python ints after.  Refuses (CapExceeded) past ``cap`` states (None: no
-    cap) or when a key of q^(frontier+1) could pass 2^63.
+    Python ints after.  Refuses (CapExceeded) past ``cap`` states or when a
+    key of q^(frontier+1) could pass 2^63.
 
     ``seeds`` = (colors, weights) stacks runs: each (s, m) row colors sites
     0…m−1, kept in place of ``keep``, and starts a state of its weight; the
@@ -145,7 +145,7 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
     at = q ** np.array([sorted(kept, reverse=m > 0).index(u) for u in keep], dtype=np.int64)
     while todo:
         start, frontier, keys, weights = todo.pop()
-        if cap is not None and len(keys) > cap:
+        if len(keys) > cap:
             if len(ids := np.unique(seed := keys % q ** m)) > 1:
                 low = seed < ids[len(ids) // 2]            # the low half goes on first
                 todo += [(start, frontier, keys[half], weights[half]) for half in (~low, low)]
@@ -183,7 +183,7 @@ def _frontier_count(nv, neighbors, q, pins, forbidden, cap, keep=(), seeds=None,
             if stats is not None and len(keys) > peak:
                 peak = stats["peak_states"] = max(peak, int(
                     np.unique(keys % q ** m, return_counts=True)[1].max()))
-            if cap is not None and len(keys) > cap:       # split when popped
+            if len(keys) > cap:                           # split when popped
                 todo.append((v + 1, frontier, keys, weights))
                 break
             if not len(keys):
@@ -362,7 +362,7 @@ class MixingResult:
     t_star: int                      # first t with worst-start TV ≤ threshold
     per_start_t_star: dict[int, int]
     exact_fallbacks: list[int]       # starts the float engine left to the exact path
-    lumped_states: dict[int, int]    # blocks each start's float walk ran on
+    lumped_states: dict[int, int]    # blocks each start's float walk ran on (N with none)
     float_walks: int                 # distinct float walks stepped
 
 
@@ -439,7 +439,7 @@ def _lump(P: ExactTransitionMatrix, blocks: np.ndarray, start: int) -> _FloatOpe
     of Y, and the triples are then B's entries in (row, col) order.  So the
     result never rests on how the labelling was found (``_refined_blocks``
     hashes).  c ≤ denom, which ``_stacked_tv``'s rounding bound assumes, is
-    checked too; the identity labelling always passes."""
+    checked too.  A start whose labelling is refused gets no float walk."""
     k = int(blocks.max()) + 1
     sizes = np.bincount(blocks, minlength=k)
     diag = np.zeros(k)
@@ -566,14 +566,15 @@ def _stacked_crossings(ops: list[_FloatOperator], n: int, threshold, iter_cap) -
 
 
 def _shared_walks(P: ExactTransitionMatrix, use: list[int]):
-    """Yield stacks of [walk, its starts], each at most ``_STACK_CAP`` moves
-    plus blocks or one walk.  A start walks on P (``_floatable``) lumped by
-    its refined labelling, or by the identity labelling where that fails
-    ``_lump``'s check, and shares the walk of an earlier start of the stack
-    whose every field is equal."""
+    """Yield nonempty stacks of [walk, its starts], each at most
+    ``_STACK_CAP`` moves plus blocks or one walk.  A start walks on P
+    (``_floatable``) lumped by its refined labelling, and shares the walk of
+    an earlier start of the stack whose every field is equal; a start whose
+    labelling fails ``_lump``'s check walks in no stack."""
     stack, entries = [], 0
     for st in use:
-        op = _lump(P, _refined_blocks(P, st), st) or _lump(P, np.arange(P.n), st)
+        if (op := _lump(P, _refined_blocks(P, st), st)) is None:
+            continue
         walk = next((w for w in stack if all(map(np.array_equal, w[0], op))), None)
         if walk is None:
             if stack and entries + len(op.cols) + len(op.sizes) > _STACK_CAP:
@@ -583,7 +584,8 @@ def _shared_walks(P: ExactTransitionMatrix, use: list[int]):
             stack.append(walk)
             entries += len(op.cols) + len(op.sizes)
         walk[1].append(st)
-    yield stack
+    if stack:
+        yield stack
 
 
 def tv_mixing_time(
@@ -602,14 +604,14 @@ def tv_mixing_time(
     else is a ValueError, raised before any iteration).
 
     Each start walks in float64 on P lumped by the coarsest equitable
-    partition that holds it alone (``_refined_blocks``), or on P itself
-    (the identity labelling) where that lumping fails ``_lump``'s
-    exactness check, which counts each triple (block Y, block X, moves
-    into a state of Y from X) against |Y|; exactly equal walks are
-    shared, and all step as one stack (``_shared_walks``,
-    ``_stacked_crossings``).  A start whose walk cannot decide a step, or
-    every start when P is outside the float bound's hypotheses, runs the
-    exact ``_first_crossing`` instead and is listed in ``exact_fallbacks``.
+    partition that holds it alone (``_refined_blocks``), once that lumping
+    passes ``_lump``'s exactness check, which counts each triple (block Y,
+    block X, moves into a state of Y from X) against |Y|; exactly equal
+    walks are shared, and all step as one stack (``_shared_walks``,
+    ``_stacked_crossings``).  A start whose lumping fails that check or
+    whose walk cannot decide a step, or every start when P is outside the
+    float bound's hypotheses, runs the exact ``_first_crossing`` instead
+    and is listed in ``exact_fallbacks`` (with no walk, N lumped states).
     Either way every decision is exact.
     """
     if isinstance(starts, str):

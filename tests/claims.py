@@ -11,7 +11,8 @@ small bipartite graphs; the torus cutset collections with profile
 membership and the minimality check; the repair map on one subset and a
 uniform member of its family; approximations and the direction rule; the flow weight ν of one
 image and the canonical good triple; ρ-local blocking of EvenHeavy→OddHeavy
-moves; the binary entropy; and the mod-3 coloring.  No command or benchmark
+moves; the scalar draws of the chain's counter-based stream; the binary
+entropy; and the mod-3 coloring.  No command or benchmark
 workload runs them, so they live beside the tests and read the package's
 private helpers.
 """
@@ -29,6 +30,7 @@ from potts3 import oracle
 from potts3.coloring import (DEFAULT_RHO, Coloring, ImbalanceClass, imbalance,
                              imbalance_class, zero_set)
 from potts3.cutset import Cutset, _check_q3, _cutset, _seed_mask, select_family
+from potts3.dynamics import GOLDEN, CounterRng, _MASK64, _mix64
 from potts3.errors import ColoringError, LatticeError
 from potts3.lattice import (Lattice, LatticeKind, Parity, closure, connected_components, iter_bits,
                             shift_order)
@@ -271,7 +273,7 @@ def resolved_by_vertex(lat: Lattice, q_even: int, s: int, chi_prime: Coloring) -
     """U = {x ∈ Q^E : χ′(σ_s(x)) = 0}, vertex by vertex."""
     u = 0
     for x in iter_bits(q_even):
-        fwd = lat.shift(x, s)
+        fwd = lat.shift_tables[s][x]
         if fwd is not None and chi_prime.colors[fwd] == 0:
             u |= 1 << x
     return u
@@ -286,7 +288,8 @@ def shift_coloring(chi: Coloring, region: int, s: int, subset: int) -> Coloring:
 
 
 def sample_phi(chi: Coloring, region: int, s: int, rng) -> tuple[int, Coloring]:
-    """Uniform member of φ_s(χ); ``rng`` is a random.Random-like object."""
+    """Uniform member of φ_s(χ); ``rng`` is a random.Random-like object,
+    such as ``ClaimsRng``."""
     layer = boundary_layer(chi.lattice, region, s)
     subset = 0
     for v in iter_bits(layer):
@@ -379,6 +382,19 @@ def canonical_good_triple(
 
 
 # -- dynamics ------------------------------------------------------------------
+
+
+class ClaimsRng(CounterRng):
+    """``CounterRng`` drawn one value at a time: the scalar reference for
+    ``block_u64``, with a random.Random-like ``getrandbits`` for
+    ``sample_phi``."""
+
+    def next_u64(self) -> int:
+        self.counter += 1
+        return _mix64((self.key + self.counter * GOLDEN) & _MASK64)
+
+    def getrandbits(self, k: int) -> int:
+        return self.next_u64() >> (64 - k)
 
 
 def hamming(chi1: Coloring, chi2: Coloring) -> int:

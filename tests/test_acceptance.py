@@ -24,7 +24,6 @@ from potts3.coloring import (
     satisfies_bc,
 )
 from potts3.cutset import build_box_cutset, select_family, verify_properties
-from potts3.dynamics import CounterRng
 from potts3.entropy import max_entropy_gap_check, topological_entropy_estimate
 from potts3.lattice import box, shift_order, torus
 from potts3.oracle import (
@@ -43,7 +42,7 @@ from potts3.peierls import (
     reconstruct,
 )
 
-from claims import BipartiteGraph, classify, lcol_check, sample_phi
+from claims import BipartiteGraph, ClaimsRng, classify, lcol_check, sample_phi
 
 RHO = Fraction(11, 50)
 
@@ -88,7 +87,7 @@ def test_criterion_01_shift_map_soundness(box_corpora):
                 if layer.bit_count() <= 12:
                     members = phi_family(chi, cut.region, s)
                 else:
-                    rng = CounterRng(2026, 8)
+                    rng = ClaimsRng(2026, 8)
                     members = (sample_phi(chi, cut.region, s, rng) for _ in range(200))
                 for _subset, chi_p in members:
                     checked += 1

@@ -122,7 +122,7 @@ def test_color_swap_symmetry(z24_states):
 
 def test_translation_negates_imbalance(z24_states):
     t = z24_states[0].lattice
-    shift_map = [t.shift(v, 1) for v in range(t.nv)]
+    shift_map = t.shift_tables[1]
     for chi in z24_states:
         moved = bytearray(16)
         for v in range(t.nv):

@@ -26,13 +26,13 @@ from potts3.dynamics import (
 from potts3.errors import ColoringError
 from potts3.lattice import LatticeKind, Parity, box, torus
 
-from claims import classify, crossing_blocked_check, hamming, rho_locality_check
+from claims import ClaimsRng, classify, crossing_blocked_check, hamming, rho_locality_check
 
 RHO = Fraction(11, 50)
 
 
 def test_counter_rng_block_matches_scalar():
-    a = CounterRng(42, 3)
+    a = ClaimsRng(42, 3)
     b = CounterRng(42, 3)
     scalars = [a.next_u64() for _ in range(100)]
     block = b.block_u64(100).tolist()
@@ -40,8 +40,8 @@ def test_counter_rng_block_matches_scalar():
 
 
 def test_counter_rng_streams_differ():
-    assert CounterRng(42, 0).next_u64() != CounterRng(42, 1).next_u64()
-    assert CounterRng(42, 0).next_u64() == CounterRng(42, 0).next_u64()
+    assert ClaimsRng(42, 0).next_u64() != ClaimsRng(42, 1).next_u64()
+    assert ClaimsRng(42, 0).next_u64() == ClaimsRng(42, 0).next_u64()
 
 
 def _finals(seed, steps):
@@ -208,7 +208,7 @@ def _scan_chain(spec, chi0, steps, thin=None, rho=Fraction(11, 50)):
     neighbour's, and the observables are recounted from scratch."""
     lat, q = chi0.lattice, chi0.q
     thin = lat.nv if thin is None else thin
-    rng = CounterRng(spec.seed, spec.stream)
+    rng = ClaimsRng(spec.seed, spec.stream)
     colors = bytearray(chi0.colors)
     traj = Trajectory(chi0.colors.hex())
 

@@ -71,24 +71,24 @@ def test_parity_examples():
 
 def test_shift_wraparound_and_box_exit():
     t = torus(2, 4)
-    assert t.shift(t.index((3, 0)), 1) == t.index((0, 0))
+    assert t.shift_tables[1][t.index((3, 0))] == t.index((0, 0))
     b = box(2, 1)
-    assert b.shift(b.index((0, -1)), -2) is None
+    assert b.shift_tables[-2][b.index((0, -1))] is None
 
 
 def test_shift_inverse_where_defined():
     b = box(2, 2)
     for s in shift_order(2):
         for v in range(b.nv):
-            w = b.shift(v, s)
+            w = b.shift_tables[s][v]
             if w is not None:
-                assert b.shift(w, -s) == v
+                assert b.shift_tables[-s][w] == v
 
 
 def test_shift_bijection_on_torus():
     t = torus(3, 4)
     for s in shift_order(3):
-        images = {t.shift(v, s) for v in range(t.nv)}
+        images = set(t.shift_tables[s])
         assert images == set(range(t.nv))
 
 
@@ -149,7 +149,7 @@ def test_box_injective_shift(bits):
     b = box(2, 1)
     x = bits & b.full_mask
     for s in shift_order(2):
-        images = [b.shift(v, s) for v in iter_bits(x)]
+        images = [b.shift_tables[s][v] for v in iter_bits(x)]
         defined = [w for w in images if w is not None]
         assert len(defined) == len(set(defined))
 
@@ -200,9 +200,9 @@ def test_shift_tables_match_coordinate_arithmetic(lat):
     for s in shift_order(lat.d):
         for v, c in enumerate(lat.coords):
             w = _shift_by_coordinates(lat, c, s)
-            assert lat.shift_tables[s][v] == w == lat.shift(v, s)
+            assert lat.shift_tables[s][v] == w
             if w is not None:
-                assert lat.shift(w, -s) == v
+                assert lat.shift_tables[-s][w] == v
             assert lat.shift_set(1 << v, s) == (0 if w is None else 1 << w)
     # neighbors are the distinct defined shifts; n = 2 tori collapse the
     # two wrap edges into one
@@ -216,8 +216,6 @@ def test_shift_tables_match_coordinate_arithmetic(lat):
 @pytest.mark.parametrize("lat", SHIFT_LATTICES, ids=repr)
 def test_shift_rejects_bad_directions(lat):
     for s in (0, lat.d + 1, -(lat.d + 1), 1.0):
-        with pytest.raises(LatticeError):
-            lat.shift(0, s)
         with pytest.raises(LatticeError):
             lat.shift_set(1, s)
 

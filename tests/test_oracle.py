@@ -202,9 +202,9 @@ def _pinned_graphs(draw):
 def test_frontier_count_matches_brute_force_on_random_graphs(graph, data):
     nv, neighbors, q, pins, forbidden, keep = graph
     stats = {}
-    counts = _frontier_count(nv, neighbors, q, pins, forbidden, None, keep, stats=stats)
+    counts = _frontier_count(nv, neighbors, q, pins, forbidden, math.inf, keep, stats=stats)
     assert counts == _brute_counts(nv, neighbors, q, pins, forbidden, keep)
-    assert sum(_frontier_count(nv, neighbors, q, pins, forbidden, None).values()) == \
+    assert sum(_frontier_count(nv, neighbors, q, pins, forbidden, math.inf).values()) == \
         _brute_count(nv, neighbors, q, pins, forbidden)
     # a cap answers alike exactly when no site's merged states pass it
     cap = data.draw(st.integers(1, stats["peak_states"] + 1))
@@ -354,7 +354,8 @@ def _count_every_slab_start(lat, q):
     each with weight 1."""
     slab = _slab_adjacency(lat)
     return sum(
-        sum(_frontier_count(lat.nv, lat.neighbors, q, dict(enumerate(start)), {}, None).values())
+        sum(_frontier_count(lat.nv, lat.neighbors, q, dict(enumerate(start)), {},
+                            math.inf).values())
         for start in _assignments(len(slab), slab, q, {})
     )
 
@@ -460,7 +461,7 @@ def _answer(count, *args):
 @given(case=_small_tori(), data=st.data())
 def test_stacked_torus_count_matches_per_seed_runs(case, data):
     lat, q = case
-    total, peak = _per_seed_count(lat, q, None)
+    total, peak = _per_seed_count(lat, q, math.inf)
     # caps near the largest seed's frontier: a stack of several seeds passes
     # those above it and splits, and a seed refuses those below it
     cap = data.draw(st.just(STATE_CAP) | st.integers(1, 4 * peak) | st.integers(peak // 2, peak))
@@ -752,11 +753,11 @@ def test_walks_are_shared_only_when_exactly_equal(z24_chain, monkeypatch):
     P = _chain(torus(1, 4), 3)
     exact = {s: _first_crossing(P, s, None, ITER_CAP) for s in range(P.n)}
     assert tv_mixing_time(P, starts="all").per_start_t_star == exact
-    # unlumped (one block is never exact), the walks differ in their start alone
-    monkeypatch.setattr(oracle, "_refined_blocks",
-                        lambda op, start: np.zeros(len(op.diag), dtype=np.intp))
+    # lumped by the identity labelling, the walks differ in their start alone
+    monkeypatch.setattr(oracle, "_refined_blocks", lambda op, start: np.arange(len(op.diag)))
     res = tv_mixing_time(P, starts="all")
     assert res.per_start_t_star == exact and res.float_walks == P.n
+    assert res.exact_fallbacks == [] and res.lumped_states == dict.fromkeys(range(P.n), P.n)
 
 
 def test_z24_refined_labellings_pass_the_lumping_check(z24_chain):
@@ -817,13 +818,14 @@ def test_lump_refuses_a_block_row_past_the_denominator():
 
 def test_labelling_that_fails_its_check_runs_unlumped(monkeypatch):
     # each start alone against one block of the rest is not equitable on the
-    # 4-ring, so every start's float walk runs on the full chain
+    # 4-ring, so no start walks in float64: each runs the exact iteration on
+    # the full chain, and no stack, not even an empty one, is stepped
     P = _chain(torus(1, 4), 3)
     monkeypatch.setattr(oracle, "_refined_blocks",
                         lambda op, start: (np.arange(len(op.diag)) != start).astype(np.intp))
     res = tv_mixing_time(P, starts="all")
-    assert res.lumped_states == {s: P.n for s in range(P.n)}
-    assert res.exact_fallbacks == [] and res.float_walks == P.n
+    assert P.n == 18 and res.exact_fallbacks == list(range(P.n))
+    assert res.float_walks == 0 and res.lumped_states == dict.fromkeys(range(P.n), P.n)
     assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(P.n)}
 
 
@@ -1242,7 +1244,7 @@ def _parity_symmetric_states(d, n, q):
     π(EvenHeavy) = π(OddHeavy) ≤ 1/2."""
     lat = torus(d, n)
     listed = list(itertools.islice(enumerate_colorings(lat, q), 200))
-    step = [lat.shift(v, 1) for v in range(lat.nv)]
+    step = lat.shift_tables[1]
     moved = []
     for chi in listed:
         buf = bytearray(lat.nv)

@@ -18,7 +18,6 @@ from potts3.coloring import (
     zero_set,
 )
 from potts3.cutset import build_box_cutset, select_family
-from potts3.dynamics import CounterRng
 from potts3.errors import ColoringError, PropertyViolation
 from potts3.lattice import (LatticeKind, LatticeSpec, Parity, box, build_lattice, closure, iter_bits,
                             shift_order, torus)
@@ -39,6 +38,7 @@ from potts3.peierls import (
 )
 
 from claims import (
+    ClaimsRng,
     canonical_good_triple,
     degree_threshold,
     flow_weight,
@@ -153,7 +153,7 @@ def test_torus_shift_properness_and_roundtrip(star_setup):
 
 def test_sampler_matches_family(star_setup):
     t, chi, cut = star_setup
-    rng = CounterRng(7, 0)
+    rng = ClaimsRng(7, 0)
     members = dict(phi_family(chi, cut.region, 1))
     for _ in range(10):
         subset, chi_p = sample_phi(chi, cut.region, 1, rng)

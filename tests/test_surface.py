@@ -1,5 +1,6 @@
 """The package ships only what runs: every top-level function or class in
-``src/potts3`` is named by other package code or by a benchmark workload.
+``src/potts3``, and every method of such a class but the dunders, is named
+by other package code or by a benchmark workload.
 Checks that only the tests use live in ``tests/claims.py``.  The package
 root re-exports nothing, so importing it loads no module it does not name."""
 
@@ -10,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,37 +21,42 @@ ROOT = Path(__file__).resolve().parent.parent
 EXEMPT: set[tuple[str, str]] = set()
 
 
-def _names(tree: ast.AST) -> set[str]:
-    """Identifiers a tree names: variables, attributes, imported names and
-    string constants (the benchmark patches functions by their names)."""
-    out = set()
+def _names(tree: ast.AST) -> Counter[str]:
+    """Identifiers a tree names, with their counts: variables, attributes,
+    imported names and string constants (the benchmark patches functions
+    by their names)."""
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out.add(node.name.rpartition(".")[2])
+            out[node.name.rpartition(".")[2]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+            out[node.value] += 1
     return out
 
 
 def test_every_package_definition_is_reached():
-    named = set()
+    # top-level definitions and the non-dunder methods of top-level classes
+    named, defined = Counter(), []
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        named |= _names(ast.parse(path.read_text()))
-    defined = []
+        named += _names(ast.parse(path.read_text()))
     for path in sorted((ROOT / "src" / "potts3").glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text()).body:
-            own = getattr(node, "name", None)   # set on function and class definitions
-            if own is not None:
-                defined.append((path.name, own))
-            # a definition's own body (recursion, its methods) does not reach it
-            named |= _names(node) - {own}
-    unreached = [d for d in defined if d[1] not in named and d not in EXEMPT]
+        tree = ast.parse(path.read_text())
+        named += _names(tree)
+        for node in tree.body:
+            if hasattr(node, "name"):                # function and class definitions
+                defined.append((path.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, f"{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+    # a definition's own body (recursion, its methods) does not reach it
+    unreached = [(file, name) for file, name, node in defined
+                 if named[node.name] == _names(node)[node.name] and (file, name) not in EXEMPT]
     assert not unreached, f"only tests reach these; move them to tests/claims.py: {unreached}"
 
 
@@ -66,7 +73,11 @@ print(json.dumps([public, sorted(sys.modules)]))
                          check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
     public, modules = json.loads(out)
     assert public == []
-    assert not {"numpy", "potts3.oracle", "potts3.dynamics", "potts3.entropy"} & set(modules)
+    # the benchmark's set-up time covers this import and a lattice build:
+    # it loads no numpy and no package module the lattice does not need
+    assert "numpy" not in modules
+    assert [m for m in modules if m.partition(".")[0] == "potts3"] == \
+        ["potts3", "potts3.errors", "potts3.lattice"]
 
 
 def test_only_build_lattice_constructs_a_lattice():
