@@ -10,8 +10,9 @@ fields (for ``mixing``: state, move and orbit counts, cap use, the
 imbalance histogram, each start's crossing time and lumped block count,
 the float walks stepped and the exact fallbacks; for ``conductance``: the
 imbalance histogram; for ``torpid-demo``: each chain's acceptance share
-and first sign-flip sweep), then prints its one stdout line.  Exit codes: 0
-ok, 2 invalid config, 3 cap refusal, 4 property violation detected.
+and first sign-flip sweep) and ``time_s`` (each ``stage``'s seconds), then
+prints its one stdout line.  Exit codes: 0 ok, 2 invalid config, 3 cap
+refusal, 4 property violation detected.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -37,7 +39,7 @@ from .coloring import (
     odd_boundary_pinned,
     phase_coloring,
 )
-from .cutset import build_box_cutset, select_family, verify_properties
+from .cutset import build_box_cutset, check_family_scope, select_family, verify_properties
 from .dynamics import ChainSpec, run_chain
 from .errors import CapExceeded, ColoringError, PropertyViolation
 from .lattice import LatticeKind, LatticeSpec, Parity, build_lattice, shift_order
@@ -105,6 +107,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+# stage name -> seconds spent in it by the running command; main clears it
+_stages: dict[str, float] = {}
+
+
+@contextmanager
+def stage(name: str):
+    """Add the time spent in the block (or, as a decorator, the call) to stage ``name``."""
+    start = time.perf_counter()
+    yield
+    _stages[name] = _stages.get(name, 0.0) + time.perf_counter() - start
+
+
 def _lattice_from_args(args):
     kind = LatticeKind.TORUS if args.kind == "torus" else LatticeKind.BOX
     return build_lattice(LatticeSpec(kind, args.d, args.n))
@@ -160,6 +174,7 @@ class Outcome(NamedTuple):
 # -- commands ----------------------------------------------------------------
 
 
+@stage("count")
 def cmd_enumerate(args) -> Outcome:
     lat = _lattice_from_args(args)
     bc = OddBoundaryZero() if args.odd_boundary_zero else None
@@ -192,59 +207,67 @@ def _bound_fields(states, cond) -> dict:
 
 
 def cmd_mixing(args) -> Outcome:
-    lat, states, hist = _torus_states(args, args.state_cap)
-    P = transition_matrix(states, lat, args.q)
-    checks = {
-        "stochastic": P.row_sums_ok(),
-        "symmetric": P.is_symmetric(),
-        "uniform_stationary": P.uniform_is_stationary(),
-        "connected": P.is_connected(),
-    }
-    # a disconnected chain never mixes: no TV crossing to look for
-    mix = tv_mixing_time(P, starts=args.starts) if checks["connected"] else None
-    tau = mix.tau if mix else None
-    cond = conductance_bound(hist, lat, args.rho, tau=tau)
-    fields = _bound_fields(states, cond) | {
-        "checks": checks,
-        "tau_exact": tau,
-        "t_star": mix.t_star if mix else None,
-        "worst_start": mix.worst_start if mix else None,
-        "classes": {
-            "even_heavy": cond.n_even_heavy,
-            "balanced": cond.n_balanced,
-            "odd_heavy": cond.n_odd_heavy,
-        },
-        "bound_holds": cond.bound_holds,
-    }
-    meta = {
-        "states": len(states),
-        "moves": len(P.cols),
-        "cap_use": {"state": len(states) / args.state_cap},
-        "imbalance_histogram": hist,
-    }
-    if mix:
-        orbits = (len(mix.per_start_t_star) if args.starts == "orbits"
-                  else len(orbit_representatives(P.states, lat, args.q)))
-        meta["cap_use"]["iter"] = mix.t_star / ITER_CAP
-        meta |= {
-            "orbits": orbits,
-            "per_start_t_star": mix.per_start_t_star,
-            "exact_fallbacks": mix.exact_fallbacks,
-            "lumped_states": mix.lumped_states,
-            "float_walks": mix.float_walks,
+    with stage("list"):
+        lat, states, hist = _torus_states(args, args.state_cap)
+    with stage("matrix"):
+        P = transition_matrix(states, lat, args.q)
+    with stage("checks"):
+        checks = {
+            "stochastic": P.row_sums_ok(),
+            "symmetric": P.is_symmetric(),
+            "uniform_stationary": P.uniform_is_stationary(),
+            "connected": P.is_connected(),
         }
-    ok = all(checks.values()) and (cond.bound_holds in (True, None))
-    line = json.dumps({"tau": tau, "bound": fields["bound"], "ok": ok})
-    return Outcome(fields, line, meta=meta, ok=ok)
+    with stage("tv"):
+        # a disconnected chain never mixes: no TV crossing to look for
+        mix = tv_mixing_time(P, starts=args.starts) if checks["connected"] else None
+    with stage("bound"):
+        tau = mix.tau if mix else None
+        cond = conductance_bound(hist, lat, args.rho, tau=tau)
+        fields = _bound_fields(states, cond) | {
+            "checks": checks,
+            "tau_exact": tau,
+            "t_star": mix.t_star if mix else None,
+            "worst_start": mix.worst_start if mix else None,
+            "classes": {
+                "even_heavy": cond.n_even_heavy,
+                "balanced": cond.n_balanced,
+                "odd_heavy": cond.n_odd_heavy,
+            },
+            "bound_holds": cond.bound_holds,
+        }
+        meta = {
+            "states": len(states),
+            "moves": len(P.cols),
+            "cap_use": {"state": len(states) / args.state_cap},
+            "imbalance_histogram": hist,
+        }
+        if mix:
+            orbits = (len(mix.per_start_t_star) if args.starts == "orbits"
+                      else len(orbit_representatives(P.states, lat, args.q)))
+            meta["cap_use"]["iter"] = mix.t_star / ITER_CAP
+            meta |= {
+                "orbits": orbits,
+                "per_start_t_star": mix.per_start_t_star,
+                "exact_fallbacks": mix.exact_fallbacks,
+                "lumped_states": mix.lumped_states,
+                "float_walks": mix.float_walks,
+            }
+        ok = all(checks.values()) and (cond.bound_holds in (True, None))
+        line = json.dumps({"tau": tau, "bound": fields["bound"], "ok": ok})
+        return Outcome(fields, line, meta=meta, ok=ok)
 
 
+@stage("bound")
 def cmd_conductance(args) -> Outcome:
     lat, states, hist = _torus_states(args, args.enum_cap)
     cond = conductance_bound(hist, lat, args.rho)
     fields = _bound_fields(states, cond) | {"unbounded": cond.unbounded}
-    return Outcome(fields, json.dumps(fields["bound"]), meta={"imbalance_histogram": hist})
+    meta = {"imbalance_histogram": hist, "cap_use": {"enum": len(states) / args.enum_cap}}
+    return Outcome(fields, json.dumps(fields["bound"]), meta=meta)
 
 
+@stage("ratio")
 def cmd_influence(args) -> Outcome:
     rep = influence_ratio(args.d, args.n, cap=args.enum_cap)
     fields = {
@@ -256,18 +279,22 @@ def cmd_influence(args) -> Outcome:
         "per_size_ratio": {str(k): rat(v) for k, v in rep.per_size_ratio.items()},
         "provenance": "exact",
     }
-    return Outcome(fields, json.dumps(fields["ratio"]))
+    return Outcome(fields, json.dumps(fields["ratio"]),
+                   meta={"cap_use": {"enum": rep.pinned / args.enum_cap}})
 
 
+@stage("sweep")
 def cmd_cutsets(args) -> Outcome:
     lat = _lattice_from_args(args)
     if lat.kind is LatticeKind.TORUS:
+        check_family_scope(lat)   # before any listing: out of scope exits 2, never 3
         anchor, bc = None, None
     else:
         origin = (0,) * lat.d
         anchor, bc = lat.index(origin), odd_boundary_pinned(origin)
     lines = []
     violation = False
+    chi_id = -1   # the last listed coloring's index
     for chi_id, chi in enumerate(enumerate_colorings(lat, 3, bc, cap=args.enum_cap)):
         cuts = select_family(chi).cutsets if anchor is None else [build_box_cutset(chi, anchor)]
         for cut in cuts:
@@ -297,9 +324,11 @@ def cmd_cutsets(args) -> Outcome:
         "cutsets": len(lines),
         "all_properties_hold": not violation,
         "provenance": "exact",
-    }, len(lines), files={"cutsets.jsonl": "".join(lines)}, ok=not violation)
+    }, len(lines), files={"cutsets.jsonl": "".join(lines)},
+        meta={"cap_use": {"enum": (chi_id + 1) / args.enum_cap}}, ok=not violation)
 
 
+@stage("sweep")
 def cmd_flow_check(args) -> Outcome:
     lat = _lattice_from_args(args)
     v0 = lat.index((0,) * lat.d)
@@ -341,9 +370,10 @@ def cmd_flow_check(args) -> Outcome:
     }, len(lines), files={
         "flow.jsonl": "".join(lines),
         "bounds.csv": "".join(bound_rows),
-    }, ok=all_ok)
+    }, meta={"cap_use": {"enum": len(lines) / (2 * lat.d) / args.enum_cap}}, ok=all_ok)
 
 
+@stage("chain")
 def cmd_sample(args) -> Outcome:
     lat = _lattice_from_args(args)
     spec = ChainSpec(q=args.q, seed=args.seed, stream=0)
@@ -379,76 +409,76 @@ def _torpid_chain(task):
 
 
 def cmd_torpid_demo(args) -> Outcome:
-    chi0 = phase_coloring(_lattice_from_args(args), Parity.EVEN, 1, 3)
-    tasks = [
-        (args.d, args.n, args.seed, chain, args.sweeps, args.rho)
-        for chain in range(args.chains)
-    ]
-    if args.workers > 1:
-        import multiprocessing as mp
+    with stage("chains"):
+        chi0 = phase_coloring(_lattice_from_args(args), Parity.EVEN, 1, 3)
+        tasks = [
+            (args.d, args.n, args.seed, chain, args.sweeps, args.rho)
+            for chain in range(args.chains)
+        ]
+        if args.workers > 1:
+            import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(min(args.workers, args.chains)) as pool:
-            results = pool.map(_torpid_chain, tasks)
-    else:
-        results = [_torpid_chain(t) for t in tasks]
-    csvs = {}
-    finals = []
-    telemetry = []
-    for stream, chi0_id, csv_text, final_imb, chain in results:
-        csvs[f"chain{stream:03d}_seed{args.seed}_{chi0_id[:8]}.csv"] = csv_text
-        finals.append(final_imb)
-        telemetry.append(chain)
-    flips = sum(chain["first_flip_sweep"] is not None for chain in telemetry)
-    finals_sorted = sorted(finals)
-    qtile = lambda f: finals_sorted[min(len(finals_sorted) - 1, int(f * len(finals_sorted)))]
-    fields = {
-        "sign_flip_fraction": flips / args.chains,
-        "imbalance_quantiles": {
-            "min": finals_sorted[0],
-            "q25": qtile(0.25),
-            "median": qtile(0.5),
-            "q75": qtile(0.75),
-            "max": finals_sorted[-1],
-        },
-        "start_imbalance": imbalance(chi0),
-        "provenance": "simulated",
-    }
-    line = json.dumps({"sign_flip_fraction": fields["sign_flip_fraction"]})
-    return Outcome(fields, line, files=csvs, meta={"chains": telemetry})
+            with mp.get_context("fork").Pool(min(args.workers, args.chains)) as pool:
+                results = pool.map(_torpid_chain, tasks)
+        else:
+            results = [_torpid_chain(t) for t in tasks]
+    with stage("summary"):
+        csvs = {f"chain{stream:03d}_seed{args.seed}_{chi0_id[:8]}.csv": csv_text
+                for stream, chi0_id, csv_text, _, _ in results}
+        finals_sorted = sorted(final_imb for _, _, _, final_imb, _ in results)
+        telemetry = [chain for *_, chain in results]
+        flips = sum(chain["first_flip_sweep"] is not None for chain in telemetry)
+        qtile = lambda f: finals_sorted[min(len(finals_sorted) - 1, int(f * len(finals_sorted)))]
+        fields = {
+            "sign_flip_fraction": flips / args.chains,
+            "imbalance_quantiles": {
+                "min": finals_sorted[0],
+                "q25": qtile(0.25),
+                "median": qtile(0.5),
+                "q75": qtile(0.75),
+                "max": finals_sorted[-1],
+            },
+            "start_imbalance": imbalance(chi0),
+            "provenance": "simulated",
+        }
+        line = json.dumps({"sign_flip_fraction": fields["sign_flip_fraction"]})
+        return Outcome(fields, line, files=csvs, meta={"chains": telemetry})
 
 
 def cmd_entropy(args) -> Outcome:
-    sizes = [int(x) for x in args.sizes.split(",")]
-    if args.m is not None and args.d != 2:
-        raise ColoringError(f"restriction distribution is implemented for d=2, not d={args.d}")
-    topo = topological_entropy_estimate(args.d, sizes)
-    fields = {
-        "per_site": topo.per_site,
-        "aitken_passes": topo.passes,
-        "estimate": topo.estimate,
-        "spread": topo.spread,
-        "provenance": "exact counts, float extrapolation",
-    }
-    ok = True
-    if args.m is not None:
-        gap = max_entropy_gap_check(args.m, args.n_window)
-        # the float entropy floor is left out: the exact max-prob bound implies it
-        ok = (gap.max_prob_bound_holds and gap.ring_mass_bound_holds
-              and gap.support_extendable and gap.n_depends_on_ring_only)
-        fields["gap_check"] = {
-            "m": gap.m,
-            "n": gap.n,
-            "boundary": gap.boundary_size,
-            "c3_prime": gap.c3_prime,
-            "pinned_ring_count": gap.pinned_ring_count,
-            "entropy_nats": gap.entropy_nats,
-            "entropy_floor": gap.entropy_floor,
-            "entropy_floor_holds": gap.entropy_floor_holds,
-            "max_prob": rat(gap.max_prob),
-            "max_prob_bound": rat(gap.max_prob_bound),
-            "max_prob_bound_holds": gap.max_prob_bound_holds,
-            "ring_mass_bound_holds": gap.ring_mass_bound_holds,
+    with stage("strip"):
+        sizes = [int(x) for x in args.sizes.split(",")]
+        if args.m is not None and args.d != 2:
+            raise ColoringError(f"restriction distribution needs d=2, not d={args.d}")
+        topo = topological_entropy_estimate(args.d, sizes)
+        fields = {
+            "per_site": topo.per_site,
+            "aitken_passes": topo.passes,
+            "estimate": topo.estimate,
+            "spread": topo.spread,
+            "provenance": "exact counts, float extrapolation",
         }
+    with stage("gap"):
+        ok = True
+        if args.m is not None:
+            gap = max_entropy_gap_check(args.m, args.n_window)
+            # the float entropy floor is left out: the exact max-prob bound implies it
+            ok = (gap.max_prob_bound_holds and gap.ring_mass_bound_holds
+                  and gap.support_extendable and gap.n_depends_on_ring_only)
+            fields["gap_check"] = {
+                "m": gap.m,
+                "n": gap.n,
+                "boundary": gap.boundary_size,
+                "c3_prime": gap.c3_prime,
+                "pinned_ring_count": gap.pinned_ring_count,
+                "entropy_nats": gap.entropy_nats,
+                "entropy_floor": gap.entropy_floor,
+                "entropy_floor_holds": gap.entropy_floor_holds,
+                "max_prob": rat(gap.max_prob),
+                "max_prob_bound": rat(gap.max_prob_bound),
+                "max_prob_bound_holds": gap.max_prob_bound_holds,
+                "ring_mass_bound_holds": gap.ring_mass_bound_holds,
+            }
     return Outcome(fields, json.dumps({"estimate": topo.estimate, "spread": topo.spread}), ok=ok)
 
 
@@ -523,8 +553,11 @@ def main(argv=None) -> int:
             args = make_parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits 2 on bad flags and unreadable @FILEs
             return int(exc.code or 0)
-        outcome = args.func(args)
-        write_report(Path(args.out), _header(args) | outcome.fields, outcome.files, outcome.meta)
+        _stages.clear()
+        with stage("command"):
+            outcome = args.func(args)
+        meta = (outcome.meta or {}) | {"time_s": dict(_stages)}
+        write_report(Path(args.out), _header(args) | outcome.fields, outcome.files, meta)
         print(outcome.stdout)
         return EXIT_OK if outcome.ok else EXIT_VIOLATION
     except CapExceeded as exc:

@@ -115,12 +115,18 @@ def _greedy_family(lat, zeros, parity: Parity):
     return tuple(family)
 
 
+def check_family_scope(lat: Lattice) -> None:
+    """Refuse a box, and Z^d_2: each direction's two wrap edges are one edge there,
+    so |γ| = 2d(|W^O| − |W^E|) cannot hold; the paper's tori have n ≥ 4."""
+    if lat.kind is not LatticeKind.TORUS or lat.n == 2:
+        raise ColoringError(f"cutset families live on tori with n >= 4, not on {lat}")
+
+
 def select_family(chi: Coloring) -> FamilyResult:
     """Γ(χ) satisfying the torus family conditions, even branch preferred."""
     lat = chi.lattice
     _check_q3(chi)
-    if lat.kind is not LatticeKind.TORUS:
-        raise ColoringError("cutset families live on tori")
+    check_family_scope(lat)
     zeros = zero_set(chi)   # refuses an improper coloring
     for parity in Parity:
         family = _greedy_family(lat, zeros, parity)

@@ -190,8 +190,8 @@ def restriction_distribution(m: int, n: int) -> RestrictionResult:
     / total.  Keeping the ring multiplies the frontier by the ring patterns
     still possible, so the count refuses past ``WINDOW_CAP`` states from
     m = 7 on (n = 1)."""
-    if m <= n:
-        raise ColoringError("need m > n")
+    if not 0 <= n < m:
+        raise ColoringError(f"need 0 <= n < m, got m={m}, n={n}")
 
     # W_m: Λ_m plus the odd cells of Λ_{m+1}
     region = {(x, y) for x in range(-m - 1, m + 2) for y in range(-m - 1, m + 2)
@@ -250,7 +250,7 @@ def max_entropy_gap_check(m: int, n: int) -> GapReport:
     The entropy floor follows from the exact max-probability bound via
     H ≥ −log max p; that bound and the pinned-ring mass bound are checked
     in exact rational arithmetic.  The restriction law comes first, so
-    m ≤ n is refused before the extendability count runs.
+    m ≤ n and n < 0 are refused before the extendability count runs.
     """
     res = restriction_distribution(m, n)
     ext = extendable_colorings(n)

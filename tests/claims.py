@@ -403,6 +403,20 @@ def hamming(chi1: Coloring, chi2: Coloring) -> int:
     return sum(1 for a, b in zip(chi1.colors, chi2.colors) if a != b)
 
 
+def kempe_flips(colors: bytes, lat: Lattice, q: int = 3):
+    """Each Kempe component K of a coloring, a component of the union of two
+    colour classes {a, b}, with the coloring flipped on K (c ↦ a + b − c)."""
+    by_color = [0] * q
+    for v, c in enumerate(colors):
+        by_color[c] |= 1 << v
+    for a, b in itertools.combinations(range(q), 2):
+        for comp in connected_components(lat, by_color[a] | by_color[b]):
+            flipped = bytearray(colors)
+            for v in iter_bits(comp):
+                flipped[v] = a + b - colors[v]
+            yield comp, bytes(flipped)
+
+
 def kempe_matrix(states: list[Coloring], lat: Lattice, q: int = 3) -> oracle.ExactTransitionMatrix:
     """The Kempe-flip chain on a listed state space, a non-local contrast to
     the Metropolis matrix: draw (v, c) with mass 1/(q|V|) and, when
@@ -414,15 +428,8 @@ def kempe_matrix(states: list[Coloring], lat: Lattice, q: int = 3) -> oracle.Exa
     index = {colors: i for i, colors in enumerate(raw)}
     moves = []
     for i, colors in enumerate(raw):
-        by_color = [0] * q
-        for v, c in enumerate(colors):
-            by_color[c] |= 1 << v
-        for a, b in itertools.combinations(range(q), 2):
-            for comp in connected_components(lat, by_color[a] | by_color[b]):
-                flipped = bytearray(colors)
-                for v in iter_bits(comp):
-                    flipped[v] = a + b - colors[v]
-                moves += [i * n + index[bytes(flipped)]] * comp.bit_count()
+        for comp, flipped in kempe_flips(colors, lat, q):
+            moves += [i * n + index[flipped]] * comp.bit_count()
     rows, cols = np.divmod(np.sort(np.array(moves, dtype=np.int64)), n)
     return oracle.ExactTransitionMatrix(states=raw, lattice=lat, q=q, rows=rows, cols=cols,
                                         diag=q * lat.nv - np.bincount(rows, minlength=n))

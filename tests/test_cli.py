@@ -121,9 +121,16 @@ def test_listing_a_long_ring_keeps_the_exit_contract(tmp_path, capsys, command, 
     ["torpid-demo", "--rho", "7"],
     ["entropy", "--d", "3", "--sizes", "1,2,3"],
     ["enumerate", "--kind", "torus", "--odd-boundary-zero"],
+    # Z^d_2 is d-regular, so no cutset family can meet the size identity;
+    # it is refused before the listing's cap is checked
+    ["cutsets", "--kind", "torus", "--d", "3", "--n", "2"],
+    ["cutsets", "--kind", "torus", "--d", "3", "--n", "2", "--enum-cap", "1"],
+    ["entropy", "--d", "2", "--m", "2", "--n-window", "-1"],
 ])
 def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
-    assert run(argv + ["--out", str(tmp_path)]) == 2
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # the flags each command reads, besides --out
@@ -185,45 +192,46 @@ FROZEN = {
     "enumerate": ({
         "stdout": "a1fb50e6c86fae1679ef3351296fd6713411a08cf8dd1790a4fd05fae8688164",
         "report.json": "191cdcab3c72335bd8c977bf635b03cd4f81e3735e9254ef83de8d45f53b747d",
-    }, {"build", "cap_use", "peak_states", "written_at"}),
+    }, {"build", "cap_use", "peak_states", "time_s", "written_at"}),
     "mixing": ({
         "stdout": "cb0504d8558ab9af1c79168313e6d0f99a23297fc63012913698df1872edf9da",
         "report.json": "aa9830a3809f57f2c0b53a91f7e7fc86c95ff19470af86a1a61f9a85657b4702",
     }, {"build", "cap_use", "exact_fallbacks", "float_walks", "imbalance_histogram",
-        "lumped_states", "moves", "orbits", "per_start_t_star", "states", "written_at"}),
+        "lumped_states", "moves", "orbits", "per_start_t_star", "states", "time_s",
+        "written_at"}),
     "conductance": ({
         "stdout": "f51e9945d8b9d54cab4229e9c89a541ac2641e487655bbe1824efc7b4396087d",
         "report.json": "604fa93c65de7b9c81657d35d89e874d4eb483ecc6a2c7bc0ba712bf93271811",
-    }, {"build", "imbalance_histogram", "written_at"}),
+    }, {"build", "cap_use", "imbalance_histogram", "time_s", "written_at"}),
     "influence": ({
         "stdout": "10482b8baaf4c20b77faa83b6df1623204a73b968687726d936de926e71ab9c1",
         "report.json": "9b47c6bea8df67ec43be904a53cb3cec69695b15269969a7790f0a664cd4bba9",
-    }, {"build", "written_at"}),
+    }, {"build", "cap_use", "time_s", "written_at"}),
     "cutsets": ({
         "stdout": "2115cdb6bfcfb008eb2bab2bb79347cb064a48e4e7c4115ccbe4469c787bb6c4",
         "cutsets.jsonl": "5141d465de4fbc3d9ecce69be1aab6dee00fa3b538572a9f91269b8f53b0a63d",
         "report.json": "122d31fb74abf160d3dc7a1336d15823f967539aae1304dc1f0029ab06830c24",
-    }, {"build", "written_at"}),
+    }, {"build", "cap_use", "time_s", "written_at"}),
     "flow-check": ({
         "stdout": "56292515f7d3a7110811eb8de26b3f75f82a0766aa5a1fd66ebcfcb84fe6d5ff",
         "bounds.csv": "0d2790f608303d71101a3df5c2b9ea4fb3671888f122256e5c1070096db0358b",
         "flow.jsonl": "800bfeb63d08fd68286b1db56a14556dd236b4ff1179f9956d82009ca64db4a9",
         "report.json": "3bfcc42c5565d43e866a31224d7f7749516d97292bdc5c6990855a7029878428",
-    }, {"build", "written_at"}),
+    }, {"build", "cap_use", "time_s", "written_at"}),
     "sample": ({
         "stdout": "ca4fe36b21e33547bf2b7633f952631f0c1f8f9629de132c936b03fb56ed59b2",
         "chain_seed0_000100010100.csv": "51d1636ec0bc004a0da16e2d630386920ad072440645c0b0fa9206013b13ee3e",
         "report.json": "59e59130164a52e11e1055f2fd7cbed071964c34c70bda4058466c4be31392a2",
-    }, {"build", "written_at"}),
+    }, {"build", "time_s", "written_at"}),
     "torpid-demo": ({
         "stdout": "40137cb3e3fca1e0c33d2e15a97b7c964f65161013a54f8c81dca2d7b8f38c73",
         "chain000_seed0_00010001.csv": "2ebbdc1e3c6305afe1582ace0485d5eaa34954f639b272ea3de3fe3428a2384c",
         "report.json": "4e56414a4a223a514b1598878a1bc7497d5fa03e0d81ce04894cd7692a62efb4",
-    }, {"build", "chains", "written_at"}),
+    }, {"build", "chains", "time_s", "written_at"}),
     "entropy": ({
         "stdout": "912fb3baea94440f422707a18c7ee683c4df85de068a067dd6b457a500f4516d",
         "report.json": "51d085dccbdc5198722b2a1e361b0814de849396101916c9020e2d124a28f123",
-    }, {"build", "written_at"}),
+    }, {"build", "time_s", "written_at"}),
 }
 
 
@@ -239,6 +247,52 @@ def test_every_command_keeps_its_bytes(tmp_path, capsys):
         got |= {f.name: _sha(f.read_bytes()) for f in out.iterdir() if f.name != "meta.json"}
         assert got == digests, cmd
         assert json.loads((out / "meta.json").read_text()).keys() == meta_keys, cmd
+
+
+# each command's stages, in the order it runs them; time_s adds "command"
+STAGES = {
+    "enumerate": ["count"],
+    "mixing": ["list", "matrix", "checks", "tv", "bound"],
+    "conductance": ["bound"],
+    "influence": ["ratio"],
+    "cutsets": ["sweep"],
+    "flow-check": ["sweep"],
+    "sample": ["chain"],
+    "torpid-demo": ["chains", "summary"],
+    "entropy": ["strip", "gap"],
+}
+
+
+def test_every_command_times_its_stages(tmp_path, capsys):
+    # one process runs them all, so a stage left over from an earlier call
+    # would show; a phase a run skips (TINY entropy has no --m) still has its stage
+    for cmd, stages in STAGES.items():
+        out = tmp_path / cmd
+        assert run([cmd, *TINY[cmd], "--out", str(out)]) == 0, cmd
+        time_s = json.loads((out / "meta.json").read_text())["time_s"]
+        assert list(time_s) == stages + ["command"], cmd
+        assert 0 <= sum(time_s[s] for s in stages) <= time_s["command"], cmd
+
+
+def test_listing_commands_report_their_enum_cap_use(tmp_path, capsys):
+    # the colorings each command listed, read from its report: box(2, 2)
+    # has one cutset and 2d = 4 flow pairs per coloring
+    listed = {
+        "conductance": lambda r: r["n_states"],
+        "influence": lambda r: r["pinned"],
+        "cutsets": lambda r: r["cutsets"],
+        "flow-check": lambda r: r["pairs"] // 4,
+    }
+    for cmd, count in listed.items():
+        out = tmp_path / cmd
+        assert run([cmd, *TINY[cmd], "--enum-cap", "1000", "--out", str(out)]) == 0, cmd
+        report = json.loads((out / "report.json").read_text())
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["cap_use"] == {"enum": count(report) / 1000} != {"enum": 0}, cmd
+    # on a torus a coloring has several cutsets, and each coloring counts once
+    out = tmp_path / "torus"
+    assert run(["cutsets", "--kind", "torus", "--d", "2", "--n", "4", "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["cap_use"] == {"enum": 2970 / 10_000_000}
 
 
 def _flag_file(tmp_path, text):
@@ -459,7 +513,7 @@ def test_enumerate_meta_reports_peak_states(tmp_path, capsys):
         assert json.loads((out / "report.json").read_text()).keys() == \
             {"command", "config", "count", "provenance"}
         meta = json.loads((out / "meta.json").read_text())
-        assert meta.keys() == {"written_at", "build", "peak_states", "cap_use"}
+        assert meta.keys() == {"written_at", "build", "peak_states", "cap_use", "time_s"}
         cap = 1000 if "--state-cap" in argv else 20000
         assert (meta["peak_states"], meta["cap_use"]) == (peak, {"state": peak / cap})
 

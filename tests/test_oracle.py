@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from potts3 import oracle
-from potts3.coloring import (Coloring, ImbalanceClass, OddBoundaryZero, imbalance,
+from potts3.coloring import (Coloring, ImbalanceClass, OddBoundaryZero, imbalance, is_proper,
                              odd_boundary_pinned, phase_coloring)
 from potts3.errors import CapExceeded, ColoringError
-from potts3.lattice import Lattice, Parity, box, torus
+from potts3.lattice import Lattice, Parity, box, iter_bits, torus
 from potts3.oracle import (
     ITER_CAP,
     ExactTransitionMatrix,
@@ -38,7 +38,8 @@ from potts3.oracle import (
     tv_mixing_time,
 )
 
-from claims import BipartiteGraph, classify, kempe_matrix, lcol_check, torus_imbalance_histogram
+from claims import (BipartiteGraph, classify, kempe_flips, kempe_matrix, lcol_check,
+                    torus_imbalance_histogram)
 
 
 def test_ring_and_edge_counts():
@@ -1178,6 +1179,28 @@ def test_ring_classes_are_its_winding_classes(n, classes):
         assert len(windings) == 1
         found[windings.pop(), len(members)] += 1
     assert found == classes
+
+
+def _torus_windings(lat, colors: bytes) -> list[int]:
+    """The winding of a Z^2_n coloring around each row, then each column."""
+    rows = [[lat.index((x, y)) for x in range(lat.n)] for y in range(lat.n)]
+    return [_ring_winding(bytes(colors[v] for v in line)) for line in rows + list(zip(*rows))]
+
+
+def test_kempe_flip_leaves_the_frozen_winding_class():
+    # on Z^2_6, (x + y) mod 3 winds +6 around every row and column, a class
+    # no single-site move leaves; flipping any one of its six Kempe
+    # components (two per colour pair, 12 sites each) unwinds every cycle
+    lat = torus(2, 6)
+    colors = bytes((x + y) % 3 for x, y in lat.coords)
+    assert _torus_windings(lat, colors) == [6] * 12
+    flips = list(kempe_flips(colors, lat))
+    pairs = Counter(frozenset(colors[v] for v in iter_bits(comp)) for comp, _ in flips)
+    assert pairs == {frozenset(p): 2 for p in itertools.combinations(range(3), 2)}
+    assert [comp.bit_count() for comp, _ in flips] == [12] * 6
+    for _, flipped in flips:
+        assert is_proper(Coloring(lat, flipped, 3))
+        assert _torus_windings(lat, flipped) == [0] * 12
 
 
 def test_kempe_chain_runs_through_the_same_engine(z24, z24_states):
