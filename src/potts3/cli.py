@@ -24,12 +24,13 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .coloring import (
@@ -191,7 +192,10 @@ def _torus_states(args, cap):
     found = list(enumerate_colorings(lat, args.q, cap=cap))
     if not found:
         raise ColoringError(f"{lat} has no proper {args.q}-coloring")
-    return lat, [chi.colors for chi in found], dict(sorted(Counter(map(imbalance, found)).items()))
+    states = [chi.colors for chi in found]
+    zeros = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), lat.nv) == 0
+    imbalances, counts = np.unique(zeros @ (1 - 2 * np.array(lat.parities)), return_counts=True)
+    return lat, states, dict(zip(imbalances.tolist(), counts.tolist()))
 
 
 def _bound_fields(states, cond) -> dict:

@@ -37,44 +37,36 @@ ENUM_CAP = 10_000_000
 STATE_CAP = 20_000
 WINDOW_CAP = 2_000_000   # frontier states of a region count, or window colorings listed
 ITER_CAP = 100_000
+_LIST_ROWS = 1 << 14     # partial rows ``_assignments`` extends at once
 
 
-# -- generic backtracking enumeration ---------------------------------------
+# -- generic enumeration ---------------------------------------------------
 
 
 def _assignments(nv, neighbors, q, pins, cap=None):
     """Yield proper assignments as bytes, vertex-index order, colors
-    ascending (lexicographic output order).  Backtracks with an explicit
-    cursor, so the graph's size sets no recursion depth; in index order a
-    vertex's earlier neighbours are all placed, and only they are tested.
-    Raises CapExceeded past cap."""
+    ascending (lexicographic output order).  Extends a uint8 array of
+    partial rows a vertex at a time, each row once per color it may take,
+    new colors last (so in order), less those an earlier neighbour holds.
+    Past ``_LIST_ROWS`` rows the array splits in two, and each half, the
+    low one first, goes on alone.  Raises CapExceeded past cap."""
     earlier = [[u for u in nbrs if u < v] for v, nbrs in enumerate(neighbors)]
-    options = [(pins[v],) if v in pins else range(q) for v in range(nv)]
-    colors = bytearray(nv)
-    at = [0] * nv     # per vertex, the index in its options of the next color to try
-    produced = 0
-    v = 0
-    while v >= 0:
-        if v == nv:
-            produced += 1
-            if cap is not None and produced > cap:
-                raise CapExceeded(f"enumeration exceeded cap {cap}; at least {cap + 1} exist")
-            yield bytes(colors)
-            v -= 1
-            continue
-        opts = options[v]
-        for i in range(at[v], len(opts)):
-            c = opts[i]
-            for u in earlier[v]:
-                if colors[u] == c:
-                    break
-            else:
-                colors[v], at[v] = c, i + 1
-                v += 1
-                break
+    produced, todo = 0, [(0, np.zeros((1, 0), np.uint8))]
+    while todo:
+        v, rows = todo.pop()
+        if len(rows) > _LIST_ROWS:                        # the low half goes on first
+            todo += [(v, rows[len(rows) // 2:]), (v, rows[:len(rows) // 2])]
+        elif v < nv:
+            opts = np.array([pins[v]] if v in pins else range(q), dtype=np.uint8)
+            ok = (rows[:, earlier[v], None] != opts).all(axis=1)
+            at, c = np.divmod(np.flatnonzero(ok), len(opts))
+            todo.append((v + 1, np.column_stack((rows[at], opts[c]))))
         else:
-            at[v] = 0
-            v -= 1
+            for colors in rows:
+                produced += 1
+                if cap is not None and produced > cap:
+                    raise CapExceeded(f"enumeration exceeded cap {cap}; at least {cap + 1} exist")
+                yield colors.tobytes()
 
 
 def enumerate_colorings(
@@ -393,7 +385,7 @@ def _first_crossing(P: ExactTransitionMatrix, start: int, threshold, iter_cap) -
 
 _U = 2.0 ** -53        # unit roundoff of binary64
 _TINY = 2.0 ** -1000   # least positive entry the relative-error model admits
-_KEY_CHUNK = 1024      # states per color indicator in the orbit keys (``_orbits``)
+_KEY_BLOCK = 1 << 15   # color keys per chunk of the orbit keys (``_orbits``)
 _STACK_CAP = 1 << 18   # moves plus blocks per stack of walks
 
 
@@ -462,21 +454,47 @@ def _lump(P: ExactTransitionMatrix, blocks: np.ndarray, start: int) -> _FloatOpe
     )
 
 
-def _refined_blocks(P: ExactTransitionMatrix, start: int) -> np.ndarray:
-    """A block index per state of P: the coarsest equitable partition that
-    holds ``start`` alone, by colour refinement.
+def _move_distances(P: ExactTransitionMatrix, starts: list[int]) -> list[np.ndarray]:
+    """Each of at most 64 starts' move distances to every state of P (one
+    move from those its row lists), by one bit-parallel breadth-first
+    search: each state's uint64 word has a bit per start, a level ORs the
+    last one's words over each row's moves less the states reached before,
+    and the levels unpack once, as bit planes (plane k ORs the depths with
+    bit k).  A state never reached gets all ones: past every distance, < 2N."""
+    heads = np.flatnonzero(np.diff(P.rows, prepend=-1))
+    seen = np.zeros(P.n, dtype=np.uint64)
+    np.bitwise_or.at(seen, starts, np.uint64(1) << np.arange(len(starts), dtype=np.uint64))
+    levels = [seen.copy()]
+    while levels[-1].any():
+        reached = np.zeros(P.n, dtype=np.uint64)
+        reached[P.rows[heads]] = np.bitwise_or.reduceat(levels[-1][P.cols], heads)
+        levels.append(reached & ~seen)
+        seen |= reached
+    dist = np.zeros((P.n, -(-len(starts) // 8) * 8), dtype=np.uint32)   # whole bytes of starts
+    for k in range((len(levels) - 1).bit_length()):
+        plane = np.bitwise_or.reduce([w for t, w in enumerate(levels) if t >> k & 1]) | ~seen
+        bits = plane.astype("<u8", copy=False).view(np.uint8).reshape(P.n, 8)[:, :dist.shape[1] // 8]
+        dist |= np.unpackbits(bits, axis=1, bitorder="little").astype(np.uint32) << np.uint32(k)
+    return [row.copy() for row in dist.T[:len(starts)]]      # each freed once used
 
-    The first labels are (diagonal, is-start).  Each round's label is the
-    old one times a fixed odd constant plus the wrapping sum of the
-    in-neighbours' SplitMix64-mixed labels, a hash of their blocks'
-    multiset; the rounds stop when the block count stops growing.  That is the optimal
-    exact lumping (Derisavi, Hermanns and Sanders 2003), at least as coarse
-    as the orbits of the start's stabiliser in any symmetry group of P.  A
-    hash collision can only merge blocks wrongly, and ``_lump`` then
-    refuses the labelling, so exactness never rests on the hash."""
+
+def _refined_blocks(P: ExactTransitionMatrix, dist: np.ndarray) -> np.ndarray:
+    """A block index per state of P: the coarsest equitable partition that
+    holds the start alone, by colour refinement from the labels (diagonal,
+    distance), ``dist`` the start's ``_move_distances``.  Each round's
+    label is the old one times a fixed odd constant plus the wrapping sum
+    of the in-neighbours' SplitMix64-mixed labels, a hash of their blocks'
+    multiset; the rounds stop when the block count stops growing.  That is
+    the optimal exact lumping (Derisavi, Hermanns and Sanders 2003), at
+    least as coarse as the orbits of the start's stabiliser in any symmetry
+    group of P.  It refines the distance layers (by induction: an equitable
+    partition keeps per block whether a state has a move from the layers so
+    far), so the rounds reach the partition (diagonal, is-start) would,
+    sooner.  A hash collision can only merge blocks wrongly, and ``_lump``
+    then refuses the labelling, so exactness never rests on the hash."""
     heads = np.flatnonzero(np.diff(P.rows, prepend=-1))   # empty with no move at all
     owners = P.rows[heads]
-    labels = P.diag.astype(np.uint64) * np.uint64(2) + (np.arange(P.n) == start)
+    labels = P.diag.astype(np.uint64) * np.uint64(2 * P.n) + dist.astype(np.uint64)
     count = 0
     while True:
         grown = np.count_nonzero(np.diff(np.sort(labels))) + 1    # blocks, by sort + diff
@@ -572,18 +590,18 @@ def _shared_walks(P: ExactTransitionMatrix, use: list[int]):
     an earlier start of the stack whose every field is equal; a start whose
     labelling fails ``_lump``'s check walks in no stack."""
     stack, entries = [], 0
-    for st in use:
-        if (op := _lump(P, _refined_blocks(P, st), st)) is None:
-            continue
-        walk = next((w for w in stack if all(map(np.array_equal, w[0], op))), None)
-        if walk is None:
-            if stack and entries + len(op.cols) + len(op.sizes) > _STACK_CAP:
-                yield stack
-                stack, entries = [], 0
-            walk = (op, [])
-            stack.append(walk)
-            entries += len(op.cols) + len(op.sizes)
-        walk[1].append(st)
+    for lo in range(0, len(use), 64):
+        for st, dist in zip(use[lo:lo + 64], _move_distances(P, use[lo:lo + 64])):
+            if (op := _lump(P, _refined_blocks(P, dist), st)) is None:
+                continue
+            walk = next((w for w in stack if all(map(np.array_equal, w[0], op))), None)
+            if walk is None:
+                if stack and entries + len(op.cols) + len(op.sizes) > _STACK_CAP:
+                    yield stack
+                    stack, entries = [], 0
+                stack.append(walk := (op, []))
+                entries += len(op.cols) + len(op.sizes)
+            walk[1].append(st)
     if stack:
         yield stack
 
@@ -664,9 +682,10 @@ def _orbits(states: list[bytes], lat: Lattice, q: int) -> tuple[np.ndarray, np.n
     appearance.  With W[c] the key of color c's sites alone, a color
     appears earlier exactly when its W is larger, and so that key sums the
     lighter W of each pair of colors.  Every byte up to the largest in a
-    state is a color, b of them (b = q for q-colorings).  Keys stay below
-    b^|V|, which must be below 2^63 (ValueError); below 2^53 they are exact
-    in float64, which is faster."""
+    state is a color, b of them (b = q for q-colorings).  One product per
+    chunk of states (about ``_KEY_BLOCK`` W's) gives each W under each
+    automorphism.  Keys stay below b^|V|, which must be below 2^63
+    (ValueError); below 2^53 they are exact in float64, which is faster."""
     nv = lat.nv
     S = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), nv)
     b = max(q, int(S.max(initial=0)) + 1)
@@ -675,17 +694,14 @@ def _orbits(states: list[bytes], lat: Lattice, q: int) -> tuple[np.ndarray, np.n
     dtype = np.float64 if b ** nv <= 2 ** 53 else np.int64
     powers = (b ** np.arange(nv - 1, -1, -1, dtype=np.int64)).astype(dtype)
     perms = np.array([range(nv), *lat.vertex_automorphisms()], dtype=np.intp)
-    moved = powers[np.argsort(perms, axis=1)]              # site weights per automorphism
+    moved = powers[np.argsort(perms, axis=1)].T            # site weights, one column per automorphism
     colors = np.arange(b, dtype=np.uint8)[:, None, None]
-    best = np.full(len(S), np.iinfo(np.int64).max, dtype=dtype)
-    for lo in range(0, len(S), _KEY_CHUNK):
-        onehot = (S[lo:lo + _KEY_CHUNK] == colors).astype(dtype)
-        chunk = best[lo:lo + _KEY_CHUNK]
-        for weights in moved:
-            W = onehot @ weights
-            np.minimum(chunk, sum(np.minimum(W[c], W[d])
-                                  for c, d in itertools.combinations(range(b), 2)), out=chunk)
-        del onehot                                         # before the next chunk's
+    rows = max(1, _KEY_BLOCK // (b * len(perms)))
+    best = np.empty(len(S), dtype=dtype)
+    for lo in range(0, len(S), rows):
+        W = (S[lo:lo + rows] == colors).astype(dtype) @ moved     # (color, state, automorphism)
+        pairs = (np.minimum(W[c], W[d]) for c, d in itertools.combinations(range(b), 2))
+        best[lo:lo + rows] = sum(pairs, np.zeros(W.shape[1:], dtype)).min(axis=1)
     _, first, sizes = np.unique(best, return_index=True, return_counts=True)
     order = np.argsort(first)
     return first[order], sizes[order]

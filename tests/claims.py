@@ -11,7 +11,9 @@ small bipartite graphs; the torus cutset collections with profile
 membership and the minimality check; the repair map on one subset and a
 uniform member of its family; approximations and the direction rule; the flow weight ν of one
 image and the canonical good triple; ρ-local blocking of EvenHeavy→OddHeavy
-moves; the scalar draws of the chain's counter-based stream; the binary
+moves; the scalar draws of the chain's counter-based stream; the cursor
+backtracker and the unseeded colour refinement, the references for the
+array-built lister and the distance-seeded refinement; the binary
 entropy; and the mod-3 coloring.  No command or benchmark
 workload runs them, so they live beside the tests and read the package's
 private helpers.
@@ -30,8 +32,8 @@ from potts3 import oracle
 from potts3.coloring import (DEFAULT_RHO, Coloring, ImbalanceClass, imbalance,
                              imbalance_class, zero_set)
 from potts3.cutset import Cutset, _check_q3, _cutset, _seed_mask, select_family
-from potts3.dynamics import GOLDEN, CounterRng, _MASK64, _mix64
-from potts3.errors import ColoringError, LatticeError
+from potts3.dynamics import GOLDEN, CounterRng, _MASK64, _mix64, mix64_array
+from potts3.errors import CapExceeded, ColoringError, LatticeError
 from potts3.lattice import (Lattice, LatticeKind, Parity, closure, connected_components, iter_bits,
                             shift_order)
 from potts3.peierls import (Approximation, GoodTriple, _canonical_triple, _nu, _q_masks, _repair,
@@ -466,6 +468,61 @@ def crossing_blocked_check(chi1: Coloring, chi2: Coloring, rho: Fraction = DEFAU
 
 
 # -- oracle --------------------------------------------------------------------
+
+
+def assignments_by_cursor(nv, neighbors, q, pins, cap=None):
+    """Reference for ``oracle._assignments``: yield proper assignments as
+    bytes, vertex-index order, colors ascending (lexicographic output
+    order), one at a time.  Backtracks with an explicit cursor, so the
+    graph's size sets no recursion depth; in index order a vertex's earlier
+    neighbours are all placed, and only they are tested.  Raises
+    CapExceeded past cap."""
+    earlier = [[u for u in nbrs if u < v] for v, nbrs in enumerate(neighbors)]
+    options = [(pins[v],) if v in pins else range(q) for v in range(nv)]
+    colors = bytearray(nv)
+    at = [0] * nv     # per vertex, the index in its options of the next color to try
+    produced = 0
+    v = 0
+    while v >= 0:
+        if v == nv:
+            produced += 1
+            if cap is not None and produced > cap:
+                raise CapExceeded(f"enumeration exceeded cap {cap}; at least {cap + 1} exist")
+            yield bytes(colors)
+            v -= 1
+            continue
+        opts = options[v]
+        for i in range(at[v], len(opts)):
+            c = opts[i]
+            for u in earlier[v]:
+                if colors[u] == c:
+                    break
+            else:
+                colors[v], at[v] = c, i + 1
+                v += 1
+                break
+        else:
+            at[v] = 0
+            v -= 1
+
+
+def refined_blocks_from_start(P: oracle.ExactTransitionMatrix, start: int) -> np.ndarray:
+    """Reference for the distance-seeded ``oracle._refined_blocks``: the same
+    hashed colour refinement, from the first labels (diagonal, is-start),
+    so it takes one round more per move of the start's eccentricity.  Its
+    partition is the coarsest equitable one that holds ``start`` alone."""
+    heads = np.flatnonzero(np.diff(P.rows, prepend=-1))   # empty with no move at all
+    owners = P.rows[heads]
+    labels = P.diag.astype(np.uint64) * np.uint64(2) + (np.arange(P.n) == start)
+    count = 0
+    while True:
+        grown = np.count_nonzero(np.diff(np.sort(labels))) + 1    # blocks, by sort + diff
+        if grown == count:
+            return np.unique(labels, return_inverse=True)[1]
+        count = grown
+        mixed = mix64_array(labels + GOLDEN)
+        labels *= GOLDEN
+        labels[owners] += np.add.reduceat(mixed[P.cols], heads)
 
 
 @dataclass(frozen=True)

@@ -618,6 +618,14 @@ def test_config_file_defaults_flags_win(tmp_path):
     assert counts == {"file": 32, "after": 13888, "before": 32}
 
 
+# blocks of each Z^2_4 orbit representative's lumped walk
+Z24_LUMPED = {
+    0: 75, 1: 420, 4: 756, 8: 756, 9: 464, 11: 912, 25: 200, 38: 258, 39: 699,
+    41: 1191, 44: 699, 45: 534, 46: 1191, 51: 912, 57: 420, 60: 220, 61: 534,
+    123: 162, 125: 387, 240: 162, 249: 387, 263: 220,
+}
+
+
 def test_mixing_z24_full(tmp_path):
     # the flagship run: exact tau and the conductance bound on Z^2_4
     out = tmp_path / "mix24"
@@ -632,7 +640,10 @@ def test_mixing_z24_full(tmp_path):
     assert all(rep["checks"].values())
     meta = json.loads((out / "meta.json").read_text())
     assert (meta["states"], meta["moves"], meta["orbits"]) == (2970, 21888, 22)
-    assert sum(meta["lumped_states"].values()) == 11559
+    # how τ was reached: each start's lumped block count, no exact fallback
+    assert {int(s): k for s, k in meta["lumped_states"].items()} == Z24_LUMPED
+    assert sum(Z24_LUMPED.values()) == 11559
+    assert meta["exact_fallbacks"] == []
     assert meta["float_walks"] == 16
     assert meta["cap_use"] == {"state": 2970 / 20000, "iter": 493 / 100000}
 

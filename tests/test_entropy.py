@@ -19,9 +19,9 @@ from potts3.entropy import (
 )
 from potts3.errors import CapExceeded, ColoringError
 from potts3.lattice import box
-from potts3.oracle import _assignments, enumerate_colorings, grid_region_counts
+from potts3.oracle import enumerate_colorings, grid_region_counts
 
-from claims import binary_entropy
+from claims import assignments_by_cursor, binary_entropy
 
 COUNT_ENTROPY_REFERENCE = (
     Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "count-entropy.json"
@@ -92,7 +92,7 @@ def test_topo_entropy_d2_strips():
 def _dense_strip_per_site(w: int) -> float:
     """ln λ_max of the full 3·2^{w−1}-square strip transfer matrix, per site."""
     path = [[u for u in (v - 1, v + 1) if 0 <= u < w] for v in range(w)]
-    S = np.frombuffer(b"".join(_assignments(w, path, 3, {})), dtype=np.uint8).reshape(-1, w)
+    S = np.frombuffer(b"".join(assignments_by_cursor(w, path, 3, {})), dtype=np.uint8).reshape(-1, w)
     T = (S[:, None, :] != S[None, :, :]).all(axis=2).astype(float)
     return math.log(max(abs(np.linalg.eigvals(T)))) / w
 

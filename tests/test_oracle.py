@@ -25,6 +25,7 @@ from potts3.oracle import (
     _floatable,
     _frontier_count,
     _lump,
+    _move_distances,
     _refined_blocks,
     _stacked_tv,
     conductance_bound,
@@ -38,8 +39,8 @@ from potts3.oracle import (
     tv_mixing_time,
 )
 
-from claims import (BipartiteGraph, classify, kempe_flips, kempe_matrix, lcol_check,
-                    torus_imbalance_histogram)
+from claims import (BipartiteGraph, assignments_by_cursor, classify, kempe_flips, kempe_matrix,
+                    lcol_check, refined_blocks_from_start, torus_imbalance_histogram)
 
 
 def test_ring_and_edge_counts():
@@ -176,7 +177,7 @@ def _brute_counts(nv, neighbors, q, pins, forbidden, keep=()):
     """Listed colorings grouped by the colors of ``keep``."""
     counts = Counter(
         bytes(colors[u] for u in keep)
-        for colors in _assignments(nv, neighbors, q, pins)
+        for colors in assignments_by_cursor(nv, neighbors, q, pins)
         if all(colors[v] not in forbidden.get(v, ()) for v in range(nv))
     )
     return dict(counts)
@@ -196,6 +197,46 @@ def _pinned_graphs(draw):
     forbidden = draw(st.dictionaries(sites, st.sets(st.integers(0, q - 1)), max_size=min(nv, 3)))
     keep = draw(st.permutations(range(nv)))[:draw(st.integers(0, nv))]
     return nv, neighbors, q, pins, forbidden, keep
+
+
+def _listed(rows):
+    """The rows a listing yields, and its refusal's message or None."""
+    out = []
+    try:
+        out.extend(rows)
+    except CapExceeded as err:
+        return out, str(err)
+    return out, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_pinned_graphs(), data=st.data())
+def test_array_lister_matches_the_backtracker_on_random_graphs(graph, data):
+    nv, neighbors, q, pins, _, _ = graph
+    listed = list(assignments_by_cursor(nv, neighbors, q, pins))
+    cap = data.draw(st.none() | st.integers(0, len(listed) + 1))
+    bound = data.draw(st.sampled_from([1, 2, 7, oracle._LIST_ROWS]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_LIST_ROWS", bound)
+        got = _listed(_assignments(nv, neighbors, q, pins, cap))
+    # same bytes in the same order, and a refusal at exactly cap + 1 rows
+    assert got == _listed(assignments_by_cursor(nv, neighbors, q, pins, cap))
+    assert (got[1] is None) == (cap is None or len(listed) <= cap)
+
+
+@pytest.mark.parametrize("fixture,pinned", [("z24", False), ("box22", True)])
+def test_array_lister_splits_in_order(fixture, pinned, request, monkeypatch):
+    # past its row bound the partial array splits, low half first; at the
+    # default bound these listings never split, so a bound of 7 forces it
+    lat = request.getfixturevalue(fixture)
+    pins = odd_boundary_pinned((0, 0)).pins(lat) if pinned else {}
+    want = list(assignments_by_cursor(lat.nv, lat.neighbors, 3, pins))
+    monkeypatch.setattr(oracle, "_LIST_ROWS", 7)
+    assert list(_assignments(lat.nv, lat.neighbors, 3, pins)) == want
+    assert len(want) == (32 if pinned else 2970)
+    cap = len(want) // 2
+    assert _listed(_assignments(lat.nv, lat.neighbors, 3, pins, cap)) == \
+        (want[:cap], f"enumeration exceeded cap {cap}; at least {cap + 1} exist")
 
 
 @settings(max_examples=150, deadline=None)
@@ -357,7 +398,7 @@ def _count_every_slab_start(lat, q):
     return sum(
         sum(_frontier_count(lat.nv, lat.neighbors, q, dict(enumerate(start)), {},
                             math.inf).values())
-        for start in _assignments(len(slab), slab, q, {})
+        for start in assignments_by_cursor(len(slab), slab, q, {})
     )
 
 
@@ -427,7 +468,7 @@ def _per_seed_count(lat, q, state_cap):
     total and the most states the listing or one run held."""
     slab = _slab_adjacency(lat)
     try:
-        starts = list(_assignments(len(slab), slab, q, {}, state_cap))
+        starts = list(assignments_by_cursor(len(slab), slab, q, {}, state_cap))
     except CapExceeded:
         raise CapExceeded(f"first-slab colorings exceed the state cap {state_cap}") from None
     weights, peak, total = [1] * len(starts), len(starts), 0
@@ -473,7 +514,7 @@ def test_stacked_torus_count_matches_per_seed_runs(case, data):
     assert cap < peak or got == (total, peak)
     if total <= 5000:
         assert [c.colors for c in enumerate_colorings(lat, q)] == \
-            list(_assignments(lat.nv, lat.neighbors, q, {}))
+            list(assignments_by_cursor(lat.nv, lat.neighbors, q, {}))
 
 
 def test_state_cap_bounds_each_slab_seed():
@@ -707,6 +748,22 @@ def z24_chain(z24, z24_states):
     return transition_matrix(z24_states, z24, 3)
 
 
+def _seeded_blocks(P, start):
+    """``_refined_blocks`` of ``start``, seeded with its move distances."""
+    return _refined_blocks(P, _move_distances(P, [start])[0])
+
+
+def test_z24_seeded_refinement_finds_the_unseeded_partition(z24_chain, monkeypatch):
+    P, starts = z24_chain, sorted(Z24_CROSSINGS)
+    rounds = []
+    real = oracle.mix64_array
+    monkeypatch.setattr(oracle, "mix64_array", lambda x: rounds.append(1) or real(x))
+    seeded = [_refined_blocks(P, dist) for dist in _move_distances(P, starts)]
+    assert len(rounds) == 339               # 545 from (diagonal, is-start)
+    for s, labels in zip(starts, seeded):
+        assert _partition(labels.tolist()) == _partition(refined_blocks_from_start(P, s).tolist())
+
+
 def test_mixing_z24_per_start_crossings_frozen(z24_chain):
     res = tv_mixing_time(z24_chain)
     assert res.per_start_t_star == Z24_CROSSINGS
@@ -740,7 +797,7 @@ def test_z24_starts_share_exactly_equal_walks(z24_chain, monkeypatch):
     assert tv_mixing_time(z24_chain).float_walks == len(stepped) == 16
     walk_of = {}
     for s in Z24_CROSSINGS:
-        op = _lump(z24_chain, _refined_blocks(z24_chain, s), s)
+        op = _lump(z24_chain, _seeded_blocks(z24_chain, s), s)
         same = [w for w, walk in enumerate(stepped) if all(map(np.array_equal, walk, op))]
         assert len(same) == 1, s
         walk_of[s] = same[0]
@@ -755,7 +812,7 @@ def test_walks_are_shared_only_when_exactly_equal(z24_chain, monkeypatch):
     exact = {s: _first_crossing(P, s, None, ITER_CAP) for s in range(P.n)}
     assert tv_mixing_time(P, starts="all").per_start_t_star == exact
     # lumped by the identity labelling, the walks differ in their start alone
-    monkeypatch.setattr(oracle, "_refined_blocks", lambda op, start: np.arange(len(op.diag)))
+    monkeypatch.setattr(oracle, "_refined_blocks", lambda op, dist: np.arange(len(op.diag)))
     res = tv_mixing_time(P, starts="all")
     assert res.per_start_t_star == exact and res.float_walks == P.n
     assert res.exact_fallbacks == [] and res.lumped_states == dict.fromkeys(range(P.n), P.n)
@@ -766,7 +823,7 @@ def test_z24_refined_labellings_pass_the_lumping_check(z24_chain):
     starts = sorted(Z24_CROSSINGS)
     blocks = {}
     for s in starts:
-        op = _lump(P, _refined_blocks(P, s), s)
+        op = _lump(P, _seeded_blocks(P, s), s)
         assert op is not None, s
         blocks[s] = len(op.sizes)
     assert min(blocks.values()) == 75 and max(blocks.values()) == 1191
@@ -780,7 +837,7 @@ def test_lumping_that_is_not_a_symmetry_fails_its_check():
     # 0 <-> 2 fixing state 1 is one, and start 1 runs on {1}, {0, 2}
     P = _lattice_free_chain([[1], [0, 2], [1]], [2, 1, 2], 3)
     assert _lump(P, np.array([0, 1, 1]), 0) is None
-    assert len(_lump(P, _refined_blocks(P, 1), 1).sizes) == 2
+    assert len(_lump(P, _seeded_blocks(P, 1), 1).sizes) == 2
     res = tv_mixing_time(P, starts="all")
     assert res.lumped_states == {0: 3, 1: 2, 2: 3}
     assert res.per_start_t_star == {s: _first_crossing(P, s, None, ITER_CAP) for s in range(3)}
@@ -822,8 +879,7 @@ def test_labelling_that_fails_its_check_runs_unlumped(monkeypatch):
     # 4-ring, so no start walks in float64: each runs the exact iteration on
     # the full chain, and no stack, not even an empty one, is stepped
     P = _chain(torus(1, 4), 3)
-    monkeypatch.setattr(oracle, "_refined_blocks",
-                        lambda op, start: (np.arange(len(op.diag)) != start).astype(np.intp))
+    monkeypatch.setattr(oracle, "_refined_blocks", lambda op, dist: (dist != 0).astype(np.intp))
     res = tv_mixing_time(P, starts="all")
     assert P.n == 18 and res.exact_fallbacks == list(range(P.n))
     assert res.float_walks == 0 and res.lumped_states == dict.fromkeys(range(P.n), P.n)
@@ -945,7 +1001,7 @@ def test_float_tv_stays_within_its_rounding_budget():
     P = _chain(box(2, 1), 3)
     start = tv_mixing_time(P).worst_start
     full = _lump(P, np.arange(P.n), start)
-    lumped = _lump(P, _refined_blocks(P, start), start)
+    lumped = _lump(P, _seeded_blocks(P, start), start)
     assert len(lumped.sizes) < P.n
     diag = P.diag.tolist()                  # Python ints: the products outgrow int64
     u = [0] * P.n
@@ -1041,9 +1097,54 @@ def test_float_engine_matches_exact_on_random_chains(P, threshold):
     res = tv_mixing_time(P, threshold=threshold, starts="all")
     for s in range(P.n):
         assert res.per_start_t_star[s] == _first_crossing(P, s, threshold, ITER_CAP)
-        labels = _refined_blocks(P, s)
+        labels = _seeded_blocks(P, s)
         assert _partition(labels.tolist()) == _coarsest_equitable_partition(P, s)
         assert len(_lump(P, labels, s).sizes) == res.lumped_states[s]
+
+
+@st.composite
+def _any_chains(draw):
+    """A chain on 1..8 states whose moves need not be symmetric nor join
+    every state: each state takes 0..4 moves, repeats allowed."""
+    n = draw(st.integers(1, 8))
+    adj = [sorted(draw(st.lists(st.integers(0, n - 1), max_size=4))) for _ in range(n)]
+    denom = max(map(len, adj)) + draw(st.integers(1, 3))
+    return _lattice_free_chain(adj, [denom - len(row) for row in adj], denom)
+
+
+def _reference_distances(P, start):
+    """Breadth-first search over ``P.adj``: y is one move from each state
+    its row lists.  None for a state ``start`` never reaches."""
+    dist, layer, depth = {start: 0}, [start], 0
+    while layer:
+        depth += 1
+        layer = [y for y in range(P.n) if y not in dist and any(x in layer for x in P.adj[y])]
+        dist |= dict.fromkeys(layer, depth)
+    return [dist.get(y) for y in range(P.n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(P=_any_chains(), data=st.data())
+def test_move_distances_match_a_search_per_start(P, data):
+    # up to 64 starts share one search, one bit each, repeats allowed
+    starts = data.draw(st.lists(st.integers(0, P.n - 1), min_size=1, max_size=64))
+    got = _move_distances(P, starts)
+    assert [dist.shape for dist in got] == [(P.n,)] * len(starts)
+    for s, dist in zip(starts, got):
+        want = _reference_distances(P, s)
+        reached = [d for d in want if d is not None]
+        for d, w in zip(dist.tolist(), want):
+            assert d == w if w is not None else max(reached) < d < 2 * P.n
+
+
+@settings(max_examples=100, deadline=None)
+@given(P=_any_chains(), data=st.data())
+def test_seeded_refinement_finds_the_unseeded_partition(P, data):
+    start = data.draw(st.integers(0, P.n - 1))
+    labels = _seeded_blocks(P, start)
+    assert _partition(labels.tolist()) == _partition(refined_blocks_from_start(P, start).tolist()) \
+        == _coarsest_equitable_partition(P, start)
+    assert _lump(P, labels, start) is not None
 
 
 def _partition(labels):
@@ -1074,7 +1175,7 @@ def _labelled_chains(draw):
     merged by any map, and then maybe the start moved to block N − 1."""
     P = draw(_symmetric_chains())
     start = draw(st.integers(0, P.n - 1))
-    labels = draw(st.sampled_from([np.arange(P.n), _refined_blocks(P, start),
+    labels = draw(st.sampled_from([np.arange(P.n), _seeded_blocks(P, start),
                                    np.unique(P.diag, return_inverse=True)[1]]))
     top = draw(st.integers(0, P.n - 1))
     rename = draw(st.one_of(st.permutations(range(P.n)),
