@@ -12,7 +12,7 @@ and for a family member because the greedy rule refuses |W| > |V∖W|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .coloring import Coloring, satisfies_bc, zero_set, OddBoundaryZero
 from .errors import ColoringError, PropertyViolation
@@ -152,17 +152,14 @@ class CutsetReport:
     two_layer: bool                # χ constant 1/2 per side on each moat component
 
     def all_hold(self) -> bool:
-        vals = [
-            self.p1_anchored,
-            self.p2_boundary_parity,
-            self.p3_zero_free_moat,
-            self.p4_interior_zero_support,
-            self.p5_region_closure,
-            self.size_identity,
-            self.p8a_isoperimetry,
-            self.two_layer,
-        ]
+        """Every applicable property holds."""
+        vals = (getattr(self, name) for name in _PROPERTIES)
         return all(v for v in vals if v is not None)
+
+
+# every field of the report, read once by ``fields``, so a new property
+# joins the verdict
+_PROPERTIES = tuple(f.name for f in fields(CutsetReport))
 
 
 def verify_properties(cut: Cutset, chi: Coloring, v0: int | None = None) -> CutsetReport:

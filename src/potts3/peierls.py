@@ -1,5 +1,5 @@
 """The cutset repair map, its exact inverse, the unit flow ν, and the
-approximation / good-triple certificates.
+bound B(K′, L′) in the case an exact approximation forces.
 
 The repair map recolors the cutset region W by a one-step shift composed
 with the color transposition f = (1 2), resetting a chosen subset S of the
@@ -119,39 +119,12 @@ def exact_approximation(cut: Cutset) -> Approximation:
     return Approximation(cut.lattice, *cut.region_parts())
 
 
-@dataclass(frozen=True)
-class QSets:
-    """The uncertain region of an approximation, plus the χ′-resolved part
-    U, and the bipartite graph B of lattice edges between Q^E and Q^O."""
-
-    lattice: Lattice
-    q_even: int
-    q_odd: int
-    u: int
-
-    def b_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for x in iter_bits(self.q_even):
-            for y in iter_bits(self.lattice.nbr_mask[x] & self.q_odd):
-                out.append((x, y))
-        return out
-
-
 def _q_masks(approx: Approximation) -> tuple[int, int]:
     lat = approx.lattice
     outside_odd = lat.odd_mask & ~approx.odd_part
     q_even = approx.even_part & external_boundary(lat, outside_odd)
     q_odd = outside_odd & external_boundary(lat, approx.even_part)
     return q_even, q_odd
-
-
-def q_sets(approx: Approximation, s: int, chi_prime: Coloring) -> QSets:
-    """Q^E = A^E ∩ ∂_ext(O∖A^O), Q^O = (O∖A^O) ∩ ∂_ext(A^E),
-    U = {x ∈ Q^E : χ′(σ_s(x)) = 0}."""
-    lat = approx.lattice
-    q_even, q_odd = _q_masks(approx)
-    u = q_even & lat.shift_set(_zero_mask(chi_prime.colors), -s)
-    return QSets(lattice=lat, q_even=q_even, q_odd=q_odd, u=u)
 
 
 # -- the flow ----------------------------------------------------------------
@@ -224,47 +197,7 @@ def flow_out_total(
     return FlowTotal(closed, total, total == closed, (layer, c_set, d_set), chi_prime)
 
 
-# -- good triples ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GoodTriple:
-    k: int
-    l: int
-    m: int
-
-
-def _is_minimal_cover(ctx: QSets, cover: int) -> bool:
-    """``cover`` meets every edge of B, and each member has a private edge:
-    a B-edge whose other end lies outside the cover."""
-    private = 0
-    for x, y in ctx.b_edges():
-        hit = cover & (1 << x | 1 << y)
-        if not hit:
-            return False
-        if hit.bit_count() == 1:
-            private |= hit
-    return not cover & ~private
-
-
-def is_good_triple(triple: GoodTriple, ctx: QSets) -> bool:
-    """K ⊆ Q^O, L ⊆ U, M ⊆ Q^E∖U; K∪L∪M a minimal vertex cover of B;
-    K = ∂_B(U∖L)."""
-    k, l, m = triple.k, triple.l, triple.m
-    if (k & ~ctx.q_odd) or (l & ~ctx.u) or (m & ~(ctx.q_even & ~ctx.u)):
-        return False
-    if k & l or k & m or l & m:
-        return False
-    if not _is_minimal_cover(ctx, k | l | m):
-        return False
-    return k == external_boundary(ctx.lattice, ctx.u & ~l) & ctx.q_odd
-
-
-def _canonical_triple(ctx: QSets, w: int) -> GoodTriple:
-    triple = GoodTriple(k=w & ctx.q_odd, l=ctx.u & ~w, m=ctx.q_even & ~ctx.u & ~w)
-    if not is_good_triple(triple, ctx):
-        raise PropertyViolation("canonical triple failed the goodness conditions")
-    return triple
+# -- the bound ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -275,27 +208,6 @@ class BoundReport:
     b_squared: Fraction | None = None
     nu_le_b: bool | None = None      # exact comparison via squares; diagnostic only
     ratio: float | None = None
-    k0_size: int | None = None
-    l0_size: int | None = None
-
-
-def _good_triples(ctx: QSets):
-    """All good triples, enumerated by the resolved subset L ⊆ U.
-
-    K = ∂_B(U∖L) is forced, and M must hold the even end of each edge that
-    K ∪ L leaves uncovered, so L determines the triple.  That end lies in
-    Q^E∖U: an edge leaving U∖L ends in K.
-    """
-    edges = ctx.b_edges()
-    for l in _subsets(ctx.u):
-        k = external_boundary(ctx.lattice, ctx.u & ~l) & ctx.q_odd
-        m = 0
-        for x, y in edges:
-            if not ((k >> y) & 1 or (l >> x) & 1):
-                m |= 1 << x
-        triple = GoodTriple(k=k, l=l, m=m)
-        if is_good_triple(triple, ctx):
-            yield triple
 
 
 def bound_report(
@@ -304,42 +216,25 @@ def bound_report(
     cut: Cutset,
     approx: Approximation,
     s: int,
-    cap: int = 24,
 ) -> BoundReport:
-    """Minimize |K|+|L| over good triples and compute B(K′, L′).
+    """B(K′, L′) when the approximation leaves Q^E and Q^O empty; otherwise
+    the report is marked skipped.
 
-    Exhaustive over the L-subsets when |Q^E ∪ Q^O| ≤ ``cap``; otherwise the
-    report is marked skipped.  The comparison ν ≤ B is computed exactly on
-    squares and reported, never asserted.  The Q-sets are built once, for
-    the canonical triple, the search and ν's (W^s, C, D) alike; χ′ must lie
-    in φ_s(χ), as ν is read without ``membership_subset``'s check.
+    With both empty, U is empty and the graph between them has no edges, so
+    (∅, ∅, ∅) is the only good triple, both the minimizing and the
+    canonical one: K′ = L′ = ∅, B² = (3/4)^{|W^O|−|W^E|}, C = ∅ and
+    ν = 2^{−|W^s|}.  The exact approximation of an even-seeded cutset is
+    such a case, by P5.  The comparison ν ≤ B is computed exactly on squares
+    and reported, never asserted.  χ′ must lie in φ_s(χ), as ν is read
+    without ``membership_subset``'s check.
     """
-    ctx = q_sets(approx, s, chi_prime)
-    if (ctx.q_even | ctx.q_odd).bit_count() > cap:
+    q_even, q_odd = _q_masks(approx)
+    if q_even or q_odd:
         return BoundReport(status="skipped")
-    hat = _canonical_triple(ctx, cut.region)
-    best = None
-    for triple in _good_triples(ctx):
-        key = (triple.k.bit_count() + triple.l.bit_count(), triple.k, triple.l)
-        if best is None or key < best[0]:
-            best = (key, triple)
-    if best is None:
-        raise PropertyViolation("no good triple found despite the canonical-triple guarantee")
-    k0, l0 = best[1].k, best[1].l
-    k_prime = k0 & ~hat.k
-    l_prime = l0 & ~hat.l
     w_even, w_odd = cut.region_parts()
-    gap = w_odd.bit_count() - w_even.bit_count()
-    _, c_set, d_set = flow_sets(cut, approx, s, ctx.q_even)
+    _, c_set, d_set = flow_sets(cut, approx, s, q_even)
     nu = _nu(chi_prime, c_set, d_set)
-    n_k0, n_l0 = k0.bit_count(), l0.bit_count()
-    n_kp, n_lp = k_prime.bit_count(), l_prime.bit_count()
-    # B = (√3/2)^gap · 2^{|K0|} / (3^{|K0|+|L0|} · 2^{|K′|−|L′|})
-    b_squared = (
-        Fraction(3, 4) ** gap
-        * Fraction(4) ** n_k0
-        / (Fraction(9) ** (n_k0 + n_l0) * Fraction(4) ** (n_kp - n_lp))
-    )
+    b_squared = Fraction(3, 4) ** (w_odd.bit_count() - w_even.bit_count())
     b_value = math.sqrt(b_squared)
     return BoundReport(
         status="ok",
@@ -348,6 +243,4 @@ def bound_report(
         b_squared=b_squared,
         nu_le_b=nu * nu <= b_squared,
         ratio=float(nu) / b_value if b_value else math.inf,
-        k0_size=n_k0,
-        l0_size=n_l0,
     )

@@ -10,7 +10,8 @@ histogram path; the conditional colour bound (the L-colouring lemma) on
 small bipartite graphs; the torus cutset collections with profile
 membership and the minimality check; the repair map on one subset and a
 uniform member of its family; approximations and the direction rule; the flow weight ν of one
-image and the canonical good triple; ρ-local blocking of EvenHeavy→OddHeavy
+image; the Q-sets, the good triples and the search over them for B(K′, L′),
+the reference for ``bound_report``'s forced case; ρ-local blocking of EvenHeavy→OddHeavy
 moves; the scalar draws of the chain's counter-based stream; the cursor
 backtracker and the unseeded colour refinement, the references for the
 array-built lister and the distance-seeded refinement; the binary
@@ -29,15 +30,15 @@ from fractions import Fraction
 import numpy as np
 
 from potts3 import oracle
-from potts3.coloring import (DEFAULT_RHO, Coloring, ImbalanceClass, imbalance,
+from potts3.coloring import (DEFAULT_RHO, Coloring, ImbalanceClass, _zero_mask, imbalance,
                              imbalance_class, zero_set)
 from potts3.cutset import Cutset, _check_q3, _cutset, _seed_mask, select_family
 from potts3.dynamics import GOLDEN, CounterRng, _MASK64, _mix64, mix64_array
-from potts3.errors import CapExceeded, ColoringError, LatticeError
-from potts3.lattice import (Lattice, LatticeKind, Parity, closure, connected_components, iter_bits,
-                            shift_order)
-from potts3.peierls import (Approximation, GoodTriple, _canonical_triple, _nu, _q_masks, _repair,
-                            boundary_layer, flow_sets, membership_subset, q_sets)
+from potts3.errors import CapExceeded, ColoringError, LatticeError, PropertyViolation
+from potts3.lattice import (Lattice, LatticeKind, Parity, closure, connected_components,
+                            external_boundary, iter_bits, shift_order)
+from potts3.peierls import (Approximation, BoundReport, _nu, _q_masks, _repair, _subsets,
+                            boundary_layer, flow_sets, membership_subset)
 
 
 # -- lattice -------------------------------------------------------------------
@@ -373,6 +374,73 @@ def flow_weight(
     return _nu(chi_prime, *flow_sets(cut, approx, s, _q_masks(approx)[0])[1:])
 
 
+@dataclass(frozen=True)
+class QSets:
+    """The uncertain region of an approximation, plus the χ′-resolved part
+    U, and the bipartite graph B of lattice edges between Q^E and Q^O."""
+
+    lattice: Lattice
+    q_even: int
+    q_odd: int
+    u: int
+
+    def b_edges(self) -> list[tuple[int, int]]:
+        out = []
+        for x in iter_bits(self.q_even):
+            for y in iter_bits(self.lattice.nbr_mask[x] & self.q_odd):
+                out.append((x, y))
+        return out
+
+
+def q_sets(approx: Approximation, s: int, chi_prime: Coloring) -> QSets:
+    """Q^E = A^E ∩ ∂_ext(O∖A^O), Q^O = (O∖A^O) ∩ ∂_ext(A^E),
+    U = {x ∈ Q^E : χ′(σ_s(x)) = 0}."""
+    lat = approx.lattice
+    q_even, q_odd = _q_masks(approx)
+    u = q_even & lat.shift_set(_zero_mask(chi_prime.colors), -s)
+    return QSets(lattice=lat, q_even=q_even, q_odd=q_odd, u=u)
+
+
+@dataclass(frozen=True)
+class GoodTriple:
+    k: int
+    l: int
+    m: int
+
+
+def _is_minimal_cover(ctx: QSets, cover: int) -> bool:
+    """``cover`` meets every edge of B, and each member has a private edge:
+    a B-edge whose other end lies outside the cover."""
+    private = 0
+    for x, y in ctx.b_edges():
+        hit = cover & (1 << x | 1 << y)
+        if not hit:
+            return False
+        if hit.bit_count() == 1:
+            private |= hit
+    return not cover & ~private
+
+
+def is_good_triple(triple: GoodTriple, ctx: QSets) -> bool:
+    """K ⊆ Q^O, L ⊆ U, M ⊆ Q^E∖U; K∪L∪M a minimal vertex cover of B;
+    K = ∂_B(U∖L)."""
+    k, l, m = triple.k, triple.l, triple.m
+    if (k & ~ctx.q_odd) or (l & ~ctx.u) or (m & ~(ctx.q_even & ~ctx.u)):
+        return False
+    if k & l or k & m or l & m:
+        return False
+    if not _is_minimal_cover(ctx, k | l | m):
+        return False
+    return k == external_boundary(ctx.lattice, ctx.u & ~l) & ctx.q_odd
+
+
+def _canonical_triple(ctx: QSets, w: int) -> GoodTriple:
+    triple = GoodTriple(k=w & ctx.q_odd, l=ctx.u & ~w, m=ctx.q_even & ~ctx.u & ~w)
+    if not is_good_triple(triple, ctx):
+        raise PropertyViolation("canonical triple failed the goodness conditions")
+    return triple
+
+
 def canonical_good_triple(
     cut: Cutset,
     approx: Approximation,
@@ -381,6 +449,89 @@ def canonical_good_triple(
 ) -> GoodTriple:
     """(W∩Q^O, U∖W, (Q^E∖U)∖W); asserts goodness."""
     return _canonical_triple(q_sets(approx, s, chi_prime), cut.region)
+
+
+def _good_triples(ctx: QSets):
+    """All good triples, enumerated by the resolved subset L ⊆ U.
+
+    K = ∂_B(U∖L) is forced, and M must hold the even end of each edge that
+    K ∪ L leaves uncovered, so L determines the triple.  That end lies in
+    Q^E∖U: an edge leaving U∖L ends in K.
+    """
+    edges = ctx.b_edges()
+    for l in _subsets(ctx.u):
+        k = external_boundary(ctx.lattice, ctx.u & ~l) & ctx.q_odd
+        m = 0
+        for x, y in edges:
+            if not ((k >> y) & 1 or (l >> x) & 1):
+                m |= 1 << x
+        triple = GoodTriple(k=k, l=l, m=m)
+        if is_good_triple(triple, ctx):
+            yield triple
+
+
+@dataclass(frozen=True)
+class SearchBound:
+    """The good-triple search's bound and the sizes of its minimizing K₀
+    and L₀ (None when skipped)."""
+
+    report: BoundReport
+    k0_size: int | None = None
+    l0_size: int | None = None
+
+
+def bound_by_search(
+    chi: Coloring,
+    chi_prime: Coloring,
+    cut: Cutset,
+    approx: Approximation,
+    s: int,
+    cap: int = 24,
+) -> SearchBound:
+    """Minimize |K|+|L| over good triples and compute B(K′, L′): the
+    reference for ``bound_report``, which computes only the case of empty
+    Q-sets.
+
+    Exhaustive over the L-subsets when |Q^E ∪ Q^O| ≤ ``cap``; otherwise the
+    report is marked skipped.  χ′ must lie in φ_s(χ), as ν is read without
+    ``membership_subset``'s check.
+    """
+    ctx = q_sets(approx, s, chi_prime)
+    if (ctx.q_even | ctx.q_odd).bit_count() > cap:
+        return SearchBound(BoundReport(status="skipped"))
+    hat = _canonical_triple(ctx, cut.region)
+    best = None
+    for triple in _good_triples(ctx):
+        key = (triple.k.bit_count() + triple.l.bit_count(), triple.k, triple.l)
+        if best is None or key < best[0]:
+            best = (key, triple)
+    if best is None:
+        raise PropertyViolation("no good triple found despite the canonical-triple guarantee")
+    k0, l0 = best[1].k, best[1].l
+    k_prime = k0 & ~hat.k
+    l_prime = l0 & ~hat.l
+    w_even, w_odd = cut.region_parts()
+    gap = w_odd.bit_count() - w_even.bit_count()
+    _, c_set, d_set = flow_sets(cut, approx, s, ctx.q_even)
+    nu = _nu(chi_prime, c_set, d_set)
+    n_k0, n_l0 = k0.bit_count(), l0.bit_count()
+    n_kp, n_lp = k_prime.bit_count(), l_prime.bit_count()
+    # B = (√3/2)^gap · 2^{|K0|} / (3^{|K0|+|L0|} · 2^{|K′|−|L′|})
+    b_squared = (
+        Fraction(3, 4) ** gap
+        * Fraction(4) ** n_k0
+        / (Fraction(9) ** (n_k0 + n_l0) * Fraction(4) ** (n_kp - n_lp))
+    )
+    b_value = math.sqrt(b_squared)
+    report = BoundReport(
+        status="ok",
+        nu=nu,
+        b_value=b_value,
+        b_squared=b_squared,
+        nu_le_b=nu * nu <= b_squared,
+        ratio=float(nu) / b_value if b_value else math.inf,
+    )
+    return SearchBound(report, n_k0, n_l0)
 
 
 # -- dynamics ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
 from potts3.coloring import Coloring, phase_coloring, zero_set
@@ -41,6 +43,18 @@ def test_minimal_box_cutset_shape(box_corpus, box22):
     assert cut.size == 2 * 2 * (4 - 1)
     rep = verify_properties(cut, chi, v0)
     assert rep.all_hold()
+
+
+def test_any_failed_property_fails_the_verdict(box_corpus, box22):
+    v0 = box22.index((0, 0))
+    chi = box_corpus[0]
+    rep = verify_properties(build_box_cutset(chi, v0), chi, v0)
+    names = [f.name for f in fields(rep)]
+    assert len(names) == 8 and None not in [getattr(rep, n) for n in names]
+    assert rep.all_hold()
+    for name in names:
+        assert not replace(rep, **{name: False}).all_hold(), name
+        assert replace(rep, **{name: None}).all_hold(), name
 
 
 def test_cutset_depends_only_on_zero_set(box_corpus, box22):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,26 +24,28 @@ from potts3.lattice import (LatticeKind, LatticeSpec, Parity, box, build_lattice
                             shift_order, torus)
 from potts3.peierls import (
     Approximation,
-    GoodTriple,
     _q_masks,
     bound_report,
     boundary_layer,
     exact_approximation,
     flow_out_total,
     flow_sets,
-    is_good_triple,
     membership_subset,
     phi_family,
-    q_sets,
     reconstruct,
 )
 
+import claims
 from claims import (
     ClaimsRng,
+    GoodTriple,
+    bound_by_search,
     canonical_good_triple,
     degree_threshold,
     flow_weight,
     is_approximation,
+    is_good_triple,
+    q_sets,
     resolved_by_vertex,
     sample_phi,
     select_direction,
@@ -313,7 +316,7 @@ def test_minimal_cover_by_private_edges_matches_remove_one(z24):
     for _ in range(1500):
         q_even = rng.getrandbits(z24.nv) & z24.even_mask
         q_odd = rng.getrandbits(z24.nv) & z24.odd_mask
-        ctx = peierls.QSets(z24, q_even, q_odd, u=q_even & rng.getrandbits(z24.nv))
+        ctx = claims.QSets(z24, q_even, q_odd, u=q_even & rng.getrandbits(z24.nv))
         cover = rng.getrandbits(z24.nv) & (q_even | q_odd)
         if rng.getrandbits(1):
             # prune the full cover to a minimal one in random order, then
@@ -325,7 +328,7 @@ def test_minimal_cover_by_private_edges_matches_remove_one(z24):
             if rng.getrandbits(1):
                 cover |= 1 << rng.randrange(z24.nv)
         want = _remove_one_minimal_cover(ctx, cover)
-        assert peierls._is_minimal_cover(ctx, cover) == want
+        assert claims._is_minimal_cover(ctx, cover) == want
         verdicts.append(want)
     assert 300 < sum(verdicts) < 1200
 
@@ -364,22 +367,26 @@ def test_is_good_triple_rejects_wrong_k(domino_setup):
 
 
 def test_bound_report(domino_setup):
+    # the domino approximation's Q-sets are not empty: the search answers,
+    # and bound_report, which computes only the forced case, skips
     t, chi, cut, approx, extra = domino_setup
     s = -2
     for subset, chi_p in phi_family(chi, cut.region, s):
-        rep = bound_report(chi, chi_p, cut, approx, s)
+        search = bound_by_search(chi, chi_p, cut, approx, s)
+        rep = search.report
         assert rep.status == "ok"
         assert rep.nu > 0
         assert rep.b_squared > 0
         assert rep.nu_le_b == (rep.nu * rep.nu <= rep.b_squared)
-        assert rep.k0_size + rep.l0_size <= 1
+        assert search.k0_size + search.l0_size <= 1
+        assert bound_report(chi, chi_p, cut, approx, s).status == "skipped"
 
 
 def test_bound_report_skips_when_large(domino_setup):
     t, chi, cut, approx, extra = domino_setup
     s = -2
     _, chi_p = next(phi_family(chi, cut.region, s))
-    rep = bound_report(chi, chi_p, cut, approx, s, cap=0)
+    rep = bound_by_search(chi, chi_p, cut, approx, s, cap=0).report
     assert rep.status == "skipped"
 
 
@@ -467,12 +474,17 @@ def test_explicit_flow_sum_matches_per_image_weights(box_corpus, box22, domino_s
 def test_flow_check_bounds_reduce_to_the_layer_and_the_parity_gap(box_corpus, box22):
     # the exact approximation has W^O = ∂_ext W^E (P5), so Q^E, Q^O, U and C
     # are empty: each (χ, s) row that flow-check --d 2 --n 2 writes to
-    # bounds.csv comes from a good-triple search on an empty graph and reads
-    # ν = 2^−|W^s| and B² = (3/4)^(|W^O| − |W^E|)
-    v0 = box22.index((0, 0))
-    pairs = 0
-    for chi in box_corpus:
-        cut = build_box_cutset(chi, v0)
+    # bounds.csv is the forced case that bound_report computes, the one the
+    # good-triple search finds on an empty graph, and reads ν = 2^−|W^s| and
+    # B² = (3/4)^(|W^O| − |W^E|); on all of box(2,2) and a seeded slice of box(2,3)
+    box23 = box(2, 3)
+    rng = random.Random(23)
+    pins = odd_boundary_pinned((0, 0)).pins(box23)
+    slice23 = [_random_coloring(box23, pins, rng) for _ in range(24)]
+    pairs, regions = 0, set()
+    for chi in [*box_corpus, *slice23]:
+        cut = build_box_cutset(chi, chi.lattice.index((0, 0)))
+        regions.add((chi.lattice, cut.region))
         approx = exact_approximation(cut)
         w_even, w_odd = cut.region_parts()
         for s in shift_order(2):
@@ -481,11 +493,38 @@ def test_flow_check_bounds_reduce_to_the_layer_and_the_parity_gap(box_corpus, bo
             ctx = q_sets(approx, s, total.image)
             assert (ctx.q_even, ctx.q_odd, ctx.u, c_set) == (0, 0, 0, 0)
             rep = bound_report(chi, total.image, cut, approx, s)
-            assert (rep.status, rep.k0_size, rep.l0_size) == ("ok", 0, 0)
+            search = bound_by_search(chi, total.image, cut, approx, s)
+            assert rep == search.report
+            assert (rep.status, search.k0_size, search.l0_size) == ("ok", 0, 0)
             assert rep.nu == Fraction(1, 2 ** layer.bit_count())
             assert rep.b_squared == Fraction(3, 4) ** (w_odd.bit_count() - w_even.bit_count())
             pairs += 1
-    assert pairs == 128
+    assert pairs == 128 + 4 * len(slice23)
+    # the slice reaches 8 box(2,3) regions, of 8 to 17 sites
+    assert sum(lat is box23 for lat, _ in regions) == 8
+
+
+def test_exact_approximation_empties_the_q_sets_of_even_seeded_cutsets(box_corpus, box22, z24_states):
+    # bound_report computes only empty Q-sets, and tests for them: on an
+    # odd-seeded cutset the parities swap (W^E = ∂_ext W^O), its exact
+    # approximation leaves them nonempty, and bound_report skips
+    v0 = box22.index((0, 0))
+    assert all(_q_masks(exact_approximation(build_box_cutset(chi, v0))) == (0, 0)
+               for chi in box_corpus)
+    seeds = Counter()
+    for chi in z24_states:
+        for cut in select_family(chi).cutsets:
+            seeds[cut.seed_parity] += 1
+            approx = exact_approximation(cut)
+            q_even, q_odd = _q_masks(approx)
+            if cut.seed_parity is Parity.EVEN:
+                assert (q_even, q_odd) == (0, 0)
+                continue
+            assert q_even and q_odd
+            for s in shift_order(2):
+                _, chi_p = next(phi_family(chi, cut.region, s))
+                assert bound_report(chi, chi_p, cut, approx, s).status == "skipped"
+    assert seeds == {Parity.EVEN: 480, Parity.ODD: 96}
 
 
 def test_explicit_flow_sum_catches_a_corrupted_repair(domino_setup, monkeypatch):
