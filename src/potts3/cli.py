@@ -3,16 +3,11 @@
 ``main`` is the one place that parses and finishes.  ``CMD @FILE`` reads
 FILE as one flag token per line (``--n=2``), and later tokens win.  Each
 ``cmd_*`` returns an ``Outcome``; ``main`` writes its ``report.json``
-(stable byte-for-byte under replay; its ``config`` is every declared flag
-but the caps, ``--workers`` and ``--out``), its sidecar files and a
-``meta.json`` with the timestamp, the build stamp and the command's meta
-fields (for ``mixing``: state, move and orbit counts, cap use, the
-imbalance histogram, each start's crossing time and lumped block count,
-the float walks stepped and the exact fallbacks; for ``conductance``: the
-imbalance histogram; for ``torpid-demo``: each chain's acceptance share
-and first sign-flip sweep) and ``time_s`` (each ``stage``'s seconds), then
-prints its one stdout line.  Exit codes: 0 ok, 2 invalid config, 3 cap
-refusal, 4 property violation detected.
+(stable byte-for-byte under replay), its sidecar files and a ``meta.json``
+with the timestamp, the build stamp, the command's meta fields and
+``time_s`` (each ``stage``'s seconds), then prints its one stdout line.
+Exit codes: 0 ok, 2 invalid config, 3 cap refusal, 4 property violation
+detected.
 """
 
 from __future__ import annotations
@@ -312,6 +307,7 @@ def cmd_cutsets(args) -> Outcome:
                 "p5": repo.p5_region_closure,
                 "identity": repo.size_identity,
                 "p8a": repo.p8a_isoperimetry,
+                "two_layer": repo.two_layer,
             }
             violation |= not repo.all_hold()
             lines.append(json.dumps({
@@ -419,10 +415,14 @@ def cmd_torpid_demo(args) -> Outcome:
             (args.d, args.n, args.seed, chain, args.sweeps, args.rho)
             for chain in range(args.chains)
         ]
-        if args.workers > 1:
+        # no more workers than chains, or than the CPUs this process may use
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(args.workers, args.chains, cpus)
+        if workers > 1:
             import multiprocessing as mp
 
-            with mp.get_context("fork").Pool(min(args.workers, args.chains)) as pool:
+            with mp.get_context("fork").Pool(workers) as pool:
                 results = pool.map(_torpid_chain, tasks)
         else:
             results = [_torpid_chain(t) for t in tasks]
@@ -503,7 +503,7 @@ def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "toru
         "enum-cap": dict(type=positive_int, default=ENUM_CAP),
         "state-cap": dict(type=positive_int, default=STATE_CAP),
         "workers": dict(type=positive_int, default=os.cpu_count() or 1,
-                        help="worker pool size for parallel sweeps"),
+                        help="worker pool size, at most the chains and the usable CPUs"),
         "odd-boundary-zero": dict(action="store_true"),
         "starts": dict(choices=("orbits", "all"), default="orbits"),
         "steps": dict(type=int, default=10000),
@@ -570,7 +570,8 @@ def main(argv=None) -> int:
     except PropertyViolation as exc:
         print(f"error: property violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

@@ -8,6 +8,7 @@ C of its complement) pair yields a cutset, seeded at parity P ∈ {E, O}.
 A cutset is kept as its region W, its seed parity and its size |γ|: R is
 used only while building, and int γ = W for a box cutset by construction
 and for a family member because the greedy rule refuses |W| > |V∖W|.
+The paper's |γ| ≥ d² is a large-d statement, and nothing here computes it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ Each 2¹⁴-draw block runs in stretches that end at the next record point.
 The draw v = (z >> 32) mod |V|, j = (z mod 2³²) mod q from one 64-bit z
 carries modulo bias: each site's probability is within a relative |V|/2³²
 of 1/|V|, each color's within q/2³² of 1/q, and both are exact for powers
-of two.  Frozen trajectories replay this draw, so it stays.
+of two: on Z⁴₄ the sites are exact and q = 3's color bias is below 10⁻⁹.
+Frozen trajectories replay this draw, so it stays.
 """
 
 from __future__ import annotations

@@ -55,7 +55,10 @@ class Lattice:
     """Immutable graph of a lattice region with precomputed tables.
 
     Built only by ``build_lattice``, one per spec.  Safe to share across
-    workers; only the automorphism cache fills later.
+    workers; only the automorphism cache fills later.  σ_s of one vertex is
+    read from ``shift_tables[s]``.  Grouped by index offset, σ_s of a set,
+    ``dilate``, ∂_ext, ∂_int and closure are a few whole-int shifts, not a
+    loop over the vertices of the set.
     """
 
     def __init__(self, spec: LatticeSpec):

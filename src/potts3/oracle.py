@@ -211,8 +211,11 @@ def count_colorings(lat: Lattice, q=3, bc=None, state_cap=STATE_CAP, stats=None)
     orbit under the slab torus Z^{d−1}_n's automorphisms × color
     relabelings, whose indices the slab shares, stands for its orbit with
     the orbit's size as weight: each such symmetry extends to Z^d_n fixing
-    the slab, so the orbit's colorings count alike.  Its orbit keys need
-    q^(n^{d−1}) < 2^63, or it refuses, as its n^{d−1} seeded sites would.
+    the slab, so the orbit's colorings count alike (8 seeds for Z²₈, 18 for
+    Z²₁₀, 22 for Z³₄).  Its orbit keys need q^(n^{d−1}) < 2^63, or it
+    refuses, as its n^{d−1} seeded sites would.  The cap bounds each seed,
+    not the stack: Z²₁₀ and Z³₄ split at the default cap, while box(3,2)
+    under ``OddBoundaryZero`` needs 22,784 states in one run and refuses.
     """
     pins = bc.pins(lat) if bc else {}
     m = lat.nv // lat.n if lat.kind is LatticeKind.TORUS else 0
@@ -487,11 +490,14 @@ def _refined_blocks(P: ExactTransitionMatrix, dist: np.ndarray) -> np.ndarray:
     multiset; the rounds stop when the block count stops growing.  That is
     the optimal exact lumping (Derisavi, Hermanns and Sanders 2003), at
     least as coarse as the orbits of the start's stabiliser in any symmetry
-    group of P.  It refines the distance layers (by induction: an equitable
-    partition keeps per block whether a state has a move from the layers so
-    far), so the rounds reach the partition (diagonal, is-start) would,
-    sooner.  A hash collision can only merge blocks wrongly, and ``_lump``
-    then refuses the labelling, so exactness never rests on the hash."""
+    group of P (Boyd, Diaconis, Parrilo and Xiao 2005): 75 to 1191 blocks
+    per start on Z²₄, against 2970 states.  It refines the distance layers
+    (by induction: an equitable partition keeps per block whether a state
+    has a move from the layers so far; Godsil and Royle, *Algebraic Graph
+    Theory*, §9.3), so the rounds reach the partition (diagonal, is-start)
+    would, sooner: 339 rounds for Z²₄'s 22 starts in place of 545.  A hash
+    collision can only merge blocks wrongly, and ``_lump`` then refuses the
+    labelling, so exactness never rests on the hash."""
     heads = np.flatnonzero(np.diff(P.rows, prepend=-1))   # empty with no move at all
     owners = P.rows[heads]
     labels = P.diag.astype(np.uint64) * np.uint64(2 * P.n) + dist.astype(np.uint64)
@@ -523,6 +529,8 @@ def _stacked_tv(ops: list[_FloatOperator], n: int):
 
     The walks step as one block-diagonal operator: entries concatenated,
     each walk's offset by the blocks before it, one ``bincount`` a step.
+    A one-walk step costs about 17 µs of numpy call overhead whatever its
+    size, so Z²₄'s 22 starts take 493 stacked steps, not 10,577 single ones.
 
     Step: x ← (B·x + D·x)/denom over the K blocks.  The exact iterate x_t
     holds P^t(start, y) for one state y of each block (the lumping is
@@ -570,7 +578,8 @@ def _stacked_crossings(ops: list[_FloatOperator], n: int, threshold, iter_cap) -
     (``_stacked_tv``), or None for a walk with a step too close to call.
     Against lo ≤ threshold ≤ hi, tv̂_t + ε_t < lo is a crossing and tv̂_t −
     ε_t > hi means not yet (the iteration cap then refuses exactly as the
-    exact path does); anything else is undecided."""
+    exact path does); anything else is undecided.  On Z²₄ no TV comes
+    closer to 1/e than 3.1e-6, against an ε_t below 2e-12."""
     lo, hi = _threshold_enclosure(threshold)
     out, live = [None] * len(ops), np.ones(len(ops), dtype=bool)
     for t, (tv, eps) in enumerate(_stacked_tv(ops, n)):
@@ -588,7 +597,15 @@ def _shared_walks(P: ExactTransitionMatrix, use: list[int]):
     ``_STACK_CAP`` moves plus blocks or one walk.  A start walks on P
     (``_floatable``) lumped by its refined labelling, and shares the walk of
     an earlier start of the stack whose every field is equal; a start whose
-    labelling fails ``_lump``'s check walks in no stack."""
+    labelling fails ``_lump``'s check walks in no stack.
+
+    Entries come sorted by (row, col) and block numbers follow the order of
+    the refinement's labels, which depend only on the start's view of P, so
+    starts related by any symmetry of P, listed or not, get equal arrays:
+    Z²₄'s 22 orbit starts take 16 walks, since C₄ □ C₄ is the 4-cube, whose
+    384 automorphisms join six pairs of the torus's 22 orbits.  Sharing is
+    one equality scan of the open stack, with no key and no hash, and the
+    stack cap keeps ``starts="all"`` on a large chain bounded in memory."""
     stack, entries = [], 0
     for lo in range(0, len(use), 64):
         for st, dist in zip(use[lo:lo + 64], _move_distances(P, use[lo:lo + 64])):

@@ -42,8 +42,10 @@ def _shift_pairs(table, mask: int):
 
 
 class _Plan(NamedTuple):
-    """What (W, s) fixes for every image of φ_s.  A pair tuple is None where
-    the shift leaves a box inside W."""
+    """What (W, s) fixes for every image of φ_s, so an image costs one pass
+    over a pair tuple and every family on one (W, s) shares its plan.  A
+    pair tuple is None where the shift leaves a box inside W, and every use
+    of it then raises PropertyViolation."""
 
     layer: int       # W^s
     repair: tuple | None    # (v, σ_{−s}(v)) over W∖W^s, recolored by ``_repair``

@@ -12,7 +12,8 @@ membership and the minimality check; the repair map on one subset and a
 uniform member of its family; approximations and the direction rule; the flow weight ν of one
 image; the Q-sets, the good triples and the search over them for B(K′, L′),
 the reference for ``bound_report``'s forced case; ρ-local blocking of EvenHeavy→OddHeavy
-moves; the scalar draws of the chain's counter-based stream; the cursor
+moves; the Kempe-flip chain, the non-local contrast to the single-site
+chain; the scalar draws of the chain's counter-based stream; the cursor
 backtracker and the unseeded colour refinement, the references for the
 array-built lister and the distance-seeded refinement; the binary
 entropy; and the mod-3 coloring.  No command or benchmark

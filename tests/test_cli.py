@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import time
 from pathlib import Path
 
 import pytest
 
 import potts3
-from potts3 import cli, entropy, peierls
+from potts3 import cli, cutset, entropy, peierls
 from potts3.cli import build_id, main, make_parser, write_report
 from potts3.entropy import topological_entropy_estimate
 
@@ -209,7 +212,7 @@ FROZEN = {
     }, {"build", "cap_use", "time_s", "written_at"}),
     "cutsets": ({
         "stdout": "2115cdb6bfcfb008eb2bab2bb79347cb064a48e4e7c4115ccbe4469c787bb6c4",
-        "cutsets.jsonl": "5141d465de4fbc3d9ecce69be1aab6dee00fa3b538572a9f91269b8f53b0a63d",
+        "cutsets.jsonl": "f542f81dba28c17b10428435e9c798e01c8632b8228149dc25d05d58ebf63b1d",
         "report.json": "122d31fb74abf160d3dc7a1336d15823f967539aae1304dc1f0029ab06830c24",
     }, {"build", "cap_use", "time_s", "written_at"}),
     "flow-check": ({
@@ -351,6 +354,22 @@ def test_existing_file_as_out_dir_is_a_config_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", ["mkdir", "replace"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch, target):
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(tmp_path / "o"))
+
+    if target == "mkdir":
+        monkeypatch.setattr(Path, "mkdir", denied)
+    else:
+        monkeypatch.setattr(os, "replace", denied)
+    rc = run(["enumerate", "--kind", "box", "--d", "1", "--n", "1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("report.json"))
+
+
 def test_failed_write_keeps_previous_report(tmp_path, monkeypatch):
     write_report(tmp_path, {"run": 1})
     before = (tmp_path / "report.json").read_bytes()
@@ -486,6 +505,35 @@ def test_cutsets_box_and_torus(tmp_path):
     assert rc == 0
 
 
+# each cutsets.jsonl property key and the CutsetReport field it carries
+LINE_PROPERTY = {
+    "p1": "p1_anchored", "p2": "p2_boundary_parity", "p3": "p3_zero_free_moat",
+    "p4": "p4_interior_zero_support", "p5": "p5_region_closure",
+    "identity": "size_identity", "p8a": "p8a_isoperimetry", "two_layer": "two_layer",
+}
+
+
+def _line_verdicts(out):
+    lines = [json.loads(line) for line in (out / "cutsets.jsonl").read_text().splitlines()]
+    assert lines and all(line["properties"].keys() == LINE_PROPERTY.keys() for line in lines)
+    return {all(v for v in line["properties"].values() if v is not None) for line in lines}
+
+
+def test_cutsets_lines_carry_every_property(tmp_path, monkeypatch):
+    # a line's non-null properties AND to the verdict, so none may be missing
+    assert sorted(LINE_PROPERTY.values()) == sorted(cutset._PROPERTIES)
+    assert run(["cutsets", "--d", "2", "--n", "2", "--out", str(tmp_path / "ok")]) == 0
+    assert json.loads((tmp_path / "ok" / "report.json").read_text())["all_properties_hold"]
+    assert _line_verdicts(tmp_path / "ok") == {True}
+    # a cutset that fails only its two-layer property fails its line and the run
+    real = cli.verify_properties
+    monkeypatch.setattr(cli, "verify_properties",
+                        lambda *a: dataclasses.replace(real(*a), two_layer=False))
+    assert run(["cutsets", "--d", "2", "--n", "2", "--out", str(tmp_path / "bad")]) == 4
+    assert not json.loads((tmp_path / "bad" / "report.json").read_text())["all_properties_hold"]
+    assert _line_verdicts(tmp_path / "bad") == {False}
+
+
 def test_enumerate_and_influence(tmp_path):
     out = tmp_path / "enum"
     rc = run(["enumerate", "--kind", "box", "--d", "2", "--n", "1",
@@ -577,6 +625,43 @@ def test_worker_pool_result_independent_of_pool_size(tmp_path):
         assert f.read_bytes() == (b / f.name).read_bytes()
     meta_a, meta_b = (json.loads((o / "meta.json").read_text()) for o in (a, b))
     assert meta_a["chains"] == meta_b["chains"]
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_worker_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch, affinity):
+    # no real pool starts: the fake one records its size and maps in-process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: type("Ctx", (), {"Pool": SerialPool}))
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    args = ["torpid-demo", "--chains", "3", "--sweeps", "2", "--seed", "3"]
+    assert run(args + ["--workers", "5000", "--out", str(tmp_path / "many")]) == 0
+    assert sizes == [2]
+    # one worker runs serially, with no pool, and writes the same bytes
+    assert run(args + ["--workers", "1", "--out", str(tmp_path / "one")]) == 0
+    assert sizes == [2]
+    for f in sorted((tmp_path / "one").iterdir()):
+        if f.name != "meta.json":
+            assert f.read_bytes() == (tmp_path / "many" / f.name).read_bytes(), f.name
 
 
 @pytest.mark.parametrize("sweeps", [0, 40])

@@ -2,17 +2,26 @@
 ``src/potts3``, and every method of such a class but the dunders, is named
 by other package code or by a benchmark workload.
 Checks that only the tests use live in ``tests/claims.py``.  The package
-root re-exports nothing, so importing it loads no module it does not name."""
+root re-exports nothing, so importing it loads no module it does not name.
+The README's claims table quotes only numbers that its named tests freeze,
+and its flag table and example commands are the parser's."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+
+from potts3.cli import make_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,3 +99,90 @@ def test_only_build_lattice_constructs_a_lattice():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     calls.append((path.name, getattr(top, "name", None)))
     assert calls == [("lattice.py", "build_lattice")]
+
+
+README = (ROOT / "README.md").read_text()
+
+
+def _table(header: str) -> list[list[str]]:
+    """The body rows of the README table whose header row is ``header``,
+    as lists of stripped cells."""
+    lines = README.splitlines()
+    at = lines.index(header)
+    rows = []
+    for line in lines[at + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _commands(ap) -> dict[str, object]:
+    """Each command of the parser ``ap`` and its subparser."""
+    return ap._subparsers._group_actions[0].choices
+
+
+def _quoted_numbers(cell: str) -> list[str]:
+    """The numbers a cell quotes: integers, with or without thousands
+    separators, and fractions p/q."""
+    return re.findall(r"\d+(?:,\d{3})*(?:/\d+(?:,\d{3})*)?", cell)
+
+
+def _frozen_in(number: str, source: str) -> bool:
+    """Whether ``source`` holds ``number``: its separators dropped (commas
+    in the README, underscores in Python), and a fraction p/q as "p/q",
+    as a pair (p, q) or as Fraction(p', q') in lowest terms."""
+    number = number.replace(",", "")
+    source = re.sub(r"(?<=\d)_(?=\d)", "", source)
+    if "/" not in number:
+        return re.search(rf"(?<!\d){number}(?!\d)", source) is not None
+    p, q = number.split("/")
+    low = Fraction(int(p), int(q))
+    flat = re.sub(r"\s", "", source)
+    return (re.search(rf"(?<!\d){p}/{q}(?!\d)", source) is not None
+            or f"({p},{q})" in flat
+            or f"Fraction({low.numerator},{low.denominator})" in flat)
+
+
+def test_readme_claims_are_frozen_by_the_named_tests():
+    rows = _table("| paper's claim | exact result | command | frozen by |")
+    assert README.split("## ")[1].startswith("What the lab shows")   # the README opens with it
+    assert len(rows) >= 7
+    for claim, result, _command, frozen_by in rows:
+        path, name = re.fullmatch(r"`tests/(test_\w+)\.py::(test_\w+)`", frozen_by).groups()
+        source = inspect.getsource(getattr(importlib.import_module(path), name))
+        numbers = _quoted_numbers(result)
+        assert numbers, claim
+        missing = [x for x in numbers if not _frozen_in(x, source)]
+        assert not missing, f"{frozen_by} does not freeze {missing} ({claim})"
+
+
+def test_readme_flag_table_is_the_parser():
+    ap = make_parser()
+    commands = _commands(ap)
+    rows = _table("| command | flags |")
+    assert [cmd for cmd, _ in rows] == list(commands)
+    for cmd, cell in rows:
+        flags = set(re.findall(r"--[a-z-]+", cell))
+        actions = {a.option_strings[0]: a for a in commands[cmd]._actions
+                   if a.option_strings and a.option_strings[0].startswith("--")}
+        assert flags == set(actions) - {"--out"}, cmd
+        if "--kind" in actions:
+            only = re.search(r"\((\w+) only\)", cell)
+            assert tuple(actions["--kind"].choices) == ((only[1],) if only else ("box", "torus")), cmd
+    settable = sum(len(set(vars(ap.parse_args([cmd]))) - {"command", "func"}) for cmd in commands)
+    assert re.search(r"\((\d+) settable\s+values", README)[1] == str(settable) == "59"
+
+
+def test_readme_examples_parse():
+    # every command line the README shows, one per command, with declared
+    # flags spelled in full
+    ap = make_parser()
+    commands = _commands(ap)
+    examples = [shlex.split(line) for line in README.splitlines() if line.startswith("potts3 ")]
+    assert sorted(argv[1] for argv in examples) == sorted(commands)
+    for argv in examples:
+        args = ap.parse_args(argv[1:])       # argparse exits on an unknown flag
+        declared = {a.option_strings[0] for a in commands[argv[1]]._actions if a.option_strings}
+        assert {tok.split("=")[0] for tok in argv if tok.startswith("--")} <= declared, argv
+        assert args.out.startswith("runs/"), argv
