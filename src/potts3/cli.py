@@ -35,7 +35,8 @@ from .coloring import (
     odd_boundary_pinned,
     phase_coloring,
 )
-from .cutset import build_box_cutset, check_family_scope, select_family, verify_properties
+from .cutset import (_PROPERTIES, build_box_cutset, check_family_scope, select_family,
+                     verify_properties)
 from .dynamics import ChainSpec, run_chain
 from .errors import CapExceeded, ColoringError, PropertyViolation
 from .lattice import LatticeKind, LatticeSpec, Parity, build_lattice, shift_order
@@ -270,7 +271,7 @@ def cmd_conductance(args) -> Outcome:
 def cmd_influence(args) -> Outcome:
     rep = influence_ratio(args.d, args.n, cap=args.enum_cap)
     fields = {
-        "v0": list(rep.v0),
+        "v0": [0] * args.d,
         "total": rep.total,
         "pinned": rep.pinned,
         "ratio": rat(rep.ratio),
@@ -299,16 +300,10 @@ def cmd_cutsets(args) -> Outcome:
         for cut in cuts:
             repo = verify_properties(cut, chi, anchor)
             w_even, w_odd = cut.region_parts()
-            props = {
-                "p1": repo.p1_anchored,
-                "p2": repo.p2_boundary_parity,
-                "p3": repo.p3_zero_free_moat,
-                "p4": repo.p4_interior_zero_support,
-                "p5": repo.p5_region_closure,
-                "identity": repo.size_identity,
-                "p8a": repo.p8a_isoperimetry,
-                "two_layer": repo.two_layer,
-            }
+            # a line key per CutsetReport field, in field order: a field without one raises
+            props = {key: getattr(repo, name) for key, name in zip(
+                ("p1", "p2", "p3", "p4", "p5", "identity", "p8a", "two_layer"),
+                _PROPERTIES, strict=True)}
             violation |= not repo.all_hold()
             lines.append(json.dumps({
                 "chi_id": chi_id,
@@ -379,7 +374,7 @@ def cmd_sample(args) -> Outcome:
     spec = ChainSpec(q=args.q, seed=args.seed, stream=0)
     chi0 = phase_coloring(lat, Parity.EVEN, 1, args.q)
     final, traj = run_chain(spec, chi0, args.steps, thin=args.thin, rho=args.rho)
-    name = f"chain_seed{args.seed}_{traj.chi0_id[:12]}.csv"
+    name = f"chain_seed{args.seed}_{chi0.colors.hex()[:12]}.csv"
     return Outcome({
         "final_imbalance": imbalance(final),
         "records": len(traj.points),
@@ -405,7 +400,7 @@ def _torpid_chain(task):
         "acceptance": traj.accepted / (sweeps * lat.nv) if sweeps else None,
         "first_flip_sweep": first_flip,
     }
-    return stream, traj.chi0_id, traj.to_csv(), imbalance(final), telemetry
+    return traj.to_csv(), imbalance(final), telemetry
 
 
 def cmd_torpid_demo(args) -> Outcome:
@@ -427,9 +422,9 @@ def cmd_torpid_demo(args) -> Outcome:
         else:
             results = [_torpid_chain(t) for t in tasks]
     with stage("summary"):
-        csvs = {f"chain{stream:03d}_seed{args.seed}_{chi0_id[:8]}.csv": csv_text
-                for stream, chi0_id, csv_text, _, _ in results}
-        finals_sorted = sorted(final_imb for _, _, _, final_imb, _ in results)
+        csvs = {f"chain{stream:03d}_seed{args.seed}_{chi0.colors.hex()[:8]}.csv": csv_text
+                for stream, (csv_text, _, _) in enumerate(results)}
+        finals_sorted = sorted(final_imb for _, final_imb, _ in results)
         telemetry = [chain for *_, chain in results]
         flips = sum(chain["first_flip_sweep"] is not None for chain in telemetry)
         qtile = lambda f: finals_sorted[min(len(finals_sorted) - 1, int(f * len(finals_sorted)))]
@@ -470,8 +465,8 @@ def cmd_entropy(args) -> Outcome:
             ok = (gap.max_prob_bound_holds and gap.ring_mass_bound_holds
                   and gap.support_extendable and gap.n_depends_on_ring_only)
             fields["gap_check"] = {
-                "m": gap.m,
-                "n": gap.n,
+                "m": args.m,
+                "n": args.n_window,
                 "boundary": gap.boundary_size,
                 "c3_prime": gap.c3_prime,
                 "pinned_ring_count": gap.pinned_ring_count,
@@ -523,7 +518,10 @@ def _add_command(sub, name, func, help, *flags, torus=False, kinds=("box", "toru
 
 
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="potts3", description=__doc__, fromfile_prefix_chars="@")
+    ap = argparse.ArgumentParser(prog="potts3", fromfile_prefix_chars="@", description=(
+        "Exact counts, mixing times, cutset, repair-map and entropy bounds, and Metropolis "
+        "chains for proper 3-colorings of Z^d boxes and tori; each command writes "
+        "report.json, meta.json and its sidecar files into --out."))
     sub = ap.add_subparsers(dest="command", required=True)
     _add_command(sub, "enumerate", cmd_enumerate, "count colorings under a boundary condition",
                  "kind", "d", "n", "q", "state-cap", "odd-boundary-zero")
@@ -570,8 +568,7 @@ def main(argv=None) -> int:
     except PropertyViolation as exc:
         print(f"error: property violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
-            PermissionError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

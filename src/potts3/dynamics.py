@@ -103,7 +103,6 @@ class TrajectoryPoint(NamedTuple):
 
 @dataclass
 class Trajectory:
-    chi0_id: str
     points: list[TrajectoryPoint] = field(default_factory=list)
     accepted: int = 0    # proposals that recolored a site
 
@@ -159,7 +158,7 @@ def run_chain(
     parities = lat.parities
     zeros = list(zero_counts(chi0))   # [|I∩E|, |I∩O|]
 
-    traj = Trajectory(chi0.colors.hex())
+    traj = Trajectory()
     tags: dict[int, str] = {}     # class tag per imbalance seen in this chain
 
     def record(step):

@@ -237,8 +237,6 @@ def restriction_distribution(m: int, n: int) -> RestrictionResult:
 
 @dataclass
 class GapReport:
-    m: int
-    n: int
     boundary_size: int
     c3_prime: int
     pinned_ring_count: int
@@ -284,8 +282,6 @@ def max_entropy_gap_check(m: int, n: int) -> GapReport:
     ring_mass_ok = pinned_ring * 3 ** bsize >= c3p
 
     return GapReport(
-        m=m,
-        n=n,
         boundary_size=bsize,
         c3_prime=c3p,
         pinned_ring_count=pinned_ring,

@@ -779,7 +779,6 @@ def conductance_bound(
 
 @dataclass
 class InfluenceReport:
-    v0: tuple[int, ...]
     total: int                 # |C_3^O|
     pinned: int                # |C_3^O(v0)|
     ratio: Fraction
@@ -803,10 +802,9 @@ def influence_ratio(d: int, n: int, cap: int = ENUM_CAP) -> InfluenceReport:
         pinned += 1
         cut = build_box_cutset(chi, v0_idx)
         hist[cut.size] = hist.get(cut.size, 0) + 1
-    ratio = Fraction(pinned, total)
     per = {c: Fraction(k, total) for c, k in sorted(hist.items())}
     return InfluenceReport(
-        v0=v0, total=total, pinned=pinned, ratio=ratio,
+        total=total, pinned=pinned, ratio=Fraction(pinned, total),
         histogram=dict(sorted(hist.items())), per_size_ratio=per,
     )
 

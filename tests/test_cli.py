@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -385,6 +386,42 @@ def test_failed_write_keeps_previous_report(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert (tmp_path / "report.json").read_bytes() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["meta.json", "report.json"]
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EROFS])
+@pytest.mark.parametrize("target", [(Path, "write_text"), (os, "replace")],
+                         ids=["write_text", "replace"])
+def test_any_failed_write_is_a_config_error(tmp_path, capsys, monkeypatch, code, target):
+    # a full disk or a read-only file system, at either step of a file's write
+    argv = ["enumerate", "--kind", "box", "--d", "1", "--out"]
+    assert run(argv + [str(tmp_path / "old"), "--n", "2"]) == 0
+    before = (tmp_path / "old" / "report.json").read_bytes()
+
+    def failed(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(*target, failed)
+    capsys.readouterr()
+    for out in ("new", "old"):
+        assert run(argv + [str(tmp_path / out), "--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert not list((tmp_path / "new").iterdir())
+    assert (tmp_path / "old" / "report.json").read_bytes() == before
+
+
+def test_help_describes_the_tool_not_its_internals():
+    text = " ".join(make_parser().format_help().split())
+    assert ("Exact counts, mixing times, cutset, repair-map and entropy bounds, and Metropolis "
+            "chains for proper 3-colorings of Z^d boxes and tori; each command writes "
+            "report.json, meta.json and its sidecar files into --out.") in text
+    assert not any(word in text for word in ("Outcome", "cmd_", "stage"))
+
+
+def test_cutsets_lines_need_a_key_per_report_field(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_PROPERTIES", cutset._PROPERTIES + ("p9",))
+    with pytest.raises(ValueError, match="zip"):
+        cli.cmd_cutsets(make_parser().parse_args(["cutsets", "--out", str(tmp_path)]))
 
 
 def test_build_id_ignores_callers_cwd(tmp_path, monkeypatch):

@@ -210,7 +210,7 @@ def _scan_chain(spec, chi0, steps, thin=None, rho=Fraction(11, 50)):
     thin = lat.nv if thin is None else thin
     rng = ClaimsRng(spec.seed, spec.stream)
     colors = bytearray(chi0.colors)
-    traj = Trajectory(chi0.colors.hex())
+    traj = Trajectory()
 
     def record(step):
         even, odd = zero_counts(Coloring(lat, colors, q))

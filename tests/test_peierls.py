@@ -453,6 +453,35 @@ def test_repair_round_trip_on_random_box_colorings(d, n):
     assert (widest > 10) == (n == 6)
 
 
+
+# box(3,2) has only star regions; these even zero sets give box(3,3) regions
+# whose layers W^s pass ten cells in all six directions
+@pytest.mark.parametrize("zeros,layer_size", [
+    ([(0, 0, 0), (1, 1, 0), (1, -1, 0)], 11),
+    ([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)], 12),
+])
+def test_repair_round_trip_in_d3_past_ten_layer_cells(zeros, layer_size):
+    # built by hand, since the backtracker can stall on box(3,3): odd sites 0
+    # and even sites 1, then the even zero set 0 and its odd neighbours 2
+    lat = box(3, 3)
+    colors = [1 - p for p in lat.parities]
+    for v in map(lat.index, zeros):
+        colors[v] = 0
+        for u in lat.neighbors[v]:
+            colors[u] = 2
+    chi = Coloring(lat, colors, 3)
+    assert is_proper(chi) and satisfies_bc(chi, odd_boundary_pinned((0, 0, 0)))
+    cut = build_box_cutset(chi, lat.index((0, 0, 0)))
+    approx = exact_approximation(cut)
+    for s in shift_order(3):
+        # every one of the 2^|W^s| images is built, and raises unless it reconstructs to chi
+        total = flow_out_total(chi, cut, approx, s, explicit_cap=math.inf)
+        assert total.sets[0].bit_count() == layer_size
+        assert total.explicit == total.closed_form == 1
+        rep = bound_report(chi, total.image, cut, approx, s)
+        assert rep.status == "ok" and rep.nu_le_b
+
+
 def _explicit_flow(chi, cut, approx, s):
     return sum(flow_weight(chi, chi_p, cut, approx, s)
                for _subset, chi_p in phi_family(chi, cut.region, s))
