@@ -38,7 +38,7 @@ from .coloring import (
 from .cutset import (_PROPERTIES, build_box_cutset, check_family_scope, select_family,
                      verify_properties)
 from .dynamics import ChainSpec, run_chain
-from .errors import CapExceeded, ColoringError, PropertyViolation
+from .errors import BoundaryConditionError, CapExceeded, ColoringError, LatticeError, PropertyViolation
 from .lattice import LatticeKind, LatticeSpec, Parity, build_lattice, shift_order
 from .oracle import (
     ENUM_CAP,
@@ -446,7 +446,10 @@ def cmd_torpid_demo(args) -> Outcome:
 
 def cmd_entropy(args) -> Outcome:
     with stage("strip"):
-        sizes = [int(x) for x in args.sizes.split(",")]
+        try:
+            sizes = [int(x) for x in args.sizes.split(",")]
+        except ValueError:
+            raise ColoringError(f"--sizes takes comma-separated integers, got {args.sizes!r}")
         if args.m is not None and args.d != 2:
             raise ColoringError(f"restriction distribution needs d=2, not d={args.d}")
         topo = topological_entropy_estimate(args.d, sizes)
@@ -571,7 +574,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (LatticeError, ColoringError, BoundaryConditionError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -3,7 +3,13 @@
 One *proposal* draws (v, j) and recolors v with j when the result stays
 proper: the chain's transition law puts mass 1/(q|V|) on each legal
 recoloring and the remainder on the self-loop.  A *sweep* is |V| proposals.
-Trajectories are deterministic functions of (seed, stream, χ₀).
+
+Chain (seed, stream), both mod 2⁶⁴, draws proposal i = 0, 1, … from a
+counter-based SplitMix64 stream: z_i = mix64(key + (i+1)·golden) with
+key = mix64(mix64(seed) ^ mix64((stream+1)·golden)), and proposes
+v = (z_i >> 32) mod |V|, j = (z_i mod 2³²) mod q.  Each draw is a pure
+function of (seed, stream, i), so chains share no state and trajectories
+are deterministic functions of (seed, stream, χ₀).
 
 The legality check is one lookup.  For each site v the chain keeps one int
 cnt[v] that packs, per color c, how many sites of the closed neighbourhood
@@ -12,12 +18,6 @@ N[v] = {v} ∪ N(v) have color c, in a field of (maxdeg+1).bit_length() bits.
 test covers both j ≠ χ(v) and "no neighbour has j".  An accepted move
 adds unit[j] − unit[χ(v)] to cnt[u] for the at most 2d+1 sites u of N[v].
 Each 2¹⁴-draw block runs in stretches that end at the next record point.
-
-The draw v = (z >> 32) mod |V|, j = (z mod 2³²) mod q from one 64-bit z
-carries modulo bias: each site's probability is within a relative |V|/2³²
-of 1/|V|, each color's within q/2³² of 1/q, and both are exact for powers
-of two: on Z⁴₄ the sites are exact and q = 3's color bias is below 10⁻⁹.
-Frozen trajectories replay this draw, so it stays.
 """
 
 from __future__ import annotations
@@ -39,23 +39,11 @@ from .coloring import (
 from .errors import ColoringError
 from .lattice import Lattice, LatticeKind
 
-_MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15   # odd, so multiplying by it is a bijection
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer; the package's documented counter mix."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """``_mix64`` on a uint64 array, in place (wrapping), returned."""
+    """SplitMix64's finalizer mix64 on a uint64 array, in place (wrapping)."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -64,26 +52,21 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
-class CounterRng:
-    """Counter-based 64-bit stream: value(i) = mix64(key + (i+1)·golden),
-    drawn in blocks (``block_u64``).
+def _stream_key(seed: int, stream: int) -> np.uint64:
+    """The key of the chain of (seed, stream), both taken mod 2⁶⁴."""
+    pair = mix64_array(np.array([seed % 2**64, (stream + 1) * GOLDEN % 2**64], dtype=np.uint64))
+    return mix64_array(pair[:1] ^ pair[1:])[0]
 
-    ``key`` is derived from (seed, stream), so per-chain streams are
-    independent and any draw is addressable by its counter — replays never
-    depend on shared state.
-    """
 
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = seed & _MASK64
-        self.stream = stream & _MASK64
-        self.key = _mix64(_mix64(self.seed) ^ _mix64((self.stream + 1) * GOLDEN))
-        self.counter = 0
-
-    def block_u64(self, count: int) -> np.ndarray:
-        """The next ``count`` values of the stream (advances the counter)."""
-        idx = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
-        self.counter += count
-        return mix64_array(np.uint64(self.key) + idx * GOLDEN)
+def _proposals(key: np.uint64, lo: int, hi: int, nv: int, q: int) -> tuple[list, list]:
+    """The sites and colors of proposals lo, …, hi − 1.  Splitting one z into
+    v and j carries modulo bias: each site's probability is within a relative
+    |V|/2³² of 1/|V|, each color's within q/2³² of 1/q, and both are exact for
+    powers of two: on Z⁴₄ the sites are exact and q = 3's color bias is below
+    10⁻⁹.  Frozen trajectories replay this draw, so it stays."""
+    zs = mix64_array(key + np.arange(lo + 1, hi + 1, dtype=np.uint64) * GOLDEN)
+    return (((zs >> np.uint64(32)) % np.uint64(nv)).tolist(),
+            ((zs & np.uint64(0xFFFFFFFF)) % np.uint64(q)).tolist())
 
 
 @dataclass(frozen=True)
@@ -150,11 +133,11 @@ def run_chain(
     if any(cnt[v] & fields[c] != unit[c] for v, c in enumerate(colors)):
         raise ColoringError("initial coloring must be proper")
     if thin is not None and thin < 1:
-        raise ValueError(f"thin must be at least 1, got {thin}")
+        raise ColoringError(f"thin must be at least 1, got {thin}")
 
     thin = lat.nv if thin is None else thin
     rho = Fraction(rho)
-    rng = CounterRng(spec.seed, spec.stream)
+    key = _stream_key(spec.seed, spec.stream)
     parities = lat.parities
     zeros = list(zero_counts(chi0))   # [|I∩E|, |I∩O|]
 
@@ -169,16 +152,12 @@ def run_chain(
         traj.points.append(TrajectoryPoint(step, imb, zeros[0], zeros[1], tag))
 
     record(0)
-    nv = lat.nv
     accepted = 0
     done = 0
     block_size = 1 << 14
     while done < steps:
         end = min(done + block_size, steps)
-        zs = rng.block_u64(end - done)
-        vs = ((zs >> np.uint64(32)) % np.uint64(nv)).tolist()
-        js = ((zs & np.uint64(0xFFFFFFFF)) % np.uint64(q)).tolist()
-        draws = zip(vs, js)
+        draws = zip(*_proposals(key, done, end, lat.nv, q))
         while done < end:
             # one run of proposals, up to the next record point or the block's end
             stop = min(end, (done // thin + 1) * thin)

@@ -13,10 +13,10 @@ uniform member of its family; approximations and the direction rule; the flow we
 image; the Q-sets, the good triples and the search over them for B(K′, L′),
 the reference for ``bound_report``'s forced case; ρ-local blocking of EvenHeavy→OddHeavy
 moves; the Kempe-flip chain, the non-local contrast to the single-site
-chain; the scalar draws of the chain's counter-based stream; the cursor
-backtracker and the unseeded colour refinement, the references for the
-array-built lister and the distance-seeded refinement; the binary
-entropy; and the mod-3 coloring.  No command or benchmark
+chain; the scalar SplitMix64 finalizer and the chain's counter-based
+stream drawn from its key up; the cursor backtracker and the unseeded
+colour refinement, the references for the array-built lister and the
+distance-seeded refinement; the binary entropy; and the mod-3 coloring.  No command or benchmark
 workload runs them, so they live beside the tests and read the package's
 private helpers.
 """
@@ -34,7 +34,7 @@ from potts3 import oracle
 from potts3.coloring import (DEFAULT_RHO, Coloring, ImbalanceClass, _zero_mask, imbalance,
                              imbalance_class, zero_set)
 from potts3.cutset import Cutset, _check_q3, _cutset, _seed_mask, select_family
-from potts3.dynamics import GOLDEN, CounterRng, _MASK64, _mix64, mix64_array
+from potts3.dynamics import GOLDEN, mix64_array
 from potts3.errors import CapExceeded, ColoringError, LatticeError, PropertyViolation
 from potts3.lattice import (Lattice, LatticeKind, Parity, closure, connected_components,
                             external_boundary, iter_bits, shift_order)
@@ -538,14 +538,37 @@ def bound_by_search(
 # -- dynamics ------------------------------------------------------------------
 
 
-class ClaimsRng(CounterRng):
-    """``CounterRng`` drawn one value at a time: the scalar reference for
-    ``block_u64``, with a random.Random-like ``getrandbits`` for
-    ``sample_phi``."""
+MASK64 = (1 << 64) - 1
+
+
+def mix64(x: int) -> int:
+    """SplitMix64's finalizer on one int, taken mod 2⁶⁴: the scalar reference
+    for ``mix64_array``."""
+    x &= MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & MASK64
+    x ^= x >> 31
+    return x
+
+
+class ClaimsRng:
+    """The chain's stream drawn one value at a time, from its key up: the
+    scalar reference for ``dynamics._stream_key`` and ``_proposals``, with a
+    random.Random-like ``getrandbits`` for ``sample_phi``.  Draw i ≥ 1 is
+    mix64(key + i·golden), the draw of proposal i − 1."""
+
+    def __init__(self, seed: int, stream: int = 0):
+        self.key = mix64(mix64(seed) ^ mix64((stream + 1) * GOLDEN))
+        self.counter = 0
+
+    def draw(self, i: int) -> int:
+        return mix64(self.key + i * GOLDEN)
 
     def next_u64(self) -> int:
         self.counter += 1
-        return _mix64((self.key + self.counter * GOLDEN) & _MASK64)
+        return self.draw(self.counter)
 
     def getrandbits(self, k: int) -> int:
         return self.next_u64() >> (64 - k)

@@ -130,11 +130,27 @@ def test_listing_a_long_ring_keeps_the_exit_contract(tmp_path, capsys, command, 
     ["cutsets", "--kind", "torus", "--d", "3", "--n", "2"],
     ["cutsets", "--kind", "torus", "--d", "3", "--n", "2", "--enum-cap", "1"],
     ["entropy", "--d", "2", "--m", "2", "--n-window", "-1"],
+    ["entropy", "--sizes", "2,a,4"],
+    ["entropy", "--sizes", ""],
 ])
-def test_inputs_outside_scope_are_config_errors(tmp_path, argv):
+def test_inputs_outside_scope_are_config_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+    # one error: line, after argparse's usage lines for a flag it refuses
+    err = capsys.readouterr().err
+    assert sum("error: " in line for line in err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_a_defect_is_not_a_config_error(tmp_path, monkeypatch):
+    # exit 2 means the input: a bare ValueError from the program raises
+    def defect(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_enumerate", defect)
+    with pytest.raises(ValueError, match="boom"):
+        run(["enumerate", "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
 
 
 # the flags each command reads, besides --out

@@ -18,7 +18,6 @@ from potts3.coloring import (
 )
 from potts3.dynamics import (
     ChainSpec,
-    CounterRng,
     Trajectory,
     TrajectoryPoint,
     run_chain,
@@ -31,12 +30,18 @@ from claims import ClaimsRng, classify, crossing_blocked_check, hamming, rho_loc
 RHO = Fraction(11, 50)
 
 
-def test_counter_rng_block_matches_scalar():
-    a = ClaimsRng(42, 3)
-    b = CounterRng(42, 3)
-    scalars = [a.next_u64() for _ in range(100)]
-    block = b.block_u64(100).tolist()
-    assert scalars == block
+@pytest.mark.parametrize("seed", [0, 42, -1, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 3])
+@pytest.mark.parametrize("lo", [0, 16383, 16384, 2**40])
+def test_proposals_are_addressable_scalar_draws(seed, stream, lo):
+    # proposal i is draw i + 1 of the scalar stream, wherever it lies: across
+    # a block boundary and far from the start alike
+    nv, q = 100, 3
+    vs, js = dynamics._proposals(dynamics._stream_key(seed, stream), lo, lo + 64, nv, q)
+    rng = ClaimsRng(seed, stream)
+    zs = [rng.draw(lo + 1 + k) for k in range(64)]
+    assert vs == [(z >> 32) % nv for z in zs]
+    assert js == [(z & 0xFFFFFFFF) % q for z in zs]
 
 
 def test_counter_rng_streams_differ():
@@ -94,7 +99,7 @@ def test_run_chain_rejects_improper_start():
 def test_run_chain_rejects_thin_below_one():
     t = torus(2, 4)
     for thin in (0, -3):
-        with pytest.raises(ValueError, match="thin"):
+        with pytest.raises(ColoringError, match="thin"):
             run_chain(ChainSpec(), phase_coloring(t), 10, thin=thin)
 
 
@@ -203,7 +208,7 @@ def test_box_trajectory_class_is_na():
 
 
 def _scan_chain(spec, chi0, steps, thin=None, rho=Fraction(11, 50)):
-    """Reference stepper: the same CounterRng draws, one scalar at a time; a
+    """Reference stepper: the same stream's draws, one scalar at a time; a
     proposal (v, j) is legal iff j differs from v's color and from every
     neighbour's, and the observables are recounted from scratch."""
     lat, q = chi0.lattice, chi0.q
